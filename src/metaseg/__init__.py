@@ -18,6 +18,7 @@ from .analysis import (
     auroc,
     evaluate_components,
     evaluate_pixels,
+    evaluate_scores,
     fpr_at_95_tpr,
     incremental_evaluation,
     lars_order,
@@ -97,8 +98,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvalReport", "LarsOrdering", "auprc", "auroc", "evaluate_components",
-    "evaluate_pixels", "fpr_at_95_tpr", "incremental_evaluation", "lars_order",
-    "leave_one_out", "loo_scores", "ood_fraction", "split_by_ood_fraction",
+    "evaluate_pixels", "evaluate_scores", "fpr_at_95_tpr",
+    "incremental_evaluation", "lars_order", "leave_one_out", "loo_scores",
+    "ood_fraction", "split_by_ood_fraction",
     "MetricRegistry", "MetricsDataset", "StandardizationStats",
     "build_metrics_dataset", "extract_metrics", "load_metrics_csv",
     "save_metrics_csv", "standardize",

@@ -1,12 +1,15 @@
 """Evaluation and analysis tooling.
 
-Curve metrics (AUROC, average-precision AUPRC, FPR at 95% TPR) are
-computed over explicit threshold groups at the distinct score values,
-with no interpolation, so results are bit-reproducible and equal to
-brute-force oracles.  Component-level evaluation scores every metric row
-with a trained meta classifier, the positive class being "false
-positive component"; pixel-level evaluation pools pixels over all
-images with OOD as the positive class and IGNORE pixels excluded.
+Every curve metric (AUROC, average-precision AUPRC, FPR at 95% TPR and
+the ROC/PR points) is read from one count table: a single stable sort
+gives the cumulative true- and false-positive counts at each distinct
+score, with no interpolation, so results are bit-reproducible and equal
+to brute-force oracles.  AUROC is the tie-aware trapezoid over that
+table, i.e. Mann-Whitney U with ties counted half.  Component-level
+evaluation scores every metric row with a trained meta classifier, the
+positive class being "false positive component"; pixel-level evaluation
+pools pixels over all images with OOD as the positive class and IGNORE
+pixels excluded.
 
 Leave-one-out cross-validation holds out one sample (image) at a time,
 trains on the remaining rows with the same seed, and pools the held-out
@@ -76,7 +79,10 @@ class LarsOrdering:
         )
 
 
-def _validate_scored(scores, labels, need_negative: bool):
+def _rank_table(scores, labels, need_negative: bool):
+    """Validate once and sort once: the cumulative (TP, FP) counts at the
+    inclusive threshold of each distinct score, descending, plus the
+    positive and negative totals."""
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
     y = np.asarray(labels, dtype=bool).reshape(-1)
     if s.shape != y.shape or s.size == 0:
@@ -89,94 +95,71 @@ def _validate_scored(scores, labels, need_negative: bool):
         raise ValueError("need at least one positive")
     if need_negative and neg == 0:
         raise ValueError("need at least one negative")
-    return s, y, pos, neg
-
-
-def _threshold_groups(s: np.ndarray, y: np.ndarray):
-    """Distinct scores descending with cumulative TP/FP counts at each
-    inclusive threshold."""
     order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    distinct, first = np.unique(-s_sorted, return_index=True)
-    # Group k covers thresholds equal to -distinct[k]; last index of the
-    # group is one before the next group's first index.
-    ends = np.append(first[1:], s_sorted.size)
-    tp = np.cumsum(y_sorted)[ends - 1]
-    fp = ends - tp
-    return -distinct, tp, fp
+    s = s[order]
+    last = np.append(np.flatnonzero(s[1:] != s[:-1]), s.size - 1)
+    tp = np.cumsum(y[order])[last]
+    return tp, last + 1 - tp, pos, neg
+
+
+def _auroc(tp, fp, pos, neg) -> float:
+    # Each of the n_k negatives of group k is beaten by the tp_k - p_k
+    # positives above it and ties the group's p_k positives, so
+    # 2U = sum n_k (2 tp_k - p_k): an exact integer, divided once.
+    p = np.diff(tp, prepend=0)
+    n = np.diff(fp, prepend=0)
+    return int(np.sum(n * (2 * tp - p))) / (2 * pos * neg)
+
+
+def _auprc(tp, fp, pos, neg) -> float:
+    recall = tp / pos
+    return float(np.sum(np.diff(recall, prepend=0.0) * (tp / (tp + fp))))
+
+
+def _fpr95(tp, fp, pos, neg) -> float:
+    return float((fp[tp / pos >= 0.95] / neg).min())
 
 
 def auroc(scores, labels) -> float:
     """Probability a random positive outranks a random negative, ties
     counted half."""
-    s, y, pos, neg = _validate_scored(scores, labels, need_negative=True)
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    ranks = np.empty(s.size, dtype=np.float64)
-    i = 0
-    while i < s.size:
-        j = i
-        while j < s.size and s_sorted[j] == s_sorted[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)
-        i = j
-    return float((ranks[y].sum() - pos * (pos + 1) / 2.0) / (pos * neg))
+    return _auroc(*_rank_table(scores, labels, need_negative=True))
 
 
 def auprc(scores, labels) -> float:
     """Average precision over the distinct descending score thresholds."""
-    s, y, pos, _ = _validate_scored(scores, labels, need_negative=False)
-    _, tp, fp = _threshold_groups(s, y)
-    recall = tp / pos
-    precision = tp / (tp + fp)
-    prev_recall = np.concatenate([[0.0], recall[:-1]])
-    return float(np.sum((recall - prev_recall) * precision))
+    return _auprc(*_rank_table(scores, labels, need_negative=False))
 
 
 def fpr_at_95_tpr(scores, labels) -> float:
     """Minimum FPR over thresholds whose TPR reaches 0.95, thresholds
     taken at the distinct scores (inclusive), no interpolation."""
-    s, y, pos, neg = _validate_scored(scores, labels, need_negative=True)
-    _, tp, fp = _threshold_groups(s, y)
-    ok = tp / pos >= 0.95
-    return float((fp[ok] / neg).min())
+    return _fpr95(*_rank_table(scores, labels, need_negative=True))
 
 
 def roc_points(scores, labels):
     """(FPR, TPR) arrays over the distinct thresholds, with the (0, 0)
     endpoint prepended, for plotting."""
-    s, y, pos, neg = _validate_scored(scores, labels, need_negative=True)
-    _, tp, fp = _threshold_groups(s, y)
-    fpr = np.concatenate([[0.0], fp / neg])
-    tpr = np.concatenate([[0.0], tp / pos])
-    return fpr, tpr
+    tp, fp, pos, neg = _rank_table(scores, labels, need_negative=True)
+    return np.concatenate([[0.0], fp / neg]), np.concatenate([[0.0], tp / pos])
 
 
 def pr_points(scores, labels):
     """(recall, precision) arrays over the distinct thresholds."""
-    s, y, pos, _ = _validate_scored(scores, labels, need_negative=False)
-    _, tp, fp = _threshold_groups(s, y)
+    tp, fp, pos, _ = _rank_table(scores, labels, need_negative=False)
     return tp / pos, tp / (tp + fp)
 
 
-def _report(scores, labels) -> EvalReport:
-    s, y, pos, neg = _validate_scored(scores, labels, need_negative=True)
-    return EvalReport(
-        auroc=auroc(s, y),
-        auprc=auprc(s, y),
-        fpr95=fpr_at_95_tpr(s, y),
-        positives=pos,
-        negatives=neg,
-    )
+def evaluate_scores(scores, labels) -> EvalReport:
+    """AUROC, AUPRC and FPR95 of one scored population, from one table."""
+    table = _rank_table(scores, labels, need_negative=True)
+    return EvalReport(auroc=_auroc(*table), auprc=_auprc(*table),
+                      fpr95=_fpr95(*table), positives=table[2], negatives=table[3])
 
 
 def evaluate_components(model, dataset: MetricsDataset) -> EvalReport:
     """Score every row with the model; positive class = false positive."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    scores = model.predict_raw_batch(dataset.rows)
-    return _report(scores, dataset.labels)
+    return evaluate_scores(model.predict_raw_batch(dataset.rows), dataset.labels)
 
 
 def evaluate_pixels(scores, masks) -> EvalReport:
@@ -199,7 +182,7 @@ def evaluate_pixels(scores, masks) -> EvalReport:
     y = np.concatenate(pooled_labels)
     if not y.any():
         raise ValueError("no OOD pixels in any mask")
-    return _report(s, y)
+    return evaluate_scores(s, y)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +228,7 @@ def leave_one_out(
         raise ValueError("leave-one-out needs at least 2 samples")
     dataset = build_metrics_dataset(samples, threshold, registry)
     scores = loo_scores(model_kind, dataset, cfg, hidden_dims=hidden_dims)
-    return scores, _report(scores, dataset.labels)
+    return scores, evaluate_scores(scores, dataset.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +347,9 @@ def incremental_evaluation(
         cols = sorted(ordering.ordered_metric_indices[:i])
         sub = dataset.select_metrics(cols)
         scores = loo_scores(model_kind, sub, cfg, hidden_dims=hidden_dims)
-        aurocs.append(auroc(scores, sub.labels))
-        auprcs.append(auprc(scores, sub.labels))
+        report = evaluate_scores(scores, sub.labels)
+        aurocs.append(report.auroc)
+        auprcs.append(report.auprc)
     return aurocs, auprcs
 
 

@@ -289,8 +289,8 @@ def _report_and_print(report: analysis.EvalReport, out_csv: str) -> None:
 def _cmd_eval_meta(cfg: RunConfig) -> None:
     model = metaclf.load_model(cfg.options["model"])
     dataset = features.load_metrics_csv(cfg.options["mu"])
-    report = analysis.evaluate_components(model, dataset)
     scores = model.predict_raw_batch(dataset.rows)
+    report = analysis.evaluate_scores(scores, dataset.labels)
     if cfg.options.get("roc_svg"):
         fpr, tpr = analysis.roc_points(scores, dataset.labels)
         analysis.svg_line_plot(
@@ -311,13 +311,7 @@ def _cmd_eval_meta(cfg: RunConfig) -> None:
 def _cmd_loo(cfg: RunConfig) -> None:
     dataset = features.load_metrics_csv(cfg.options["mu"])
     scores = analysis.loo_scores(cfg.options["kind"], dataset, cfg.train_config())
-    report = analysis.EvalReport(
-        auroc=analysis.auroc(scores, dataset.labels),
-        auprc=analysis.auprc(scores, dataset.labels),
-        fpr95=analysis.fpr_at_95_tpr(scores, dataset.labels),
-        positives=int(dataset.labels.sum()),
-        negatives=int(len(dataset) - dataset.labels.sum()),
-    )
+    report = analysis.evaluate_scores(scores, dataset.labels)
     if cfg.options.get("scores_csv"):
         lines = ["row,group_id,label,score"]
         for i, (g, y, s) in enumerate(

@@ -27,6 +27,12 @@ from .raster import ScoreMap, atomic_write_bytes, _parse_rast, _rast_bytes
 
 _CLAMP = 1e-12
 _MODEL_MAGIC = "metaseg-model v1"
+# Header fields load_model reads; `threshold` is optional.
+_MODEL_FIELDS = (
+    "kind", "layer_dims", "params", "learning_rate", "weight_decay", "epochs",
+    "batch_size", "seed", "adam_beta1", "adam_beta2", "adam_eps",
+    "feature_mean", "feature_sigma",
+)
 
 _HIDDEN_ACTIVATION = "relu"
 _OUTPUT_ACTIVATION = "sigmoid"
@@ -512,6 +518,9 @@ def load_model(path) -> MetaModel:
     for line in header.splitlines()[1:]:
         key, _, value = line.partition(" ")
         fields[key] = value
+    for key in _MODEL_FIELDS:
+        if key not in fields:
+            raise ValueError(f"{path}: missing model field {key!r}")
     kind = fields["kind"]
     dims = _check_dims(int(d) for d in fields["layer_dims"].split(","))
     n_params = int(fields["params"])

@@ -153,28 +153,37 @@ def connected_components(
     return comps
 
 
-def component_iou(comp: ComponentRecord, mask: LabelMask) -> float:
-    """Intersection over union between the component and the mask's OOD
-    pixels.  IGNORE pixels count as non-OoD."""
-    ood = mask.is_ood()
-    h, w = ood.shape
+def _pixel_index(comp: ComponentRecord, shape) -> tuple:
+    """(rows, cols) index arrays of the component's pixels, checked to lie
+    inside an image of the given shape."""
+    h, w = shape
     rmin, rmax, cmin, cmax = comp.bbox
     if rmin < 0 or cmin < 0 or rmax >= h or cmax >= w:
         raise ValueError(f"component bbox {comp.bbox} outside {h}x{w} mask")
     rows = np.fromiter((p[0] for p in comp.pixels), dtype=np.intp, count=comp.size)
     cols = np.fromiter((p[1] for p in comp.pixels), dtype=np.intp, count=comp.size)
-    inter = int(ood[rows, cols].sum())
+    return rows, cols
+
+
+def component_iou(comp: ComponentRecord, mask: LabelMask) -> float:
+    """Intersection over union between the component and the mask's OOD
+    pixels.  IGNORE pixels count as non-OoD."""
+    ood = mask.is_ood()
+    inter = int(ood[_pixel_index(comp, ood.shape)].sum())
     union = comp.size + int(ood.sum()) - inter
     return inter / union
 
 
 def label_components(comps, mask: LabelMask) -> list:
     """Attach ground-truth labels: false positive iff IoU with the OOD
-    pixel set is exactly zero (any overlap makes a true positive)."""
-    return [
-        replace(comp, is_false_positive=component_iou(comp, mask) == 0.0)
-        for comp in comps
-    ]
+    pixel set is exactly zero, i.e. no pixel of the component is OOD
+    (any overlap makes a true positive)."""
+    ood = mask.is_ood()
+    labeled = []
+    for comp in comps:
+        hit = ood[_pixel_index(comp, ood.shape)].any()
+        labeled.append(replace(comp, is_false_positive=not hit))
+    return labeled
 
 
 def extract_labeled_components(

@@ -19,6 +19,7 @@ from metaseg.analysis import (
     auroc,
     evaluate_components,
     evaluate_pixels,
+    evaluate_scores,
     fpr_at_95_tpr,
     incremental_evaluation,
     lars_order,
@@ -98,6 +99,33 @@ def fpr95_by_scan(scores, labels):
     rec, _, fpr = curve_by_scan(scores, labels)
     candidates = [f for r, f in zip(rec, fpr) if r >= 0.95]
     return min(candidates)
+
+
+def auroc_by_rank_sum(scores, labels):
+    """Mann-Whitney U from midranks: every run of tied scores shares the
+    mean of its ranks.  U is held exactly, so the one division rounds
+    once."""
+    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    y = np.asarray(labels, dtype=bool).reshape(-1)
+    pos = int(y.sum())
+    neg = s.size - pos
+    order = np.argsort(s, kind="stable")
+    s_sorted = s[order]
+    ranks = np.empty(s.size, dtype=np.float64)
+    i = 0
+    while i < s.size:
+        j = i
+        while j < s.size and s_sorted[j] == s_sorted[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + 1 + j)
+        i = j
+    return float((ranks[y].sum() - pos * (pos + 1) / 2.0) / (pos * neg))
+
+
+def quantized_scores(rng, n, levels):
+    """Float32 scores on a grid of `levels` values: ties everywhere, as in
+    score maps stored at float32."""
+    return (rng.integers(0, levels, size=n) / levels).astype(np.float32)
 
 
 class TestCurveMetricValues:
@@ -189,6 +217,49 @@ class TestCurveMetricOracles:
         rec_o, prec_o, _ = curve_by_scan(s, y)
         np.testing.assert_allclose(rec, rec_o, atol=1e-12)
         np.testing.assert_allclose(prec, prec_o, atol=1e-12)
+
+
+class TestRankTableExact:
+    """The count table must reproduce the midrank formula to the last
+    bit, because report CSVs are compared byte for byte."""
+
+    def test_auroc_equals_rank_sum_on_tied_float32_scores(self):
+        rng = np.random.default_rng(137)
+        for n, levels, prevalence in [
+            (2, 1, 0.5), (17, 2, 0.3), (200, 5, 0.1), (1_000, 64, 0.5),
+            (5_000, 1_000, 0.02), (20_000, 4_096, 0.7),
+        ]:
+            s = quantized_scores(rng, n, levels)
+            y = rng.random(n) < prevalence
+            y[0], y[1] = True, False
+            assert auroc(s, y) == auroc_by_rank_sum(s, y)
+
+    def test_auroc_equals_rank_sum_on_large_population(self):
+        rng = np.random.default_rng(139)
+        n = 150_000
+        s = quantized_scores(rng, n, 20_000)
+        y = rng.random(n) < s * 0.3
+        assert auroc(s, y) == auroc_by_rank_sum(s, y)
+
+    def test_evaluate_scores_equals_separate_metrics(self):
+        rng = np.random.default_rng(149)
+        for n, levels in [(2, 1), (50, 3), (3_000, 200), (100_000, 1_000)]:
+            s = quantized_scores(rng, n, levels)
+            y = rng.random(n) < 0.25
+            y[0], y[1] = True, False
+            report = evaluate_scores(s, y)
+            assert report.auroc == auroc(s, y)
+            assert report.auprc == auprc(s, y)
+            assert report.fpr95 == fpr_at_95_tpr(s, y)
+            assert (report.positives, report.negatives) == (
+                int(y.sum()), int((~y).sum())
+            )
+
+    def test_evaluate_scores_validation(self):
+        with pytest.raises(ValueError, match="negative"):
+            evaluate_scores([0.5, 0.4], [1, 1])
+        with pytest.raises(ValueError, match="positive"):
+            evaluate_scores([0.5, 0.4], [0, 0])
 
 
 class TestEvalReport:

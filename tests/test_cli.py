@@ -149,6 +149,23 @@ class TestDataErrors:
         assert cli.run(args) == 2
         assert "metaseg: error:" in capsys.readouterr().err
 
+    def test_model_missing_header_field(self, toy_mu, tmp_path, capsys):
+        model = tmp_path / "m.model"
+        args = ["train-meta", "--mu", str(toy_mu), "--out", str(model)]
+        assert cli.run(args + TRAIN_FLAGS) == 0
+        data = model.read_bytes()
+        start = data.index(b"\nkind ")
+        model.write_bytes(data[:start] + data[data.index(b"\n", start + 1):])
+        capsys.readouterr()
+        args = [
+            "eval-meta", "--model", str(model),
+            "--mu", str(toy_mu), "--out", str(tmp_path / "r.csv"),
+        ]
+        assert cli.run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("metaseg: error:")
+        assert "missing model field 'kind'" in err
+
 
 class TestScore:
     """score: probability rasters to anomaly score rasters."""

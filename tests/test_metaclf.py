@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaseg.features import MetricRegistry, MetricsDataset
 from metaseg.metaclf import (
@@ -454,3 +456,72 @@ class TestModelFiles:
         path.write_bytes(b"not a model")
         with pytest.raises(ValueError, match="not a model file"):
             load_model(path)
+
+    def test_every_missing_field_is_named(self, tmp_path):
+        meta, _ = self.trained("logistic")
+        path = tmp_path / "model.bin"
+        save_model(meta, path)
+        data = path.read_bytes()
+        header = data[: data.index(b"\nparams ")].decode("ascii")
+        for line in header.splitlines()[1:]:
+            key = line.split(" ", 1)[0]
+            if key in ("n_features", "hidden_activation", "output_activation",
+                       "threshold"):
+                continue
+            start = data.index(f"\n{key} ".encode("ascii"))
+            path.write_bytes(data[:start] + data[data.index(b"\n", start + 1):])
+            with pytest.raises(ValueError, match=f"missing model field '{key}'"):
+                load_model(path)
+
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """Bytes of a small saved MLP model, plus a scratch path to write to."""
+    meta, _ = train("mlp", separable_dataset(), TrainConfig(epochs=1, seed=0),
+                    threshold=0.5, hidden_dims=(3,))
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    save_model(meta, path)
+    return path.read_bytes(), path
+
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop_line"), st.integers(0, 10**6)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(
+        st.just("flip"),
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+                 min_size=1, max_size=4),
+    ),
+)
+
+
+def _mutate(data: bytes, mutation) -> bytes:
+    op, arg = mutation
+    if not data:
+        return data
+    if op == "drop_line":
+        lines = data.split(b"\n")
+        i = arg % len(lines)
+        return b"\n".join(lines[:i] + lines[i + 1:])
+    if op == "truncate":
+        return data[: arg % len(data)]
+    buf = bytearray(data)
+    for pos, xor in arg:
+        buf[pos % len(buf)] ^= xor
+    return bytes(buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=st.lists(_MUTATIONS, min_size=1, max_size=3))
+def test_mutated_model_file_raises_only_value_error(saved_model, mutations):
+    """A damaged model file either still loads or raises a ValueError
+    subclass; no other exception escapes the parser."""
+    data, path = saved_model
+    for mutation in mutations:
+        data = _mutate(data, mutation)
+    path.write_bytes(data)
+    try:
+        load_model(path)
+    except ValueError:
+        pass
