@@ -137,24 +137,41 @@ def fpr_at_95_tpr(scores, labels) -> float:
     return _fpr95(*_rank_table(scores, labels, need_negative=True))
 
 
+def _roc(tp, fp, pos, neg):
+    return np.concatenate([[0.0], fp / neg]), np.concatenate([[0.0], tp / pos])
+
+
+def _pr(tp, fp, pos, neg):
+    return tp / pos, tp / (tp + fp)
+
+
+def _report(tp, fp, pos, neg) -> EvalReport:
+    return EvalReport(auroc=_auroc(tp, fp, pos, neg), auprc=_auprc(tp, fp, pos, neg),
+                      fpr95=_fpr95(tp, fp, pos, neg), positives=pos, negatives=neg)
+
+
 def roc_points(scores, labels):
     """(FPR, TPR) arrays over the distinct thresholds, with the (0, 0)
     endpoint prepended, for plotting."""
-    tp, fp, pos, neg = _rank_table(scores, labels, need_negative=True)
-    return np.concatenate([[0.0], fp / neg]), np.concatenate([[0.0], tp / pos])
+    return _roc(*_rank_table(scores, labels, need_negative=True))
 
 
 def pr_points(scores, labels):
     """(recall, precision) arrays over the distinct thresholds."""
-    tp, fp, pos, _ = _rank_table(scores, labels, need_negative=False)
-    return tp / pos, tp / (tp + fp)
+    return _pr(*_rank_table(scores, labels, need_negative=False))
 
 
 def evaluate_scores(scores, labels) -> EvalReport:
     """AUROC, AUPRC and FPR95 of one scored population, from one table."""
+    return _report(*_rank_table(scores, labels, need_negative=True))
+
+
+def evaluate_with_curves(scores, labels):
+    """`evaluate_scores`, `roc_points` and `pr_points` of one population,
+    all read from one count table: (report, (fpr, tpr), (recall,
+    precision))."""
     table = _rank_table(scores, labels, need_negative=True)
-    return EvalReport(auroc=_auroc(*table), auprc=_auprc(*table),
-                      fpr95=_fpr95(*table), positives=table[2], negatives=table[3])
+    return _report(*table), _roc(*table), _pr(*table)
 
 
 def evaluate_components(model, dataset: MetricsDataset) -> EvalReport:

@@ -241,8 +241,8 @@ def _cmd_segments(cfg: RunConfig) -> None:
         )
         for comp in comps:
             lines.append(
-                f"{sample.id},{comp.id},{comp.size},{len(comp.interior)},"
-                f"{len(comp.boundary)},{comp.bbox[0]},{comp.bbox[1]},"
+                f"{sample.id},{comp.id},{comp.size},{comp.interior_size},"
+                f"{comp.boundary_size},{comp.bbox[0]},{comp.bbox[1]},"
                 f"{comp.bbox[2]},{comp.bbox[3]},{int(comp.is_false_positive)}"
             )
         total += len(comps)
@@ -290,16 +290,16 @@ def _cmd_eval_meta(cfg: RunConfig) -> None:
     model = metaclf.load_model(cfg.options["model"])
     dataset = features.load_metrics_csv(cfg.options["mu"])
     scores = model.predict_raw_batch(dataset.rows)
-    report = analysis.evaluate_scores(scores, dataset.labels)
+    report, (fpr, tpr), (rec, prec) = analysis.evaluate_with_curves(
+        scores, dataset.labels
+    )
     if cfg.options.get("roc_svg"):
-        fpr, tpr = analysis.roc_points(scores, dataset.labels)
         analysis.svg_line_plot(
             [("ROC", fpr, tpr)], cfg.options["roc_svg"],
             title="Component ROC", x_label="false positive rate",
             x_range=(0, 1), y_range=(0, 1), y_label="true positive rate",
         )
     if cfg.options.get("pr_svg"):
-        rec, prec = analysis.pr_points(scores, dataset.labels)
         analysis.svg_line_plot(
             [("PR", rec, prec)], cfg.options["pr_svg"],
             title="Component precision-recall", x_label="recall",

@@ -17,11 +17,22 @@ vector combining four families:
   mean max-probability, fraction of ring pixels at or above the score
   threshold, ring-size-to-boundary-size ratio, mean probability margin.
   An empty ring (component covers the whole image) yields five zeros.
+  For components built by thresholding (`build_metrics_dataset`), the
+  hot fraction is 0 by construction: the ring of a maximal 8-connected
+  component holds no pixel at or above the threshold, since such a pixel
+  would belong to the component.  The column is kept so the layout stays
+  at 24 + 8 + 2C + 5.
 
 That totals 24 + 8 + 2C + 5 metrics, 75 at C = 19.  Interior statistics
 of a component with no interior fall back to whole-component statistics,
 which keeps single-pixel components finite.  Population (not sample)
 variance is used throughout for the same reason.
+
+Rows are computed for all components of an image at once from its
+`LabelImage`: pixel values are gathered in (component, raster) order and
+components of equal pixel count are reduced together as one block, which
+reproduces `ndarray.mean`/`var` of each component bit for bit.  Python
+loops only over the distinct component sizes.
 """
 
 from __future__ import annotations
@@ -36,7 +47,9 @@ from .raster import LabelMask, ProbabilityMap, SampleSet, ScoreMap, atomic_write
 from .scoring import anomaly_score_map, margin_map, variation_ratio_map
 from .segments import (
     ComponentRecord,
+    LabelImage,
     ThresholdConfig,
+    component_image,
     extract_labeled_components,
 )
 
@@ -54,6 +67,7 @@ _NEIGHBOR_NAMES = (
     "nb_ring_bd_ratio", "nb_margin_mean",
 )
 _RATIO_GUARD = 1e-9
+_NEIGHBORS8 = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc)
 
 
 @dataclass(frozen=True)
@@ -244,82 +258,116 @@ def _sample_fields(pmap: ProbabilityMap, score: ScoreMap, threshold: float) -> d
     }
 
 
-def _dispersion_stats(field: np.ndarray, all_ix, in_ix, bd_ix) -> list:
-    vals = field[all_ix]
-    mean_all = float(vals.mean())
-    var_all = float(vals.var())
-    if in_ix[0].size:
-        iv = field[in_ix]
-        mean_in, var_in = float(iv.mean()), float(iv.var())
-    else:
-        mean_in, var_in = mean_all, var_all
-    bv = field[bd_ix]
-    mean_bd, var_bd = float(bv.mean()), float(bv.var())
-    return [
-        mean_all, mean_in, mean_bd, var_all, var_in, var_bd,
-        mean_bd / (mean_in + _RATIO_GUARD), mean_bd - mean_in,
-    ]
+def _grouped_moments(values: np.ndarray, sizes: np.ndarray):
+    """Mean and population variance of every segment of `values` (F x N),
+    whose columns hold the segments back to back, `sizes[k]` columns
+    each, as two F x K arrays; empty segments get NaN.
+
+    The segments of one size are gathered (`np.take` returns a new
+    C-contiguous array; it copies a non-contiguous `values` whole on every
+    call, so pass a contiguous one) into an (F, k, n) block and reduced
+    along its last axis, which sums each segment in the
+    same pairwise order as `ndarray.mean`/`var` on that segment alone, so
+    the results are bit-identical to them.  `np.add.reduceat` and
+    `np.bincount` sum in other orders and differ in the last bits.  The
+    Python loop runs over the distinct sizes only.
+    """
+    mean = np.full((values.shape[0], sizes.size), np.nan)
+    var = mean.copy()
+    if not sizes.size:
+        return mean, var
+    starts = np.cumsum(sizes) - sizes
+    by_size = np.argsort(sizes, kind="stable")
+    for ks in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+        n = sizes[ks[0]]
+        if not n:
+            continue
+        block = np.take(values, starts[ks, None] + np.arange(n), axis=1)
+        mean[:, ks] = block.mean(axis=-1)
+        var[:, ks] = block.var(axis=-1)
+    return mean, var
 
 
-def _index_pair(pixels):
-    pts = sorted(pixels)
-    rows = np.array([p[0] for p in pts], dtype=np.intp)
-    cols = np.array([p[1] for p in pts], dtype=np.intp)
-    return rows, cols
-
-
-def _component_row(comp: ComponentRecord, fields: dict) -> np.ndarray:
+def _image_rows(image: LabelImage, fields: dict) -> np.ndarray:
+    """Metric rows of every component of `image`, in id order."""
     h, w = fields["dims"]
-    rmin, rmax, cmin, cmax = comp.bbox
-    if rmin < 0 or cmin < 0 or rmax >= h or cmax >= w:
-        raise ValueError(f"component bbox {comp.bbox} outside {h}x{w} image")
+    if image.shape != (h, w):
+        raise ValueError(f"label image is {image.shape}, sample is {(h, w)}")
+    n_cls = fields["probs"].shape[-1]
+    k = image.count
+    if not k:
+        return np.zeros((0, 37 + 2 * n_cls))
+    order, sizes = image.order, image.sizes
+    flat = {name: fields[name].reshape(-1) for name in (*_DISPERSION_FIELDS, "maxprob")}
 
-    all_ix = _index_pair(comp.pixels)
-    bd_ix = _index_pair(comp.boundary)
-    in_ix = _index_pair(comp.interior)
+    # Dispersion and class probabilities: pixel values gathered once in
+    # (component, raster) order, then split into boundary and interior.
+    disp = np.stack([flat[name][order] for name in _DISPERSION_FIELDS])
+    mean_all, var_all = _grouped_moments(disp, sizes)
+    cls_mean, cls_var = _grouped_moments(
+        np.ascontiguousarray(fields["probs"].reshape(h * w, n_cls)[order].T), sizes
+    )
+    s_bd = image.boundary_sizes
+    s_in = sizes - s_bd
+    mean_bd, var_bd = _grouped_moments(disp[:, image.on_boundary], s_bd)
+    mean_in, var_in = _grouped_moments(disp[:, ~image.on_boundary], s_in)
+    no_in = s_in == 0
+    mean_in[:, no_in] = mean_all[:, no_in]
+    var_in[:, no_in] = var_all[:, no_in]
 
-    out = []
-    for name in _DISPERSION_FIELDS:
-        out.extend(_dispersion_stats(fields[name], all_ix, in_ix, bd_ix))
+    # Ring: unique (component, 8-neighbor outside it) pairs.  Keys sort by
+    # component, then raster index.
+    rows, cols = np.divmod(order, w)
+    owner = np.repeat(np.arange(k), sizes)
+    labels = image.labels.reshape(-1)
+    keys = []
+    for dr, dc in _NEIGHBORS8:
+        nr, nc = rows + dr, cols + dc
+        inside = (nr >= 0) & (nr < h) & (nc >= 0) & (nc < w)
+        nb = nr[inside] * w + nc[inside]
+        own = owner[inside]
+        away = labels[nb] != own
+        keys.append(own[away].astype(np.int64) * (h * w) + nb[away])
+    keys = np.sort(np.concatenate(keys))
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    ring_owner, ring_pix = np.divmod(keys, h * w)
+    ring_sizes = np.bincount(ring_owner, minlength=k)
+    ring_mean, _ = _grouped_moments(
+        np.stack([flat[name][ring_pix] for name in ("ent", "maxprob", "margin")]),
+        ring_sizes,
+    )
+    ring_hot = np.bincount(
+        ring_owner, weights=flat["ent"][ring_pix] >= fields["threshold"], minlength=k
+    )
 
-    s = float(comp.size)
-    s_in = float(len(comp.interior))
-    s_bd = float(len(comp.boundary))
-    out.extend([
-        s, s_in, s_bd, s_bd / s, float(np.sqrt(s)),
-        float(all_ix[0].mean()) / h, float(all_ix[1].mean()) / w,
-        s / ((rmax - rmin + 1) * (cmax - cmin + 1)),
-    ])
-
-    cprobs = fields["probs"][all_ix]
-    for c in range(cprobs.shape[1]):
-        out.extend([float(cprobs[:, c].mean()), float(cprobs[:, c].var())])
-
-    grid = np.zeros((h, w), dtype=bool)
-    grid[all_ix] = True
-    pad = np.pad(grid, 1, constant_values=False)
-    dilated = np.zeros_like(pad)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            dilated |= np.roll(np.roll(pad, dr, axis=0), dc, axis=1)
-    ring = dilated[1:-1, 1:-1] & ~grid
-    ring_ix = np.nonzero(ring)
-    if ring_ix[0].size:
-        ent_ring = fields["ent"][ring_ix]
-        out.extend([
-            float(ent_ring.mean()),
-            float(fields["maxprob"][ring_ix].mean()),
-            float(np.mean(ent_ring >= fields["threshold"])),
-            ring_ix[0].size / s_bd,
-            float(fields["margin"][ring_ix].mean()),
-        ])
-    else:
-        out.extend([0.0, 0.0, 0.0, 0.0, 0.0])
-
-    row = np.array(out, dtype=np.float64)
-    if not np.isfinite(row).all():
+    s = sizes.astype(np.float64)
+    bbox = image.bboxes
+    out = np.empty((k, 37 + 2 * n_cls))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for f in range(len(_DISPERSION_FIELDS)):
+            out[:, 8 * f:8 * f + 8] = np.stack([
+                mean_all[f], mean_in[f], mean_bd[f], var_all[f], var_in[f], var_bd[f],
+                mean_bd[f] / (mean_in[f] + _RATIO_GUARD), mean_bd[f] - mean_in[f],
+            ], axis=1)
+        out[:, 24:32] = np.stack([
+            s, s_in, s_bd, s_bd / s, np.sqrt(s),
+            np.add.reduceat(rows, image.offsets) / sizes / h,
+            np.add.reduceat(cols, image.offsets) / sizes / w,
+            s / ((bbox[:, 1] - bbox[:, 0] + 1) * (bbox[:, 3] - bbox[:, 2] + 1)),
+        ], axis=1)
+        out[:, 32:32 + 2 * n_cls:2] = cls_mean.T
+        out[:, 33:32 + 2 * n_cls:2] = cls_var.T
+        ring = np.stack([
+            ring_mean[0], ring_mean[1], ring_hot / ring_sizes,
+            ring_sizes / s_bd, ring_mean[2],
+        ], axis=1)
+    ring[ring_sizes == 0] = 0.0
+    out[:, 32 + 2 * n_cls:] = ring
+    if not np.isfinite(out).all():
         raise ValueError("metric row contains non-finite values")
-    return row
+    return out
 
 
 def extract_metrics(
@@ -340,7 +388,8 @@ def extract_metrics(
             f"registry is for C={registry.num_classes}, "
             f"probability map has C={pmap.num_classes}"
         )
-    return _component_row(comp, _sample_fields(pmap, score, threshold))
+    fields = _sample_fields(pmap, score, threshold)
+    return _image_rows(component_image(comp, fields["dims"]), fields)[0]
 
 
 def build_metrics_dataset(
@@ -366,14 +415,15 @@ def build_metrics_dataset(
         comps = extract_labeled_components(
             score, sample.mask, cfg, min_size=min_size, source_sample=sample.id
         )
-        fields = _sample_fields(sample.pmap, score, cfg.t)
-        for comp in comps:
-            rows.append(_component_row(comp, fields))
-            labels.append(bool(comp.is_false_positive))
-            groups.append(sample.id)
+        if not comps:
+            continue
+        image = comps[0].image
+        rows.append(_image_rows(image, _sample_fields(sample.pmap, score, cfg.t)))
+        labels.append(image.is_false_positive)
+        groups.extend([sample.id] * image.count)
     return MetricsDataset(
-        rows=np.array(rows, dtype=np.float64).reshape(len(rows), registry.total),
-        labels=np.array(labels, dtype=bool),
+        rows=np.concatenate(rows) if rows else np.zeros((0, registry.total)),
+        labels=np.concatenate(labels) if labels else np.zeros(0, dtype=bool),
         group_ids=tuple(groups),
         registry=registry,
     )
@@ -434,7 +484,7 @@ def load_metrics_csv(path) -> MetricsDataset:
                 continue
             if len(rec) != n + 2:
                 raise ValueError(f"{path}:{lineno}: expected {n + 2} fields")
-            rows.append([float(v) for v in rec[:n]])
+            rows.append(np.fromiter(map(float, rec[:n]), dtype=np.float64, count=n))
             labels.append(bool(int(rec[n])))
             groups.append(rec[n + 1])
     return MetricsDataset(

@@ -11,22 +11,25 @@ component a true positive, zero overlap makes it a false positive.
 8-connectivity merges diagonal fragments of one physical object; the
 thinner 4-neighbor rule for boundaries keeps them one pixel wide.  Both
 choices change downstream metric values, so they are fixed here.
+
+All components of an image live in one `LabelImage`: an integer image of
+component ids plus the pixel indices of every component, grouped by
+component.  Labeling is run-based: horizontal runs of hot pixels are
+joined across adjacent rows by vectorized min-label hooking with pointer
+jumping, so no Python loop visits a pixel or a component.  Because the
+components are maximal, the boundary of the whole hot mask is exactly the
+union of the per-component boundaries.  `ComponentRecord`s handed out by
+a label image are views whose pixel sets are built on first access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .raster import LabelMask, ScoreMap
-
-# 8-neighborhood offsets in raster-scan order.
-_NEIGHBORS8 = (
-    (-1, -1), (-1, 0), (-1, 1),
-    (0, -1), (0, 1),
-    (1, -1), (1, 0), (1, 1),
-)
 
 
 @dataclass(frozen=True)
@@ -40,39 +43,195 @@ class ThresholdConfig:
             raise ValueError(f"threshold must be in [0, 1], got {self.t}")
 
 
-@dataclass(frozen=True, eq=False)
+class LabelImage:
+    """Every component of one image, as one label image.
+
+    `labels[r, c]` is the id of the component holding pixel (r, c), or -1.
+    `order` lists the flat (row-major) pixel indices of all components
+    back to back, by component id and then raster index; component k owns
+    `order[offsets[k]:offsets[k] + sizes[k]]`, and `on_boundary` flags the
+    boundary pixels among them.  `is_false_positive` holds one flag per
+    component when an OOD mask was given, else None.
+    """
+
+    def __init__(self, labels, boundary, ood=None, source_sample: str = ""):
+        labels = np.asarray(labels, dtype=np.int32)
+        flat = labels.reshape(-1)
+        pix = np.flatnonzero(flat >= 0)
+        comp = flat[pix]
+        count = int(comp.max()) + 1 if comp.size else 0
+        self.labels = labels
+        self.sizes = np.bincount(comp, minlength=count)
+        if not self.sizes.all():
+            raise ValueError("component ids must be 0..K-1, each nonempty")
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        self.order = pix[np.argsort(comp, kind="stable")]
+        self.on_boundary = np.asarray(boundary, dtype=bool).reshape(-1)[self.order]
+        self.is_false_positive = None
+        if ood is not None:
+            hit = np.asarray(ood, dtype=bool).reshape(-1)[self.order]
+            self.is_false_positive = (
+                ~np.logical_or.reduceat(hit, self.offsets) if count
+                else np.zeros(0, dtype=bool)
+            )
+        self.source_sample = source_sample
+        for arr in (self.labels, self.sizes, self.offsets, self.order, self.on_boundary):
+            arr.flags.writeable = False
+
+    @property
+    def count(self) -> int:
+        return self.sizes.size
+
+    @property
+    def shape(self) -> tuple:
+        return self.labels.shape
+
+    @cached_property
+    def boundary_sizes(self) -> np.ndarray:
+        if not self.count:
+            return np.zeros(0, dtype=np.intp)
+        return np.add.reduceat(self.on_boundary.astype(np.intp), self.offsets)
+
+    @cached_property
+    def bboxes(self) -> np.ndarray:
+        """(rmin, rmax, cmin, cmax) of every component, K x 4."""
+        if not self.count:
+            return np.zeros((0, 4), dtype=np.intp)
+        rows, cols = np.divmod(self.order, self.shape[1])
+        return np.stack([
+            rows[self.offsets],
+            rows[self.offsets + self.sizes - 1],
+            np.minimum.reduceat(cols, self.offsets),
+            np.maximum.reduceat(cols, self.offsets),
+        ], axis=1)
+
+    def records(self) -> list:
+        """One `ComponentRecord` view per component, in id order."""
+        fps = (
+            [None] * self.count if self.is_false_positive is None
+            else self.is_false_positive.tolist()
+        )
+        return [
+            ComponentRecord._view(self, k, tuple(bbox), fp)
+            for k, (bbox, fp) in enumerate(zip(self.bboxes.tolist(), fps))
+        ]
+
+
 class ComponentRecord:
     """One predicted-OoD connected component.
 
-    `is_false_positive` is None until `label_components` has compared the
-    component against a ground-truth mask.
+    `is_false_positive` is None until the component has been compared
+    against a ground-truth mask.  Records built here from pixel sets are
+    checked; records handed out by a `LabelImage` (`image` is then that
+    image and `id` the component's id in it) are exact by construction
+    and build their pixel sets only when asked.
     """
 
-    id: int
-    pixels: frozenset
-    boundary: frozenset
-    interior: frozenset
-    bbox: tuple
-    is_false_positive: bool | None = None
-    source_sample: str = ""
+    __slots__ = ("id", "bbox", "is_false_positive", "source_sample", "image", "_sets")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pixels", frozenset(self.pixels))
-        object.__setattr__(self, "boundary", frozenset(self.boundary))
-        object.__setattr__(self, "interior", frozenset(self.interior))
-        if not self.pixels:
+    def __init__(
+        self,
+        id: int,
+        pixels,
+        boundary,
+        interior,
+        bbox: tuple,
+        is_false_positive: bool | None = None,
+        source_sample: str = "",
+    ) -> None:
+        pixels, boundary, interior = (
+            frozenset(pixels), frozenset(boundary), frozenset(interior)
+        )
+        if not pixels:
             raise ValueError("component pixel set must be nonempty")
-        if self.boundary | self.interior != self.pixels or (self.boundary & self.interior):
+        if boundary | interior != pixels or (boundary & interior):
             raise ValueError("boundary and interior must partition the pixel set")
-        rmin, rmax, cmin, cmax = self.bbox
-        rows = [p[0] for p in self.pixels]
-        cols = [p[1] for p in self.pixels]
-        if (rmin, rmax, cmin, cmax) != (min(rows), max(rows), min(cols), max(cols)):
+        rows = [p[0] for p in pixels]
+        cols = [p[1] for p in pixels]
+        if tuple(bbox) != (min(rows), max(rows), min(cols), max(cols)):
             raise ValueError("bbox does not match the pixel set")
+        self._init(id, tuple(bbox), is_false_positive, source_sample, None,
+                   (pixels, boundary, interior))
+
+    def _init(self, id, bbox, is_false_positive, source_sample, image, sets):
+        for name, value in (
+            ("id", id), ("bbox", bbox), ("is_false_positive", is_false_positive),
+            ("source_sample", source_sample), ("image", image), ("_sets", sets),
+        ):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _view(cls, image: LabelImage, k: int, bbox: tuple, is_false_positive):
+        rec = cls.__new__(cls)
+        rec._init(k, bbox, is_false_positive, image.source_sample, image, None)
+        return rec
+
+    def _labeled(self, is_false_positive: bool) -> "ComponentRecord":
+        rec = ComponentRecord.__new__(ComponentRecord)
+        rec._init(self.id, self.bbox, is_false_positive, self.source_sample,
+                  self.image, self._sets)
+        return rec
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ComponentRecord is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"ComponentRecord(id={self.id}, size={self.size}, bbox={self.bbox}, "
+            f"is_false_positive={self.is_false_positive}, "
+            f"source_sample={self.source_sample!r})"
+        )
+
+    def _index(self) -> tuple:
+        """(rows, cols, on_boundary) arrays of the pixels, raster order."""
+        if self.image is not None:
+            lo = self.image.offsets[self.id]
+            span = slice(lo, lo + self.image.sizes[self.id])
+            rows, cols = np.divmod(self.image.order[span], self.image.shape[1])
+            return rows, cols, self.image.on_boundary[span]
+        pts = sorted(self.pixels)
+        bd = self.boundary
+        rows = np.array([p[0] for p in pts], dtype=np.intp)
+        cols = np.array([p[1] for p in pts], dtype=np.intp)
+        return rows, cols, np.array([p in bd for p in pts], dtype=bool)
+
+    def _pixel_sets(self) -> tuple:
+        if self._sets is None:
+            rows, cols, on_bd = self._index()
+            sets = tuple(
+                frozenset(zip(rows[sel].tolist(), cols[sel].tolist()))
+                for sel in (slice(None), on_bd, ~on_bd)
+            )
+            object.__setattr__(self, "_sets", sets)
+        return self._sets
+
+    @property
+    def pixels(self) -> frozenset:
+        return self._pixel_sets()[0]
+
+    @property
+    def boundary(self) -> frozenset:
+        return self._pixel_sets()[1]
+
+    @property
+    def interior(self) -> frozenset:
+        return self._pixel_sets()[2]
 
     @property
     def size(self) -> int:
-        return len(self.pixels)
+        if self.image is not None:
+            return int(self.image.sizes[self.id])
+        return len(self._sets[0])
+
+    @property
+    def boundary_size(self) -> int:
+        if self.image is not None:
+            return int(self.image.boundary_sizes[self.id])
+        return len(self._sets[1])
+
+    @property
+    def interior_size(self) -> int:
+        return self.size - self.boundary_size
 
 
 def ood_pixel_set(score: ScoreMap, cfg: ThresholdConfig) -> set:
@@ -84,11 +243,13 @@ def _pixel_grid(pixels, dims) -> np.ndarray:
     h, w = dims
     if h < 1 or w < 1:
         raise ValueError(f"invalid image dims {dims}")
+    pts = np.array(list(pixels), dtype=np.intp).reshape(-1, 2)
+    bad = (pts[:, 0] < 0) | (pts[:, 0] >= h) | (pts[:, 1] < 0) | (pts[:, 1] >= w)
+    if bad.any():
+        r, c = pts[np.argmax(bad)]
+        raise ValueError(f"pixel ({r}, {c}) outside {h}x{w} image")
     grid = np.zeros((h, w), dtype=bool)
-    for r, c in pixels:
-        if not (0 <= r < h and 0 <= c < w):
-            raise ValueError(f"pixel ({r}, {c}) outside {h}x{w} image")
-        grid[r, c] = True
+    grid[pts[:, 0], pts[:, 1]] = True
     return grid
 
 
@@ -99,6 +260,89 @@ def boundary_grid(grid: np.ndarray) -> np.ndarray:
         ~pad[:-2, 1:-1] | ~pad[2:, 1:-1] | ~pad[1:-1, :-2] | ~pad[1:-1, 2:]
     )
     return grid & outside4
+
+
+def _smallest_member(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For every node of the graph on 0..n-1 with edges (a, b), the
+    smallest node of its connected set.
+
+    Each round hooks every root to the smallest root it shares an edge
+    with, then jumps pointers until every node points at its root.  A root
+    only ever hooks to a smaller one, so the smallest node of a set is
+    never hooked and ends as the root of the whole set.
+    """
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        live = ra != rb
+        if not live.any():
+            return parent
+        a, b, ra, rb = a[live], b[live], ra[live], rb[live]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+
+def _component_labels(hot: np.ndarray, min_size: int) -> np.ndarray:
+    """int32 image of component ids (-1 off-component) of the maximal
+    8-connected components of `hot` with at least `min_size` pixels,
+    numbered in raster order of their first pixel."""
+    h, w = hot.shape
+    labels = np.full(h * w, -1, dtype=np.int32)
+    # Horizontal runs in raster order: run i covers [start, end) of row[i].
+    rr, cc = np.nonzero(np.diff(hot, axis=1, prepend=False, append=False))
+    row, start, end = rr[::2], cc[::2], cc[1::2]
+    n = row.size
+    if not n:
+        return labels.reshape(h, w)
+    # Runs in consecutive rows are 8-adjacent iff s_a <= e_b and s_b <= e_a.
+    # The runs of row r + 1 that touch run a form the index range [lo, hi).
+    stride = w + 1
+    below = (row + 1) * stride
+    lo = np.searchsorted(row * stride + end, below + start, side="left")
+    hi = np.searchsorted(row * stride + start, below + end, side="right")
+    touch = np.maximum(hi - lo, 0)
+    first = np.cumsum(touch) - touch
+    a = np.repeat(np.arange(n), touch)
+    b = np.repeat(lo - first, touch) + np.arange(a.size)
+    root = _smallest_member(n, a, b)
+    # The root of a component is its first run, so root order is the
+    # raster order of first pixels.
+    length = end - start
+    size = np.bincount(root, weights=length, minlength=n)
+    keep = (root == np.arange(n)) & (size >= min_size)
+    ids = (np.cumsum(keep) - 1).astype(np.int32)
+    run_id = np.where(keep[root], ids[root], np.int32(-1))
+    labels[np.flatnonzero(hot)] = np.repeat(run_id, length)
+    return labels.reshape(h, w)
+
+
+def label_image(
+    hot,
+    min_size: int = 1,
+    ood=None,
+    source_sample: str = "",
+) -> LabelImage:
+    """Label the maximal 8-connected components of the boolean image `hot`.
+
+    Ids are assigned in raster-scan order of each component's first
+    pixel, renumbered from 0 after the optional min-size filter.  With an
+    `ood` mask (boolean, same shape), every component also gets its
+    false-positive flag: True iff none of its pixels is OOD.
+    """
+    if min_size < 1:
+        raise ValueError("min_size must be >= 1")
+    hot = np.asarray(hot, dtype=bool)
+    if hot.ndim != 2 or hot.size == 0:
+        raise ValueError(f"invalid image dims {hot.shape}")
+    if ood is not None and np.shape(ood) != hot.shape:
+        raise ValueError(f"OOD mask is {np.shape(ood)}, image is {hot.shape}")
+    return LabelImage(
+        _component_labels(hot, min_size), boundary_grid(hot), ood, source_sample
+    )
 
 
 def connected_components(
@@ -113,63 +357,37 @@ def connected_components(
     pixel, renumbered from 0 after the optional min-size filter (off by
     default, matching no-filtering behavior).
     """
-    if min_size < 1:
-        raise ValueError("min_size must be >= 1")
     grid = _pixel_grid(pixels, image_dims)
-    h, w = grid.shape
-    bd = boundary_grid(grid)
-    visited = np.zeros_like(grid)
-    comps = []
-    for seed_r, seed_c in np.argwhere(grid):
-        if visited[seed_r, seed_c]:
-            continue
-        visited[seed_r, seed_c] = True
-        stack = [(int(seed_r), int(seed_c))]
-        members = []
-        while stack:
-            r, c = stack.pop()
-            members.append((r, c))
-            for dr, dc in _NEIGHBORS8:
-                nr, nc = r + dr, c + dc
-                if 0 <= nr < h and 0 <= nc < w and grid[nr, nc] and not visited[nr, nc]:
-                    visited[nr, nc] = True
-                    stack.append((nr, nc))
-        if len(members) < min_size:
-            continue
-        boundary = frozenset(p for p in members if bd[p])
-        interior = frozenset(p for p in members if not bd[p])
-        rows = [p[0] for p in members]
-        cols = [p[1] for p in members]
-        comps.append(
-            ComponentRecord(
-                id=len(comps),
-                pixels=frozenset(members),
-                boundary=boundary,
-                interior=interior,
-                bbox=(min(rows), max(rows), min(cols), max(cols)),
-                source_sample=source_sample,
-            )
-        )
-    return comps
+    return label_image(grid, min_size, source_sample=source_sample).records()
 
 
 def _pixel_index(comp: ComponentRecord, shape) -> tuple:
-    """(rows, cols) index arrays of the component's pixels, checked to lie
-    inside an image of the given shape."""
+    """(rows, cols, on_boundary) arrays of the component's pixels, checked
+    to lie inside an image of the given shape."""
     h, w = shape
     rmin, rmax, cmin, cmax = comp.bbox
     if rmin < 0 or cmin < 0 or rmax >= h or cmax >= w:
-        raise ValueError(f"component bbox {comp.bbox} outside {h}x{w} mask")
-    rows = np.fromiter((p[0] for p in comp.pixels), dtype=np.intp, count=comp.size)
-    cols = np.fromiter((p[1] for p in comp.pixels), dtype=np.intp, count=comp.size)
-    return rows, cols
+        raise ValueError(f"component bbox {comp.bbox} outside {h}x{w} image")
+    return comp._index()
+
+
+def component_image(comp: ComponentRecord, dims) -> LabelImage:
+    """A label image of the given dims holding `comp` alone, as id 0,
+    with the component's own boundary/interior split."""
+    rows, cols, on_bd = _pixel_index(comp, dims)
+    labels = np.full(dims, -1, dtype=np.int32)
+    labels[rows, cols] = 0
+    boundary = np.zeros(dims, dtype=bool)
+    boundary[rows[on_bd], cols[on_bd]] = True
+    return LabelImage(labels, boundary, source_sample=comp.source_sample)
 
 
 def component_iou(comp: ComponentRecord, mask: LabelMask) -> float:
     """Intersection over union between the component and the mask's OOD
     pixels.  IGNORE pixels count as non-OoD."""
     ood = mask.is_ood()
-    inter = int(ood[_pixel_index(comp, ood.shape)].sum())
+    rows, cols, _ = _pixel_index(comp, ood.shape)
+    inter = int(ood[rows, cols].sum())
     union = comp.size + int(ood.sum()) - inter
     return inter / union
 
@@ -181,8 +399,8 @@ def label_components(comps, mask: LabelMask) -> list:
     ood = mask.is_ood()
     labeled = []
     for comp in comps:
-        hit = ood[_pixel_index(comp, ood.shape)].any()
-        labeled.append(replace(comp, is_false_positive=not hit))
+        rows, cols, _ = _pixel_index(comp, ood.shape)
+        labeled.append(comp._labeled(not ood[rows, cols].any()))
     return labeled
 
 
@@ -193,16 +411,14 @@ def extract_labeled_components(
     min_size: int = 1,
     source_sample: str = "",
 ) -> list:
-    """Threshold, build components, and label them in one call."""
+    """Threshold, build components, and label them in one call.  The
+    records are views of one shared `LabelImage`."""
     if (score.height, score.width) != (mask.height, mask.width):
         raise ValueError(
             f"score map is {score.height}x{score.width} "
             f"but mask is {mask.height}x{mask.width}"
         )
-    comps = connected_components(
-        ood_pixel_set(score, cfg),
-        (score.height, score.width),
-        min_size=min_size,
-        source_sample=source_sample,
+    image = label_image(
+        score.scores >= cfg.t, min_size, mask.is_ood(), source_sample
     )
-    return label_components(comps, mask)
+    return image.records()

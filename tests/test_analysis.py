@@ -20,6 +20,7 @@ from metaseg.analysis import (
     evaluate_components,
     evaluate_pixels,
     evaluate_scores,
+    evaluate_with_curves,
     fpr_at_95_tpr,
     incremental_evaluation,
     lars_order,
@@ -254,6 +255,17 @@ class TestRankTableExact:
             assert (report.positives, report.negatives) == (
                 int(y.sum()), int((~y).sum())
             )
+
+    def test_evaluate_with_curves_equals_separate_calls(self):
+        rng = np.random.default_rng(151)
+        for n, levels in [(2, 1), (50, 3), (3_000, 200)]:
+            s = quantized_scores(rng, n, levels)
+            y = rng.random(n) < 0.25
+            y[0], y[1] = True, False
+            report, roc, pr = evaluate_with_curves(s, y)
+            assert report == evaluate_scores(s, y)
+            for got, want in ((roc, roc_points(s, y)), (pr, pr_points(s, y))):
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_evaluate_scores_validation(self):
         with pytest.raises(ValueError, match="negative"):

@@ -1,4 +1,10 @@
-"""Tests for component metric extraction and the metrics dataset."""
+"""Tests for component metric extraction and the metrics dataset.
+
+The vectorized extraction is cross-checked against `reference_row`, the
+former per-component implementation kept here as an oracle, with exact
+array equality: the CSV contract needs the same bits, not just close
+values.
+"""
 
 import math
 
@@ -16,8 +22,13 @@ from metaseg.features import (
     standardize,
 )
 from metaseg.raster import OOD_LABEL, LabelMask, ProbabilityMap, Sample, SampleSet
-from metaseg.scoring import anomaly_score_map
-from metaseg.segments import ThresholdConfig, connected_components
+from metaseg.scoring import anomaly_score_map, margin_map, variation_ratio_map
+from metaseg.segments import (
+    ComponentRecord,
+    ThresholdConfig,
+    connected_components,
+    extract_labeled_components,
+)
 from metaseg.synth import SceneSpec, generate
 
 
@@ -36,6 +47,207 @@ def block_component(rmin, rmax, cmin, cmax, dims):
     comps = connected_components(pixels, dims)
     assert len(comps) == 1
     return comps[0]
+
+
+def reference_fields(pmap, score, threshold):
+    return {
+        "ent": score.scores,
+        "vr": variation_ratio_map(pmap),
+        "margin": margin_map(pmap),
+        "maxprob": pmap.values.max(axis=-1),
+        "probs": pmap.values,
+        "dims": (pmap.height, pmap.width),
+        "threshold": float(threshold),
+    }
+
+
+def _reference_dispersion(field, all_ix, in_ix, bd_ix):
+    vals = field[all_ix]
+    mean_all = float(vals.mean())
+    var_all = float(vals.var())
+    if in_ix[0].size:
+        iv = field[in_ix]
+        mean_in, var_in = float(iv.mean()), float(iv.var())
+    else:
+        mean_in, var_in = mean_all, var_all
+    bv = field[bd_ix]
+    mean_bd, var_bd = float(bv.mean()), float(bv.var())
+    return [
+        mean_all, mean_in, mean_bd, var_all, var_in, var_bd,
+        mean_bd / (mean_in + 1e-9), mean_bd - mean_in,
+    ]
+
+
+def _reference_index(pixels):
+    pts = sorted(pixels)
+    rows = np.array([p[0] for p in pts], dtype=np.intp)
+    cols = np.array([p[1] for p in pts], dtype=np.intp)
+    return rows, cols
+
+
+def reference_row(comp, fields):
+    """One component's metric row the straightforward way: sorted pixel
+    lists, one 1-d reduction per statistic and a full-image dilation for
+    the ring."""
+    h, w = fields["dims"]
+    rmin, rmax, cmin, cmax = comp.bbox
+    all_ix = _reference_index(comp.pixels)
+    bd_ix = _reference_index(comp.boundary)
+    in_ix = _reference_index(comp.interior)
+
+    out = []
+    for name in ("ent", "vr", "margin"):
+        out.extend(_reference_dispersion(fields[name], all_ix, in_ix, bd_ix))
+
+    s = float(comp.size)
+    s_in = float(len(comp.interior))
+    s_bd = float(len(comp.boundary))
+    out.extend([
+        s, s_in, s_bd, s_bd / s, float(np.sqrt(s)),
+        float(all_ix[0].mean()) / h, float(all_ix[1].mean()) / w,
+        s / ((rmax - rmin + 1) * (cmax - cmin + 1)),
+    ])
+
+    cprobs = fields["probs"][all_ix]
+    for c in range(cprobs.shape[1]):
+        out.extend([float(cprobs[:, c].mean()), float(cprobs[:, c].var())])
+
+    grid = np.zeros((h, w), dtype=bool)
+    grid[all_ix] = True
+    pad = np.pad(grid, 1, constant_values=False)
+    dilated = np.zeros_like(pad)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            dilated |= np.roll(np.roll(pad, dr, axis=0), dc, axis=1)
+    ring_ix = np.nonzero(dilated[1:-1, 1:-1] & ~grid)
+    if ring_ix[0].size:
+        ent_ring = fields["ent"][ring_ix]
+        out.extend([
+            float(ent_ring.mean()),
+            float(fields["maxprob"][ring_ix].mean()),
+            float(np.mean(ent_ring >= fields["threshold"])),
+            ring_ix[0].size / s_bd,
+            float(fields["margin"][ring_ix].mean()),
+        ])
+    else:
+        out.extend([0.0, 0.0, 0.0, 0.0, 0.0])
+    return np.array(out, dtype=np.float64)
+
+
+def iid_sample(h, w, c, hot_frac, seed, sample_id="iid"):
+    """Pixels independently hot (near-uniform probabilities, normalized
+    entropy well above 0.7) with probability `hot_frac`, else peaked on
+    one class; probabilities vary from pixel to pixel."""
+    rng = np.random.default_rng(seed)
+    hot = rng.random((h, w)) < hot_frac
+    flat = rng.dirichlet(np.full(c, 30.0), size=(h, w))
+    peak = np.zeros((h, w, c))
+    peak[np.arange(h)[:, None], np.arange(w), rng.integers(0, c, (h, w))] = 1.0
+    mix = rng.uniform(0.8, 0.95, (h, w, 1))
+    probs = np.where(hot[..., None], flat, mix * peak + (1.0 - mix) * flat)
+    labels = np.where(rng.random((h, w)) < 0.2, OOD_LABEL, 0).astype(np.uint8)
+    return Sample(sample_id, ProbabilityMap(probs), LabelMask(labels))
+
+
+def assert_rows_match_reference(samples, t=0.7, min_size=1):
+    reg = MetricRegistry.standard(samples[0].pmap.num_classes)
+    ds = build_metrics_dataset(samples, ThresholdConfig(t), reg, min_size=min_size)
+    want, labels = [], []
+    for sample in samples:
+        score = anomaly_score_map(sample.pmap)
+        fields = reference_fields(sample.pmap, score, t)
+        for comp in extract_labeled_components(
+            score, sample.mask, ThresholdConfig(t), min_size=min_size
+        ):
+            want.append(reference_row(comp, fields))
+            labels.append(comp.is_false_positive)
+    want = np.array(want).reshape(-1, reg.total)
+    assert np.array_equal(ds.rows, want)
+    assert ds.labels.tolist() == labels
+    return ds
+
+
+class TestMatchesReferenceRow:
+    """Exact equality with the per-component oracle."""
+
+    def test_iid_scene_with_a_thousand_components(self):
+        sample = iid_sample(128, 176, 6, 0.3, seed=211)
+        ds = assert_rows_match_reference(SampleSet([sample]))
+        named = dict(zip(ds.registry.names, ds.rows.T))
+        assert len(ds) >= 1000
+        # Single-pixel components, whose interior falls back to the whole
+        # component, and components past numpy's 8-way unrolled sum.
+        assert (named["size"] == 1).any() and (named["size_in"] == 0).any()
+        assert named["size"].max() >= 9
+        # Components touching each image edge.
+        assert (named["center_row"] < 1 / 128).any()
+        assert (named["center_col"] < 1 / 176).any()
+
+    def test_large_blobs(self):
+        samples = SampleSet([iid_sample(40, 50, 4, 0.62, seed=s, sample_id=f"b{s}")
+                             for s in (3, 5)])
+        ds = assert_rows_match_reference(samples)
+        assert ds.rows[:, ds.registry.names.index("size")].max() > 128
+
+    def test_component_covering_the_whole_image(self):
+        sample = iid_sample(6, 7, 5, 1.0, seed=223)
+        ds = assert_rows_match_reference(SampleSet([sample]))
+        assert len(ds) == 1
+        assert ds.rows[0, -5:].tolist() == [0.0] * 5
+
+    def test_min_size_above_one(self):
+        samples = SampleSet([iid_sample(50, 60, 3, 0.35, seed=s, sample_id=f"m{s}")
+                             for s in (227, 229)])
+        for min_size in (2, 4):
+            ds = assert_rows_match_reference(samples, min_size=min_size)
+            assert ds.rows[:, ds.registry.names.index("size")].min() >= min_size
+
+    def test_edge_touching_components(self):
+        sample = iid_sample(12, 14, 3, 0.3, seed=233)
+        probs = sample.pmap.values.copy()
+        probs[[0, -1], :, :] = 1.0 / 3
+        probs[:, [0, -1], :] = 1.0 / 3
+        edge = Sample("edge", ProbabilityMap(probs), sample.mask)
+        ds = assert_rows_match_reference(SampleSet([edge]))
+        assert ds.rows[0, ds.registry.names.index("size")] >= 2 * (12 + 14) - 4
+
+    def test_extract_metrics_matches_reference(self):
+        sample = iid_sample(30, 40, 4, 0.4, seed=239)
+        score = anomaly_score_map(sample.pmap)
+        fields = reference_fields(sample.pmap, score, 0.7)
+        reg = MetricRegistry.standard(4)
+        comps = extract_labeled_components(score, sample.mask, ThresholdConfig(0.7))
+        for comp in comps[::7]:
+            got = extract_metrics(comp, sample.pmap, score, reg)
+            assert np.array_equal(got, reference_row(comp, fields))
+
+    def test_hand_built_record_matches_reference(self):
+        # Not a maximal component, and split by hand: the ring may hold hot
+        # pixels and the boundary is whatever the record says.
+        sample = iid_sample(8, 8, 3, 1.0, seed=241)
+        score = anomaly_score_map(sample.pmap)
+        pixels = {(2, 2), (2, 3), (3, 3), (4, 4)}
+        comp = ComponentRecord(
+            id=0, pixels=pixels, boundary={(2, 2), (4, 4)},
+            interior={(2, 3), (3, 3)}, bbox=(2, 4, 2, 4),
+        )
+        reg = MetricRegistry.standard(3)
+        got = extract_metrics(comp, sample.pmap, score, reg)
+        assert np.array_equal(got, reference_row(comp, reference_fields(
+            sample.pmap, score, 0.7)))
+        assert dict(zip(reg.names, got))["nb_hot_frac"] == 1.0
+
+
+class TestNeighborHotFraction:
+    def test_zero_for_thresholded_components(self):
+        # The ring of a maximal 8-connected component never reaches the
+        # threshold: such a pixel would belong to the component.
+        samples = SampleSet([iid_sample(40, 60, 5, 0.45, seed=251)])
+        for t, spec_samples in ((0.7, samples), (0.5, small_scene_set())):
+            reg = MetricRegistry.standard(spec_samples[0].pmap.num_classes)
+            ds = build_metrics_dataset(spec_samples, ThresholdConfig(t), reg)
+            assert len(ds) > 0
+            assert (ds.rows[:, reg.names.index("nb_hot_frac")] == 0.0).all()
 
 
 class TestMetricRegistry:

@@ -16,6 +16,7 @@ from metaseg.segments import (
     connected_components,
     extract_labeled_components,
     label_components,
+    label_image,
     ood_pixel_set,
 )
 
@@ -148,6 +149,111 @@ class TestConnectedComponents:
 
     def test_empty_input_gives_no_components(self):
         assert connected_components(set(), (4, 4)) == []
+
+
+def spiral_grid(n):
+    """A one-pixel-wide square spiral on an n x n grid, its arms two rows
+    or columns apart, so consecutive arms never touch."""
+    grid = np.zeros((n, n), dtype=bool)
+    top, left, bottom, right = 0, 0, n - 1, n - 1
+    while top <= bottom and left <= right:
+        grid[top, left:right + 1] = True
+        grid[top:bottom + 1, right] = True
+        if top + 2 > bottom:
+            break
+        grid[bottom, left:right + 1] = True
+        if left + 2 > right:
+            break
+        grid[top + 2:bottom + 1, left] = True
+        top, left, bottom, right = top + 2, left + 2, bottom - 2, right - 2
+        if top <= bottom:
+            grid[top, left - 2:left + 1] = True
+    return grid
+
+
+def snake_grid(h, w):
+    """A boustrophedon: full rows on even row indices, joined by single
+    pixels at alternating ends on odd ones."""
+    grid = np.zeros((h, w), dtype=bool)
+    grid[::2] = True
+    grid[1::4, w - 1] = True
+    grid[3::4, 0] = True
+    return grid
+
+
+def partition_of(grid, **kwargs):
+    pixels = {(int(r), int(c)) for r, c in np.argwhere(grid)}
+    return connected_components(pixels, grid.shape, **kwargs)
+
+
+class TestLabelingEdgeCases:
+    """Shapes that stress the run-based labeling: long graph diameters,
+    purely diagonal joins, and the extremes of the hot set."""
+
+    def test_spiral_is_one_component(self):
+        for n in (5, 12, 41, 64):
+            grid = spiral_grid(n)
+            comps = partition_of(grid)
+            assert len(comps) == 1
+            assert {c.pixels for c in comps} == union_find_partition(grid)
+
+    def test_snake_is_one_component(self):
+        for h, w in ((9, 7), (63, 40), (128, 5)):
+            grid = snake_grid(h, w)
+            assert {c.pixels for c in partition_of(grid)} == union_find_partition(grid)
+            assert len(partition_of(grid)) == 1
+            # Cutting one connector splits the snake in two.
+            grid[1, w - 1] = False
+            assert len(partition_of(grid)) == 2
+
+    def test_diagonal_only_chains(self):
+        n = 20
+        grid = np.zeros((n, n), dtype=bool)
+        idx = np.arange(n)
+        grid[idx, idx] = True  # main diagonal
+        grid[idx[::2], n - 1 - idx[::2]] = True  # broken anti-diagonal
+        zig = np.zeros((n, 6), dtype=bool)
+        zig[idx, np.abs((idx % 8) - 4) + 1] = True  # zigzag of diagonal steps
+        for g in (grid, zig, np.eye(n, dtype=bool)[:, ::-1]):
+            assert {c.pixels for c in partition_of(g)} == union_find_partition(g)
+        assert len(partition_of(zig)) == 1
+        assert len(partition_of(np.eye(n, dtype=bool)[:, ::-1])) == 1
+
+    def test_ids_in_raster_order_after_min_size(self):
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            grid = rng.random((24, 24)) < 0.35
+            for min_size in (2, 3, 5):
+                comps = partition_of(grid, min_size=min_size)
+                want = sorted(
+                    (p for p in union_find_partition(grid) if len(p) >= min_size),
+                    key=min,
+                )
+                assert [c.pixels for c in comps] == want
+                assert [c.id for c in comps] == list(range(len(want)))
+
+    def test_empty_hot_set(self):
+        image = label_image(np.zeros((6, 9), dtype=bool))
+        assert image.count == 0
+        assert (image.labels == -1).all()
+        assert image.records() == []
+
+    def test_fully_hot_image(self):
+        image = label_image(np.ones((5, 7), dtype=bool))
+        assert image.count == 1
+        assert (image.labels == 0).all()
+        (comp,) = image.records()
+        assert comp.size == 35 and comp.bbox == (0, 4, 0, 6)
+        assert comp.boundary_size == 20 and comp.interior_size == 15
+        assert comp.interior == {(r, c) for r in range(1, 4) for c in range(1, 6)}
+
+    def test_record_counts_match_pixel_sets(self):
+        rng = np.random.default_rng(73)
+        grid = rng.random((30, 30)) < 0.5
+        for comp in partition_of(grid):
+            assert comp.size == len(comp.pixels)
+            assert comp.boundary_size == len(comp.boundary)
+            assert comp.interior_size == len(comp.interior)
 
 
 class TestBoundary:
