@@ -1,9 +1,10 @@
 """Meta classifiers: logistic regression and a small MLP, from scratch.
 
-Both model kinds share one computational core: a feed-forward stack with
-rectifier hidden activations and a sigmoid output, specialized by its
-layer dimensions (a logistic model is the no-hidden-layer case).  The
-output is the probability that a predicted-OoD component is a false
+Both model kinds are one feed-forward core, `MlpModel`: a stack with
+rectifier hidden activations and a sigmoid output.  `LogisticModel` is
+its one-layer (no hidden layer) case, and a model's kind is read from its
+depth, so a model file's `kind` line must agree with its `layer_dims`.
+The output is the probability that a predicted-OoD component is a false
 positive.  Training minimizes batch-mean binary cross entropy with Adam
 plus decoupled weight decay (applied to weights only, never biases) and
 is bit-deterministic for a fixed seed: weight init draws and the
@@ -24,6 +25,7 @@ import numpy as np
 
 from .features import MetricsDataset, StandardizationStats, standardize
 from .raster import ScoreMap, atomic_write_bytes, _parse_rast, _rast_bytes
+from .segments import _pixel_index
 
 _CLAMP = 1e-12
 _MODEL_MAGIC = "metaseg-model v1"
@@ -133,45 +135,14 @@ def glorot_init_vector(dims, rng: np.random.Generator) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LogisticModel:
-    """Linear scorer with a sigmoid output: N_m weights plus one bias."""
-
-    weights: np.ndarray
-    bias: float
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if w.size < 1 or not np.isfinite(w).all() or not np.isfinite(self.bias):
-            raise ValueError("logistic parameters must be finite and nonempty")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", float(self.bias))
-
-    @property
-    def layer_dims(self) -> tuple:
-        return (self.weights.shape[0], 1)
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[0]
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.weights, [self.bias]])
-
-    def with_vector(self, vec: np.ndarray) -> "LogisticModel":
-        n = self.n_features
-        if vec.shape != (n + 1,):
-            raise ValueError(f"expected {n + 1} parameters, got {vec.shape}")
-        return LogisticModel(weights=vec[:n].copy(), bias=float(vec[n]))
-
-
-@dataclass(frozen=True, eq=False)
 class MlpModel:
     """Feed-forward stack: rectifier hidden layers, sigmoid output.
 
     `layers` holds (weights, biases) per layer with weights shaped
     (fan_in, fan_out); the last fan_out must be 1.  `standard` builds the
-    reference shape with three hidden layers of 75 units each.
+    reference shape with three hidden layers of 75 units each.  A stack of
+    one layer is a logistic model (see `LogisticModel`); `kind` reads the
+    model kind from the depth.
     """
 
     layers: tuple
@@ -194,6 +165,11 @@ class MlpModel:
             if w0.shape[1] != w1.shape[0]:
                 raise ValueError("consecutive layer dims do not chain")
         object.__setattr__(self, "layers", tuple(fixed))
+        _check_dims(self.layer_dims)
+
+    @property
+    def kind(self) -> str:
+        return "logistic" if len(self.layers) == 1 else "mlp"
 
     @property
     def layer_dims(self) -> tuple:
@@ -207,7 +183,7 @@ class MlpModel:
         return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in self.layers])
 
     def with_vector(self, vec: np.ndarray) -> "MlpModel":
-        return MlpModel(layers=tuple(_unpack(self.layer_dims, vec)))
+        return _core(self.layer_dims, vec)
 
     @classmethod
     def standard(cls, n_features: int, rng: np.random.Generator | None = None) -> "MlpModel":
@@ -223,7 +199,32 @@ class MlpModel:
             vec = np.zeros(_vector_size(dims))
         else:
             vec = glorot_init_vector(dims, rng)
-        return cls(layers=tuple(_unpack(dims, vec)))
+        return _core(dims, vec)
+
+
+class LogisticModel(MlpModel):
+    """Linear scorer with a sigmoid output: N_m weights plus one bias, the
+    one-layer case of the feed-forward core."""
+
+    def __init__(self, weights, bias) -> None:
+        w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
+        super().__init__(layers=((w, np.array([float(bias)])),))
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.layers[0][0][:, 0]
+
+    @property
+    def bias(self) -> float:
+        return float(self.layers[0][1][0])
+
+
+def _core(dims, vec: np.ndarray) -> MlpModel:
+    """The core with these layer dims holding a copy of the flat vector."""
+    (w, b), *rest = _unpack(dims, np.array(vec, dtype=np.float64))
+    if rest:
+        return MlpModel(layers=((w, b), *rest))
+    return LogisticModel(weights=w, bias=b[0])
 
 
 @dataclass(frozen=True)
@@ -259,41 +260,50 @@ class MetaModel:
     optionally the score threshold its dataset was built at."""
 
     kind: str
-    core: object
+    core: MlpModel
     stats: StandardizationStats
     config: TrainConfig
     threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("logistic", "mlp"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
+        _check_kind(self.kind, self.core)
         if self.stats.mean.shape[0] != self.core.n_features:
             raise ValueError("standardization statistics do not match the model")
 
     def predict_raw(self, features) -> float:
         """Predict from un-standardized metrics."""
-        return predict(self.core, self.stats.apply(np.asarray(features, dtype=np.float64)))
+        row = np.asarray(features, dtype=np.float64).reshape(1, -1)
+        return float(self.predict_raw_batch(row)[0])
 
     def predict_raw_batch(self, rows: np.ndarray) -> np.ndarray:
         return predict_batch(self.core, self.stats.apply(rows))
 
 
+def _check_kind(kind: str, core: MlpModel) -> None:
+    if kind not in ("logistic", "mlp"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    if kind != core.kind:
+        raise ValueError(
+            f"model kind {kind!r} does not match layer dims {core.layer_dims}"
+        )
+
+
+def _core_of(model) -> MlpModel:
+    return model.core if isinstance(model, MetaModel) else model
+
+
 def predict(model, features) -> float:
     """Sigmoid output for one already-standardized metric vector."""
-    x = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != model.n_features:
-        raise ValueError(
-            f"model expects {model.n_features} features, got {x.shape[1]}"
-        )
-    p, *_ = _forward(model.layer_dims, model.to_vector(), x)
-    return float(p[0])
+    row = np.asarray(features, dtype=np.float64).reshape(1, -1)
+    return float(predict_batch(model, row)[0])
 
 
 def predict_batch(model, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != model.n_features:
         raise ValueError(
-            f"model expects n x {model.n_features} rows, got {rows.shape}"
+            f"model expects {model.n_features} features per row, "
+            f"got rows of shape {rows.shape}"
         )
     p, *_ = _forward(model.layer_dims, model.to_vector(), rows)
     return p
@@ -321,7 +331,7 @@ def bce_loss_mean(predictions, labels) -> float:
 def gradient(model, rows, labels) -> np.ndarray:
     """Analytic gradient of the batch-mean BCE with respect to every
     parameter, in the model's flat-vector layout."""
-    core = model.core if isinstance(model, MetaModel) else model
+    core = _core_of(model)
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim == 1:
         x = x.reshape(1, -1)
@@ -335,26 +345,25 @@ def gradient(model, rows, labels) -> np.ndarray:
 
 
 def count_parameters(model) -> int:
-    core = model.core if isinstance(model, MetaModel) else model
+    core = _core_of(model)
     return int(core.to_vector().shape[0])
 
 
 def parameter_breakdown(model) -> list:
     """Per-layer parameter counts (weights plus biases)."""
-    core = model.core if isinstance(model, MetaModel) else model
+    core = _core_of(model)
     dims = core.layer_dims
     return [fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:])]
 
 
 def _init_core(model_kind: str, n_features: int, rng: np.random.Generator,
-               hidden_dims=(75, 75, 75)):
-    if model_kind == "logistic":
-        dims = (n_features, 1)
-        vec = glorot_init_vector(dims, rng)
-        return LogisticModel(weights=vec[:n_features], bias=float(vec[n_features]))
-    if model_kind == "mlp":
-        return MlpModel.from_dims((n_features, *hidden_dims, 1), rng)
-    raise ValueError(f"unknown model kind {model_kind!r}")
+               hidden_dims=(75, 75, 75)) -> MlpModel:
+    """Glorot-initialized core; `hidden_dims` applies to an MLP only."""
+    hidden = tuple(hidden_dims) if model_kind == "mlp" else ()
+    dims = _check_dims((n_features, *hidden, 1))
+    core = _core(dims, glorot_init_vector(dims, rng))
+    _check_kind(model_kind, core)
+    return core
 
 
 def _identity_stats(n: int) -> StandardizationStats:
@@ -448,16 +457,9 @@ def remove_false_positives(
     out = score.scores.copy()
     kept = []
     for comp in comps:
-        rmin, rmax, cmin, cmax = comp.bbox
-        if rmin < 0 or cmin < 0 or rmax >= score.height or cmax >= score.width:
-            raise ValueError(
-                f"component bbox {comp.bbox} outside "
-                f"{score.height}x{score.width} score map"
-            )
-        p = model.predict_raw(row_provider(comp))
-        if p >= decision_threshold:
-            for r, c in comp.pixels:
-                out[r, c] = 0.0
+        rows, cols, _ = _pixel_index(comp, out.shape)
+        if model.predict_raw(row_provider(comp)) >= decision_threshold:
+            out[rows, cols] = 0.0
         else:
             kept.append(comp)
     return ScoreMap(out), kept
@@ -521,21 +523,11 @@ def load_model(path) -> MetaModel:
     for key in _MODEL_FIELDS:
         if key not in fields:
             raise ValueError(f"{path}: missing model field {key!r}")
-    kind = fields["kind"]
     dims = _check_dims(int(d) for d in fields["layer_dims"].split(","))
     n_params = int(fields["params"])
     vec = _parse_rast(block, str(path)).reshape(-1)
     if vec.shape[0] != n_params or n_params != _vector_size(dims):
         raise ValueError(f"{path}: parameter block does not match layer_dims")
-
-    if kind == "logistic":
-        if len(dims) != 2:
-            raise ValueError(f"{path}: logistic model with hidden layers")
-        core = LogisticModel(weights=vec[: dims[0]], bias=float(vec[dims[0]]))
-    elif kind == "mlp":
-        core = MlpModel(layers=tuple(_unpack(dims, vec)))
-    else:
-        raise ValueError(f"{path}: unknown kind {kind!r}")
 
     cfg = TrainConfig(
         learning_rate=float(fields["learning_rate"]),
@@ -552,5 +544,8 @@ def load_model(path) -> MetaModel:
         sigma=np.array([float(v) for v in fields["feature_sigma"].split(",")]),
     )
     threshold = float(fields["threshold"]) if "threshold" in fields else None
-    return MetaModel(kind=kind, core=core, stats=stats, config=cfg,
-                     threshold=threshold)
+    try:
+        return MetaModel(kind=fields["kind"], core=_core(dims, vec), stats=stats,
+                         config=cfg, threshold=threshold)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -14,6 +14,11 @@ Label conventions: class indices run dense from 0.  Pixels labeled
 evaluation.  Loader arguments remap other file conventions onto these
 canonical values.
 
+A probability map is validated in one place, the ``ProbabilityMap``
+constructor (which also renormalizes small sum drift);
+``load_probability_map`` only parses the file and reports a rejected map
+as a ``RasterFormatError`` naming the file.
+
 All container types are immutable after construction (their arrays are
 marked read-only) and safe to share across threads.
 """
@@ -55,7 +60,14 @@ def _freeze(obj, name: str, arr: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityMap:
-    """H x W x C per-pixel class probabilities, each pixel summing to 1."""
+    """H x W x C per-pixel class probabilities, each pixel summing to 1.
+
+    Pixels whose probability sum drifts from 1 by more than float32
+    quantization noise (1e-7) but at most ``PROB_SUM_TOL`` (1e-5) are
+    renormalized, whether the map was loaded or built in memory; larger
+    deviations are rejected.  Sums exact to that noise are left untouched
+    so that an unmodified save reproduces a loaded file bit for bit.
+    """
 
     values: np.ndarray
 
@@ -70,13 +82,18 @@ class ProbabilityMap:
             r, col, k = np.argwhere(~np.isfinite(arr))[0]
             raise ValueError(f"non-finite value at ({r}, {col}, {k})")
         if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("probabilities must lie in [0, 1]")
-        dev = np.abs(arr.sum(axis=2) - 1.0)
+            raise ValueError("probabilities outside [0, 1]")
+        sums = arr.sum(axis=2)
+        dev = np.abs(sums - 1.0)
         if dev.max() > PROB_SUM_TOL:
             r, col = np.unravel_index(int(dev.argmax()), dev.shape)
             raise ValueError(
-                f"pixel ({r}, {col}) probabilities sum to {arr[r, col].sum():.8f}"
+                f"pixel ({r}, {col}) probabilities sum to {sums[r, col]:.8f}"
             )
+        renorm = dev > _PROB_SUM_EXACT
+        if renorm.any():
+            arr = arr.copy()
+            arr[renorm] /= sums[renorm][:, None]
         _freeze(self, "values", arr)
 
     @property
@@ -252,33 +269,13 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def load_probability_map(path) -> ProbabilityMap:
-    """Load and validate a RAST probability map.
-
-    Pixels whose probability sum drifts from 1 by at most ``PROB_SUM_TOL``
-    are renormalized; larger deviations are rejected.  Sums already exact
-    to float32 quantization noise are left untouched so that an unmodified
-    save reproduces the input bit-for-bit.
-    """
+    """Load a RAST probability map; `ProbabilityMap` validates it and
+    renormalizes small sum drift."""
     arr = _parse_rast(_read_file(path), str(path))
-    if not np.isfinite(arr).all():
-        r, c, k = np.argwhere(~np.isfinite(arr))[0]
-        raise RasterFormatError(f"{path}: non-finite value at ({r}, {c}, {k})")
-    if arr.shape[2] < 2:
-        raise RasterFormatError(f"{path}: probability map needs >= 2 classes")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise RasterFormatError(f"{path}: probabilities outside [0, 1]")
-    sums = arr.sum(axis=2)
-    dev = np.abs(sums - 1.0)
-    if dev.max() > PROB_SUM_TOL:
-        r, c = np.unravel_index(int(dev.argmax()), dev.shape)
-        raise RasterFormatError(
-            f"{path}: pixel ({r}, {c}) probabilities sum to {sums[r, c]:.8f}"
-        )
-    renorm = dev > _PROB_SUM_EXACT
-    if renorm.any():
-        arr = arr.copy()
-        arr[renorm] /= sums[renorm][:, None]
-    return ProbabilityMap(arr)
+    try:
+        return ProbabilityMap(arr)
+    except ValueError as exc:
+        raise RasterFormatError(f"{path}: {exc}") from exc
 
 
 def save_probability_map(pmap: ProbabilityMap, path) -> None:

@@ -4,14 +4,16 @@ Analytic gradients are cross-checked against central finite differences
 computed directly from the loss, sharing no code with backpropagation.
 """
 
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaseg.features import MetricRegistry, MetricsDataset
+from metaseg.features import MetricRegistry, MetricsDataset, StandardizationStats
 from metaseg.metaclf import (
     LogisticModel,
     MetaModel,
@@ -364,16 +366,29 @@ class TestRemoveFalsePositives:
         comps = connected_components(pixels, (6, 6))
         return sm, comps
 
-    def constant_model(self, p_out):
-        # Logistic with zero weights: output sigmoid(bias) everywhere.
-        bias = math.log(p_out / (1.0 - p_out))
-        core = LogisticModel(weights=np.zeros(2), bias=bias)
-        from metaseg.features import StandardizationStats
-
+    def logistic_model(self, weights, bias):
         stats = StandardizationStats(np.zeros(2), np.ones(2))
+        core = LogisticModel(weights, bias)
         return MetaModel(
             kind="logistic", core=core, stats=stats, config=TrainConfig()
         )
+
+    def constant_model(self, p_out):
+        # Logistic with zero weights: output sigmoid(bias) everywhere.
+        return self.logistic_model(np.zeros(2), math.log(p_out / (1.0 - p_out)))
+
+    def test_row_dependent_model_removes_one_keeps_other(self):
+        sm, comps = self.setup_scene()
+        model = self.logistic_model([10.0, 0.0], 0.0)
+        # The top-left component gets p = sigmoid(10), the other sigmoid(-10).
+        out, kept = remove_false_positives(
+            sm, comps, model,
+            lambda c: np.array([1.0 if c.bbox[0] == 0 else -1.0, 0.0]),
+        )
+        assert kept == [comps[1]]
+        expected = sm.scores.copy()
+        expected[0:2, 0:2] = 0.0
+        np.testing.assert_array_equal(out.scores, expected)
 
     def test_confident_model_zeroes_components(self):
         sm, comps = self.setup_scene()
@@ -395,6 +410,14 @@ class TestRemoveFalsePositives:
         model = self.constant_model(0.9)
         remove_false_positives(sm, comps, model, lambda c: np.zeros(2))
         np.testing.assert_array_equal(sm.scores, before)
+
+    def test_bbox_outside_score_map_rejected(self):
+        sm, _ = self.setup_scene()
+        comps = connected_components({(6, 6), (7, 7)}, (8, 8))
+        with pytest.raises(ValueError, match="outside"):
+            remove_false_positives(
+                sm, comps, self.constant_model(0.9), lambda c: np.zeros(2)
+            )
 
     def test_decision_threshold_validated(self):
         sm, comps = self.setup_scene()
@@ -457,6 +480,25 @@ class TestModelFiles:
         with pytest.raises(ValueError, match="not a model file"):
             load_model(path)
 
+    def test_file_bytes_pinned(self, tmp_path):
+        # Hand-built models (no training, so no BLAS) pin the exact bytes
+        # that save_model writes for both kinds.
+        stats = StandardizationStats(np.array([0.0, 1.0, -2.5]),
+                                     np.array([1.0, 2.0, 0.5]))
+        rng = np.random.Generator(np.random.PCG64(0))
+        cases = [
+            (MetaModel("logistic", LogisticModel(np.arange(3) / 4, 0.5), stats,
+                       TrainConfig()),
+             "ed797aa01b2f0efbedc78089f1e41e3c5bc307bce821374a0b0bc206db7250d7"),
+            (MetaModel("mlp", MlpModel.from_dims((3, 4, 1), rng), stats,
+                       TrainConfig(), threshold=0.7),
+             "4a1a6a1ae7b9a1af468896dd07064bdcfa040b447c838d1fe67e0f013817992b"),
+        ]
+        for meta, digest in cases:
+            path = tmp_path / f"{meta.kind}.bin"
+            save_model(meta, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_every_missing_field_is_named(self, tmp_path):
         meta, _ = self.trained("logistic")
         path = tmp_path / "model.bin"
@@ -473,6 +515,39 @@ class TestModelFiles:
             with pytest.raises(ValueError, match=f"missing model field '{key}'"):
                 load_model(path)
 
+
+class TestKindFromDepth:
+    """A model's kind is read from its depth: one layer is logistic."""
+
+    def test_core_kind(self):
+        assert LogisticModel(np.zeros(2), 0.0).kind == "logistic"
+        assert MlpModel.from_dims((2, 3, 1)).kind == "mlp"
+
+    def test_meta_model_refuses_mismatched_kind(self):
+        stats = StandardizationStats(np.zeros(2), np.ones(2))
+        with pytest.raises(ValueError, match="does not match"):
+            MetaModel(kind="logistic", core=MlpModel.from_dims((2, 3, 1)),
+                      stats=stats, config=TrainConfig())
+        with pytest.raises(ValueError, match="does not match"):
+            MetaModel(kind="mlp", core=LogisticModel(np.zeros(2), 0.0),
+                      stats=stats, config=TrainConfig())
+
+    def test_model_file_with_mismatched_kind_rejected(self, tmp_path):
+        for kind, other in (("logistic", "mlp"), ("mlp", "logistic")):
+            meta, _ = train(kind, separable_dataset(),
+                            TrainConfig(epochs=1, seed=0), hidden_dims=(3,))
+            path = tmp_path / f"{kind}.bin"
+            save_model(meta, path)
+            data = path.read_bytes()
+            path.write_bytes(data.replace(f"\nkind {kind}\n".encode(),
+                                          f"\nkind {other}\n".encode(), 1))
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_model(path)
+
+    def test_mlp_without_hidden_layer_rejected(self):
+        with pytest.raises(ValueError):
+            train("mlp", separable_dataset(), TrainConfig(epochs=1),
+                  hidden_dims=())
 
 
 @pytest.fixture(scope="module")

@@ -254,6 +254,18 @@ class TestRastValidation:
         pm = load_probability_map(path)
         np.testing.assert_allclose(pm.values.sum(axis=2), 1.0, atol=1e-12)
 
+    def test_loader_and_constructor_agree_bit_for_bit(self, tmp_path):
+        # One path validates and renormalizes both loaded and in-memory maps.
+        rng = np.random.default_rng(11)
+        raw = rng.random((3, 4, 5)) + 1e-3
+        arr = (raw / raw.sum(axis=2, keepdims=True)).astype(np.float32)
+        arr[1, 2, 0] += np.float32(3e-6)
+        path = rast_file(tmp_path, "drift.rast", arr)
+        loaded = load_probability_map(path).values
+        built = ProbabilityMap(arr).values
+        np.testing.assert_array_equal(loaded, built)
+        assert abs(built[1, 2].sum() - 1.0) < 1e-12
+
     def test_negative_probability_rejected(self, tmp_path):
         arr = np.zeros((1, 1, 2))
         arr[0, 0, 0] = -0.25
