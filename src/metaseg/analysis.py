@@ -211,7 +211,6 @@ def loo_scores(
     model_kind: str,
     dataset: MetricsDataset,
     cfg: TrainConfig,
-    hidden_dims=(75, 75, 75),
 ) -> np.ndarray:
     """Pooled leave-one-group-out predictions, aligned with the dataset's
     rows.  Each fold trains with the same configuration and seed."""
@@ -225,8 +224,7 @@ def loo_scores(
         train_ix, held_ix = dataset.split_by_group(group)
         if not train_ix:
             raise ValueError(f"group {group!r} holds every row; cannot train")
-        fold = train(model_kind, dataset.subset(train_ix), cfg,
-                     hidden_dims=hidden_dims)[0]
+        fold = train(model_kind, dataset.subset(train_ix), cfg)[0]
         out[held_ix] = fold.predict_raw_batch(dataset.rows[held_ix])
     return out
 
@@ -237,14 +235,13 @@ def leave_one_out(
     cfg: TrainConfig,
     threshold: ThresholdConfig,
     registry,
-    hidden_dims=(75, 75, 75),
 ):
     """Build the metrics dataset, run leave-one-sample-out evaluation,
     and report over the pooled predictions.  Returns (scores, report)."""
     if len(samples) < 2:
         raise ValueError("leave-one-out needs at least 2 samples")
     dataset = build_metrics_dataset(samples, threshold, registry)
-    scores = loo_scores(model_kind, dataset, cfg, hidden_dims=hidden_dims)
+    scores = loo_scores(model_kind, dataset, cfg)
     return scores, evaluate_scores(scores, dataset.labels)
 
 
@@ -347,7 +344,6 @@ def incremental_evaluation(
     model_kind: str,
     dataset: MetricsDataset,
     cfg: TrainConfig,
-    hidden_dims=(75, 75, 75),
 ):
     """Evaluate metric subsets of growing size along the entry order.
 
@@ -363,7 +359,7 @@ def incremental_evaluation(
     for i in range(1, dataset.num_metrics + 1):
         cols = sorted(ordering.ordered_metric_indices[:i])
         sub = dataset.select_metrics(cols)
-        scores = loo_scores(model_kind, sub, cfg, hidden_dims=hidden_dims)
+        scores = loo_scores(model_kind, sub, cfg)
         report = evaluate_scores(scores, sub.labels)
         aurocs.append(report.auroc)
         auprcs.append(report.auprc)

@@ -240,10 +240,11 @@ def _cmd_segments(cfg: RunConfig) -> None:
             min_size=cfg.options["min_size"], source_sample=sample.id,
         )
         for comp in comps:
+            rmin, rmax, cmin, cmax = comp.bbox
             lines.append(
                 f"{sample.id},{comp.id},{comp.size},{comp.interior_size},"
-                f"{comp.boundary_size},{comp.bbox[0]},{comp.bbox[1]},"
-                f"{comp.bbox[2]},{comp.bbox[3]},{int(comp.is_false_positive)}"
+                f"{comp.boundary_size},{rmin},{rmax},{cmin},{cmax},"
+                f"{int(comp.is_false_positive)}"
             )
         total += len(comps)
     raster.atomic_write_text(cfg.options["out_csv"], "\n".join(lines) + "\n")

@@ -43,7 +43,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .raster import LabelMask, ProbabilityMap, SampleSet, ScoreMap, atomic_write_text
+from .raster import (
+    LabelMask, ProbabilityMap, SampleSet, ScoreMap, _frozen, atomic_write_text,
+)
 from .scoring import anomaly_score_map, margin_map, variation_ratio_map
 from .segments import (
     ComponentRecord,
@@ -143,10 +145,8 @@ class MetricsDataset:
             raise ValueError("metric rows must be finite")
         if labels.shape[0] != rows.shape[0] or len(self.group_ids) != rows.shape[0]:
             raise ValueError("rows, labels, and group_ids must have equal length")
-        rows.flags.writeable = False
-        labels.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "rows", _frozen(rows, self.rows))
+        object.__setattr__(self, "labels", _frozen(labels, self.labels))
         object.__setattr__(self, "group_ids", tuple(str(g) for g in self.group_ids))
 
     def __len__(self) -> int:
@@ -201,10 +201,8 @@ class StandardizationStats:
             raise ValueError("statistics must be finite")
         if (sigma <= 0).any():
             raise ValueError("sigma must be positive")
-        mean.flags.writeable = False
-        sigma.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "mean", _frozen(mean, self.mean))
+        object.__setattr__(self, "sigma", _frozen(sigma, self.sigma))
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
@@ -484,12 +482,18 @@ def load_metrics_csv(path) -> MetricsDataset:
                 continue
             if len(rec) != n + 2:
                 raise ValueError(f"{path}:{lineno}: expected {n + 2} fields")
-            rows.append(np.fromiter(map(float, rec[:n]), dtype=np.float64, count=n))
-            labels.append(bool(int(rec[n])))
+            try:
+                rows.append(np.fromiter(map(float, rec[:n]), dtype=np.float64, count=n))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if rec[n] not in ("0", "1"):
+                raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {rec[n]!r}")
+            labels.append(rec[n] == "1")
             groups.append(rec[n + 1])
+    # Lists, so that the dataset's arrays are its own without a copy.
     return MetricsDataset(
-        rows=np.array(rows, dtype=np.float64).reshape(len(rows), n),
-        labels=np.array(labels, dtype=bool),
+        rows=rows,
+        labels=labels,
         group_ids=tuple(groups),
         registry=registry,
     )

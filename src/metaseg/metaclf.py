@@ -18,23 +18,17 @@ model file format aligned on a single layout.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .features import MetricsDataset, StandardizationStats, standardize
-from .raster import ScoreMap, atomic_write_bytes, _parse_rast, _rast_bytes
+from .raster import ScoreMap, atomic_write_bytes, _frozen, _parse_rast, _rast_bytes
 from .segments import _pixel_index
 
 _CLAMP = 1e-12
 _MODEL_MAGIC = "metaseg-model v1"
-# Header fields load_model reads; `threshold` is optional.
-_MODEL_FIELDS = (
-    "kind", "layer_dims", "params", "learning_rate", "weight_decay", "epochs",
-    "batch_size", "seed", "adam_beta1", "adam_beta2", "adam_eps",
-    "feature_mean", "feature_sigma",
-)
 
 _HIDDEN_ACTIVATION = "relu"
 _OUTPUT_ACTIVATION = "sigmoid"
@@ -149,16 +143,14 @@ class MlpModel:
 
     def __post_init__(self) -> None:
         fixed = []
-        for w, b in self.layers:
-            w = np.asarray(w, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64).reshape(-1)
+        for w_given, b_given in self.layers:
+            w = np.asarray(w_given, dtype=np.float64)
+            b = np.asarray(b_given, dtype=np.float64).reshape(-1)
             if w.ndim != 2 or b.shape[0] != w.shape[1]:
                 raise ValueError("layer shapes inconsistent")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError("parameters must be finite")
-            w.flags.writeable = False
-            b.flags.writeable = False
-            fixed.append((w, b))
+            fixed.append((_frozen(w, w_given), _frozen(b, b_given)))
         if not fixed or fixed[-1][0].shape[1] != 1:
             raise ValueError("network must end in a single output unit")
         for (w0, _), (w1, _) in zip(fixed, fixed[1:]):
@@ -220,8 +212,9 @@ class LogisticModel(MlpModel):
 
 
 def _core(dims, vec: np.ndarray) -> MlpModel:
-    """The core with these layer dims holding a copy of the flat vector."""
-    (w, b), *rest = _unpack(dims, np.array(vec, dtype=np.float64))
+    """The core with these layer dims holding a copy of the flat vector
+    (`MlpModel` copies the layer views it is given)."""
+    (w, b), *rest = _unpack(dims, np.asarray(vec, dtype=np.float64))
     if rest:
         return MlpModel(layers=((w, b), *rest))
     return LogisticModel(weights=w, bias=b[0])
@@ -486,14 +479,7 @@ def save_model(meta: MetaModel, path) -> None:
         f"layer_dims {','.join(str(d) for d in core.layer_dims)}",
         f"hidden_activation {_HIDDEN_ACTIVATION}",
         f"output_activation {_OUTPUT_ACTIVATION}",
-        f"learning_rate {repr(cfg.learning_rate)}",
-        f"weight_decay {repr(cfg.weight_decay)}",
-        f"epochs {cfg.epochs}",
-        f"batch_size {cfg.batch_size}",
-        f"seed {cfg.seed}",
-        f"adam_beta1 {repr(cfg.adam_beta1)}",
-        f"adam_beta2 {repr(cfg.adam_beta2)}",
-        f"adam_eps {repr(cfg.adam_eps)}",
+        *(f"{f.name} {getattr(cfg, f.name)}" for f in fields(TrainConfig)),
     ]
     if meta.threshold is not None:
         lines.append(f"threshold {repr(float(meta.threshold))}")
@@ -516,36 +502,37 @@ def load_model(path) -> MetaModel:
     header = data[:newline].decode("ascii")
     block = data[newline + 1 :]
 
-    fields = {}
+    values = {}
     for line in header.splitlines()[1:]:
-        key, _, value = line.partition(" ")
-        fields[key] = value
-    for key in _MODEL_FIELDS:
-        if key not in fields:
+        key, _, text = line.partition(" ")
+        values[key] = text
+
+    def value(key, parse=str):
+        if key not in values:
             raise ValueError(f"{path}: missing model field {key!r}")
-    dims = _check_dims(int(d) for d in fields["layer_dims"].split(","))
-    n_params = int(fields["params"])
+        try:
+            return parse(values[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}: model field {key!r}: {exc}") from None
+
+    kind = value("kind")
+    dims = value("layer_dims", lambda s: _check_dims(int(d) for d in s.split(",")))
+    n_params = value("params", int)
     vec = _parse_rast(block, str(path)).reshape(-1)
     if vec.shape[0] != n_params or n_params != _vector_size(dims):
         raise ValueError(f"{path}: parameter block does not match layer_dims")
-
-    cfg = TrainConfig(
-        learning_rate=float(fields["learning_rate"]),
-        weight_decay=float(fields["weight_decay"]),
-        epochs=int(fields["epochs"]),
-        batch_size=int(fields["batch_size"]),
-        seed=int(fields["seed"]),
-        adam_beta1=float(fields["adam_beta1"]),
-        adam_beta2=float(fields["adam_beta2"]),
-        adam_eps=float(fields["adam_eps"]),
+    # Every TrainConfig field has a default, whose type parses the value.
+    config = {f.name: value(f.name, type(f.default)) for f in fields(TrainConfig)}
+    mean, sigma = (
+        value(key, lambda s: np.array([float(v) for v in s.split(",")]))
+        for key in ("feature_mean", "feature_sigma")
     )
-    stats = StandardizationStats(
-        mean=np.array([float(v) for v in fields["feature_mean"].split(",")]),
-        sigma=np.array([float(v) for v in fields["feature_sigma"].split(",")]),
-    )
-    threshold = float(fields["threshold"]) if "threshold" in fields else None
+    threshold = value("threshold", float) if "threshold" in values else None
     try:
-        return MetaModel(kind=fields["kind"], core=_core(dims, vec), stats=stats,
-                         config=cfg, threshold=threshold)
+        return MetaModel(
+            kind=kind, core=_core(dims, vec),
+            stats=StandardizationStats(mean=mean, sigma=sigma),
+            config=TrainConfig(**config), threshold=threshold,
+        )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

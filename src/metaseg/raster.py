@@ -20,7 +20,8 @@ constructor (which also renormalizes small sum drift);
 as a ``RasterFormatError`` naming the file.
 
 All container types are immutable after construction (their arrays are
-marked read-only) and safe to share across threads.
+marked read-only, and an array the caller still holds is copied rather
+than frozen) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -52,10 +53,15 @@ class RasterFormatError(ValueError):
     """A raster file violates the RAST or PGM format contract."""
 
 
-def _freeze(obj, name: str, arr: np.ndarray) -> None:
+def _frozen(arr: np.ndarray, given) -> np.ndarray:
+    """`arr`, derived from the caller's value `given`, as a read-only
+    C-contiguous array for a container to keep; copied only while it
+    shares memory with the caller's array, which thus stays writeable."""
     arr = np.ascontiguousarray(arr)
+    if isinstance(given, np.ndarray) and np.may_share_memory(arr, given):
+        arr = arr.copy()
     arr.flags.writeable = False
-    object.__setattr__(obj, name, arr)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +100,7 @@ class ProbabilityMap:
         if renorm.any():
             arr = arr.copy()
             arr[renorm] /= sums[renorm][:, None]
-        _freeze(self, "values", arr)
+        object.__setattr__(self, "values", _frozen(arr, self.values))
 
     @property
     def height(self) -> int:
@@ -125,7 +131,7 @@ class LabelMask:
             if arr.min() < 0 or arr.max() > 255:
                 raise ValueError("labels must fit in a byte")
             arr = arr.astype(np.uint8)
-        _freeze(self, "labels", arr)
+        object.__setattr__(self, "labels", _frozen(arr, self.labels))
 
     @property
     def height(self) -> int:
@@ -161,7 +167,7 @@ class ScoreMap:
         if arr.min() < -1e-12 or arr.max() > 1.0 + 1e-12:
             raise ValueError("scores must lie in [0, 1]")
         arr = np.clip(arr, 0.0, 1.0)
-        _freeze(self, "scores", arr)
+        object.__setattr__(self, "scores", _frozen(arr, self.scores))
 
     @property
     def height(self) -> int:
@@ -241,8 +247,8 @@ def _parse_rast(data: bytes, source: str) -> np.ndarray:
         raise RasterFormatError(
             f"{source}: payload is {len(data)} bytes, expected {expected}"
         )
-    flat = np.frombuffer(data, dtype="<f4", offset=_HEADER_LEN)
-    return flat.reshape(h, w, c).astype(np.float64)
+    # A read-only float32 view of `data`; the containers convert it.
+    return np.frombuffer(data, dtype="<f4", offset=_HEADER_LEN).reshape(h, w, c)
 
 
 def _read_file(path) -> bytes:
@@ -283,10 +289,14 @@ def save_probability_map(pmap: ProbabilityMap, path) -> None:
 
 
 def load_score_map(path) -> ScoreMap:
+    """Load a single-channel RAST score map; `ScoreMap` validates it."""
     arr = _parse_rast(_read_file(path), str(path))
     if arr.shape[2] != 1:
         raise RasterFormatError(f"{path}: score map must have C=1, got {arr.shape[2]}")
-    return ScoreMap(arr[:, :, 0])
+    try:
+        return ScoreMap(arr[:, :, 0])
+    except ValueError as exc:
+        raise RasterFormatError(f"{path}: {exc}") from exc
 
 
 def save_score_map(smap: ScoreMap, path) -> None:

@@ -18,8 +18,9 @@ component.  Labeling is run-based: horizontal runs of hot pixels are
 joined across adjacent rows by vectorized min-label hooking with pointer
 jumping, so no Python loop visits a pixel or a component.  Because the
 components are maximal, the boundary of the whole hot mask is exactly the
-union of the per-component boundaries.  `ComponentRecord`s handed out by
-a label image are views whose pixel sets are built on first access.
+union of the per-component boundaries.  Every `ComponentRecord` is a view
+of one component of a label image; a record built by hand from pixel
+sets owns a one-component image.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .raster import LabelMask, ScoreMap
+from .raster import LabelMask, ScoreMap, _frozen
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,11 @@ class LabelImage:
     """
 
     def __init__(self, labels, boundary, ood=None, source_sample: str = ""):
-        labels = np.asarray(labels, dtype=np.int32)
-        flat = labels.reshape(-1)
+        self.labels = _frozen(np.asarray(labels, dtype=np.int32), labels)
+        flat = self.labels.reshape(-1)
         pix = np.flatnonzero(flat >= 0)
         comp = flat[pix]
         count = int(comp.max()) + 1 if comp.size else 0
-        self.labels = labels
         self.sizes = np.bincount(comp, minlength=count)
         if not self.sizes.all():
             raise ValueError("component ids must be 0..K-1, each nonempty")
@@ -75,7 +75,7 @@ class LabelImage:
                 else np.zeros(0, dtype=bool)
             )
         self.source_sample = source_sample
-        for arr in (self.labels, self.sizes, self.offsets, self.order, self.on_boundary):
+        for arr in (self.sizes, self.offsets, self.order, self.on_boundary):
             arr.flags.writeable = False
 
     @property
@@ -111,23 +111,22 @@ class LabelImage:
             [None] * self.count if self.is_false_positive is None
             else self.is_false_positive.tolist()
         )
-        return [
-            ComponentRecord._view(self, k, tuple(bbox), fp)
-            for k, (bbox, fp) in enumerate(zip(self.bboxes.tolist(), fps))
-        ]
+        return [ComponentRecord._view(self, k, k, fp) for k, fp in enumerate(fps)]
 
 
 class ComponentRecord:
-    """One predicted-OoD connected component.
+    """One predicted-OoD connected component: component `_k` of the
+    `LabelImage` `image`.
 
     `is_false_positive` is None until the component has been compared
-    against a ground-truth mask.  Records built here from pixel sets are
-    checked; records handed out by a `LabelImage` (`image` is then that
-    image and `id` the component's id in it) are exact by construction
-    and build their pixel sets only when asked.
+    against a ground-truth mask.  Records handed out by a label image are
+    exact by construction.  A record built here from pixel sets is checked
+    and then owns a one-component image of (rmax + 1) x (cmax + 1) pixels;
+    its `id` is whatever the caller gave.  The pixel sets are built from
+    the image on every access.
     """
 
-    __slots__ = ("id", "bbox", "is_false_positive", "source_sample", "image", "_sets")
+    __slots__ = ("id", "is_false_positive", "image", "_k")
 
     def __init__(
         self,
@@ -148,29 +147,29 @@ class ComponentRecord:
             raise ValueError("boundary and interior must partition the pixel set")
         rows = [p[0] for p in pixels]
         cols = [p[1] for p in pixels]
-        if tuple(bbox) != (min(rows), max(rows), min(cols), max(cols)):
+        bbox = tuple(bbox)
+        if bbox != (min(rows), max(rows), min(cols), max(cols)):
             raise ValueError("bbox does not match the pixel set")
-        self._init(id, tuple(bbox), is_false_positive, source_sample, None,
-                   (pixels, boundary, interior))
+        if bbox[0] < 0 or bbox[2] < 0:
+            raise ValueError(f"component bbox {bbox} has a negative coordinate")
+        dims = (bbox[1] + 1, bbox[3] + 1)
+        grid = _pixel_grid(pixels, dims)
+        image = LabelImage(np.where(grid, 0, -1), _pixel_grid(boundary, dims),
+                           source_sample=source_sample)
+        self._init(id, is_false_positive, image, 0)
 
-    def _init(self, id, bbox, is_false_positive, source_sample, image, sets):
-        for name, value in (
-            ("id", id), ("bbox", bbox), ("is_false_positive", is_false_positive),
-            ("source_sample", source_sample), ("image", image), ("_sets", sets),
-        ):
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _view(cls, image: LabelImage, k: int, bbox: tuple, is_false_positive):
+    def _view(cls, image: LabelImage, id, k: int, is_false_positive):
         rec = cls.__new__(cls)
-        rec._init(k, bbox, is_false_positive, image.source_sample, image, None)
+        rec._init(id, is_false_positive, image, k)
         return rec
 
     def _labeled(self, is_false_positive: bool) -> "ComponentRecord":
-        rec = ComponentRecord.__new__(ComponentRecord)
-        rec._init(self.id, self.bbox, is_false_positive, self.source_sample,
-                  self.image, self._sets)
-        return rec
+        return ComponentRecord._view(self.image, self.id, self._k, is_false_positive)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ComponentRecord is immutable; cannot set {name!r}")
@@ -184,50 +183,44 @@ class ComponentRecord:
 
     def _index(self) -> tuple:
         """(rows, cols, on_boundary) arrays of the pixels, raster order."""
-        if self.image is not None:
-            lo = self.image.offsets[self.id]
-            span = slice(lo, lo + self.image.sizes[self.id])
-            rows, cols = np.divmod(self.image.order[span], self.image.shape[1])
-            return rows, cols, self.image.on_boundary[span]
-        pts = sorted(self.pixels)
-        bd = self.boundary
-        rows = np.array([p[0] for p in pts], dtype=np.intp)
-        cols = np.array([p[1] for p in pts], dtype=np.intp)
-        return rows, cols, np.array([p in bd for p in pts], dtype=bool)
+        lo = self.image.offsets[self._k]
+        span = slice(lo, lo + self.image.sizes[self._k])
+        rows, cols = np.divmod(self.image.order[span], self.image.shape[1])
+        return rows, cols, self.image.on_boundary[span]
 
-    def _pixel_sets(self) -> tuple:
-        if self._sets is None:
-            rows, cols, on_bd = self._index()
-            sets = tuple(
-                frozenset(zip(rows[sel].tolist(), cols[sel].tolist()))
-                for sel in (slice(None), on_bd, ~on_bd)
-            )
-            object.__setattr__(self, "_sets", sets)
-        return self._sets
+    def _pixel_set(self, part) -> frozenset:
+        rows, cols, on_bd = self._index()
+        sel = slice(None) if part is None else on_bd == part
+        return frozenset(zip(rows[sel].tolist(), cols[sel].tolist()))
 
     @property
     def pixels(self) -> frozenset:
-        return self._pixel_sets()[0]
+        return self._pixel_set(None)
 
     @property
     def boundary(self) -> frozenset:
-        return self._pixel_sets()[1]
+        return self._pixel_set(True)
 
     @property
     def interior(self) -> frozenset:
-        return self._pixel_sets()[2]
+        return self._pixel_set(False)
+
+    @property
+    def bbox(self) -> tuple:
+        """(rmin, rmax, cmin, cmax)."""
+        return tuple(self.image.bboxes[self._k].tolist())
+
+    @property
+    def source_sample(self) -> str:
+        return self.image.source_sample
 
     @property
     def size(self) -> int:
-        if self.image is not None:
-            return int(self.image.sizes[self.id])
-        return len(self._sets[0])
+        return int(self.image.sizes[self._k])
 
     @property
     def boundary_size(self) -> int:
-        if self.image is not None:
-            return int(self.image.boundary_sizes[self.id])
-        return len(self._sets[1])
+        return int(self.image.boundary_sizes[self._k])
 
     @property
     def interior_size(self) -> int:
@@ -365,8 +358,8 @@ def _pixel_index(comp: ComponentRecord, shape) -> tuple:
     """(rows, cols, on_boundary) arrays of the component's pixels, checked
     to lie inside an image of the given shape."""
     h, w = shape
-    rmin, rmax, cmin, cmax = comp.bbox
-    if rmin < 0 or cmin < 0 or rmax >= h or cmax >= w:
+    _, rmax, _, cmax = comp.bbox
+    if rmax >= h or cmax >= w:
         raise ValueError(f"component bbox {comp.bbox} outside {h}x{w} image")
     return comp._index()
 

@@ -166,6 +166,25 @@ class TestDataErrors:
         assert err.startswith("metaseg: error:")
         assert "missing model field 'kind'" in err
 
+    def test_model_unparseable_header_value(self, toy_mu, tmp_path, capsys):
+        model = tmp_path / "m.model"
+        args = ["train-meta", "--mu", str(toy_mu), "--out", str(model)]
+        assert cli.run(args + TRAIN_FLAGS) == 0
+        data = model.read_bytes()
+        start = data.index(b"\nlearning_rate ") + 1
+        model.write_bytes(data[:start] + b"learning_rate abc"
+                          + data[data.index(b"\n", start):])
+        capsys.readouterr()
+        args = [
+            "eval-meta", "--model", str(model),
+            "--mu", str(toy_mu), "--out", str(tmp_path / "r.csv"),
+        ]
+        assert cli.run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("metaseg: error:")
+        assert f"{model}: model field 'learning_rate'" in err
+        assert "'abc'" in err
+
 
 class TestScore:
     """score: probability rasters to anomaly score rasters."""

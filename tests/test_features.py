@@ -435,6 +435,23 @@ class TestMetricsDataset:
             MetricsDataset(np.array([[np.nan]]), [True], ("a",), reg)
 
 
+class TestCallerArraysStayWriteable:
+    def test_metrics_dataset(self):
+        rows, labels = np.zeros((2, 2)), np.array([True, False])
+        ds = MetricsDataset(rows, labels, ("a", "b"), MetricRegistry.custom(["x", "y"]))
+        rows[0, 0] = 5.0
+        labels[0] = False
+        assert ds.rows[0, 0] == 0.0 and ds.labels[0]
+        assert not (ds.rows.flags.writeable or ds.labels.flags.writeable)
+
+    def test_standardization_stats(self):
+        mean, sigma = np.zeros(2), np.ones(2)
+        stats = StandardizationStats(mean, sigma)
+        mean[0], sigma[0] = 3.0, 2.0
+        assert stats.mean[0] == 0.0 and stats.sigma[0] == 1.0
+        assert not (stats.mean.flags.writeable or stats.sigma.flags.writeable)
+
+
 class TestStandardize:
     def test_known_column(self):
         reg = MetricRegistry.custom(["m0"])
@@ -593,4 +610,16 @@ class TestMetricsCsv:
             load_metrics_csv(bad)
         bad.write_text("m0,label,group_id\n1.0,1\n")
         with pytest.raises(ValueError, match="expected 3 fields"):
+            load_metrics_csv(bad)
+
+    def test_label_other_than_zero_or_one_rejected(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("m0,label,group_id\n1.0,1,g\n1.0,2,g\n")
+        with pytest.raises(ValueError, match="bad.csv:3: label must be 0 or 1"):
+            load_metrics_csv(bad)
+
+    def test_unparseable_value_names_file_and_line(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("m0,m1,label,group_id\n1.0,abc,0,g\n")
+        with pytest.raises(ValueError, match="bad.csv:2: .*'abc'"):
             load_metrics_csv(bad)

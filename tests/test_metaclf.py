@@ -4,6 +4,7 @@ Analytic gradients are cross-checked against central finite differences
 computed directly from the loss, sharing no code with backpropagation.
 """
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -514,6 +515,35 @@ class TestModelFiles:
             path.write_bytes(data[:start] + data[data.index(b"\n", start + 1):])
             with pytest.raises(ValueError, match=f"missing model field '{key}'"):
                 load_model(path)
+
+    def test_every_unparseable_config_field_is_named(self, tmp_path):
+        meta, _ = self.trained("logistic")
+        path = tmp_path / "model.bin"
+        save_model(meta, path)
+        data = path.read_bytes()
+        for field in dataclasses.fields(TrainConfig):
+            start = data.index(f"\n{field.name} ".encode("ascii")) + 1
+            end = data.index(b"\n", start)
+            path.write_bytes(data[:start] + f"{field.name} abc".encode("ascii")
+                             + data[end:])
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: model field '{field.name}'")):
+                load_model(path)
+
+
+class TestCallerArraysStayWriteable:
+    def test_mlp_model(self):
+        w0, b0, w1, b1 = np.ones((2, 3)), np.zeros(3), np.ones((3, 1)), np.zeros(1)
+        model = MlpModel(layers=((w0, b0), (w1, b1)))
+        w0[0, 0], b1[0] = 7.0, 7.0
+        assert model.layers[0][0][0, 0] == 1.0 and model.layers[1][1][0] == 0.0
+        assert not any(a.flags.writeable for layer in model.layers for a in layer)
+
+    def test_logistic_model(self):
+        w = np.ones(2)
+        model = LogisticModel(w, 0.0)
+        w[0] = 7.0
+        assert model.weights[0] == 1.0
 
 
 class TestKindFromDepth:

@@ -125,6 +125,33 @@ class TestScoreMap:
             ScoreMap(np.array([[np.nan]]))
 
 
+class TestCallerArraysStayWriteable:
+    """A container keeps a read-only copy of an array the caller passed;
+    the caller's array stays writeable and later writes to it do not
+    reach the container."""
+
+    def test_probability_map(self):
+        a = np.full((1, 1, 2), 0.5)
+        pmap = ProbabilityMap(a)
+        a[0, 0, 0] = 0.4
+        assert pmap.values[0, 0, 0] == 0.5
+        assert not pmap.values.flags.writeable
+
+    def test_label_mask(self):
+        a = np.zeros((2, 2), dtype=np.uint8)
+        mask = LabelMask(a)
+        a[0, 0] = OOD_LABEL
+        assert not mask.is_ood().any()
+        assert not mask.labels.flags.writeable
+
+    def test_score_map(self):
+        a = np.full((2, 2), 0.5)
+        sm = ScoreMap(a)
+        a[0, 0] = 0.9
+        assert sm.scores[0, 0] == 0.5
+        assert not sm.scores.flags.writeable
+
+
 class TestSampleSet:
     def test_dim_mismatch_rejected(self):
         pm = ProbabilityMap(np.full((2, 2, 2), 0.5))
@@ -175,6 +202,11 @@ class TestRastRoundTrip:
         save_score_map(sm, path)
         back = load_score_map(path)
         np.testing.assert_array_equal(back.scores, sm.scores)
+
+    def test_score_map_rejection_names_file(self, tmp_path):
+        path = rast_file(tmp_path, "hot.rast", np.full((2, 2, 1), 1.5))
+        with pytest.raises(RasterFormatError, match="hot.rast: scores must lie"):
+            load_score_map(path)
 
     def test_score_map_rejects_multichannel(self, tmp_path):
         path = rast_file(tmp_path, "bad.rast", np.full((2, 2, 3), 0.25))

@@ -10,6 +10,7 @@ import pytest
 from metaseg.raster import IGNORE_LABEL, OOD_LABEL, LabelMask, ScoreMap
 from metaseg.segments import (
     ComponentRecord,
+    LabelImage,
     ThresholdConfig,
     boundary_grid,
     component_iou,
@@ -283,6 +284,42 @@ class TestBoundary:
 
 
 class TestComponentRecord:
+    def test_hand_built_record_owns_one_component_image(self):
+        pixels = {(2, 3), (3, 3), (3, 4), (4, 4)}
+        comp = ComponentRecord(
+            id=17, pixels=pixels, boundary={(2, 3), (4, 4)},
+            interior={(3, 3), (3, 4)}, bbox=(2, 4, 3, 4), source_sample="s1",
+        )
+        assert isinstance(comp.image, LabelImage)
+        assert comp.image.count == 1 and comp.image.shape == (5, 5)
+        assert comp.id == 17 and comp.source_sample == "s1"
+        assert comp.pixels == pixels and comp.bbox == (2, 4, 3, 4)
+        assert comp.boundary == {(2, 3), (4, 4)}
+        assert comp.interior == {(3, 3), (3, 4)}
+        assert (comp.size, comp.boundary_size, comp.interior_size) == (4, 2, 2)
+
+    def test_views_share_their_label_image(self):
+        image = label_image(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+        comps = image.records()
+        assert comps and all(c.image is image for c in comps)
+
+    def test_negative_coordinate_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            ComponentRecord(
+                id=0,
+                pixels={(-1, 0), (0, 0)},
+                boundary={(-1, 0), (0, 0)},
+                interior=set(),
+                bbox=(-1, 0, 0, 0),
+            )
+
+    def test_label_image_leaves_caller_labels_writeable(self):
+        labels = np.array([[0, -1], [-1, 1]], dtype=np.int32)
+        image = LabelImage(labels, labels >= 0)
+        labels[0, 1] = 0
+        assert image.labels[0, 1] == -1
+        assert not image.labels.flags.writeable
+
     def test_partition_validated(self):
         with pytest.raises(ValueError, match="partition"):
             ComponentRecord(
