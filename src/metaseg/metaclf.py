@@ -12,13 +12,26 @@ per-epoch index shuffle come from one seeded generator.
 
 Parameters live in a flat vector (per layer: weight matrix row-major,
 then biases), which keeps the optimizer, the gradient check, and the
-model file format aligned on a single layout.
+model file format aligned on a single layout.  A training step works in
+place on buffers built once per `train` call: per-layer views of the
+parameter and gradient vectors, the Adam moments, and the activations of
+one batch.
+
+Training runs its BLAS calls on one OpenBLAS thread.  Its gemms (at most
+batch size x 75 x 75 on the reference shape) are too small to gain from a
+second thread, which only spins between calls.  OpenBLAS keeps one
+thread count for the whole process, so `train` restores the previous
+count as soon as its optimizer loop ends or raises.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
 import warnings
-from dataclasses import dataclass, fields, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,41 +94,52 @@ def _decay_mask(dims) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _forward(dims, vec: np.ndarray, x: np.ndarray):
-    """Probabilities plus the per-layer caches backprop needs."""
-    layers = _unpack(dims, vec)
+def _buffers(dims, n: int) -> list:
+    """One (n, width) array per hidden layer, for batches of up to n rows."""
+    return [np.empty((n, width)) for width in dims[1:-1]]
+
+
+def _forward(layers, x: np.ndarray, acts):
+    """Probabilities for the rows of x and the hidden activations, which
+    are written into the leading rows of the `acts` buffers; `layers`
+    holds the (W, b) pairs of a core."""
+    n = x.shape[0]
     a = x
-    acts = [a]
-    pre = []
-    for w, b in layers[:-1]:
-        z = a @ w + b
-        pre.append(z)
-        a = np.maximum(z, 0.0)
-        acts.append(a)
+    hidden = []
+    for (w, b), buf in zip(layers[:-1], acts):
+        h = buf[:n]
+        np.matmul(a, w, out=h)
+        h += b
+        np.maximum(h, 0.0, out=h)
+        hidden.append(h)
+        a = h
     w, b = layers[-1]
     z_out = (a @ w + b)[:, 0]
-    p = sigmoid(z_out)
-    return p, acts, pre, layers
+    return sigmoid(z_out), hidden
 
 
-def _mean_bce_gradient(dims, vec, x, y):
-    """Gradient of the batch-mean BCE, flat-vector layout, plus the loss."""
+def _backward(layers, grads, acts, deltas, x, y) -> float:
+    """Batch-mean BCE loss; its gradient is written into `grads`, the
+    (W, b) views of one flat buffer in the parameter-vector layout.
+    `acts` and `deltas` are `_buffers` for at least x's rows."""
     n = x.shape[0]
-    p, acts, pre, layers = _forward(dims, vec, x)
+    p, hidden = _forward(layers, x, acts)
     pc = np.clip(p, _CLAMP, 1.0 - _CLAMP)
     loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
     # Sigmoid + BCE collapse to (p - y) at the output pre-activation.
     delta = ((p - y) / n)[:, None]
-    grads = [None] * len(layers)
+    inputs = [x, *hidden]
     for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        gw = acts[li].T @ delta
-        gb = delta.sum(axis=0)
-        grads[li] = (gw, gb)
+        gw, gb = grads[li]
+        np.matmul(inputs[li].T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
         if li > 0:
-            delta = (delta @ w.T) * (pre[li - 1] > 0.0)
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-    return flat, loss
+            d = deltas[li - 1][:n]
+            np.matmul(delta, layers[li][0].T, out=d)
+            # A rectifier output is positive exactly where its input is.
+            d *= inputs[li] > 0.0
+            delta = d
+    return loss
 
 
 def glorot_init_vector(dims, rng: np.random.Generator) -> np.ndarray:
@@ -298,7 +322,7 @@ def predict_batch(model, rows: np.ndarray) -> np.ndarray:
             f"model expects {model.n_features} features per row, "
             f"got rows of shape {rows.shape}"
         )
-    p, *_ = _forward(model.layer_dims, model.to_vector(), rows)
+    p, _ = _forward(model.layers, rows, _buffers(model.layer_dims, rows.shape[0]))
     return p
 
 
@@ -333,7 +357,10 @@ def gradient(model, rows, labels) -> np.ndarray:
         raise ValueError("empty batch")
     if x.shape[0] != y.shape[0]:
         raise ValueError("rows and labels must have equal length")
-    flat, _ = _mean_bce_gradient(core.layer_dims, core.to_vector(), x, y)
+    dims = core.layer_dims
+    flat = np.empty(_vector_size(dims))
+    n = x.shape[0]
+    _backward(core.layers, _unpack(dims, flat), _buffers(dims, n), _buffers(dims, n), x, y)
     return flat
 
 
@@ -359,6 +386,56 @@ def _init_core(model_kind: str, n_features: int, rng: np.random.Generator,
     return core
 
 
+@functools.cache
+def _blas_setter():
+    """OpenBLAS's `openblas_set_num_threads_local`, looked up once through
+    numpy's own extension module, which links the BLAS numpy uses; None for
+    another BLAS or an OpenBLAS older than 0.3.27."""
+    try:
+        umath = np._core._multiarray_umath
+    except AttributeError:  # numpy 1.x
+        umath = np.core._multiarray_umath
+    try:
+        setter = ctypes.CDLL(umath.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
+
+
+# Despite its name, the setter changes OpenBLAS's process-wide thread count
+# (it only also returns the previous one), so overlapping pins share one
+# count: the first sets one thread and the last restores what it found.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 0
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread and restore the previous
+    thread count on exit, also when the body raises; a no-op without the
+    setter.  The count is the whole process's, so BLAS calls made by other
+    threads meanwhile also run on one thread."""
+    global _pin_depth, _pin_saved
+    setter = _blas_setter()
+    if setter is None:
+        yield
+        return
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = setter(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                setter(_pin_saved)
+
+
 def _identity_stats(n: int) -> StandardizationStats:
     return StandardizationStats(mean=np.zeros(n), sigma=np.ones(n))
 
@@ -378,6 +455,10 @@ def train(
     step) and skips biases.  The per-epoch shuffle and the weight init
     share one generator seeded from cfg.seed, so identical inputs give
     bit-identical parameters.  The final incomplete batch is kept.
+
+    The optimizer loop runs OpenBLAS on one thread (see `_one_blas_thread`):
+    its gemms are too small for a second thread to save wall time.  The
+    previous thread count is restored when the loop ends or raises.
     """
     n = len(dataset)
     if n == 0:
@@ -397,30 +478,51 @@ def train(
     core = _init_core(model_kind, dataset.num_metrics, rng, hidden_dims=hidden_dims)
     dims = core.layer_dims
     theta = core.to_vector()
-    mask = _decay_mask(dims)
+    grad = np.empty_like(theta)
+    layers, grads = _unpack(dims, theta), _unpack(dims, grad)
+    batch_rows = min(n, cfg.batch_size)
+    acts, deltas = _buffers(dims, batch_rows), _buffers(dims, batch_rows)
+    batch = np.empty((batch_rows, x.shape[1]))
+    decay = (cfg.learning_rate * cfg.weight_decay) * _decay_mask(dims)
+    b1, b2, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate
 
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    s1 = np.empty_like(theta)
+    s2 = np.empty_like(theta)
     step = 0
     trace = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            grad, loss = _mean_bce_gradient(dims, theta, x[idx], y[idx])
-            epoch_sum += loss * idx.shape[0]
-            step += 1
-            m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * grad
-            v = cfg.adam_beta2 * v + (1.0 - cfg.adam_beta2) * grad * grad
-            m_hat = m / (1.0 - cfg.adam_beta1 ** step)
-            v_hat = v / (1.0 - cfg.adam_beta2 ** step)
-            theta = (
-                theta
-                - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-                - cfg.learning_rate * cfg.weight_decay * mask * theta
-            )
-        trace.append(epoch_sum / n)
+    with _one_blas_thread():
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            epoch_sum = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                xb = np.take(x, idx, axis=0, out=batch[: idx.shape[0]])
+                loss = _backward(layers, grads, acts, deltas, xb, y[idx])
+                epoch_sum += loss * idx.shape[0]
+                step += 1
+                # Adam in place, keeping the float operations of
+                #   m = b1*m + (1-b1)*grad;  v = b2*v + ((1-b2)*grad)*grad
+                #   theta = (theta - (lr*m_hat) / (sqrt(v_hat) + eps)) - decay*theta
+                # in this order: a reordering can change the trained bits.
+                m *= b1
+                np.multiply(grad, 1.0 - b1, out=s1)
+                m += s1
+                v *= b2
+                np.multiply(grad, 1.0 - b2, out=s1)
+                s1 *= grad
+                v += s1
+                np.divide(m, 1.0 - b1 ** step, out=s1)
+                s1 *= lr
+                np.divide(v, 1.0 - b2 ** step, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += cfg.adam_eps
+                s1 /= s2
+                np.multiply(decay, theta, out=s2)
+                theta -= s1
+                theta -= s2
+            trace.append(epoch_sum / n)
 
     meta = MetaModel(
         kind=model_kind,

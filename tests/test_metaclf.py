@@ -4,16 +4,20 @@ Analytic gradients are cross-checked against central finite differences
 computed directly from the loss, sharing no code with backpropagation.
 """
 
+import ctypes
 import dataclasses
 import hashlib
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaseg import metaclf
 from metaseg.features import MetricRegistry, MetricsDataset, StandardizationStats
 from metaseg.metaclf import (
     LogisticModel,
@@ -257,6 +261,14 @@ def separable_dataset(n=40, seed=71):
     return toy_dataset(x, y)
 
 
+def pinned_dataset():
+    """45 rows of 6 metrics, all exact multiples of 1/4, with labels that
+    no metric separates."""
+    i = np.arange(45)[:, None]
+    rows = ((i * 7 + np.arange(6) * 13) % 17 - 8) / 4.0
+    return toy_dataset(rows, (i[:, 0] * 5) % 3 == 0)
+
+
 def xor_dataset(reps=32, seed=71):
     rng = np.random.default_rng(seed)
     base = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
@@ -292,6 +304,28 @@ class TestTraining:
         b, trace_b = train("mlp", ds, cfg, hidden_dims=(6, 6))
         np.testing.assert_array_equal(a.core.to_vector(), b.core.to_vector())
         assert trace_a == trace_b
+
+    def test_bits_pinned(self):
+        # Digests recorded before the in-place Adam step, so a reordered
+        # float operation in the optimizer fails here even though two runs
+        # of the same code agree.  45 rows in batches of 16 end in a short
+        # batch.  The inputs are exact binary fractions; the digests hold
+        # for x86-64 numpy 2.x with its bundled OpenBLAS.
+        ds = pinned_dataset()
+        cfg = TrainConfig(learning_rate=0.01, epochs=4, batch_size=16, seed=3)
+        cases = [
+            ("mlp", {"hidden_dims": (8, 8)},
+             "0505ac9f608e95d566f75b2471638d271b46cc6416a1bb6f417c19885cc2e3f3",
+             "93e21731562e8fe364e65899f26891d72f01753949e873d848f20d632076cc76"),
+            ("logistic", {},
+             "8c1e853145a5acb5fe34f61b8746ce824e9bee9dfb67a751c8631a35c9efdfc6",
+             "d403887a81b7b38bc77de1266c8231dfdf714badab8a51af04bd6be2d37435bb"),
+        ]
+        for kind, options, params_digest, trace_digest in cases:
+            meta, trace = train(kind, ds, cfg, **options)
+            vec = meta.core.to_vector().tobytes()
+            assert hashlib.sha256(vec).hexdigest() == params_digest, kind
+            assert hashlib.sha256(repr(trace).encode()).hexdigest() == trace_digest, kind
 
     def test_seed_changes_parameters(self):
         ds = separable_dataset()
@@ -355,6 +389,103 @@ class TestTraining:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(adam_beta1=1.0)
+
+
+def _blas_getter():
+    """OpenBLAS's thread-count getter, found like the setter in `metaclf`,
+    or None."""
+    core = getattr(np, "_core", None) or np.core  # numpy 2.x, else 1.x
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_",
+                 "scipy_openblas_get_num_threads"):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            return getter
+    return None
+
+
+@pytest.mark.skipif(metaclf._blas_setter() is None or _blas_getter() is None,
+                    reason="numpy's BLAS has no OpenBLAS thread-count setter or getter")
+class TestBlasPin:
+    """Training runs its BLAS calls on one thread and puts the previous
+    OpenBLAS thread count back, whatever happens in the loop."""
+
+    CFG = TrainConfig(epochs=3, batch_size=8, seed=2)
+
+    def test_one_thread_inside_and_count_restored(self, monkeypatch):
+        get = _blas_getter()
+        seen = []
+        backward = metaclf._backward
+
+        def spy(*args):
+            seen.append(get())
+            return backward(*args)
+
+        monkeypatch.setattr(metaclf, "_backward", spy)
+        before = get()
+        train("mlp", separable_dataset(), self.CFG, hidden_dims=(4,))
+        assert get() == before
+        assert seen and set(seen) == {1}
+
+    def test_count_restored_when_loop_raises(self, monkeypatch):
+        get = _blas_getter()
+        backward = metaclf._backward
+        calls = []
+
+        def fail_third(*args):
+            calls.append(get())
+            if len(calls) == 3:
+                raise RuntimeError("third step")
+            return backward(*args)
+
+        monkeypatch.setattr(metaclf, "_backward", fail_third)
+        before = get()
+        with pytest.raises(RuntimeError, match="third step"):
+            train("mlp", separable_dataset(), self.CFG, hidden_dims=(4,))
+        assert calls == [1, 1, 1]
+        assert get() == before
+
+    def test_noop_setter_gives_same_bits(self, monkeypatch):
+        ds = separable_dataset()
+        pinned = train("mlp", ds, self.CFG, hidden_dims=(6, 6))
+        monkeypatch.setattr(metaclf, "_blas_setter", lambda: None)
+        free = train("mlp", ds, self.CFG, hidden_dims=(6, 6))
+        np.testing.assert_array_equal(pinned[0].core.to_vector(),
+                                      free[0].core.to_vector())
+        assert pinned[1] == free[1]
+
+    def test_overlapping_trains_restore_count(self):
+        # The count is process-wide: with a plain save/restore per call, a
+        # train that starts while another is pinned saves 1 and can restore
+        # 1 last.  More threads than cores and a short switch interval make
+        # the calls overlap.
+        get = _blas_getter()
+        ds = separable_dataset()
+        expected = train("mlp", ds, self.CFG, hidden_dims=(4,))[0].core.to_vector()
+        before = get()
+        results = []
+
+        def work():
+            for _ in range(5):
+                results.append(train("mlp", ds, self.CFG, hidden_dims=(4,))[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 30
+        for meta in results:
+            np.testing.assert_array_equal(meta.core.to_vector(), expected)
+        assert get() == before
 
 
 class TestRemoveFalsePositives:
