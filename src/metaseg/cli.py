@@ -217,8 +217,8 @@ def _cmd_score(cfg: RunConfig) -> None:
     print(f"wrote {len(paths)} score maps to {out_dir}")
 
 
-def _load_samples(cfg: RunConfig) -> raster.SampleSet:
-    return raster.load_samples(
+def _iter_samples(cfg: RunConfig):
+    return raster.iter_samples(
         cfg.options["in_dir"],
         ood_label=cfg.options.get("ood_label", raster.OOD_LABEL),
         ignore_label=cfg.options.get("ignore_label", raster.IGNORE_LABEL),
@@ -226,36 +226,38 @@ def _load_samples(cfg: RunConfig) -> raster.SampleSet:
 
 
 def _cmd_segments(cfg: RunConfig) -> None:
-    samples = _load_samples(cfg)
     tcfg = segments.ThresholdConfig(cfg.options["t"])
-    lines = [
-        "group_id,component_id,size,size_interior,size_boundary,"
-        "bbox_rmin,bbox_rmax,bbox_cmin,bbox_cmax,is_false_positive"
-    ]
-    total = 0
-    for sample in samples:
+
+    # One sample per call; `map` keeps no sample alive while the next loads.
+    def sample_lines(sample: raster.Sample) -> list:
         smap = scoring.anomaly_score_map(sample.pmap)
         comps = segments.extract_labeled_components(
             smap, sample.mask, tcfg,
             min_size=cfg.options["min_size"], source_sample=sample.id,
         )
+        out = []
         for comp in comps:
             rmin, rmax, cmin, cmax = comp.bbox
-            lines.append(
+            out.append(
                 f"{sample.id},{comp.id},{comp.size},{comp.interior_size},"
                 f"{comp.boundary_size},{rmin},{rmax},{cmin},{cmax},"
                 f"{int(comp.is_false_positive)}"
             )
-        total += len(comps)
+        return out
+
+    lines = [
+        "group_id,component_id,size,size_interior,size_boundary,"
+        "bbox_rmin,bbox_rmax,bbox_cmin,bbox_cmax,is_false_positive"
+    ]
+    for part in map(sample_lines, _iter_samples(cfg)):
+        lines.extend(part)
     raster.atomic_write_text(cfg.options["out_csv"], "\n".join(lines) + "\n")
-    print(f"wrote {total} components to {cfg.options['out_csv']}")
+    print(f"wrote {len(lines) - 1} components to {cfg.options['out_csv']}")
 
 
 def _cmd_metrics(cfg: RunConfig) -> None:
-    samples = _load_samples(cfg)
-    registry = features.MetricRegistry.standard(samples[0].pmap.num_classes)
     dataset = features.build_metrics_dataset(
-        samples, segments.ThresholdConfig(cfg.options["t"]), registry
+        _iter_samples(cfg), segments.ThresholdConfig(cfg.options["t"])
     )
     features.save_metrics_csv(dataset, cfg.options["out_csv"])
     print(

@@ -44,9 +44,9 @@ from pathlib import Path
 import numpy as np
 
 from .raster import (
-    LabelMask, ProbabilityMap, SampleSet, ScoreMap, _frozen, atomic_write_text,
+    LabelMask, ProbabilityMap, ScoreMap, _frozen, atomic_write_text,
 )
-from .scoring import anomaly_score_map, margin_map, variation_ratio_map
+from .scoring import _top_two_fields, anomaly_score_map
 from .segments import (
     ComponentRecord,
     LabelImage,
@@ -245,11 +245,12 @@ def standardize(dataset: MetricsDataset):
 def _sample_fields(pmap: ProbabilityMap, score: ScoreMap, threshold: float) -> dict:
     if (pmap.height, pmap.width) != (score.height, score.width):
         raise ValueError("probability map and score map dims differ")
+    maxprob, margin = _top_two_fields(pmap.values)
     return {
         "ent": score.scores,
-        "vr": variation_ratio_map(pmap),
-        "margin": margin_map(pmap),
-        "maxprob": pmap.values.max(axis=-1),
+        "vr": 1.0 - maxprob,
+        "margin": margin,
+        "maxprob": maxprob,
         "probs": pmap.values,
         "dims": (pmap.height, pmap.width),
         "threshold": float(threshold),
@@ -391,19 +392,29 @@ def extract_metrics(
 
 
 def build_metrics_dataset(
-    samples: SampleSet,
+    samples,
     cfg: ThresholdConfig,
-    registry: MetricRegistry,
+    registry: MetricRegistry | None = None,
     min_size: int = 1,
 ) -> MetricsDataset:
     """Score, threshold, segment, and label every sample, emitting one
     metric row per component.
 
-    Rows follow the sample order of the set, then component id within a
+    `samples` is any iterable of samples, such as a `SampleSet` or
+    `raster.iter_samples`; each is dropped before the next is drawn, so
+    a streamed input holds one probability map at a time.  Without a
+    `registry`, the standard one for the first sample's class count is
+    used.  Rows follow the sample order, then component id within a
     sample.
     """
-    rows, labels, groups = [], [], []
-    for sample in samples:
+
+    # The work on one sample happens in this function so that none of
+    # its locals outlives the sample, and `map` (unlike a for loop) holds
+    # no reference to it while the next one loads.
+    def sample_rows(sample):
+        nonlocal registry
+        if registry is None:
+            registry = MetricRegistry.standard(sample.pmap.num_classes)
         if registry.num_classes != sample.pmap.num_classes:
             raise ValueError(
                 f"sample {sample.id!r} has C={sample.pmap.num_classes}, "
@@ -414,15 +425,19 @@ def build_metrics_dataset(
             score, sample.mask, cfg, min_size=min_size, source_sample=sample.id
         )
         if not comps:
-            continue
+            return None
         image = comps[0].image
-        rows.append(_image_rows(image, _sample_fields(sample.pmap, score, cfg.t)))
-        labels.append(image.is_false_positive)
-        groups.extend([sample.id] * image.count)
+        rows = _image_rows(image, _sample_fields(sample.pmap, score, cfg.t))
+        return rows, image.is_false_positive, (sample.id,) * image.count
+
+    parts = [part for part in map(sample_rows, samples) if part is not None]
+    if registry is None:
+        raise ValueError("no samples to take the class count from")
+    rows, labels, groups = zip(*parts) if parts else ((), (), ())
     return MetricsDataset(
         rows=np.concatenate(rows) if rows else np.zeros((0, registry.total)),
         labels=np.concatenate(labels) if labels else np.zeros(0, dtype=bool),
-        group_ids=tuple(groups),
+        group_ids=tuple(g for ids in groups for g in ids),
         registry=registry,
     )
 
@@ -454,6 +469,16 @@ def save_metrics_csv(dataset: MetricsDataset, path) -> None:
     atomic_write_text(path, "".join(lines))
 
 
+def _csv_records(fh, path):
+    """The records of a CSV file; a record the csv module cannot split
+    raises ValueError naming the file and line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def load_metrics_csv(path) -> MetricsDataset:
     """Read a dataset written by `save_metrics_csv`.
 
@@ -461,7 +486,7 @@ def load_metrics_csv(path) -> MetricsDataset:
     when the names match one, otherwise a custom registry.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(fh, path)
         try:
             header = next(reader)
         except StopIteration:

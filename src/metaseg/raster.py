@@ -405,31 +405,50 @@ def save_samples(samples: SampleSet, out_dir) -> None:
         save_mask(s.mask, out / f"{s.id}.pgm")
 
 
+def _load_pair(rast: Path, ood_label: int, ignore_label: int) -> Sample:
+    pgm = rast.with_suffix(".pgm")
+    if not pgm.exists():
+        raise RasterFormatError(f"{rast}: no matching mask {pgm.name}")
+    pmap = load_probability_map(rast)
+    mask = load_mask(
+        pgm, ood_label=ood_label, ignore_label=ignore_label,
+        num_classes=pmap.num_classes,
+    )
+    return Sample(rast.stem, pmap, mask)
+
+
+def iter_samples(
+    in_dir,
+    ood_label: int = OOD_LABEL,
+    ignore_label: int = IGNORE_LABEL,
+):
+    """Load every `<id>.rast` + `<id>.pgm` pair under a directory, one at
+    a time, in id order; `.score.rast` files are ignored.
+
+    The iterator keeps no reference to a sample it has yielded, so a
+    consumer that drops each sample before asking for the next holds one
+    probability map at a time.  Errors surface when the iterator reaches
+    the offending pair, or at the end when the directory has none.
+    """
+    root = Path(in_dir)
+    if not root.is_dir():
+        raise FileNotFoundError(f"{root} is not a directory")
+    found = False
+    for rast in sorted(root.glob("*.rast")):
+        if rast.name.endswith(".score.rast"):
+            continue
+        found = True
+        # Yielded straight from the call: no local of this frame keeps the
+        # sample while the consumer works on it or the next one loads.
+        yield _load_pair(rast, ood_label, ignore_label)
+    if not found:
+        raise RasterFormatError(f"{root}: no sample pairs found")
+
+
 def load_samples(
     in_dir,
     ood_label: int = OOD_LABEL,
     ignore_label: int = IGNORE_LABEL,
 ) -> SampleSet:
-    """Load every `<id>.rast` + `<id>.pgm` pair under a directory.
-
-    Entries are ordered by id; `.score.rast` files are ignored.
-    """
-    root = Path(in_dir)
-    if not root.is_dir():
-        raise FileNotFoundError(f"{root} is not a directory")
-    out = []
-    for rast in sorted(root.glob("*.rast")):
-        if rast.name.endswith(".score.rast"):
-            continue
-        pgm = rast.with_suffix(".pgm")
-        if not pgm.exists():
-            raise RasterFormatError(f"{rast}: no matching mask {pgm.name}")
-        pmap = load_probability_map(rast)
-        mask = load_mask(
-            pgm, ood_label=ood_label, ignore_label=ignore_label,
-            num_classes=pmap.num_classes,
-        )
-        out.append(Sample(rast.stem, pmap, mask))
-    if not out:
-        raise RasterFormatError(f"{root}: no sample pairs found")
-    return SampleSet(tuple(out))
+    """Every sample of `iter_samples`, loaded at once into a `SampleSet`."""
+    return SampleSet(tuple(iter_samples(in_dir, ood_label, ignore_label)))

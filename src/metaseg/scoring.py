@@ -9,6 +9,12 @@ lambda-weighted combination.
 
 Every logarithm clamps its argument at EPS = 1e-12 first, so one-hot
 inputs stay finite and golden values are reproducible bit-for-bit.
+
+The per-pixel fields (entropy, max probability, margin) walk the map in
+blocks of `_BLOCK_PIXELS` pixels, so their temporaries stay a fixed size
+however large the map is.  Each pixel's reduction over the classes is
+the same as on the whole array, so the fields are bit-identical to the
+whole-array expressions.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ import numpy as np
 from .raster import PROB_SUM_TOL, LabelMask, ProbabilityMap, SampleSet, ScoreMap
 
 EPS = 1e-12
+# Pixels per block of the per-pixel kernels: 4096 x C float64 values,
+# 608 KiB at C = 19.
+_BLOCK_PIXELS = 4096
 
 
 @dataclass(frozen=True)
@@ -32,9 +41,39 @@ class LossBreakdown:
     lam: float
 
 
+def _pixel_blocks(values: np.ndarray, *fields: np.ndarray):
+    """Blocks of `values` (... x C) as (N x C) pixel rows, each with the
+    matching slices of the flattened per-pixel `fields` (shape ...)."""
+    flat = values.reshape(-1, values.shape[-1])
+    outs = [f.reshape(-1) for f in fields]
+    for lo in range(0, flat.shape[0], _BLOCK_PIXELS):
+        hi = lo + _BLOCK_PIXELS
+        yield flat[lo:hi], *(out[lo:hi] for out in outs)
+
+
 def _entropy_field(values: np.ndarray) -> np.ndarray:
-    """Per-pixel entropy in nats for an H x W x C probability array."""
-    return -np.sum(values * np.log(np.maximum(values, EPS)), axis=-1)
+    """Per-pixel entropy in nats for an H x W x C probability array
+    (`-sum(p * log(max(p, EPS)))` over the last axis)."""
+    ent = np.empty(values.shape[:-1])
+    for block, out in _pixel_blocks(values, ent):
+        terms = np.maximum(block, EPS)
+        np.log(terms, out=terms)
+        terms *= block
+        np.sum(terms, axis=-1, out=out)
+    return np.negative(ent, out=ent)
+
+
+def _top_two_fields(values: np.ndarray) -> tuple:
+    """Per-pixel largest class probability and its margin over the second
+    largest, in one pass, for an H x W x C probability array."""
+    top = np.empty(values.shape[:-1])
+    margin = np.empty(values.shape[:-1])
+    for block, top_out, margin_out in _pixel_blocks(values, top, margin):
+        # Partition keeps the top two values in the last two slots.
+        part = np.partition(block, block.shape[-1] - 2, axis=-1)
+        top_out[:] = part[:, -1]
+        np.subtract(part[:, -1], part[:, -2], out=margin_out)
+    return top, margin
 
 
 def pixel_entropy(probs) -> float:
@@ -60,8 +99,9 @@ def entropy_map(pmap: ProbabilityMap) -> np.ndarray:
 
 def anomaly_score_map(pmap: ProbabilityMap) -> ScoreMap:
     """Normalized-entropy anomaly scores: entropy / ln(C), clamped to [0, 1]."""
-    scores = entropy_map(pmap) / np.log(pmap.num_classes)
-    return ScoreMap(np.clip(scores, 0.0, 1.0))
+    scores = entropy_map(pmap)
+    scores /= np.log(pmap.num_classes)
+    return ScoreMap(np.clip(scores, 0.0, 1.0, out=scores))
 
 
 def variation_ratio_map(pmap: ProbabilityMap) -> np.ndarray:
@@ -71,9 +111,7 @@ def variation_ratio_map(pmap: ProbabilityMap) -> np.ndarray:
 
 def margin_map(pmap: ProbabilityMap) -> np.ndarray:
     """H x W array of the gap between the two largest class probabilities."""
-    # Partition keeps the top two values in the last two slots.
-    part = np.partition(pmap.values, pmap.num_classes - 2, axis=-1)
-    return part[..., -1] - part[..., -2]
+    return _top_two_fields(pmap.values)[1]
 
 
 def _check_dims(pmap: ProbabilityMap, mask: LabelMask) -> None:

@@ -6,8 +6,10 @@ synthetic scene directory and a hand-made, linearly separable metrics
 CSV so training subcommands have a known-good answer.
 """
 
+import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +274,59 @@ class TestMetrics:
         assert cli.run(["metrics", "--in", str(scene_dir), "--out", str(a)]) == 0
         assert cli.run(["metrics", "--in", str(scene_dir), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestStreamedSamples:
+    """segments and metrics read one sample at a time."""
+
+    @pytest.mark.parametrize("command", ["segments", "metrics"])
+    def test_one_map_alive_at_each_load(self, command, scene_dir, tmp_path,
+                                        monkeypatch):
+        refs, alive = [], []
+        load = raster.load_probability_map
+
+        def watched(path):
+            alive.append(sum(ref() is not None for ref in refs))
+            pmap = load(path)
+            refs.append(weakref.ref(pmap.values))
+            return pmap
+
+        monkeypatch.setattr(raster, "load_probability_map", watched)
+        out = tmp_path / "out.csv"
+        assert cli.run([command, "--in", str(scene_dir), "--out", str(out)]) == 0
+        assert alive == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("command", ["segments", "metrics"])
+    def test_empty_directory(self, command, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        out = tmp_path / "out.csv"
+        args = [command, "--in", str(tmp_path / "empty"), "--out", str(out)]
+        assert cli.run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("metaseg: error:") and "no sample pairs" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["segments", "metrics"])
+    @pytest.mark.parametrize("fault", ["truncated_rast", "missing_pgm"])
+    def test_error_in_second_sample(self, command, fault, scene_dir, tmp_path,
+                                    capsys):
+        d = tmp_path / "scenes"
+        shutil.copytree(scene_dir, d)
+        second = sorted(p for p in d.glob("*.rast")
+                        if not p.name.endswith(".score.rast"))[1]
+        if fault == "truncated_rast":
+            second.write_bytes(second.read_bytes()[:-5])
+            named = second.name
+        else:
+            second.with_suffix(".pgm").unlink()
+            named = second.with_suffix(".pgm").name
+        out = tmp_path / "out" / "result.csv"
+        out.parent.mkdir()
+        assert cli.run([command, "--in", str(d), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("metaseg: error:")
+        assert named in err
+        assert list(out.parent.iterdir()) == []
 
 
 class TestTrainEval:

@@ -7,22 +7,30 @@ values.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from metaseg import raster, scoring
 from metaseg.features import (
     MetricRegistry,
     MetricsDataset,
     StandardizationStats,
+    _sample_fields,
     build_metrics_dataset,
     extract_metrics,
     load_metrics_csv,
     save_metrics_csv,
     standardize,
 )
-from metaseg.raster import OOD_LABEL, LabelMask, ProbabilityMap, Sample, SampleSet
-from metaseg.scoring import anomaly_score_map, margin_map, variation_ratio_map
+from metaseg.raster import (
+    OOD_LABEL, LabelMask, ProbabilityMap, Sample, SampleSet, iter_samples,
+    load_samples, save_samples,
+)
+from metaseg.scoring import anomaly_score_map
 from metaseg.segments import (
     ComponentRecord,
     ThresholdConfig,
@@ -49,11 +57,18 @@ def block_component(rmin, rmax, cmin, cmax, dims):
     return comps[0]
 
 
+def whole_array_margin(values):
+    part = np.partition(values, values.shape[-1] - 2, axis=-1)
+    return part[..., -1] - part[..., -2]
+
+
 def reference_fields(pmap, score, threshold):
+    """The per-pixel fields as the whole-array expressions that the
+    block-wise kernels replace."""
     return {
         "ent": score.scores,
-        "vr": variation_ratio_map(pmap),
-        "margin": margin_map(pmap),
+        "vr": 1.0 - pmap.values.max(axis=-1),
+        "margin": whole_array_margin(pmap.values),
         "maxprob": pmap.values.max(axis=-1),
         "probs": pmap.values,
         "dims": (pmap.height, pmap.width),
@@ -236,6 +251,30 @@ class TestMatchesReferenceRow:
         assert np.array_equal(got, reference_row(comp, reference_fields(
             sample.pmap, score, 0.7)))
         assert dict(zip(reg.names, got))["nb_hot_frac"] == 1.0
+
+
+class TestSampleFields:
+    """`_sample_fields` against the whole-array expressions, bit for bit,
+    on maps wider than one kernel block whose last block is partial."""
+
+    @pytest.mark.parametrize("c", [2, 19])
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_fields_match_whole_array(self, c, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(scoring, "_BLOCK_PIXELS", block)
+        h, w = 2, scoring._BLOCK_PIXELS + 3
+        rng = np.random.default_rng(c)
+        raw = rng.random((h, w, c)) ** 4 + 1e-9
+        raw[0, : w // 3] = 0.0
+        raw[0, : w // 3, c - 1] = 1.0
+        raw[1, : w // 3] = 1.0 + 1e-6 * rng.standard_normal((w // 3, c))
+        pmap = ProbabilityMap(raw / raw.sum(axis=2, keepdims=True))
+        score = anomaly_score_map(pmap)
+        got = _sample_fields(pmap, score, 0.7)
+        want = reference_fields(pmap, score, 0.7)
+        for name in ("ent", "vr", "margin", "maxprob", "probs"):
+            assert got[name].tobytes() == want[name].tobytes(), name
+        assert got["dims"] == want["dims"] and got["threshold"] == 0.7
 
 
 class TestNeighborHotFraction:
@@ -551,6 +590,45 @@ class TestBuildDataset:
         assert ds.rows.shape == (0, 75 - 2 * (19 - 5))
 
 
+class TestStreamedBuild:
+    """`build_metrics_dataset` fed one sample at a time from a directory."""
+
+    def watch_loads(self, monkeypatch):
+        """Count, at every map load, the earlier maps still alive."""
+        refs, alive = [], []
+        load = raster.load_probability_map
+
+        def watched(path):
+            alive.append(sum(ref() is not None for ref in refs))
+            pmap = load(path)
+            refs.append(weakref.ref(pmap.values))
+            return pmap
+
+        monkeypatch.setattr(raster, "load_probability_map", watched)
+        return refs, alive
+
+    def test_holds_one_map_at_a_time(self, tmp_path, monkeypatch):
+        save_samples(small_scene_set(), tmp_path)
+        cfg = ThresholdConfig(0.7)
+        want = build_metrics_dataset(load_samples(tmp_path), cfg,
+                                     MetricRegistry.standard(5))
+        refs, alive = self.watch_loads(monkeypatch)
+        got = build_metrics_dataset(iter_samples(tmp_path), cfg)
+        assert alive == [0, 0, 0, 0]
+        assert all(ref() is None for ref in refs)
+        assert len(got) > 0 and got.registry == want.registry
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+        assert got.group_ids == want.group_ids
+
+    def test_empty_stream_needs_a_registry(self):
+        with pytest.raises(ValueError, match="no samples"):
+            build_metrics_dataset(iter(()), ThresholdConfig(0.7))
+        ds = build_metrics_dataset(iter(()), ThresholdConfig(0.7),
+                                   MetricRegistry.standard(5))
+        assert ds.rows.shape == (0, 47)
+
+
 class TestMetricsCsv:
     def test_round_trip_standard_registry(self, tmp_path):
         samples = small_scene_set()
@@ -623,3 +701,28 @@ class TestMetricsCsv:
         bad.write_text("m0,m1,label,group_id\n1.0,abc,0,g\n")
         with pytest.raises(ValueError, match="bad.csv:2: .*'abc'"):
             load_metrics_csv(bad)
+
+    def test_oversized_field_names_file_and_line(self, tmp_path):
+        bad = tmp_path / "big.csv"
+        bad.write_text("m0,label,group_id\n1.0,0,g\n" + "9" * 200_000 + ",0,g\n")
+        with pytest.raises(ValueError, match="big.csv:3: field larger"):
+            load_metrics_csv(bad)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.one_of(
+        st.binary(max_size=80),
+        st.tuples(
+            st.sampled_from([b"m0,m1,label,group_id\n", b"m0,m0,label,group_id\n",
+                             b"label,group_id\n", b"m0,label,group_id\r\n"]),
+            st.lists(st.sampled_from([b"1", b"0", b"nan", b"1e400", b'"', b"x"])
+                     | st.binary(max_size=6), max_size=12).map(b",".join),
+        ).map(b"".join),
+    ))
+    def test_arbitrary_bytes_raise_only_value_errors(self, tmp_path, data):
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        try:
+            load_metrics_csv(path)
+        except ValueError:
+            pass

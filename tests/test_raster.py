@@ -361,6 +361,70 @@ class TestPgmMasks:
             load_mask(path)
 
 
+def rast_bytes_strategy():
+    """Arbitrary bytes, and RAST headers of small dimensions followed by
+    arbitrary payloads, some of them of the declared size."""
+    header = st.builds(
+        lambda h, w, c: MAGIC + struct.pack("<III", h, w, c),
+        st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+    )
+    exact = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda d: st.binary(min_size=4 * d[0] * d[1] * d[2],
+                            max_size=4 * d[0] * d[1] * d[2]).map(
+            lambda payload: MAGIC + struct.pack("<III", *d) + payload)
+    )
+    return st.one_of(
+        st.binary(max_size=64),
+        st.tuples(header, st.binary(max_size=48)).map(b"".join),
+        exact,
+    )
+
+
+def pgm_bytes_strategy():
+    """Arbitrary bytes, and P5 headers (possibly malformed) followed by
+    arbitrary payloads."""
+    token = st.one_of(
+        st.integers(-2, 300).map(lambda n: str(n).encode()),
+        st.binary(min_size=1, max_size=4),
+    )
+    sep = st.sampled_from([b" ", b"\n", b"\t", b"\n# note\n", b""])
+    header = st.tuples(
+        st.sampled_from([b"P5", b"P2", b"P"]), sep, token, sep, token, sep,
+        token, sep,
+    ).map(b"".join)
+    return st.one_of(
+        st.binary(max_size=64),
+        st.tuples(header, st.binary(max_size=32)).map(b"".join),
+    )
+
+
+class TestParserFuzz:
+    """Any bytes either parse or raise a ValueError subclass."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=rast_bytes_strategy())
+    def test_rast_parsers(self, tmp_path, data):
+        path = tmp_path / "f.rast"
+        path.write_bytes(data)
+        for load in (load_probability_map, load_score_map):
+            try:
+                load(path)
+            except ValueError:
+                pass
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=pgm_bytes_strategy(), num_classes=st.sampled_from([None, 19]))
+    def test_pgm_parser(self, tmp_path, data, num_classes):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(data)
+        try:
+            load_mask(path, num_classes=num_classes)
+        except ValueError:
+            pass
+
+
 class TestSampleDirectories:
     def build_set(self, rng, n=3):
         out = []

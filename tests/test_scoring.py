@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaseg import scoring
 from metaseg.raster import (
     IGNORE_LABEL,
     OOD_LABEL,
@@ -157,6 +158,71 @@ class TestVariationRatioAndMargin:
         vec[0] = 1.0
         assert variation_ratio_map(pmap_of(vec))[0, 0] == 0.0
         assert margin_map(pmap_of(vec))[0, 0] == 1.0
+
+
+def whole_array_entropy(values):
+    """The per-pixel entropy as one whole-array expression (the oracle)."""
+    return -np.sum(values * np.log(np.maximum(values, scoring.EPS)), axis=-1)
+
+
+def whole_array_margin(values):
+    part = np.partition(values, values.shape[-1] - 2, axis=-1)
+    return part[..., -1] - part[..., -2]
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr, dtype=np.float64).tobytes()
+
+
+def mixed_pmap(rng, h, w, c):
+    """Random pixels plus one-hot and near-uniform ones, in rows that
+    straddle block edges."""
+    raw = rng.random((h, w, c)) ** 4 + 1e-9
+    raw /= raw.sum(axis=2, keepdims=True)
+    flat = raw.reshape(-1, c)
+    n = flat.shape[0]
+    hot = rng.choice(n, size=n // 7, replace=False)
+    flat[hot] = 0.0
+    flat[hot, rng.integers(0, c, size=hot.size)] = 1.0
+    near = rng.choice(n, size=n // 7, replace=False)
+    jitter = 1.0 + 1e-6 * rng.standard_normal((near.size, c))
+    flat[near] = jitter / jitter.sum(axis=1, keepdims=True)
+    flat[-1] = 1.0 / c
+    return ProbabilityMap(raw)
+
+
+class TestBlockKernels:
+    """The block-wise kernels against the whole-array expressions they
+    replace, bit for bit, on maps wider than one block whose last block
+    is partial."""
+
+    @pytest.mark.parametrize("c", [2, 19])
+    @pytest.mark.parametrize("shape", [(1, 4097), (3, 5000), (2, 2049)])
+    @pytest.mark.parametrize("block", [None, 7, 64])
+    def test_fields_match_whole_array(self, c, shape, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(scoring, "_BLOCK_PIXELS", block)
+        pixels = shape[0] * shape[1]
+        assert pixels > scoring._BLOCK_PIXELS
+        assert pixels % scoring._BLOCK_PIXELS
+        rng = np.random.default_rng(c * 1000 + shape[1])
+        pm = mixed_pmap(rng, *shape, c)
+        v = pm.values
+        ent = whole_array_entropy(v)
+        assert bits(entropy_map(pm)) == bits(ent)
+        scores = np.clip(ent / np.log(c), 0.0, 1.0)
+        assert bits(anomaly_score_map(pm).scores) == bits(scores)
+        assert bits(variation_ratio_map(pm)) == bits(1.0 - v.max(axis=-1))
+        assert bits(margin_map(pm)) == bits(whole_array_margin(v))
+        top, margin = scoring._top_two_fields(v)
+        assert bits(top) == bits(v.max(axis=-1))
+        assert bits(margin) == bits(whole_array_margin(v))
+
+    @pytest.mark.parametrize("c", [2, 19])
+    def test_single_vector_matches_whole_array(self, c):
+        rng = np.random.default_rng(c)
+        for vec in mixed_pmap(rng, 4, 5, c).values.reshape(-1, c):
+            assert pixel_entropy(vec) == float(whole_array_entropy(vec))
 
 
 class TestLossIn:
