@@ -14,7 +14,6 @@ variable METASEG_THREADS caps the worker pool used for per-file work.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -235,24 +234,22 @@ def _cmd_segments(cfg: RunConfig) -> None:
             smap, sample.mask, tcfg,
             min_size=cfg.options["min_size"], source_sample=sample.id,
         )
-        out = []
-        for comp in comps:
-            rmin, rmax, cmin, cmax = comp.bbox
-            out.append(
-                f"{sample.id},{comp.id},{comp.size},{comp.interior_size},"
-                f"{comp.boundary_size},{rmin},{rmax},{cmin},{cmax},"
-                f"{int(comp.is_false_positive)}"
-            )
-        return out
+        return [
+            [sample.id] + [str(int(v)) for v in (
+                comp.id, comp.size, comp.interior_size, comp.boundary_size,
+                *comp.bbox, comp.is_false_positive,
+            )]
+            for comp in comps
+        ]
 
-    lines = [
-        "group_id,component_id,size,size_interior,size_boundary,"
-        "bbox_rmin,bbox_rmax,bbox_cmin,bbox_cmax,is_false_positive"
-    ]
+    records = [[
+        "group_id", "component_id", "size", "size_interior", "size_boundary",
+        "bbox_rmin", "bbox_rmax", "bbox_cmin", "bbox_cmax", "is_false_positive",
+    ]]
     for part in map(sample_lines, _iter_samples(cfg)):
-        lines.extend(part)
-    raster.atomic_write_text(cfg.options["out_csv"], "\n".join(lines) + "\n")
-    print(f"wrote {len(lines) - 1} components to {cfg.options['out_csv']}")
+        records.extend(part)
+    raster.atomic_write_text(cfg.options["out_csv"], raster.csv_text(records))
+    print(f"wrote {len(records) - 1} components to {cfg.options['out_csv']}")
 
 
 def _cmd_metrics(cfg: RunConfig) -> None:
@@ -316,24 +313,26 @@ def _cmd_loo(cfg: RunConfig) -> None:
     scores = analysis.loo_scores(cfg.options["kind"], dataset, cfg.train_config())
     report = analysis.evaluate_scores(scores, dataset.labels)
     if cfg.options.get("scores_csv"):
-        lines = ["row,group_id,label,score"]
-        for i, (g, y, s) in enumerate(
-            zip(dataset.group_ids, dataset.labels, scores)
-        ):
-            lines.append(f"{i},{g},{int(y)},{s:.9g}")
-        raster.atomic_write_text(cfg.options["scores_csv"], "\n".join(lines) + "\n")
+        records = [["row", "group_id", "label", "score"]] + [
+            [str(i), g, str(int(y)), f"{s:.9g}"]
+            for i, (g, y, s) in enumerate(
+                zip(dataset.group_ids, dataset.labels, scores)
+            )
+        ]
+        raster.atomic_write_text(cfg.options["scores_csv"], raster.csv_text(records))
     _report_and_print(report, cfg.options["out_csv"])
 
 
 def _cmd_lars(cfg: RunConfig) -> None:
     dataset = features.load_metrics_csv(cfg.options["mu"])
     ordering = analysis.lars_order(dataset)
-    lines = ["step,metric_index,metric_name,entry_correlation"]
-    for step, (idx, corr) in enumerate(
-        zip(ordering.ordered_metric_indices, ordering.entry_correlations)
-    ):
-        lines.append(f"{step},{idx},{dataset.registry.names[idx]},{corr:.9g}")
-    raster.atomic_write_text(cfg.options["out_csv"], "\n".join(lines) + "\n")
+    records = [["step", "metric_index", "metric_name", "entry_correlation"]] + [
+        [str(step), str(idx), dataset.registry.names[idx], f"{corr:.9g}"]
+        for step, (idx, corr) in enumerate(
+            zip(ordering.ordered_metric_indices, ordering.entry_correlations)
+        )
+    ]
+    raster.atomic_write_text(cfg.options["out_csv"], raster.csv_text(records))
     print(f"wrote ordering of {dataset.num_metrics} metrics to {cfg.options['out_csv']}")
 
 
@@ -381,12 +380,11 @@ def _cmd_filter_proxy(cfg: RunConfig) -> None:
         bucket[i] = "high"
     for i in rest_ix:
         bucket[i] = "rest"
-    lines = ["id,ood_fraction,bucket"]
-    for i, path in enumerate(paths):
-        lines.append(
-            f"{path.stem},{analysis.ood_fraction(masks[i]):.9g},{bucket[i]}"
-        )
-    raster.atomic_write_text(cfg.options["out_csv"], "\n".join(lines) + "\n")
+    records = [["id", "ood_fraction", "bucket"]] + [
+        [path.stem, f"{analysis.ood_fraction(masks[i]):.9g}", bucket[i]]
+        for i, path in enumerate(paths)
+    ]
+    raster.atomic_write_text(cfg.options["out_csv"], raster.csv_text(records))
     print(
         f"split {len(paths)} masks: {len(low_ix)} low / {len(high_ix)} high / "
         f"{len(rest_ix)} rest"

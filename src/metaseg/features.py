@@ -38,13 +38,15 @@ loops only over the distinct component sizes.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .raster import (
-    LabelMask, ProbabilityMap, ScoreMap, _frozen, atomic_write_text,
+    LabelMask, ProbabilityMap, ScoreMap, _frozen, atomic_write_text, csv_field,
+    csv_text,
 )
 from .scoring import _top_two_fields, anomaly_score_map
 from .segments import (
@@ -447,25 +449,16 @@ def build_metrics_dataset(
 # ---------------------------------------------------------------------------
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def save_metrics_csv(dataset: MetricsDataset, path) -> None:
     """Write the dataset as CSV: metric columns, then label, then
     group_id; floats at 9 significant digits."""
-    lines = []
-
-    class _Sink:
-        def write(self, text):
-            lines.append(text)
-
-    writer = csv.writer(_Sink(), lineterminator="\n")
-    writer.writerow(list(dataset.registry.names) + ["label", "group_id"])
-    for row, label, group in zip(dataset.rows, dataset.labels, dataset.group_ids):
-        writer.writerow(
-            [_format_float(v) for v in row] + [str(int(label)), group]
-        )
+    # One %-template formats a whole row.
+    template = ",".join(["%.9g"] * dataset.num_metrics) + ",%d,%s\n"
+    lines = [csv_text([list(dataset.registry.names) + ["label", "group_id"]])]
+    for row, label, group in zip(
+        dataset.rows.tolist(), dataset.labels.tolist(), dataset.group_ids
+    ):
+        lines.append(template % (*row, label, csv_field(group)))
     atomic_write_text(path, "".join(lines))
 
 
@@ -479,16 +472,38 @@ def _csv_records(fh, path):
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
+def _raise_first_bad_record(path, n: int) -> None:
+    """Re-read the body of a metrics CSV with `n` metric columns record
+    by record and raise the first fault as `path:line`; return if every
+    record reads."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = _csv_records(fh, path)
+        next(records)
+        for lineno, rec in enumerate(records, start=2):
+            if not rec:
+                continue
+            if len(rec) != n + 2:
+                raise ValueError(f"{path}:{lineno}: expected {n + 2} fields")
+            try:
+                for field in rec[:n]:
+                    float(field)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if rec[n] not in ("0", "1"):
+                raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {rec[n]!r}")
+
+
 def load_metrics_csv(path) -> MetricsDataset:
     """Read a dataset written by `save_metrics_csv`.
 
     The registry is reconstructed from the header: the standard layout
-    when the names match one, otherwise a custom registry.
+    when the names match one, otherwise a custom registry.  The body is
+    parsed in one `np.loadtxt` pass; a file it rejects is re-read record
+    by record only to name the faulty line.
     """
-    with open(path, newline="") as fh:
-        reader = _csv_records(fh, path)
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
-            header = next(reader)
+            header = next(_csv_records(fh, path))
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
         if len(header) < 3 or header[-2:] != ["label", "group_id"]:
@@ -501,24 +516,27 @@ def load_metrics_csv(path) -> MetricsDataset:
             std = MetricRegistry.standard(c)
             if std.names == tuple(names):
                 registry = std
-        rows, labels, groups = [], [], []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != n + 2:
-                raise ValueError(f"{path}:{lineno}: expected {n + 2} fields")
-            try:
-                rows.append(np.fromiter(map(float, rec[:n]), dtype=np.float64, count=n))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if rec[n] not in ("0", "1"):
-                raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {rec[n]!r}")
-            labels.append(rec[n] == "1")
-            groups.append(rec[n + 1])
-    # Lists, so that the dataset's arrays are its own without a copy.
-    return MetricsDataset(
-        rows=rows,
-        labels=labels,
-        group_ids=tuple(groups),
-        registry=registry,
-    )
+        body = np.dtype([("x", np.float64, (n,)), ("label", object), ("group", object)])
+        try:
+            with warnings.catch_warnings():
+                # A header-only file is an empty dataset, not a fault.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                # comments=None: a '#' in a group id is data.
+                table = np.loadtxt(
+                    fh, dtype=body, delimiter=",", quotechar='"', comments=None,
+                    encoding="utf-8", ndmin=1,
+                )
+            labels = table["label"]
+            ones = labels == "1"
+            if not (ones | (labels == "0")).all():
+                raise ValueError("label must be 0 or 1")
+            return MetricsDataset(
+                rows=table["x"],
+                labels=ones,
+                group_ids=table["group"].tolist(),
+                registry=registry,
+            )
+        except ValueError as exc:
+            fault = exc
+    _raise_first_bad_record(path, n)
+    raise ValueError(f"{path}: {fault}")

@@ -78,7 +78,10 @@ class ProbabilityMap:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
+        # A float32 signalling NaN warns in the cast; the finiteness
+        # check below rejects it.
+        with np.errstate(invalid="ignore"):
+            arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 3:
             raise ValueError(f"probability map must be 3-d, got shape {arr.shape}")
         h, w, c = arr.shape
@@ -158,7 +161,8 @@ class ScoreMap:
     scores: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.scores, dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # as in ProbabilityMap
+            arr = np.asarray(self.scores, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"score map must be 2-d and nonempty, got {arr.shape}")
         if not np.isfinite(arr).all():
@@ -272,6 +276,22 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def csv_field(text: str) -> str:
+    """`text` as one CSV field, quoted when it holds a comma, a quote or
+    a line break (`csv.writer`'s minimal quoting as of Python 3.13;
+    earlier versions leave a lone carriage return unquoted, which a
+    reader takes for the end of the record)."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_text(records) -> str:
+    """CSV text of `records` (sequences of two or more strings) as every
+    CSV of the pipeline writes it: minimal quoting, "\n" line ends."""
+    return "".join(",".join(map(csv_field, rec)) + "\n" for rec in records)
 
 
 def load_probability_map(path) -> ProbabilityMap:

@@ -6,7 +6,10 @@ synthetic scene directory and a hand-made, linearly separable metrics
 CSV so training subcommands have a known-good answer.
 """
 
+import csv
+import os
 import shutil
+import struct
 import subprocess
 import sys
 import weakref
@@ -15,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import metaseg
 from metaseg import cli, features, metaclf, raster
 
 # Boosted optimizer flags for the tiny separable dataset; the library
@@ -186,6 +190,70 @@ class TestDataErrors:
         assert err.startswith("metaseg: error:")
         assert f"{model}: model field 'learning_rate'" in err
         assert "'abc'" in err
+
+
+    def test_signalling_nan_is_one_error_line(self, tmp_path):
+        # float32 0x7f800001, a signalling NaN, then 0.5: the float64
+        # cast must not warn before the map is rejected.
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        (scenes / "snan.rast").write_bytes(
+            b"RASTv001" + struct.pack("<III", 1, 1, 2)
+            + bytes.fromhex("0100807f") + struct.pack("<f", 0.5)
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(metaseg.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "metaseg", "score",
+             "--in", str(scenes), "--out", str(tmp_path / "scored")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("metaseg: error:")
+        assert "non-finite value" in lines[0]
+
+
+class TestCsvQuoting:
+    """Group ids with CSV syntax in them survive every CLI CSV."""
+
+    def test_group_ids_round_trip_through_csv_reader(self, scene_dir, tmp_path):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        names = {"scene_0000": "a,b", "scene_0001": 'q"x'}
+        for old, new in names.items():
+            for ext in (".rast", ".pgm"):
+                shutil.copy(scene_dir / f"{old}{ext}", scenes / f"{new}{ext}")
+        mu, seg, scores, split = (
+            tmp_path / n for n in ("mu.csv", "segments.csv", "scores.csv", "split.csv")
+        )
+        assert cli.run(["segments", "--in", str(scenes), "--out", str(seg)]) == 0
+        assert cli.run(["metrics", "--in", str(scenes), "--out", str(mu)]) == 0
+        args = [
+            "loo", "--kind", "logistic", "--mu", str(mu),
+            "--out", str(tmp_path / "report.csv"), "--scores-csv", str(scores),
+        ]
+        assert cli.run(args + TRAIN_FLAGS) == 0
+        args = ["filter-proxy", "--in", str(scenes), "--out", str(split)]
+        assert cli.run(args) == 0
+
+        def records(path):
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *body = csv.reader(fh)
+            assert body and all(len(r) == len(header) for r in body)
+            return header, body
+
+        dataset = features.load_metrics_csv(mu)
+        header, body = records(mu)
+        groups = [r[header.index("group_id")] for r in body]
+        assert groups == list(dataset.group_ids)
+        assert set(groups) == set(names.values())
+        header, body = records(seg)
+        assert [r[header.index("group_id")] for r in body] == groups
+        header, body = records(scores)
+        assert [r[header.index("group_id")] for r in body] == groups
+        header, body = records(split)
+        assert sorted(r[header.index("id")] for r in body) == sorted(names.values())
 
 
 class TestScore:

@@ -1,6 +1,7 @@
 """Tests for raster containers and the RAST/PGM file formats."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,15 @@ class TestProbabilityMap:
         arr[1, 0, 1] = np.nan
         with pytest.raises(ValueError, match=r"non-finite value at \(1, 0, 1\)"):
             ProbabilityMap(arr)
+
+    def test_float32_signalling_nan_rejected_without_warning(self):
+        arr = np.array([0x7F800001, 0], dtype="<u4").view("<f4").reshape(1, 1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                ProbabilityMap(arr)
+            with pytest.raises(ValueError, match="non-finite"):
+                ScoreMap(arr[:, :, 0])
 
     def test_accepts_small_sum_drift(self):
         # Within the documented tolerance the constructor must not reject.
