@@ -463,11 +463,15 @@ def save_metrics_csv(dataset: MetricsDataset, path) -> None:
 
 
 def _csv_records(fh, path):
-    """The records of a CSV file; a record the csv module cannot split
-    raises ValueError naming the file and line."""
+    """(line, record) pairs of a CSV file, `line` the 1-based line on
+    which the record starts (a quoted field may span lines); a record the
+    csv module cannot split raises ValueError naming the file and line."""
     reader = csv.reader(fh)
+    start = 1
     try:
-        yield from reader
+        for rec in reader:
+            yield start, rec
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
@@ -479,7 +483,7 @@ def _raise_first_bad_record(path, n: int) -> None:
     with open(path, newline="", encoding="utf-8") as fh:
         records = _csv_records(fh, path)
         next(records)
-        for lineno, rec in enumerate(records, start=2):
+        for lineno, rec in records:
             if not rec:
                 continue
             if len(rec) != n + 2:
@@ -503,7 +507,7 @@ def load_metrics_csv(path) -> MetricsDataset:
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            header = next(_csv_records(fh, path))
+            _, header = next(_csv_records(fh, path))
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
         if len(header) < 3 or header[-2:] != ["label", "group_id"]:

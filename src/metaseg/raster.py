@@ -15,9 +15,11 @@ evaluation.  Loader arguments remap other file conventions onto these
 canonical values.
 
 A probability map is validated in one place, the ``ProbabilityMap``
-constructor (which also renormalizes small sum drift);
-``load_probability_map`` only parses the file and reports a rejected map
-as a ``RasterFormatError`` naming the file.
+constructor (which also renormalizes small sum drift in place);
+``load_probability_map`` streams the file in fixed-size chunks straight
+into the float64 array the returned map keeps, so no copy of the file's
+bytes or of the map exists next to it, and reports a rejected map as a
+``RasterFormatError`` naming the file.
 
 All container types are immutable after construction (their arrays are
 marked read-only, and an array the caller still holds is copied rather
@@ -48,6 +50,11 @@ PROB_SUM_TOL = 1e-5
 # round-trips, so they pass through untouched.
 _PROB_SUM_EXACT = 1e-7
 
+# float32 values read from a RAST file at a time: 1 MiB.
+_CHUNK_VALUES = 1 << 18
+# Values per block of the search for a map's first non-finite value.
+_BLOCK_VALUES = 1 << 16
+
 
 class RasterFormatError(ValueError):
     """A raster file violates the RAST or PGM format contract."""
@@ -64,6 +71,16 @@ def _frozen(arr: np.ndarray, given) -> np.ndarray:
     return arr
 
 
+class _Unshared:
+    """An array that no caller holds, handed to `ProbabilityMap` to keep
+    as it is instead of the copy it makes of a caller's array."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 @dataclass(frozen=True, eq=False)
 class ProbabilityMap:
     """H x W x C per-pixel class probabilities, each pixel summing to 1.
@@ -78,19 +95,30 @@ class ProbabilityMap:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        # A float32 signalling NaN warns in the cast; the finiteness
-        # check below rejects it.
-        with np.errstate(invalid="ignore"):
-            arr = np.asarray(self.values, dtype=np.float64)
+        if isinstance(self.values, _Unshared):
+            arr = self.values.array
+        else:
+            # A copy of the caller's values.  A float32 signalling NaN
+            # warns in the cast; the finiteness check below rejects it.
+            with np.errstate(invalid="ignore"):
+                arr = np.array(self.values, dtype=np.float64, order="C")
         if arr.ndim != 3:
             raise ValueError(f"probability map must be 3-d, got shape {arr.shape}")
         h, w, c = arr.shape
         if h < 1 or w < 1 or c < 2:
             raise ValueError(f"invalid probability map shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            r, col, k = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(f"non-finite value at ({r}, {col}, {k})")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        # min and max propagate NaN, so both are finite only when every
+        # value is.  Otherwise the first non-finite value in raster order
+        # is found block by block, with no boolean mask of the whole map.
+        lo, hi = arr.min(), arr.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            flat = arr.reshape(-1)
+            for start in range(0, flat.size, _BLOCK_VALUES):
+                bad = ~np.isfinite(flat[start : start + _BLOCK_VALUES])
+                if bad.any():
+                    r, col, k = np.unravel_index(start + int(bad.argmax()), arr.shape)
+                    raise ValueError(f"non-finite value at ({r}, {col}, {k})")
+        if lo < 0.0 or hi > 1.0:
             raise ValueError("probabilities outside [0, 1]")
         sums = arr.sum(axis=2)
         dev = np.abs(sums - 1.0)
@@ -101,9 +129,9 @@ class ProbabilityMap:
             )
         renorm = dev > _PROB_SUM_EXACT
         if renorm.any():
-            arr = arr.copy()
             arr[renorm] /= sums[renorm][:, None]
-        object.__setattr__(self, "values", _frozen(arr, self.values))
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
 
     @property
     def height(self) -> int:
@@ -238,21 +266,50 @@ def _rast_bytes(arr: np.ndarray) -> bytes:
     return header + np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
 
-def _parse_rast(data: bytes, source: str) -> np.ndarray:
-    if len(data) < _HEADER_LEN:
+def _rast_dims(head: bytes, size: int, source: str) -> tuple:
+    """(H, W, C) of a RAST file of `size` bytes that begins with `head`,
+    after checking the magic, the dimensions and that the payload holds
+    exactly H*W*C float32 values."""
+    if len(head) < _HEADER_LEN:
         raise RasterFormatError(f"{source}: truncated header")
-    if data[:8] != _MAGIC:
-        raise RasterFormatError(f"{source}: bad magic {data[:8]!r}")
-    h, w, c = struct.unpack("<III", data[8:_HEADER_LEN])
+    if head[:8] != _MAGIC:
+        raise RasterFormatError(f"{source}: bad magic {head[:8]!r}")
+    h, w, c = struct.unpack("<III", head[8:_HEADER_LEN])
     if h == 0 or w == 0 or c == 0 or h * w * c > _MAX_VALUES:
         raise RasterFormatError(f"{source}: dimension overflow ({h}x{w}x{c})")
     expected = _HEADER_LEN + 4 * h * w * c
-    if len(data) != expected:
-        raise RasterFormatError(
-            f"{source}: payload is {len(data)} bytes, expected {expected}"
-        )
-    # A read-only float32 view of `data`; the containers convert it.
-    return np.frombuffer(data, dtype="<f4", offset=_HEADER_LEN).reshape(h, w, c)
+    if size != expected:
+        raise RasterFormatError(f"{source}: payload is {size} bytes, expected {expected}")
+    return h, w, c
+
+
+def _parse_rast(data: bytes, source: str) -> np.ndarray:
+    """The values of the RAST bytes `data` as a read-only float32 view."""
+    dims = _rast_dims(data, len(data), source)
+    return np.frombuffer(data, dtype="<f4", offset=_HEADER_LEN).reshape(dims)
+
+
+def _read_rast(path) -> np.ndarray:
+    """The values of a RAST file as a new float64 H x W x C array.
+
+    The payload is read `_CHUNK_VALUES` float32 values at a time, each
+    chunk converted into its slice of the array, so the file's bytes are
+    never held whole."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER_LEN)
+        dims = _rast_dims(head, os.fstat(fh.fileno()).st_size, str(path))
+        out = np.empty(dims)
+        flat = out.reshape(-1)
+        chunk = np.empty(min(flat.size, _CHUNK_VALUES), dtype="<f4")
+        # A float32 signalling NaN warns in the cast; the containers
+        # reject it.
+        with np.errstate(invalid="ignore"):
+            for lo in range(0, flat.size, chunk.size):
+                part = chunk[: flat.size - lo]
+                if fh.readinto(part) != part.nbytes:
+                    raise RasterFormatError(f"{path}: file shrank while being read")
+                flat[lo : lo + part.size] = part
+    return out
 
 
 def _read_file(path) -> bytes:
@@ -295,11 +352,11 @@ def csv_text(records) -> str:
 
 
 def load_probability_map(path) -> ProbabilityMap:
-    """Load a RAST probability map; `ProbabilityMap` validates it and
-    renormalizes small sum drift."""
-    arr = _parse_rast(_read_file(path), str(path))
+    """Load a RAST probability map into the array the map keeps;
+    `ProbabilityMap` validates it and renormalizes small sum drift."""
+    arr = _read_rast(path)
     try:
-        return ProbabilityMap(arr)
+        return ProbabilityMap(_Unshared(arr))
     except ValueError as exc:
         raise RasterFormatError(f"{path}: {exc}") from exc
 
@@ -310,7 +367,7 @@ def save_probability_map(pmap: ProbabilityMap, path) -> None:
 
 def load_score_map(path) -> ScoreMap:
     """Load a single-channel RAST score map; `ScoreMap` validates it."""
-    arr = _parse_rast(_read_file(path), str(path))
+    arr = _read_rast(path)
     if arr.shape[2] != 1:
         raise RasterFormatError(f"{path}: score map must have C=1, got {arr.shape[2]}")
     try:

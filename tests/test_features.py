@@ -829,6 +829,13 @@ class TestMetricsCsv:
         with pytest.raises(ValueError, match="big.csv:3: field larger"):
             load_metrics_csv(bad)
 
+    def test_line_counts_lines_of_multiline_fields(self, tmp_path):
+        # The quoted group id spans lines 2-3, so the bad label is on line 4.
+        bad = tmp_path / "bad.csv"
+        bad.write_text('m0,label,group_id\n1,0,"a\nb"\n1,2,g\n')
+        with pytest.raises(ValueError, match="bad.csv:4: label must be 0 or 1"):
+            load_metrics_csv(bad)
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.one_of(

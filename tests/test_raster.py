@@ -1,6 +1,7 @@
 """Tests for raster containers and the RAST/PGM file formats."""
 
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from metaseg import raster
 from metaseg.raster import (
     IGNORE_LABEL,
     OOD_LABEL,
@@ -315,6 +317,122 @@ class TestRastValidation:
         path = rast_file(tmp_path, "neg.rast", arr)
         with pytest.raises(RasterFormatError, match=r"outside \[0, 1\]"):
             load_probability_map(path)
+
+
+def drifted_f32_map(seed, h, w, c, drift):
+    """A float32 map summing to 1 up to float32 noise, with `drift` added
+    to the first class of every third pixel."""
+    raw = np.random.default_rng(seed).random((h, w, c)) + 1e-3
+    arr = (raw / raw.sum(axis=2, keepdims=True)).astype(np.float32)
+    arr.reshape(-1, c)[::3, 0] += np.float32(drift)
+    return arr
+
+
+class TestStreamedLoad:
+    """The loader streams the file in chunks into the map's own array and
+    checks finiteness block by block; the in-memory constructor over the
+    file's float32 view is the oracle."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(raster, "_CHUNK_VALUES", 7)
+        monkeypatch.setattr(raster, "_BLOCK_VALUES", 5)
+
+    @staticmethod
+    def oracle(path):
+        data = path.read_bytes()
+        h, w, c = struct.unpack("<III", data[8:20])
+        return ProbabilityMap(np.frombuffer(data, "<f4", offset=20).reshape(h, w, c))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        h=st.integers(1, 6), w=st.integers(1, 6), c=st.integers(2, 5),
+        seed=st.integers(0, 2**16),
+        drift=st.sampled_from([0.0, 3e-6, -4e-6]),
+    )
+    def test_matches_constructor_bit_for_bit(self, tmp_path, small_chunks,
+                                             h, w, c, seed, drift):
+        arr = drifted_f32_map(seed, h, w, c, drift)
+        path = rast_file(tmp_path, "p.rast", arr)
+        loaded = load_probability_map(path).values
+        expected = self.oracle(path).values
+        assert loaded.shape == expected.shape
+        assert loaded.tobytes() == expected.tobytes()
+        # Exact sums pass through untouched; drifted ones are renormalized.
+        untouched = loaded.tobytes() == arr.astype(np.float64).tobytes()
+        assert untouched == (drift == 0.0)
+
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001])  # NaN, signalling NaN
+    def test_non_finite_past_first_block_names_whole_map_index(
+        self, tmp_path, small_chunks, bits
+    ):
+        arr = np.full((3, 4, 2), 0.5, dtype=np.float32)
+        arr.view("<u4")[2, 1, 1] = bits
+        arr.view("<u4")[2, 3, 0] = bits
+        path = rast_file(tmp_path, "nan.rast", arr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RasterFormatError,
+                               match=r"nan.rast: non-finite value at \(2, 1, 1\)"):
+                load_probability_map(path)
+
+    def test_non_finite_reported_before_an_earlier_range_fault(
+        self, tmp_path, small_chunks
+    ):
+        arr = np.full((3, 4, 2), 0.5)
+        arr[0, 0] = (-0.5, 1.5)
+        arr[2, 2, 1] = np.nan
+        path = rast_file(tmp_path, "mixed.rast", arr)
+        with pytest.raises(RasterFormatError, match=r"non-finite value at \(2, 2, 1\)"):
+            load_probability_map(path)
+
+    def test_short_read_rejected(self, tmp_path, small_chunks, monkeypatch):
+        path = rast_file(tmp_path, "p.rast", np.full((3, 4, 2), 0.5))
+        size = path.stat().st_size
+
+        class Shrinking:
+            """The file, of which the last value vanishes after its size
+            was taken."""
+
+            def __init__(self, name, mode):
+                self.fh = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def fileno(self):
+                return self.fh.fileno()
+
+            def read(self, n):
+                return self.fh.read(n)
+
+            def readinto(self, buf):
+                room = size - 4 - self.fh.tell()
+                return self.fh.readinto(memoryview(buf).cast("B")[:room])
+
+        monkeypatch.setattr(raster, "open", Shrinking, raising=False)
+        with pytest.raises(RasterFormatError, match="p.rast"):
+            load_probability_map(path)
+
+    def test_memory_bounded_by_the_map(self, tmp_path):
+        pm = random_pmap(np.random.default_rng(2), 256, 512, 19)
+        path = tmp_path / "big.rast"
+        save_probability_map(pm, path)
+        nbytes = pm.values.nbytes
+        del pm
+        tracemalloc.start()
+        try:
+            loaded = load_probability_map(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * nbytes, peak / nbytes
+        assert not loaded.values.flags.writeable
+        assert loaded.values.flags.owndata
 
 
 class TestPgmMasks:
