@@ -207,8 +207,7 @@ def _cmd_score(cfg: RunConfig) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def work(path: Path) -> None:
-        pmap = raster.load_probability_map(path)
-        smap = scoring.anomaly_score_map(pmap)
+        smap = scoring.anomaly_score_file(path)
         raster.save_score_map(smap, out_dir / f"{path.stem}.score.rast")
 
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:

@@ -14,11 +14,16 @@ Label conventions: class indices run dense from 0.  Pixels labeled
 evaluation.  Loader arguments remap other file conventions onto these
 canonical values.
 
-A probability map is validated in one place, the ``ProbabilityMap``
-constructor (which also renormalizes small sum drift in place);
-``load_probability_map`` streams the file in fixed-size chunks straight
+A RAST file is read in one place, a loop that checks the header and
+payload size before any value is read and then converts fixed-size
+chunks of whole pixels to float64 blocks.  A probability map is
+validated in one place, a block-wise check (which also renormalizes
+small sum drift in place) that the ``ProbabilityMap`` constructor runs
+over its own array and ``iter_probability_blocks`` over the blocks as
+they are read.  ``load_probability_map`` converts the chunks straight
 into the float64 array the returned map keeps, so no copy of the file's
-bytes or of the map exists next to it, and reports a rejected map as a
+bytes or of the map exists next to it; ``iter_probability_blocks``
+holds no map at all.  Both report a rejected map as a
 ``RasterFormatError`` naming the file.
 
 All container types are immutable after construction (their arrays are
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,9 +56,11 @@ PROB_SUM_TOL = 1e-5
 # round-trips, so they pass through untouched.
 _PROB_SUM_EXACT = 1e-7
 
-# float32 values read from a RAST file at a time: 1 MiB.
+# float32 values read from a RAST file at a time, rounded down to whole
+# pixels: 1 MiB.
 _CHUNK_VALUES = 1 << 18
-# Values per block of the search for a map's first non-finite value.
+# Values per block of the constructor's check of a probability map,
+# rounded down to whole pixels.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -81,6 +89,64 @@ class _Unshared:
         self.array = array
 
 
+class _ProbabilityCheck:
+    """The checks of an H x W x C probability map, fed its pixels in
+    raster order as float64 N x C blocks, so that no array of the map's
+    size is needed beyond the map itself.
+
+    The shape is checked on construction.  `add` renormalizes in place
+    every pixel of a block whose sum drifts from 1 by more than float32
+    quantization noise but within ``PROB_SUM_TOL``.  `finish` raises the
+    map's first fault in this order: the first non-finite value in raster
+    order, a value outside [0, 1], then the pixel whose sum is furthest
+    from 1 (the first of several equally far).
+    """
+
+    def __init__(self, shape: tuple) -> None:
+        h, w, c = shape
+        if h < 1 or w < 1 or c < 2:
+            raise ValueError(f"invalid probability map shape {shape}")
+        self.shape = shape
+        self.pixels = 0
+        self.lo, self.hi = np.inf, -np.inf
+        self.non_finite = None  # flat index of the first non-finite value
+        self.dev, self.dev_pixel, self.dev_sum = -1.0, 0, 1.0
+
+    def add(self, block: np.ndarray) -> None:
+        """Check the map's next pixels, the rows of `block`."""
+        start = self.pixels
+        self.pixels += len(block)
+        if self.non_finite is not None:
+            return
+        # min and max propagate NaN, so both are finite only when every
+        # value is; only then are the sums taken.
+        lo, hi = block.min(), block.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            first = int(np.isfinite(block).reshape(-1).argmin())
+            self.non_finite = start * self.shape[2] + first
+            return
+        self.lo, self.hi = min(self.lo, lo), max(self.hi, hi)
+        sums = block.sum(axis=1)
+        dev = np.abs(sums - 1.0)
+        i = int(dev.argmax())
+        if dev[i] > self.dev:
+            self.dev, self.dev_pixel, self.dev_sum = dev[i], start + i, sums[i]
+        renorm = (dev > _PROB_SUM_EXACT) & (dev <= PROB_SUM_TOL)
+        if renorm.any():
+            block[renorm] /= sums[renorm][:, None]
+
+    def finish(self) -> None:
+        """Raise `ValueError` for the first fault of the pixels added."""
+        if self.non_finite is not None:
+            r, col, k = np.unravel_index(self.non_finite, self.shape)
+            raise ValueError(f"non-finite value at ({r}, {col}, {k})")
+        if self.lo < 0.0 or self.hi > 1.0:
+            raise ValueError("probabilities outside [0, 1]")
+        if self.dev > PROB_SUM_TOL:
+            r, col = divmod(self.dev_pixel, self.shape[1])
+            raise ValueError(f"pixel ({r}, {col}) probabilities sum to {self.dev_sum:.8f}")
+
+
 @dataclass(frozen=True, eq=False)
 class ProbabilityMap:
     """H x W x C per-pixel class probabilities, each pixel summing to 1.
@@ -99,37 +165,17 @@ class ProbabilityMap:
             arr = self.values.array
         else:
             # A copy of the caller's values.  A float32 signalling NaN
-            # warns in the cast; the finiteness check below rejects it.
+            # warns in the cast; the check below rejects it.
             with np.errstate(invalid="ignore"):
                 arr = np.array(self.values, dtype=np.float64, order="C")
         if arr.ndim != 3:
             raise ValueError(f"probability map must be 3-d, got shape {arr.shape}")
-        h, w, c = arr.shape
-        if h < 1 or w < 1 or c < 2:
-            raise ValueError(f"invalid probability map shape {arr.shape}")
-        # min and max propagate NaN, so both are finite only when every
-        # value is.  Otherwise the first non-finite value in raster order
-        # is found block by block, with no boolean mask of the whole map.
-        lo, hi = arr.min(), arr.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            flat = arr.reshape(-1)
-            for start in range(0, flat.size, _BLOCK_VALUES):
-                bad = ~np.isfinite(flat[start : start + _BLOCK_VALUES])
-                if bad.any():
-                    r, col, k = np.unravel_index(start + int(bad.argmax()), arr.shape)
-                    raise ValueError(f"non-finite value at ({r}, {col}, {k})")
-        if lo < 0.0 or hi > 1.0:
-            raise ValueError("probabilities outside [0, 1]")
-        sums = arr.sum(axis=2)
-        dev = np.abs(sums - 1.0)
-        if dev.max() > PROB_SUM_TOL:
-            r, col = np.unravel_index(int(dev.argmax()), dev.shape)
-            raise ValueError(
-                f"pixel ({r}, {col}) probabilities sum to {sums[r, col]:.8f}"
-            )
-        renorm = dev > _PROB_SUM_EXACT
-        if renorm.any():
-            arr[renorm] /= sums[renorm][:, None]
+        check = _ProbabilityCheck(arr.shape)
+        pixels = arr.reshape(-1, arr.shape[2])
+        step = max(1, _BLOCK_VALUES // arr.shape[2])
+        for lo in range(0, len(pixels), step):
+            check.add(pixels[lo : lo + step])
+        check.finish()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -289,26 +335,49 @@ def _parse_rast(data: bytes, source: str) -> np.ndarray:
     return np.frombuffer(data, dtype="<f4", offset=_HEADER_LEN).reshape(dims)
 
 
-def _read_rast(path) -> np.ndarray:
-    """The values of a RAST file as a new float64 H x W x C array.
+@contextmanager
+def _open_rast(path):
+    """Open the RAST file at `path` for one pass over its values.
 
-    The payload is read `_CHUNK_VALUES` float32 values at a time, each
-    chunk converted into its slice of the array, so the file's bytes are
-    never held whole."""
+    Yields its (H, W, C), checked together with the file size before any
+    value is read, and `blocks`, a generator function of the values in
+    raster order as float64 N x C blocks of whole pixels.  The payload is
+    read floor(`_CHUNK_VALUES` / C) pixels (at least one) at a time, so
+    the file's bytes are never held whole.  `blocks(out)` converts each
+    chunk into the matching rows of `out`, an H*W x C float64 array;
+    `blocks()` converts them into one reused block, which the consumer is
+    done with before it asks for the next.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_LEN)
-        dims = _rast_dims(head, os.fstat(fh.fileno()).st_size, str(path))
-        out = np.empty(dims)
-        flat = out.reshape(-1)
-        chunk = np.empty(min(flat.size, _CHUNK_VALUES), dtype="<f4")
-        # A float32 signalling NaN warns in the cast; the containers
-        # reject it.
-        with np.errstate(invalid="ignore"):
-            for lo in range(0, flat.size, chunk.size):
-                part = chunk[: flat.size - lo]
+        h, w, c = dims = _rast_dims(head, os.fstat(fh.fileno()).st_size, str(path))
+
+        def blocks(out=None):
+            pixels = h * w
+            step = max(1, _CHUNK_VALUES // c)
+            chunk = np.empty((min(pixels, step), c), dtype="<f4")
+            reused = np.empty(chunk.shape) if out is None else None
+            for lo in range(0, pixels, step):
+                part = chunk[: pixels - lo]
                 if fh.readinto(part) != part.nbytes:
                     raise RasterFormatError(f"{path}: file shrank while being read")
-                flat[lo : lo + part.size] = part
+                block = reused[: len(part)] if out is None else out[lo : lo + len(part)]
+                # A float32 signalling NaN warns in the cast; the
+                # containers reject it.
+                with np.errstate(invalid="ignore"):
+                    block[...] = part
+                yield block
+
+        yield dims, blocks
+
+
+def _read_rast(path) -> np.ndarray:
+    """The values of a RAST file as a new float64 H x W x C array, each
+    chunk of the file converted into its slice of the array."""
+    with _open_rast(path) as (dims, blocks):
+        out = np.empty(dims)
+        for _ in blocks(out.reshape(-1, dims[2])):
+            pass
     return out
 
 
@@ -361,17 +430,47 @@ def load_probability_map(path) -> ProbabilityMap:
         raise RasterFormatError(f"{path}: {exc}") from exc
 
 
+def iter_probability_blocks(path):
+    """The (H, W, C) of the RAST probability map at `path`, then its
+    values in raster order as float64 N x C blocks of whole pixels,
+    checked and renormalized as `load_probability_map` does, with no
+    H x W x C array ever held.
+
+    One block is reused for the next, so a consumer is done with a block
+    before it asks for the next.  A map `load_probability_map` refuses
+    raises the same `RasterFormatError`: a bad shape before the first
+    block, a bad value only after the last one, so nothing computed from
+    the blocks holds until the generator is exhausted.
+    """
+    with _open_rast(path) as (dims, blocks):
+        try:
+            check = _ProbabilityCheck(dims)
+            yield dims
+            for block in blocks():
+                check.add(block)
+                yield block
+            check.finish()
+        except RasterFormatError:
+            raise
+        except ValueError as exc:
+            raise RasterFormatError(f"{path}: {exc}") from exc
+
+
 def save_probability_map(pmap: ProbabilityMap, path) -> None:
     atomic_write_bytes(path, _rast_bytes(pmap.values))
 
 
 def load_score_map(path) -> ScoreMap:
-    """Load a single-channel RAST score map; `ScoreMap` validates it."""
-    arr = _read_rast(path)
-    if arr.shape[2] != 1:
-        raise RasterFormatError(f"{path}: score map must have C=1, got {arr.shape[2]}")
+    """Load a single-channel RAST score map; `ScoreMap` validates it.  A
+    file with more channels is refused before any value is read."""
+    with _open_rast(path) as ((h, w, c), blocks):
+        if c != 1:
+            raise RasterFormatError(f"{path}: score map must have C=1, got {c}")
+        scores = np.empty((h, w))
+        for _ in blocks(scores.reshape(-1, 1)):
+            pass
     try:
-        return ScoreMap(arr[:, :, 0])
+        return ScoreMap(scores)
     except ValueError as exc:
         raise RasterFormatError(f"{path}: {exc}") from exc
 

@@ -14,7 +14,9 @@ The per-pixel fields (entropy, max probability, margin) walk the map in
 blocks of `_BLOCK_PIXELS` pixels, so their temporaries stay a fixed size
 however large the map is.  Each pixel's reduction over the classes is
 the same as on the whole array, so the fields are bit-identical to the
-whole-array expressions.
+whole-array expressions.  `anomaly_score_file` runs the entropy kernel
+on the blocks of a probability map as they are read from its file, so
+scoring a file holds the H x W scores but never the H x W x C map.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import PROB_SUM_TOL, LabelMask, ProbabilityMap, SampleSet, ScoreMap
+from .raster import (
+    PROB_SUM_TOL,
+    LabelMask,
+    ProbabilityMap,
+    SampleSet,
+    ScoreMap,
+    iter_probability_blocks,
+)
 
 EPS = 1e-12
 # Pixels per block of the per-pixel kernels: 4096 x C float64 values,
@@ -97,11 +106,31 @@ def entropy_map(pmap: ProbabilityMap) -> np.ndarray:
     return _entropy_field(pmap.values)
 
 
+def _normalized_scores(entropy: np.ndarray, num_classes: int) -> ScoreMap:
+    """Entropies in nats as scores: divided by ln(C) and clamped to [0, 1],
+    in place."""
+    entropy /= np.log(num_classes)
+    return ScoreMap(np.clip(entropy, 0.0, 1.0, out=entropy))
+
+
 def anomaly_score_map(pmap: ProbabilityMap) -> ScoreMap:
     """Normalized-entropy anomaly scores: entropy / ln(C), clamped to [0, 1]."""
-    scores = entropy_map(pmap)
-    scores /= np.log(pmap.num_classes)
-    return ScoreMap(np.clip(scores, 0.0, 1.0, out=scores))
+    return _normalized_scores(entropy_map(pmap), pmap.num_classes)
+
+
+def anomaly_score_file(path) -> ScoreMap:
+    """The anomaly scores of the RAST probability map at `path`, bit for
+    bit those of `anomaly_score_map(load_probability_map(path))`, computed
+    block by block as the file is read.  A map the loader refuses raises
+    the same `RasterFormatError`."""
+    blocks = iter_probability_blocks(path)
+    h, w, c = next(blocks)
+    entropy = np.empty(h * w)
+    lo = 0
+    for block in blocks:
+        entropy[lo : lo + len(block)] = _entropy_field(block)
+        lo += len(block)
+    return _normalized_scores(entropy.reshape(h, w), c)
 
 
 def variation_ratio_map(pmap: ProbabilityMap) -> np.ndarray:

@@ -225,6 +225,22 @@ class TestRastRoundTrip:
         with pytest.raises(RasterFormatError, match="C=1"):
             load_score_map(path)
 
+    def test_score_map_refuses_multichannel_before_reading_it(self, tmp_path):
+        pm = random_pmap(np.random.default_rng(4), 256, 512, 19)
+        path = tmp_path / "probs.rast"
+        save_probability_map(pm, path)
+        nbytes = pm.values.nbytes
+        del pm
+        tracemalloc.start()
+        try:
+            with pytest.raises(RasterFormatError,
+                               match="probs.rast: score map must have C=1, got 19"):
+                load_score_map(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.01 * nbytes, peak / nbytes
+
     # Reusing one tmp_path across examples is fine: each example fully
     # overwrites the same file.
     @settings(
@@ -433,6 +449,61 @@ class TestStreamedLoad:
         assert peak <= 1.25 * nbytes, peak / nbytes
         assert not loaded.values.flags.writeable
         assert loaded.values.flags.owndata
+
+
+def whole_map_check(values):
+    """The probability-map checks as whole-array expressions (the oracle
+    of the block-wise check): the renormalized float64 map, or the
+    message of its first fault."""
+    arr = np.array(values, dtype=np.float64)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        r, col, k = np.argwhere(bad)[0]
+        return f"non-finite value at ({r}, {col}, {k})"
+    if arr.min() < 0.0 or arr.max() > 1.0:
+        return "probabilities outside [0, 1]"
+    sums = arr.sum(axis=2)
+    dev = np.abs(sums - 1.0)
+    if dev.max() > raster.PROB_SUM_TOL:
+        r, col = np.unravel_index(int(dev.argmax()), dev.shape)
+        return f"pixel ({r}, {col}) probabilities sum to {sums[r, col]:.8f}"
+    renorm = dev > 1e-7
+    arr[renorm] /= sums[renorm][:, None]
+    return arr
+
+
+class TestBlockCheck:
+    """The constructor's block-wise check against the whole-array checks,
+    on maps with faults and drift scattered over many blocks."""
+
+    # (value, whether it replaces a probability rather than adds to it):
+    # non-finite values, range faults, a sum fault and in-tolerance drift.
+    FAULTS = ((np.nan, True), (np.inf, True), (-np.inf, True), (-0.25, True),
+              (1.25, True), (0.2, False), (3e-6, False), (-4e-6, False))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        h=st.integers(1, 5), w=st.integers(1, 5), c=st.integers(2, 4),
+        seed=st.integers(0, 2**16), block=st.sampled_from([1, 5, 8, 1 << 16]),
+        faults=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 3),
+                                  st.sampled_from(FAULTS)), max_size=4),
+    )
+    def test_matches_whole_map_checks(self, h, w, c, seed, block, faults):
+        raw = np.random.default_rng(seed).random((h, w, c)) + 1e-3
+        arr = raw / raw.sum(axis=2, keepdims=True)
+        flat = arr.reshape(-1, c)
+        for pixel, k, (value, replaces) in faults:
+            pixel, k = pixel % len(flat), k % c
+            flat[pixel, k] = value if replaces else flat[pixel, k] + value
+        expected = whole_map_check(arr)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(raster, "_BLOCK_VALUES", block)
+            if isinstance(expected, str):
+                with pytest.raises(ValueError) as exc:
+                    ProbabilityMap(arr)
+                assert str(exc.value) == expected
+            else:
+                assert ProbabilityMap(arr).values.tobytes() == expected.tobytes()
 
 
 class TestPgmMasks:

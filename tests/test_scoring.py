@@ -1,22 +1,29 @@
 """Tests for entropy, anomaly scores, and the reference losses."""
 
 import math
+import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from metaseg import scoring
+from metaseg import raster, scoring
 from metaseg.raster import (
     IGNORE_LABEL,
     OOD_LABEL,
     LabelMask,
     ProbabilityMap,
+    RasterFormatError,
     Sample,
     SampleSet,
+    load_probability_map,
+    save_probability_map,
 )
 from metaseg.scoring import (
+    anomaly_score_file,
     anomaly_score_map,
     combined_objective,
     entropy_map,
@@ -223,6 +230,160 @@ class TestBlockKernels:
         rng = np.random.default_rng(c)
         for vec in mixed_pmap(rng, 4, 5, c).values.reshape(-1, c):
             assert pixel_entropy(vec) == float(whole_array_entropy(vec))
+
+
+def rast_file(path, arr):
+    """Write `arr` as a raw RAST file, bypassing the library writer."""
+    data = b"RASTv001" + struct.pack("<III", *arr.shape)
+    path.write_bytes(data + np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    return path
+
+
+class TestStreamedScore:
+    """Scoring a file block by block as it is read against loading the
+    whole map and scoring it: the same bits, and the same error."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        # 7 values: a chunk is no multiple of C = 2..5 and shapes straddle
+        # chunk edges; the constructor checks 5-value blocks.
+        monkeypatch.setattr(raster, "_CHUNK_VALUES", 7)
+        monkeypatch.setattr(raster, "_BLOCK_VALUES", 5)
+
+    @staticmethod
+    def same_error(path):
+        """The message both paths raise for `path`, asserted equal."""
+        with pytest.raises(RasterFormatError) as loaded:
+            load_probability_map(path)
+        with pytest.raises(RasterFormatError) as streamed:
+            anomaly_score_file(path)
+        assert str(streamed.value) == str(loaded.value)
+        return str(streamed.value)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        h=st.integers(1, 6), w=st.integers(1, 6), c=st.integers(2, 5),
+        seed=st.integers(0, 2**16),
+        drift=st.sampled_from([0.0, 3e-6, -4e-6]),
+        block=st.sampled_from([None, 3]),
+    )
+    def test_matches_load_then_score_bit_for_bit(
+        self, tmp_path, small_chunks, monkeypatch, h, w, c, seed, drift, block
+    ):
+        if block is not None:
+            monkeypatch.setattr(scoring, "_BLOCK_PIXELS", block)
+        raw = np.random.default_rng(seed).random((h, w, c)) + 1e-3
+        arr = (raw / raw.sum(axis=2, keepdims=True)).astype(np.float32)
+        arr.reshape(-1, c)[1::3, 0] += np.float32(drift)
+        path = rast_file(tmp_path / "p.rast", arr)
+        streamed = anomaly_score_file(path)
+        assert streamed.scores.shape == (h, w)
+        loaded = anomaly_score_map(load_probability_map(path))
+        assert streamed.scores.tobytes() == loaded.scores.tobytes()
+        # Exact sums are scored untouched, drifted ones renormalized.
+        ent = whole_array_entropy(arr.astype(np.float64))
+        untouched = np.clip(ent / np.log(c), 0.0, 1.0)
+        assert (streamed.scores.tobytes() == untouched.tobytes()) == (
+            drift == 0.0 or h * w < 2
+        )
+
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001])  # NaN, signalling NaN
+    def test_non_finite_past_first_chunk(self, tmp_path, small_chunks, bits):
+        arr = np.full((3, 4, 2), 0.5, dtype=np.float32)
+        arr.view("<u4")[2, 1, 1] = bits
+        arr.view("<u4")[2, 3, 0] = bits
+        path = rast_file(tmp_path / "nan.rast", arr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = self.same_error(path)
+        assert message.endswith("nan.rast: non-finite value at (2, 1, 1)")
+
+    def test_non_finite_reported_before_an_earlier_range_fault(
+        self, tmp_path, small_chunks
+    ):
+        arr = np.full((3, 4, 2), 0.5)
+        arr[0, 0] = (-0.5, 1.5)
+        arr[2, 2, 1] = np.nan
+        path = rast_file(tmp_path / "mixed.rast", arr)
+        assert self.same_error(path).endswith("non-finite value at (2, 2, 1)")
+
+    def test_range_fault_reported_before_a_sum_fault(self, tmp_path, small_chunks):
+        arr = np.full((3, 4, 2), 0.5)
+        arr[0, 1] = (0.9, 0.9)
+        arr[2, 0] = (-0.25, 1.25)
+        path = rast_file(tmp_path / "range.rast", arr)
+        assert self.same_error(path).endswith("probabilities outside [0, 1]")
+
+    def test_largest_sum_fault_across_chunks_is_named(self, tmp_path, small_chunks):
+        arr = np.full((3, 4, 2), 0.5)
+        arr[0, 1] = (0.5, 0.55)
+        arr[2, 2] = (0.25, 0.25)
+        path = rast_file(tmp_path / "sums.rast", arr)
+        assert self.same_error(path).endswith(
+            "pixel (2, 2) probabilities sum to 0.50000000"
+        )
+
+    def test_first_of_equal_sum_faults_is_named(self, tmp_path, small_chunks):
+        arr = np.full((3, 4, 2), 0.5)
+        arr[0, 1] = (0.5, 0.75)
+        arr[2, 2] = (0.5, 0.75)
+        path = rast_file(tmp_path / "tie.rast", arr)
+        assert self.same_error(path).endswith(
+            "pixel (0, 1) probabilities sum to 1.25000000"
+        )
+
+    def test_single_class_refused(self, tmp_path, small_chunks):
+        path = rast_file(tmp_path / "one.rast", np.ones((2, 3, 1)))
+        assert self.same_error(path).endswith(
+            "one.rast: invalid probability map shape (2, 3, 1)"
+        )
+
+    def test_short_read_refused(self, tmp_path, small_chunks, monkeypatch):
+        path = rast_file(tmp_path / "p.rast", np.full((3, 4, 2), 0.5))
+        size = path.stat().st_size
+
+        class Shrinking:
+            """The file, of which the last value vanishes after its size
+            was taken."""
+
+            def __init__(self, name, mode):
+                self.fh = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def fileno(self):
+                return self.fh.fileno()
+
+            def read(self, n):
+                return self.fh.read(n)
+
+            def readinto(self, buf):
+                room = size - 4 - self.fh.tell()
+                return self.fh.readinto(memoryview(buf).cast("B")[:room])
+
+        monkeypatch.setattr(raster, "open", Shrinking, raising=False)
+        assert self.same_error(path).endswith("p.rast: file shrank while being read")
+
+    def test_memory_bounded_below_the_map(self, tmp_path):
+        rng = np.random.default_rng(5)
+        raw = rng.random((256, 512, 19)) + 1e-3
+        path = tmp_path / "big.rast"
+        save_probability_map(ProbabilityMap(raw / raw.sum(axis=2, keepdims=True)), path)
+        nbytes = raw.nbytes
+        del raw
+        tracemalloc.start()
+        try:
+            smap = anomaly_score_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * nbytes, peak / nbytes
+        assert smap.scores.shape == (256, 512)
 
 
 class TestLossIn:
