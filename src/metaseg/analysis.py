@@ -175,7 +175,10 @@ def evaluate_with_curves(scores, labels):
 
 
 def evaluate_components(model, dataset: MetricsDataset) -> EvalReport:
-    """Score every row with the model; positive class = false positive."""
+    """Score every row with the model; positive class = false positive.
+    A model that records its metric names refuses a dataset whose names
+    differ."""
+    model.check_metrics(dataset.registry.names)
     return evaluate_scores(model.predict_raw_batch(dataset.rows), dataset.labels)
 
 

@@ -288,6 +288,7 @@ def _report_and_print(report: analysis.EvalReport, out_csv: str) -> None:
 def _cmd_eval_meta(cfg: RunConfig) -> None:
     model = metaclf.load_model(cfg.options["model"])
     dataset = features.load_metrics_csv(cfg.options["mu"])
+    model.check_metrics(dataset.registry.names)
     scores = model.predict_raw_batch(dataset.rows)
     report, (fpr, tpr), (rec, prec) = analysis.evaluate_with_curves(
         scores, dataset.labels

@@ -28,8 +28,9 @@ of a component with no interior fall back to whole-component statistics,
 which keeps single-pixel components finite.  Population (not sample)
 variance is used throughout for the same reason.
 
-Rows are computed for all components of an image at once from its
-`LabelImage`: pixel values are gathered in (component, raster) order and
+`extract_metrics` computes the rows of all components of an image at
+once from its `LabelImage`, and `build_metrics_dataset` calls it per
+sample.  Pixel values are gathered in (component, raster) order and
 components of equal pixel count are reduced together as one block, which
 reproduces `ndarray.mean`/`var` of each component bit for bit.  Python
 loops only over the distinct component sizes.
@@ -49,13 +50,7 @@ from .raster import (
     csv_text,
 )
 from .scoring import _top_two_fields, anomaly_score_map
-from .segments import (
-    ComponentRecord,
-    LabelImage,
-    ThresholdConfig,
-    component_image,
-    extract_labeled_components,
-)
+from .segments import LabelImage, ThresholdConfig, extract_labeled_components
 
 _DISPERSION_FIELDS = ("ent", "vr", "margin")
 _DISPERSION_STATS = (
@@ -372,13 +367,14 @@ def _image_rows(image: LabelImage, fields: dict) -> np.ndarray:
 
 
 def extract_metrics(
-    comp: ComponentRecord,
+    image: LabelImage,
     pmap: ProbabilityMap,
     score: ScoreMap,
     registry: MetricRegistry,
     threshold: float = 0.7,
 ) -> np.ndarray:
-    """Metric vector for one component, laid out per the registry.
+    """Metric rows of every component of `image`, K x N in id order, laid
+    out per the registry.
 
     `threshold` is the score threshold the neighborhood hot-fraction
     metric compares against; pass the same t used to build the
@@ -389,8 +385,7 @@ def extract_metrics(
             f"registry is for C={registry.num_classes}, "
             f"probability map has C={pmap.num_classes}"
         )
-    fields = _sample_fields(pmap, score, threshold)
-    return _image_rows(component_image(comp, fields["dims"]), fields)[0]
+    return _image_rows(image, _sample_fields(pmap, score, threshold))
 
 
 def build_metrics_dataset(
@@ -429,7 +424,7 @@ def build_metrics_dataset(
         if not comps:
             return None
         image = comps[0].image
-        rows = _image_rows(image, _sample_fields(sample.pmap, score, cfg.t))
+        rows = extract_metrics(image, sample.pmap, score, registry, cfg.t)
         return rows, image.is_false_positive, (sample.id,) * image.count
 
     parts = [part for part in map(sample_rows, samples) if part is not None]

@@ -12,7 +12,9 @@ per-epoch index shuffle come from one seeded generator.
 
 Parameters live in a flat vector (per layer: weight matrix row-major,
 then biases), which keeps the optimizer, the gradient check, and the
-model file format aligned on a single layout.  A training step works in
+model file format aligned on a single layout.  A model file also records
+the names of the metrics the model was trained on, and `check_metrics`
+refuses a dataset whose metrics differ.  A training step works in
 place on buffers built once per `train` call: per-layer views of the
 parameter and gradient vectors, the Adam moments, and the activations of
 one batch.
@@ -22,10 +24,14 @@ batch size x 75 x 75 on the reference shape) are too small to gain from a
 second thread, which only spins between calls.  OpenBLAS keeps one
 thread count for the whole process, so `train` restores the previous
 count as soon as its optimizer loop ends or raises.
+
+`remove_false_positives` scores every component of a `LabelImage` in one
+batch and zeroes the flagged ones in one indexed assignment.
 """
 
 from __future__ import annotations
 
+import csv
 import ctypes
 import functools
 import threading
@@ -37,8 +43,11 @@ from pathlib import Path
 import numpy as np
 
 from .features import MetricsDataset, StandardizationStats, standardize
-from .raster import ScoreMap, atomic_write_bytes, _frozen, _parse_rast, _rast_bytes
-from .segments import _pixel_index
+from .raster import (
+    ScoreMap, _Unshared, _frozen, _parse_rast, _rast_bytes, atomic_write_bytes,
+    csv_text,
+)
+from .segments import LabelImage
 
 _CLAMP = 1e-12
 _MODEL_MAGIC = "metaseg-model v1"
@@ -274,18 +283,38 @@ class TrainConfig:
 class MetaModel:
     """A trained meta classifier: core parameters, the standardization
     statistics its inputs expect, the training configuration, and
-    optionally the score threshold its dataset was built at."""
+    optionally the score threshold its dataset was built at and the
+    names of the metrics it was trained on, in column order."""
 
     kind: str
     core: MlpModel
     stats: StandardizationStats
     config: TrainConfig
     threshold: float | None = None
+    feature_names: tuple | None = None
 
     def __post_init__(self) -> None:
         _check_kind(self.kind, self.core)
         if self.stats.mean.shape[0] != self.core.n_features:
             raise ValueError("standardization statistics do not match the model")
+        if self.feature_names is not None:
+            object.__setattr__(self, "feature_names", tuple(self.feature_names))
+            if len(self.feature_names) != self.core.n_features:
+                raise ValueError("feature names do not match the model")
+
+    def check_metrics(self, names) -> None:
+        """Raise ValueError unless `names` are the metrics the model was
+        trained on, in that order; a model without recorded names (a file
+        written before they were) accepts any."""
+        names, ours = tuple(names), self.feature_names
+        if ours is None or names == ours:
+            return
+        if len(names) != len(ours):
+            msg = f"dataset has {len(names)} metrics, model was trained on {len(ours)}"
+        else:
+            i = next(i for i, (a, b) in enumerate(zip(names, ours)) if a != b)
+            msg = f"dataset metric {i} is {names[i]!r}, model was trained on {ours[i]!r}"
+        raise ValueError(msg)
 
     def predict_raw(self, features) -> float:
         """Predict from un-standardized metrics."""
@@ -530,34 +559,40 @@ def train(
         stats=stats,
         config=cfg,
         threshold=threshold,
+        feature_names=dataset.registry.names,
     )
     return meta, tuple(trace)
 
 
 def remove_false_positives(
     score: ScoreMap,
-    comps,
+    image: LabelImage,
+    rows,
     model: MetaModel,
-    row_provider,
     decision_threshold: float = 0.5,
 ):
-    """Zero out the pixels of components the model calls false positives.
+    """Zero out the components of `image` that the model calls false
+    positives.
 
-    `row_provider` maps a component to its un-standardized metric row.
-    Components with predicted FP probability >= decision_threshold are
-    removed from a copy of the score map; the rest are returned.
+    `rows` are the un-standardized metric rows of the image's components
+    in id order, as `features.extract_metrics` returns them.  All rows are
+    scored in one batch, and every component with predicted FP
+    probability >= decision_threshold is zeroed in a copy of the score
+    map.  Returns (cleaned score map, ids of the kept components).
     """
     if not 0.0 <= decision_threshold <= 1.0:
         raise ValueError("decision_threshold must be in [0, 1]")
+    if image.shape != score.scores.shape:
+        raise ValueError(
+            f"label image is {image.shape}, score map is {score.scores.shape}"
+        )
+    if len(rows) != image.count:
+        raise ValueError(f"{len(rows)} metric rows for {image.count} components")
+    flag = model.predict_raw_batch(rows) >= decision_threshold
     out = score.scores.copy()
-    kept = []
-    for comp in comps:
-        rows, cols, _ = _pixel_index(comp, out.shape)
-        if model.predict_raw(row_provider(comp)) >= decision_threshold:
-            out[rows, cols] = 0.0
-        else:
-            kept.append(comp)
-    return ScoreMap(out), kept
+    # Label -1 (no component) reads the appended False.
+    out[np.append(flag, False)[image.labels]] = 0.0
+    return ScoreMap(_Unshared(out)), np.flatnonzero(~flag)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +606,8 @@ def _float_list(values) -> str:
 
 def save_model(meta: MetaModel, path) -> None:
     """Write descriptor lines then the flat parameter vector as a
-    1 x 1 x P RAST block; the file round-trips bit-exactly."""
+    1 x 1 x P RAST block; the file round-trips bit-exactly.  The metric
+    names, when the model has them, are one CSV record on one line."""
     core = meta.core
     cfg = meta.config
     lines = [
@@ -585,13 +621,18 @@ def save_model(meta: MetaModel, path) -> None:
     ]
     if meta.threshold is not None:
         lines.append(f"threshold {repr(float(meta.threshold))}")
+    if meta.feature_names is not None:
+        names = csv_text([meta.feature_names])[:-1]
+        if "\n" in names:
+            raise ValueError("metric names must not contain a line break")
+        lines.append(f"feature_names {names}")
     lines.append(f"feature_mean {_float_list(meta.stats.mean)}")
     lines.append(f"feature_sigma {_float_list(meta.stats.sigma)}")
     vec = core.to_vector()
     lines.append(f"params {vec.shape[0]}")
     header = "\n".join(lines) + "\n"
     block = _rast_bytes(vec.reshape(1, 1, -1).astype(np.float64))
-    atomic_write_bytes(path, header.encode("ascii") + block)
+    atomic_write_bytes(path, header.encode("utf-8") + block)
 
 
 def load_model(path) -> MetaModel:
@@ -601,11 +642,11 @@ def load_model(path) -> MetaModel:
     if not data.startswith(_MODEL_MAGIC.encode("ascii")) or cut < 0:
         raise ValueError(f"{path}: not a model file")
     newline = data.index(b"\n", cut + 1)
-    header = data[:newline].decode("ascii")
+    header = data[:newline].decode("utf-8")
     block = data[newline + 1 :]
 
     values = {}
-    for line in header.splitlines()[1:]:
+    for line in header.split("\n")[1:]:
         key, _, text = line.partition(" ")
         values[key] = text
 
@@ -614,7 +655,7 @@ def load_model(path) -> MetaModel:
             raise ValueError(f"{path}: missing model field {key!r}")
         try:
             return parse(values[key])
-        except ValueError as exc:
+        except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}: model field {key!r}: {exc}") from None
 
     kind = value("kind")
@@ -630,11 +671,14 @@ def load_model(path) -> MetaModel:
         for key in ("feature_mean", "feature_sigma")
     )
     threshold = value("threshold", float) if "threshold" in values else None
+    # One CSV record; a lone empty name is an empty record.
+    names = (value("feature_names", lambda s: tuple(next(csv.reader([s])) or [""]))
+             if "feature_names" in values else None)
     try:
         return MetaModel(
             kind=kind, core=_core(dims, vec),
             stats=StandardizationStats(mean=mean, sigma=sigma),
-            config=TrainConfig(**config), threshold=threshold,
+            config=TrainConfig(**config), threshold=threshold, feature_names=names,
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -80,8 +80,8 @@ def _frozen(arr: np.ndarray, given) -> np.ndarray:
 
 
 class _Unshared:
-    """An array that no caller holds, handed to `ProbabilityMap` to keep
-    as it is instead of the copy it makes of a caller's array."""
+    """An array that no caller holds, handed to `ProbabilityMap` or
+    `ScoreMap` to keep as it is instead of a copy of a caller's array."""
 
     __slots__ = ("array",)
 
@@ -230,21 +230,27 @@ class LabelMask:
 
 @dataclass(frozen=True, eq=False)
 class ScoreMap:
-    """H x W anomaly scores in [0, 1]; higher means more anomalous."""
+    """H x W anomaly scores in [0, 1]; higher means more anomalous.  Values
+    up to 1e-12 outside [0, 1] are clamped; in-range values keep their bits."""
 
     scores: np.ndarray
 
     def __post_init__(self) -> None:
-        with np.errstate(invalid="ignore"):  # as in ProbabilityMap
-            arr = np.asarray(self.scores, dtype=np.float64)
+        if isinstance(self.scores, _Unshared):
+            arr = self.scores.array
+        else:
+            with np.errstate(invalid="ignore"):  # as in ProbabilityMap
+                arr = np.asarray(self.scores, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"score map must be 2-d and nonempty, got {arr.shape}")
-        if not np.isfinite(arr).all():
+        # min and max propagate NaN: both are finite iff every value is.
+        lo, hi = arr.min(), arr.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("score map contains non-finite values")
-        # Tolerate (and clamp) rounding excursions up to 1e-12 outside [0, 1].
-        if arr.min() < -1e-12 or arr.max() > 1.0 + 1e-12:
+        if lo < -1e-12 or hi > 1.0 + 1e-12:
             raise ValueError("scores must lie in [0, 1]")
-        arr = np.clip(arr, 0.0, 1.0)
+        if lo < 0.0 or hi > 1.0:
+            arr = np.clip(arr, 0.0, 1.0)
         object.__setattr__(self, "scores", _frozen(arr, self.scores))
 
     @property
@@ -470,7 +476,7 @@ def load_score_map(path) -> ScoreMap:
         for _ in blocks(scores.reshape(-1, 1)):
             pass
     try:
-        return ScoreMap(scores)
+        return ScoreMap(_Unshared(scores))
     except ValueError as exc:
         raise RasterFormatError(f"{path}: {exc}") from exc
 

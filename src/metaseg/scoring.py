@@ -31,6 +31,7 @@ from .raster import (
     ProbabilityMap,
     SampleSet,
     ScoreMap,
+    _Unshared,
     iter_probability_blocks,
 )
 
@@ -107,10 +108,11 @@ def entropy_map(pmap: ProbabilityMap) -> np.ndarray:
 
 
 def _normalized_scores(entropy: np.ndarray, num_classes: int) -> ScoreMap:
-    """Entropies in nats as scores: divided by ln(C) and clamped to [0, 1],
-    in place."""
+    """Entropies in nats as scores: divided by ln(C) and clamped to [0, 1]
+    in place.  The map keeps `entropy` itself, so the caller hands it
+    over."""
     entropy /= np.log(num_classes)
-    return ScoreMap(np.clip(entropy, 0.0, 1.0, out=entropy))
+    return ScoreMap(_Unshared(np.clip(entropy, 0.0, 1.0, out=entropy)))
 
 
 def anomaly_score_map(pmap: ProbabilityMap) -> ScoreMap:

@@ -19,8 +19,9 @@ joined across adjacent rows by vectorized min-label hooking with pointer
 jumping, so no Python loop visits a pixel or a component.  Because the
 components are maximal, the boundary of the whole hot mask is exactly the
 union of the per-component boundaries.  Every `ComponentRecord` is a view
-of one component of a label image; a record built by hand from pixel
-sets owns a one-component image.
+of one component of a label image, and its id is its index there; the
+metric rows (`features.extract_metrics`) and the false-positive removal
+(`metaclf.remove_false_positives`) take the label image itself.
 """
 
 from __future__ import annotations
@@ -111,65 +112,26 @@ class LabelImage:
             [None] * self.count if self.is_false_positive is None
             else self.is_false_positive.tolist()
         )
-        return [ComponentRecord._view(self, k, k, fp) for k, fp in enumerate(fps)]
+        return [ComponentRecord(self, k, fp) for k, fp in enumerate(fps)]
 
 
 class ComponentRecord:
-    """One predicted-OoD connected component: component `_k` of the
+    """One predicted-OoD connected component: component `id` of the
     `LabelImage` `image`.
 
     `is_false_positive` is None until the component has been compared
-    against a ground-truth mask.  Records handed out by a label image are
-    exact by construction.  A record built here from pixel sets is checked
-    and then owns a one-component image of (rmax + 1) x (cmax + 1) pixels;
-    its `id` is whatever the caller gave.  The pixel sets are built from
-    the image on every access.
+    against a ground-truth mask.  The pixel sets are built from the image
+    on every access.
     """
 
-    __slots__ = ("id", "is_false_positive", "image", "_k")
+    __slots__ = ("image", "id", "is_false_positive")
 
-    def __init__(
-        self,
-        id: int,
-        pixels,
-        boundary,
-        interior,
-        bbox: tuple,
-        is_false_positive: bool | None = None,
-        source_sample: str = "",
-    ) -> None:
-        pixels, boundary, interior = (
-            frozenset(pixels), frozenset(boundary), frozenset(interior)
-        )
-        if not pixels:
-            raise ValueError("component pixel set must be nonempty")
-        if boundary | interior != pixels or (boundary & interior):
-            raise ValueError("boundary and interior must partition the pixel set")
-        rows = [p[0] for p in pixels]
-        cols = [p[1] for p in pixels]
-        bbox = tuple(bbox)
-        if bbox != (min(rows), max(rows), min(cols), max(cols)):
-            raise ValueError("bbox does not match the pixel set")
-        if bbox[0] < 0 or bbox[2] < 0:
-            raise ValueError(f"component bbox {bbox} has a negative coordinate")
-        dims = (bbox[1] + 1, bbox[3] + 1)
-        grid = _pixel_grid(pixels, dims)
-        image = LabelImage(np.where(grid, 0, -1), _pixel_grid(boundary, dims),
-                           source_sample=source_sample)
-        self._init(id, is_false_positive, image, 0)
-
-    def _init(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
+    def __init__(self, image: LabelImage, id: int,
+                 is_false_positive: bool | None = None) -> None:
+        if not 0 <= id < image.count:
+            raise ValueError(f"component id {id} not in an image of {image.count}")
+        for name, value in zip(self.__slots__, (image, id, is_false_positive)):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def _view(cls, image: LabelImage, id, k: int, is_false_positive):
-        rec = cls.__new__(cls)
-        rec._init(id, is_false_positive, image, k)
-        return rec
-
-    def _labeled(self, is_false_positive: bool) -> "ComponentRecord":
-        return ComponentRecord._view(self.image, self.id, self._k, is_false_positive)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ComponentRecord is immutable; cannot set {name!r}")
@@ -181,10 +143,15 @@ class ComponentRecord:
             f"source_sample={self.source_sample!r})"
         )
 
-    def _index(self) -> tuple:
-        """(rows, cols, on_boundary) arrays of the pixels, raster order."""
-        lo = self.image.offsets[self._k]
-        span = slice(lo, lo + self.image.sizes[self._k])
+    def _index(self, shape=None) -> tuple:
+        """(rows, cols, on_boundary) arrays of the pixels, raster order,
+        checked to lie inside an image of `shape` when one is given."""
+        if shape is not None:
+            (h, w), (_, rmax, _, cmax) = shape, self.bbox
+            if rmax >= h or cmax >= w:
+                raise ValueError(f"component bbox {self.bbox} outside {h}x{w} image")
+        lo = self.image.offsets[self.id]
+        span = slice(lo, lo + self.image.sizes[self.id])
         rows, cols = np.divmod(self.image.order[span], self.image.shape[1])
         return rows, cols, self.image.on_boundary[span]
 
@@ -208,7 +175,7 @@ class ComponentRecord:
     @property
     def bbox(self) -> tuple:
         """(rmin, rmax, cmin, cmax)."""
-        return tuple(self.image.bboxes[self._k].tolist())
+        return tuple(self.image.bboxes[self.id].tolist())
 
     @property
     def source_sample(self) -> str:
@@ -216,11 +183,11 @@ class ComponentRecord:
 
     @property
     def size(self) -> int:
-        return int(self.image.sizes[self._k])
+        return int(self.image.sizes[self.id])
 
     @property
     def boundary_size(self) -> int:
-        return int(self.image.boundary_sizes[self._k])
+        return int(self.image.boundary_sizes[self.id])
 
     @property
     def interior_size(self) -> int:
@@ -354,32 +321,11 @@ def connected_components(
     return label_image(grid, min_size, source_sample=source_sample).records()
 
 
-def _pixel_index(comp: ComponentRecord, shape) -> tuple:
-    """(rows, cols, on_boundary) arrays of the component's pixels, checked
-    to lie inside an image of the given shape."""
-    h, w = shape
-    _, rmax, _, cmax = comp.bbox
-    if rmax >= h or cmax >= w:
-        raise ValueError(f"component bbox {comp.bbox} outside {h}x{w} image")
-    return comp._index()
-
-
-def component_image(comp: ComponentRecord, dims) -> LabelImage:
-    """A label image of the given dims holding `comp` alone, as id 0,
-    with the component's own boundary/interior split."""
-    rows, cols, on_bd = _pixel_index(comp, dims)
-    labels = np.full(dims, -1, dtype=np.int32)
-    labels[rows, cols] = 0
-    boundary = np.zeros(dims, dtype=bool)
-    boundary[rows[on_bd], cols[on_bd]] = True
-    return LabelImage(labels, boundary, source_sample=comp.source_sample)
-
-
 def component_iou(comp: ComponentRecord, mask: LabelMask) -> float:
     """Intersection over union between the component and the mask's OOD
     pixels.  IGNORE pixels count as non-OoD."""
     ood = mask.is_ood()
-    rows, cols, _ = _pixel_index(comp, ood.shape)
+    rows, cols, _ = comp._index(ood.shape)
     inter = int(ood[rows, cols].sum())
     union = comp.size + int(ood.sum()) - inter
     return inter / union
@@ -392,8 +338,8 @@ def label_components(comps, mask: LabelMask) -> list:
     ood = mask.is_ood()
     labeled = []
     for comp in comps:
-        rows, cols, _ = _pixel_index(comp, ood.shape)
-        labeled.append(comp._labeled(not ood[rows, cols].any()))
+        rows, cols, _ = comp._index(ood.shape)
+        labeled.append(ComponentRecord(comp.image, comp.id, not ood[rows, cols].any()))
     return labeled
 
 

@@ -8,6 +8,7 @@ correlation-sort oracle on orthogonalized designs, where the two must
 agree exactly.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -321,6 +322,14 @@ class TestEvaluateComponents:
         ds = toy_dataset(rows, [1, 0] * 5)
         report = evaluate_components(identity_meta([0.0, 0.0]), ds)
         assert report.auroc == 0.5
+
+    def test_permuted_metrics_rejected(self):
+        ds = toy_dataset(np.eye(2), [1, 0])
+        meta = dataclasses.replace(identity_meta([1.0, 0.0]), feature_names=("m1", "m0"))
+        with pytest.raises(ValueError, match="dataset metric 0 is 'm0'"):
+            evaluate_components(meta, ds)
+        meta = dataclasses.replace(meta, feature_names=("m0", "m1"))
+        assert evaluate_components(meta, ds).auroc == 1.0
 
     def test_empty_dataset_rejected(self):
         reg = MetricRegistry.custom(["m0"])

@@ -192,6 +192,24 @@ class TestDataErrors:
         assert "'abc'" in err
 
 
+    def test_model_refuses_swapped_metric_columns(self, toy_mu, tmp_path, capsys):
+        model = tmp_path / "m.model"
+        args = ["train-meta", "--mu", str(toy_mu), "--out", str(model)]
+        assert cli.run(args + TRAIN_FLAGS) == 0
+        # The same table with its first two columns swapped, header and all.
+        ds = features.load_metrics_csv(toy_mu)
+        swapped = tmp_path / "swapped.csv"
+        features.save_metrics_csv(ds.select_metrics([1, 0, 2]), swapped)
+        capsys.readouterr()
+        report = tmp_path / "r.csv"
+        args = ["eval-meta", "--model", str(model), "--mu", str(swapped),
+                "--out", str(report)]
+        assert cli.run(args) == 2
+        err = capsys.readouterr().err
+        assert err == ("metaseg: error: dataset metric 0 is 'noise_a', "
+                       "model was trained on 'sig'\n")
+        assert not report.exists()
+
     def test_signalling_nan_is_one_error_line(self, tmp_path):
         # float32 0x7f800001, a signalling NaN, then 0.5: the float64
         # cast must not warn before the map is rejected.

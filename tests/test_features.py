@@ -36,10 +36,10 @@ from metaseg.raster import (
 )
 from metaseg.scoring import anomaly_score_map
 from metaseg.segments import (
-    ComponentRecord,
+    LabelImage,
     ThresholdConfig,
-    connected_components,
     extract_labeled_components,
+    label_image,
 )
 from metaseg.synth import SceneSpec, generate
 
@@ -50,15 +50,13 @@ def uniform_sample(h, w, c):
     return pmap, anomaly_score_map(pmap)
 
 
-def block_component(rmin, rmax, cmin, cmax, dims):
-    pixels = {
-        (r, c)
-        for r in range(rmin, rmax + 1)
-        for c in range(cmin, cmax + 1)
-    }
-    comps = connected_components(pixels, dims)
-    assert len(comps) == 1
-    return comps[0]
+def block_image(rmin, rmax, cmin, cmax, dims):
+    """The label image of one filled rectangle."""
+    grid = np.zeros(dims, dtype=bool)
+    grid[rmin:rmax + 1, cmin:cmax + 1] = True
+    image = label_image(grid)
+    assert image.count == 1
+    return image
 
 
 def whole_array_margin(values):
@@ -235,23 +233,26 @@ class TestMatchesReferenceRow:
         score = anomaly_score_map(sample.pmap)
         fields = reference_fields(sample.pmap, score, 0.7)
         reg = MetricRegistry.standard(4)
-        comps = extract_labeled_components(score, sample.mask, ThresholdConfig(0.7))
-        for comp in comps[::7]:
-            got = extract_metrics(comp, sample.pmap, score, reg)
-            assert np.array_equal(got, reference_row(comp, fields))
+        image = label_image(score.scores >= 0.7)
+        rows = extract_metrics(image, sample.pmap, score, reg)
+        assert rows.shape == (image.count, reg.total) and image.count > 7
+        for comp in image.records():
+            assert np.array_equal(rows[comp.id], reference_row(comp, fields))
 
     def test_hand_built_record_matches_reference(self):
         # Not a maximal component, and split by hand: the ring may hold hot
-        # pixels and the boundary is whatever the record says.
+        # pixels and the boundary is whatever the label image says.
         sample = iid_sample(8, 8, 3, 1.0, seed=241)
         score = anomaly_score_map(sample.pmap)
-        pixels = {(2, 2), (2, 3), (3, 3), (4, 4)}
-        comp = ComponentRecord(
-            id=0, pixels=pixels, boundary={(2, 2), (4, 4)},
-            interior={(2, 3), (3, 3)}, bbox=(2, 4, 2, 4),
-        )
+        labels = np.full((8, 8), -1)
+        labels[[2, 2, 3, 4], [2, 3, 3, 4]] = 0
+        boundary = np.zeros((8, 8), dtype=bool)
+        boundary[[2, 4], [2, 4]] = True
+        image = LabelImage(labels, boundary)
+        comp, = image.records()
+        assert comp.interior == {(2, 3), (3, 3)}
         reg = MetricRegistry.standard(3)
-        got = extract_metrics(comp, sample.pmap, score, reg)
+        got, = extract_metrics(image, sample.pmap, score, reg)
         assert np.array_equal(got, reference_row(comp, reference_fields(
             sample.pmap, score, 0.7)))
         assert dict(zip(reg.names, got))["nb_hot_frac"] == 1.0
@@ -337,11 +338,17 @@ class TestExtractMetrics:
     def named(self, row, reg):
         return dict(zip(reg.names, row))
 
+    def block_row(self, block, pmap, score, reg, **kwargs):
+        """The named metrics of one filled rectangle, (rmin, rmax, cmin,
+        cmax, dims), the only component of its label image."""
+        rows = extract_metrics(block_image(*block), pmap, score, reg, **kwargs)
+        assert rows.shape == (1, reg.total)
+        return self.named(rows[0], reg)
+
     def test_uniform_block_dispersion_and_geometry(self):
         pmap, score = uniform_sample(10, 10, 4)
         reg = MetricRegistry.standard(4)
-        comp = block_component(1, 3, 1, 3, (10, 10))
-        m = self.named(extract_metrics(comp, pmap, score, reg), reg)
+        m = self.block_row((1, 3, 1, 3, (10, 10)), pmap, score, reg)
 
         assert m["ent_mean"] == pytest.approx(1.0, abs=1e-12)
         assert m["ent_var"] == pytest.approx(0.0, abs=1e-15)
@@ -365,8 +372,7 @@ class TestExtractMetrics:
     def test_uniform_block_neighborhood(self):
         pmap, score = uniform_sample(10, 10, 4)
         reg = MetricRegistry.standard(4)
-        comp = block_component(1, 3, 1, 3, (10, 10))
-        m = self.named(extract_metrics(comp, pmap, score, reg, threshold=0.7), reg)
+        m = self.block_row((1, 3, 1, 3, (10, 10)), pmap, score, reg, threshold=0.7)
         # Ring is the 5x5 dilation minus the 3x3 block: 16 pixels.
         assert m["nb_ring_bd_ratio"] == pytest.approx(2.0, abs=1e-12)
         assert m["nb_ent_mean"] == pytest.approx(1.0, abs=1e-12)
@@ -377,8 +383,7 @@ class TestExtractMetrics:
     def test_full_image_component_has_empty_ring(self):
         pmap, score = uniform_sample(3, 3, 4)
         reg = MetricRegistry.standard(4)
-        comp = block_component(0, 2, 0, 2, (3, 3))
-        m = self.named(extract_metrics(comp, pmap, score, reg), reg)
+        m = self.block_row((0, 2, 0, 2, (3, 3)), pmap, score, reg)
         for name in (
             "nb_ent_mean", "nb_maxprob_mean", "nb_hot_frac",
             "nb_ring_bd_ratio", "nb_margin_mean",
@@ -388,8 +393,7 @@ class TestExtractMetrics:
     def test_single_pixel_interior_fallback(self):
         pmap, score = uniform_sample(5, 5, 4)
         reg = MetricRegistry.standard(4)
-        comp = block_component(2, 2, 2, 2, (5, 5))
-        m = self.named(extract_metrics(comp, pmap, score, reg), reg)
+        m = self.block_row((2, 2, 2, 2, (5, 5)), pmap, score, reg)
         assert m["size"] == 1.0
         assert m["size_in"] == 0.0
         assert m["size_bd"] == 1.0
@@ -401,9 +405,8 @@ class TestExtractMetrics:
     def test_translation_moves_only_centroid(self):
         pmap, score = uniform_sample(12, 12, 3)
         reg = MetricRegistry.standard(3)
-        a = extract_metrics(block_component(1, 3, 1, 3, (12, 12)), pmap, score, reg)
-        b = extract_metrics(block_component(5, 7, 7, 9, (12, 12)), pmap, score, reg)
-        ma, mb = self.named(a, reg), self.named(b, reg)
+        ma = self.block_row((1, 3, 1, 3, (12, 12)), pmap, score, reg)
+        mb = self.block_row((5, 7, 7, 9, (12, 12)), pmap, score, reg)
         for name in reg.names:
             if name in ("center_row", "center_col"):
                 continue
@@ -412,12 +415,35 @@ class TestExtractMetrics:
         assert mb["center_row"] == pytest.approx(6.0 / 12.0, abs=1e-12)
         assert mb["center_col"] == pytest.approx(8.0 / 12.0, abs=1e-12)
 
+    def test_rows_follow_component_ids(self):
+        # Two separate rectangles in one image give, in id (raster) order,
+        # the rows each gets as the only component of its own image.
+        pmap, score = uniform_sample(12, 12, 3)
+        reg = MetricRegistry.standard(3)
+        blocks = [(1, 3, 1, 3, (12, 12)), (5, 7, 7, 9, (12, 12))]
+        hot = (block_image(*blocks[0]).labels >= 0) | (block_image(*blocks[1]).labels >= 0)
+        rows = extract_metrics(label_image(hot), pmap, score, reg)
+        for row, block in zip(rows, blocks, strict=True):
+            one = extract_metrics(block_image(*block), pmap, score, reg)[0]
+            assert np.array_equal(row, one)
+
+    def test_image_without_components(self):
+        pmap, score = uniform_sample(4, 5, 3)
+        reg = MetricRegistry.standard(3)
+        image = label_image(np.zeros((4, 5), dtype=bool))
+        assert extract_metrics(image, pmap, score, reg).shape == (0, reg.total)
+
+    def test_image_shape_mismatch_rejected(self):
+        pmap, score = uniform_sample(4, 4, 3)
+        reg = MetricRegistry.standard(3)
+        with pytest.raises(ValueError, match="label image is"):
+            extract_metrics(block_image(0, 0, 0, 0, (4, 5)), pmap, score, reg)
+
     def test_registry_class_mismatch_rejected(self):
         pmap, score = uniform_sample(4, 4, 3)
         reg = MetricRegistry.standard(4)
-        comp = block_component(0, 0, 0, 0, (4, 4))
         with pytest.raises(ValueError, match="registry"):
-            extract_metrics(comp, pmap, score, reg)
+            extract_metrics(block_image(0, 0, 0, 0, (4, 4)), pmap, score, reg)
 
     def test_nonuniform_field_statistics(self):
         # Two-pixel component with distinct scores: check mean/var by hand.
@@ -427,8 +453,7 @@ class TestExtractMetrics:
         pmap = ProbabilityMap(arr)
         score = anomaly_score_map(pmap)
         reg = MetricRegistry.standard(2)
-        comp = block_component(0, 0, 0, 1, (1, 2))
-        m = self.named(extract_metrics(comp, pmap, score, reg), reg)
+        m = self.block_row((0, 0, 0, 1, (1, 2)), pmap, score, reg)
         s = score.scores[0]
         assert m["ent_mean"] == pytest.approx(s.mean(), abs=1e-12)
         assert m["ent_var"] == pytest.approx(s.var(), abs=1e-12)

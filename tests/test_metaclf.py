@@ -11,14 +11,17 @@ import math
 import re
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaseg import metaclf
-from metaseg.features import MetricRegistry, MetricsDataset, StandardizationStats
+from metaseg import features, metaclf, scoring, segments, synth
+from metaseg.features import (
+    MetricRegistry, MetricsDataset, StandardizationStats, build_metrics_dataset,
+)
 from metaseg.metaclf import (
     LogisticModel,
     MetaModel,
@@ -39,7 +42,7 @@ from metaseg.metaclf import (
     train,
 )
 from metaseg.raster import ScoreMap
-from metaseg.segments import connected_components
+from metaseg.segments import ThresholdConfig, label_image
 
 
 def toy_dataset(rows, labels):
@@ -494,12 +497,10 @@ class TestRemoveFalsePositives:
         scores[0:2, 0:2] = 0.9
         scores[4:6, 4:6] = 0.8
         sm = ScoreMap(scores)
-        pixels = {(r, c) for r, c in np.argwhere(scores >= 0.7)}
-        comps = connected_components(pixels, (6, 6))
-        return sm, comps
+        return sm, label_image(scores >= 0.7)
 
-    def logistic_model(self, weights, bias):
-        stats = StandardizationStats(np.zeros(2), np.ones(2))
+    def logistic_model(self, weights, bias, n=2):
+        stats = StandardizationStats(np.zeros(n), np.ones(n))
         core = LogisticModel(weights, bias)
         return MetaModel(
             kind="logistic", core=core, stats=stats, config=TrainConfig()
@@ -510,54 +511,115 @@ class TestRemoveFalsePositives:
         return self.logistic_model(np.zeros(2), math.log(p_out / (1.0 - p_out)))
 
     def test_row_dependent_model_removes_one_keeps_other(self):
-        sm, comps = self.setup_scene()
+        sm, image = self.setup_scene()
         model = self.logistic_model([10.0, 0.0], 0.0)
-        # The top-left component gets p = sigmoid(10), the other sigmoid(-10).
-        out, kept = remove_false_positives(
-            sm, comps, model,
-            lambda c: np.array([1.0 if c.bbox[0] == 0 else -1.0, 0.0]),
-        )
-        assert kept == [comps[1]]
+        # The top-left component (id 0) gets p = sigmoid(10), the other
+        # sigmoid(-10).
+        rows = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        out, kept = remove_false_positives(sm, image, rows, model)
+        assert kept.tolist() == [1]
         expected = sm.scores.copy()
         expected[0:2, 0:2] = 0.0
         np.testing.assert_array_equal(out.scores, expected)
 
     def test_confident_model_zeroes_components(self):
-        sm, comps = self.setup_scene()
+        sm, image = self.setup_scene()
         model = self.constant_model(0.9)
-        out, kept = remove_false_positives(sm, comps, model, lambda c: np.zeros(2))
-        assert kept == []
+        out, kept = remove_false_positives(sm, image, np.zeros((2, 2)), model)
+        assert kept.tolist() == []
         np.testing.assert_array_equal(out.scores, 0.0)
 
     def test_unconfident_model_keeps_everything(self):
-        sm, comps = self.setup_scene()
+        sm, image = self.setup_scene()
         model = self.constant_model(0.1)
-        out, kept = remove_false_positives(sm, comps, model, lambda c: np.zeros(2))
-        assert len(kept) == len(comps)
+        out, kept = remove_false_positives(sm, image, np.zeros((2, 2)), model)
+        assert kept.tolist() == list(range(image.count))
         np.testing.assert_array_equal(out.scores, sm.scores)
 
     def test_original_map_untouched(self):
-        sm, comps = self.setup_scene()
+        sm, image = self.setup_scene()
         before = sm.scores.copy()
         model = self.constant_model(0.9)
-        remove_false_positives(sm, comps, model, lambda c: np.zeros(2))
+        remove_false_positives(sm, image, np.zeros((2, 2)), model)
         np.testing.assert_array_equal(sm.scores, before)
 
-    def test_bbox_outside_score_map_rejected(self):
+    def test_image_without_components(self):
         sm, _ = self.setup_scene()
-        comps = connected_components({(6, 6), (7, 7)}, (8, 8))
-        with pytest.raises(ValueError, match="outside"):
-            remove_false_positives(
-                sm, comps, self.constant_model(0.9), lambda c: np.zeros(2)
-            )
+        image = label_image(np.zeros((6, 6), dtype=bool))
+        out, kept = remove_false_positives(
+            sm, image, np.zeros((0, 2)), self.constant_model(0.9)
+        )
+        assert kept.tolist() == []
+        np.testing.assert_array_equal(out.scores, sm.scores)
+
+    def test_bbox_outside_score_map_rejected(self):
+        # A label image of another shape is refused whole, whether or not
+        # its components would fit inside the score map.
+        sm, _ = self.setup_scene()
+        for dims, hot in (((8, 8), (6, 7)), ((5, 6), (0, 1))):
+            grid = np.zeros(dims, dtype=bool)
+            grid[hot, hot] = True
+            with pytest.raises(ValueError, match="label image is"):
+                remove_false_positives(
+                    sm, label_image(grid), np.zeros((1, 2)), self.constant_model(0.9)
+                )
+
+    def test_row_count_mismatch_rejected(self):
+        sm, image = self.setup_scene()
+        with pytest.raises(ValueError, match="3 metric rows for 2 components"):
+            remove_false_positives(sm, image, np.zeros((3, 2)), self.constant_model(0.9))
 
     def test_decision_threshold_validated(self):
-        sm, comps = self.setup_scene()
+        sm, image = self.setup_scene()
         model = self.constant_model(0.9)
         with pytest.raises(ValueError, match="decision_threshold"):
             remove_false_positives(
-                sm, comps, model, lambda c: np.zeros(2), decision_threshold=1.5
+                sm, image, np.zeros((2, 2)), model, decision_threshold=1.5
             )
+
+    def test_matches_per_record_loop_on_iid_scene(self, monkeypatch):
+        rng = np.random.default_rng(307)
+        sm = ScoreMap(rng.random((128, 176)))
+        image = label_image(sm.scores >= 0.7)
+        rows = rng.normal(0.0, 1.0, (image.count, 3))
+        model = self.logistic_model([1.5, -1.0, 0.5], 0.2, n=3)
+        t = 0.6
+        want = sm.scores.copy()
+        want_kept = []
+        for comp in image.records():
+            if model.predict_raw(rows[comp.id]) >= t:
+                for r, c in comp.pixels:
+                    want[r, c] = 0.0
+            else:
+                want_kept.append(comp.id)
+        calls = []
+        batch = MetaModel.predict_raw_batch
+        monkeypatch.setattr(MetaModel, "predict_raw_batch",
+                            lambda self, x: calls.append(len(x)) or batch(self, x))
+        out, kept = remove_false_positives(sm, image, rows, model, t)
+        assert calls == [image.count] and image.count >= 1000
+        assert 0 < len(want_kept) < image.count
+        assert kept.tolist() == want_kept
+        assert out.scores.tobytes() == want.tobytes()
+
+    def test_readme_snippet(self):
+        # The README's removal snippet, run on a small trained model.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+        snippet, = [b for b in blocks if "remove_false_positives(" in b]
+        samples = synth.generate(synth.SceneSpec(dims=(32, 32), num_classes=4, seed=3), 4)
+        registry = MetricRegistry.standard(4)
+        dataset = build_metrics_dataset(samples, ThresholdConfig(0.7), registry)
+        model, _ = train("logistic", dataset, TrainConfig(epochs=5, seed=0))
+        env = {"features": features, "metaclf": metaclf, "scoring": scoring,
+               "segments": segments, "samples": samples, "registry": registry,
+               "model": model}
+        exec(snippet, env)
+        score, image, cleaned, kept = (env[k] for k in ("score", "image", "cleaned", "kept"))
+        flagged = model.predict_raw_batch(env["rows"]) >= 0.5
+        assert image.count > 0 and kept.tolist() == np.flatnonzero(~flagged).tolist()
+        want = np.where(np.isin(image.labels, np.flatnonzero(flagged)), 0.0, score.scores)
+        assert cleaned.scores.tobytes() == want.tobytes()
 
 
 class TestModelFiles:
@@ -606,6 +668,67 @@ class TestModelFiles:
         save_model(meta, path)
         assert load_model(path).threshold is None
 
+    def test_metric_names_round_trip(self, tmp_path):
+        meta, ds = self.trained("logistic")
+        assert meta.feature_names == ds.registry.names
+        names = ("a,b", 'q"uote, tab\tand\rcr, \u00e9t\u00e9')
+        meta = dataclasses.replace(meta, feature_names=names)
+        p1, p2 = tmp_path / "m1.bin", tmp_path / "m2.bin"
+        save_model(meta, p1)
+        back = load_model(p1)
+        assert back.feature_names == names
+        save_model(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_single_empty_metric_name_round_trips(self, tmp_path):
+        ds = toy_dataset([[0.0], [1.0], [2.0]], [0, 1, 1])
+        ds = MetricsDataset(ds.rows, ds.labels, ds.group_ids, MetricRegistry.custom([""]))
+        meta, _ = train("logistic", ds, TrainConfig(epochs=1, seed=0))
+        save_model(meta, tmp_path / "m.bin")
+        assert load_model(tmp_path / "m.bin").feature_names == ("",)
+
+    def test_metric_name_with_line_break_refused(self, tmp_path):
+        meta, _ = self.trained("logistic")
+        names = ("a\nb",) + meta.feature_names[1:]
+        with pytest.raises(ValueError, match="line break"):
+            save_model(dataclasses.replace(meta, feature_names=names), tmp_path / "m.bin")
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_name_count_must_match_features(self, tmp_path):
+        meta, _ = self.trained("logistic")
+        with pytest.raises(ValueError, match="feature names do not match"):
+            dataclasses.replace(meta, feature_names=meta.feature_names[:-1])
+        path = tmp_path / "m.bin"
+        save_model(meta, path)
+        data = path.read_bytes()
+        start = data.index(b"\nfeature_names ") + 1
+        end = data.index(b"\n", start)
+        path.write_bytes(data[:start] + b"feature_names only_one" + data[end:])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: feature names do")):
+            load_model(path)
+
+    def test_file_without_names_loads_and_checks_nothing(self, tmp_path):
+        meta, ds = self.trained("logistic")
+        path = tmp_path / "m.bin"
+        save_model(meta, path)
+        data = path.read_bytes()
+        start = data.index(b"\nfeature_names ")
+        path.write_bytes(data[:start] + data[data.index(b"\n", start + 1):])
+        back = load_model(path)
+        assert back.feature_names is None
+        back.check_metrics(ds.registry.names[::-1])
+
+    def test_check_metrics_refuses_other_names(self):
+        meta, ds = self.trained("logistic")
+        meta.check_metrics(ds.registry.names)
+        names = ds.registry.names[::-1]
+        with pytest.raises(ValueError, match="dataset metric 0 is 'm1', model was "
+                                             "trained on 'm0'"):
+            meta.check_metrics(names)
+        with pytest.raises(ValueError, match="dataset has 1 metrics, model was "
+                                             "trained on 2"):
+            meta.check_metrics(names[:1])
+
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a model")
@@ -640,7 +763,7 @@ class TestModelFiles:
         for line in header.splitlines()[1:]:
             key = line.split(" ", 1)[0]
             if key in ("n_features", "hidden_activation", "output_activation",
-                       "threshold"):
+                       "threshold", "feature_names"):
                 continue
             start = data.index(f"\n{key} ".encode("ascii"))
             path.write_bytes(data[:start] + data[data.index(b"\n", start + 1):])

@@ -136,6 +136,33 @@ class TestScoreMap:
         with pytest.raises(ValueError):
             ScoreMap(np.array([[np.nan]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_infinity(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            ScoreMap(np.array([[0.5, bad]]))
+
+    def test_in_range_scores_kept_bit_for_bit(self):
+        a = np.array([[-0.0, 0.0, 0.25, 1.0]])
+        sm = ScoreMap(a)
+        assert sm.scores.tobytes() == a.tobytes()
+        assert np.signbit(sm.scores[0, 0])
+
+    def test_unshared_array_kept_without_copy(self):
+        a = np.full((3, 4), 0.5)
+        assert ScoreMap(raster._Unshared(a)).scores is a
+        assert not a.flags.writeable
+
+    def test_load_memory_bounded_by_the_map(self, tmp_path):
+        path = tmp_path / "s.score.rast"
+        save_score_map(ScoreMap(np.random.default_rng(8).random((1024, 2048))), path)
+        tracemalloc.start()
+        try:
+            sm = load_score_map(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * sm.scores.nbytes, peak / sm.scores.nbytes
+
 
 class TestCallerArraysStayWriteable:
     """A container keeps a read-only copy of an array the caller passed;

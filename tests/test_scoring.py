@@ -386,6 +386,30 @@ class TestStreamedScore:
         assert smap.scores.shape == (256, 512)
 
 
+class TestNormalizedScores:
+    def test_memory_bounded_by_the_map(self):
+        # The score map keeps the entropy array it is handed; nothing of
+        # its size is allocated besides.
+        tracemalloc.start()
+        try:
+            entropy = np.full((1024, 2048), 0.5 * np.log(19))
+            entropy[0, :2] = [0.0, 1.1 * np.log(19)]
+            smap = scoring._normalized_scores(entropy, 19)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * smap.scores.nbytes, peak / smap.scores.nbytes
+        assert smap.scores is entropy
+        assert smap.scores[0, 0] == 0.0 and smap.scores[0, 1] == 1.0
+
+    def test_one_hot_pixels_score_negative_zero(self):
+        # The bits `score` writes: a one-hot pixel's entropy is -0.0, and
+        # clamping keeps the sign.
+        pmap = ProbabilityMap(np.array([[[1.0, 0.0], [0.5, 0.5]]]))
+        scores = anomaly_score_map(pmap).scores
+        assert np.signbit(scores[0, 0]) and scores[0, 1] == 1.0
+
+
 class TestLossIn:
     def test_perfect_prediction_is_zero(self):
         vec = np.zeros(4)

@@ -145,8 +145,9 @@ class TestConnectedComponents:
             assert got == union_find_partition(grid)
 
     def test_pixel_outside_image_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            connected_components({(5, 0)}, (3, 3))
+        for pixel in ((5, 0), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="outside"):
+                connected_components({pixel}, (3, 3))
 
     def test_empty_input_gives_no_components(self):
         assert connected_components(set(), (4, 4)) == []
@@ -284,34 +285,35 @@ class TestBoundary:
 
 
 class TestComponentRecord:
-    def test_hand_built_record_owns_one_component_image(self):
+    def test_hand_built_record_views_a_one_component_label_image(self):
         pixels = {(2, 3), (3, 3), (3, 4), (4, 4)}
-        comp = ComponentRecord(
-            id=17, pixels=pixels, boundary={(2, 3), (4, 4)},
-            interior={(3, 3), (3, 4)}, bbox=(2, 4, 3, 4), source_sample="s1",
-        )
-        assert isinstance(comp.image, LabelImage)
+        labels = np.full((5, 5), -1)
+        boundary = np.zeros((5, 5), dtype=bool)
+        for r, c in pixels:
+            labels[r, c] = 0
+        boundary[2, 3] = boundary[4, 4] = True
+        image = LabelImage(labels, boundary, source_sample="s1")
+        comp = ComponentRecord(image, 0)
+        assert comp.image is image
         assert comp.image.count == 1 and comp.image.shape == (5, 5)
-        assert comp.id == 17 and comp.source_sample == "s1"
+        assert comp.id == 0 and comp.source_sample == "s1"
+        assert comp.is_false_positive is None
         assert comp.pixels == pixels and comp.bbox == (2, 4, 3, 4)
         assert comp.boundary == {(2, 3), (4, 4)}
         assert comp.interior == {(3, 3), (3, 4)}
         assert (comp.size, comp.boundary_size, comp.interior_size) == (4, 2, 2)
 
+    def test_id_outside_the_image_rejected(self):
+        image = label_image(np.eye(3, dtype=bool))
+        for bad in (-1, 1):
+            with pytest.raises(ValueError, match="not in an image of 1"):
+                ComponentRecord(image, bad)
+
     def test_views_share_their_label_image(self):
         image = label_image(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
         comps = image.records()
         assert comps and all(c.image is image for c in comps)
-
-    def test_negative_coordinate_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            ComponentRecord(
-                id=0,
-                pixels={(-1, 0), (0, 0)},
-                boundary={(-1, 0), (0, 0)},
-                interior=set(),
-                bbox=(-1, 0, 0, 0),
-            )
+        assert [c.id for c in comps] == list(range(image.count))
 
     def test_label_image_leaves_caller_labels_writeable(self):
         labels = np.array([[0, -1], [-1, 1]], dtype=np.int32)
@@ -319,36 +321,6 @@ class TestComponentRecord:
         labels[0, 1] = 0
         assert image.labels[0, 1] == -1
         assert not image.labels.flags.writeable
-
-    def test_partition_validated(self):
-        with pytest.raises(ValueError, match="partition"):
-            ComponentRecord(
-                id=0,
-                pixels=frozenset({(0, 0), (0, 1)}),
-                boundary=frozenset({(0, 0)}),
-                interior=frozenset(),
-                bbox=(0, 0, 0, 1),
-            )
-
-    def test_bbox_validated(self):
-        with pytest.raises(ValueError, match="bbox"):
-            ComponentRecord(
-                id=0,
-                pixels=frozenset({(0, 0)}),
-                boundary=frozenset({(0, 0)}),
-                interior=frozenset(),
-                bbox=(0, 0, 0, 1),
-            )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            ComponentRecord(
-                id=0,
-                pixels=frozenset(),
-                boundary=frozenset(),
-                interior=frozenset(),
-                bbox=(0, 0, 0, 0),
-            )
 
 
 class TestIoU:
