@@ -215,8 +215,8 @@ def _cmd_score(cfg: RunConfig) -> None:
     print(f"wrote {len(paths)} score maps to {out_dir}")
 
 
-def _iter_samples(cfg: RunConfig):
-    return raster.iter_samples(
+def _sample_files(cfg: RunConfig):
+    return raster.iter_sample_files(
         cfg.options["in_dir"],
         ood_label=cfg.options.get("ood_label", raster.OOD_LABEL),
         ignore_label=cfg.options.get("ignore_label", raster.IGNORE_LABEL),
@@ -227,8 +227,8 @@ def _cmd_segments(cfg: RunConfig) -> None:
     tcfg = segments.ThresholdConfig(cfg.options["t"])
 
     # One sample per call; `map` keeps no sample alive while the next loads.
-    def sample_lines(sample: raster.Sample) -> list:
-        smap = scoring.anomaly_score_map(sample.pmap)
+    def sample_lines(sample: raster.SampleFile) -> list:
+        smap = scoring.anomaly_score_file(sample.path)
         comps = segments.extract_labeled_components(
             smap, sample.mask, tcfg,
             min_size=cfg.options["min_size"], source_sample=sample.id,
@@ -245,7 +245,7 @@ def _cmd_segments(cfg: RunConfig) -> None:
         "group_id", "component_id", "size", "size_interior", "size_boundary",
         "bbox_rmin", "bbox_rmax", "bbox_cmin", "bbox_cmax", "is_false_positive",
     ]]
-    for part in map(sample_lines, _iter_samples(cfg)):
+    for part in map(sample_lines, _sample_files(cfg)):
         records.extend(part)
     raster.atomic_write_text(cfg.options["out_csv"], raster.csv_text(records))
     print(f"wrote {len(records) - 1} components to {cfg.options['out_csv']}")
@@ -253,7 +253,7 @@ def _cmd_segments(cfg: RunConfig) -> None:
 
 def _cmd_metrics(cfg: RunConfig) -> None:
     dataset = features.build_metrics_dataset(
-        _iter_samples(cfg), segments.ThresholdConfig(cfg.options["t"])
+        _sample_files(cfg), segments.ThresholdConfig(cfg.options["t"])
     )
     features.save_metrics_csv(dataset, cfg.options["out_csv"])
     print(

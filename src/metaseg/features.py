@@ -29,8 +29,11 @@ which keeps single-pixel components finite.  Population (not sample)
 variance is used throughout for the same reason.
 
 `extract_metrics` computes the rows of all components of an image at
-once from its `LabelImage`, and `build_metrics_dataset` calls it per
-sample.  Pixel values are gathered in (component, raster) order and
+once from its `LabelImage` and a loaded map.  `build_metrics_dataset`
+walks each sample's map once, block by block, keeping its H x W fields
+and the class probabilities of the pixels at or above the threshold
+only, then labels the thresholded score and computes the rows the same
+way.  Pixel values are gathered in (component, raster) order and
 components of equal pixel count are reduced together as one block, which
 reproduces `ndarray.mean`/`var` of each component bit for bit.  Python
 loops only over the distinct component sizes.
@@ -46,11 +49,11 @@ from pathlib import Path
 import numpy as np
 
 from .raster import (
-    LabelMask, ProbabilityMap, ScoreMap, _frozen, atomic_write_text, csv_field,
-    csv_text,
+    _CHUNK_VALUES, ProbabilityMap, Sample, ScoreMap, _frozen, atomic_write_text,
+    csv_field, csv_text, iter_probability_blocks,
 )
-from .scoring import _top_two_fields, anomaly_score_map
-from .segments import LabelImage, ThresholdConfig, extract_labeled_components
+from .scoring import _scored_blocks, _top_two_fields
+from .segments import LabelImage, ThresholdConfig, label_image
 
 _DISPERSION_FIELDS = ("ent", "vr", "margin")
 _DISPERSION_STATS = (
@@ -240,18 +243,42 @@ def standardize(dataset: MetricsDataset):
 
 
 def _sample_fields(pmap: ProbabilityMap, score: ScoreMap, threshold: float) -> dict:
+    """The H x W fields `_image_rows` reads, from a loaded map."""
     if (pmap.height, pmap.width) != (score.height, score.width):
         raise ValueError("probability map and score map dims differ")
     maxprob, margin = _top_two_fields(pmap.values)
     return {
         "ent": score.scores,
-        "vr": 1.0 - maxprob,
-        "margin": margin,
         "maxprob": maxprob,
-        "probs": pmap.values,
-        "dims": (pmap.height, pmap.width),
+        "margin": margin,
         "threshold": float(threshold),
     }
+
+
+def _streamed_fields(blocks, dims: tuple, threshold: float) -> tuple:
+    """The fields of `_sample_fields` for a map of `dims` fed as N x C
+    pixel `blocks` in raster order, with the flat indices of its pixels
+    whose score is at least `threshold`, ascending, and a copy of their
+    class probabilities, one row each.  No H x W x C array is built."""
+    h, w, c = dims
+    ent, maxprob, margin = (np.empty(h * w) for _ in range(3))
+    hot_pixels, hot_probs = [], []
+    lo = 0
+    for block, score in _scored_blocks(blocks, c):
+        hi = lo + len(block)
+        ent[lo:hi] = score
+        maxprob[lo:hi], margin[lo:hi] = _top_two_fields(block)
+        hot = np.flatnonzero(score >= threshold)
+        hot_pixels.append(hot + lo)
+        hot_probs.append(block[hot])
+        lo = hi
+    fields = {
+        "ent": ent.reshape(h, w),
+        "maxprob": maxprob.reshape(h, w),
+        "margin": margin.reshape(h, w),
+        "threshold": float(threshold),
+    }
+    return fields, np.concatenate(hot_pixels), np.concatenate(hot_probs)
 
 
 def _grouped_moments(values: np.ndarray, sizes: np.ndarray):
@@ -284,25 +311,27 @@ def _grouped_moments(values: np.ndarray, sizes: np.ndarray):
     return mean, var
 
 
-def _image_rows(image: LabelImage, fields: dict) -> np.ndarray:
-    """Metric rows of every component of `image`, in id order."""
-    h, w = fields["dims"]
-    if image.shape != (h, w):
-        raise ValueError(f"label image is {image.shape}, sample is {(h, w)}")
-    n_cls = fields["probs"].shape[-1]
+def _image_rows(image: LabelImage, fields: dict, probs: np.ndarray) -> np.ndarray:
+    """Metric rows of every component of `image`, in id order, from the
+    H x W `fields` of its sample and `probs`, the class probabilities of
+    the component pixels as a C-contiguous C x K_pix array, one column
+    per entry of `image.order`."""
+    h, w = fields["ent"].shape
+    n_cls = probs.shape[0]
     k = image.count
     if not k:
         return np.zeros((0, 37 + 2 * n_cls))
     order, sizes = image.order, image.sizes
-    flat = {name: fields[name].reshape(-1) for name in (*_DISPERSION_FIELDS, "maxprob")}
+    flat = {name: fields[name].reshape(-1) for name in ("ent", "maxprob", "margin")}
 
-    # Dispersion and class probabilities: pixel values gathered once in
-    # (component, raster) order, then split into boundary and interior.
-    disp = np.stack([flat[name][order] for name in _DISPERSION_FIELDS])
-    mean_all, var_all = _grouped_moments(disp, sizes)
-    cls_mean, cls_var = _grouped_moments(
-        np.ascontiguousarray(fields["probs"].reshape(h * w, n_cls)[order].T), sizes
+    # Dispersion and class probabilities: pixel values in (component,
+    # raster) order, then split into boundary and interior.  The variation
+    # ratio is 1 - the largest probability.
+    disp = np.stack(
+        [flat["ent"][order], 1.0 - flat["maxprob"][order], flat["margin"][order]]
     )
+    mean_all, var_all = _grouped_moments(disp, sizes)
+    cls_mean, cls_var = _grouped_moments(probs, sizes)
     s_bd = image.boundary_sizes
     s_in = sizes - s_bd
     mean_bd, var_bd = _grouped_moments(disp[:, image.on_boundary], s_bd)
@@ -385,7 +414,29 @@ def extract_metrics(
             f"registry is for C={registry.num_classes}, "
             f"probability map has C={pmap.num_classes}"
         )
-    return _image_rows(image, _sample_fields(pmap, score, threshold))
+    if image.shape != (pmap.height, pmap.width):
+        raise ValueError(
+            f"label image is {image.shape}, sample is {(pmap.height, pmap.width)}"
+        )
+    fields = _sample_fields(pmap, score, threshold)
+    probs = pmap.values.reshape(-1, pmap.num_classes)[image.order]
+    return _image_rows(image, fields, np.ascontiguousarray(probs.T))
+
+
+def _sample_blocks(sample):
+    """The (H, W, C) of a sample's probability map, then its pixels in
+    raster order as N x C blocks: read and checked from the file of a
+    `raster.SampleFile` as `raster.iter_probability_blocks` does, views of
+    the loaded map of a `Sample`."""
+    if not isinstance(sample, Sample):
+        yield from iter_probability_blocks(sample.path)
+        return
+    values = sample.pmap.values
+    yield values.shape
+    pixels = values.reshape(-1, values.shape[2])
+    step = max(1, _CHUNK_VALUES // values.shape[2])
+    for lo in range(0, len(pixels), step):
+        yield pixels[lo : lo + step]
 
 
 def build_metrics_dataset(
@@ -397,34 +448,43 @@ def build_metrics_dataset(
     """Score, threshold, segment, and label every sample, emitting one
     metric row per component.
 
-    `samples` is any iterable of samples, such as a `SampleSet` or
-    `raster.iter_samples`; each is dropped before the next is drawn, so
-    a streamed input holds one probability map at a time.  Without a
-    `registry`, the standard one for the first sample's class count is
-    used.  Rows follow the sample order, then component id within a
-    sample.
+    `samples` is any iterable of in-memory `Sample`s, such as a
+    `SampleSet`, or of `raster.SampleFile`s, such as
+    `raster.iter_sample_files`.  Each sample's map is walked once, block
+    by block, and only the fields of the pixels and the class
+    probabilities of the pixels at or above the threshold are kept; a
+    file is read and checked as it is walked, so no H x W x C array is
+    ever built for it, and nothing computed from it counts until its last
+    block has passed the check.  Without a `registry`, the standard one
+    for the first sample's class count is used.  Rows follow the sample
+    order, then component id within a sample.
     """
 
     # The work on one sample happens in this function so that none of
     # its locals outlives the sample, and `map` (unlike a for loop) holds
-    # no reference to it while the next one loads.
+    # no reference to it while the next one is drawn.
     def sample_rows(sample):
         nonlocal registry
+        blocks = _sample_blocks(sample)
+        dims = next(blocks)
         if registry is None:
-            registry = MetricRegistry.standard(sample.pmap.num_classes)
-        if registry.num_classes != sample.pmap.num_classes:
+            registry = MetricRegistry.standard(dims[2])
+        if registry.num_classes != dims[2]:
             raise ValueError(
-                f"sample {sample.id!r} has C={sample.pmap.num_classes}, "
+                f"sample {sample.id!r} has C={dims[2]}, "
                 f"registry expects C={registry.num_classes}"
             )
-        score = anomaly_score_map(sample.pmap)
-        comps = extract_labeled_components(
-            score, sample.mask, cfg, min_size=min_size, source_sample=sample.id
-        )
-        if not comps:
+        fields, hot_pixels, probs = _streamed_fields(blocks, dims, cfg.t)
+        image = label_image(fields["ent"] >= cfg.t, min_size, sample.mask.is_ood(),
+                            sample.id)
+        if not image.count:
             return None
-        image = comps[0].image
-        rows = extract_metrics(image, sample.pmap, score, registry, cfg.t)
+        # The hot pixels in (component, raster) order (`image.order` holds
+        # those of the components min_size keeps), then class-major; each
+        # rebinding frees the array before it.
+        probs = probs[np.searchsorted(hot_pixels, image.order)]
+        probs = np.ascontiguousarray(probs.T)
+        rows = _image_rows(image, fields, probs)
         return rows, image.is_false_positive, (sample.id,) * image.count
 
     parts = [part for part in map(sample_rows, samples) if part is not None]

@@ -44,7 +44,7 @@ import numpy as np
 
 from .features import MetricsDataset, StandardizationStats, standardize
 from .raster import (
-    ScoreMap, _Unshared, _frozen, _parse_rast, _rast_bytes, atomic_write_bytes,
+    ScoreMap, _Unshared, _atomic_file, _frozen, _parse_rast, _write_rast,
     csv_text,
 )
 from .segments import LabelImage
@@ -631,8 +631,9 @@ def save_model(meta: MetaModel, path) -> None:
     vec = core.to_vector()
     lines.append(f"params {vec.shape[0]}")
     header = "\n".join(lines) + "\n"
-    block = _rast_bytes(vec.reshape(1, 1, -1).astype(np.float64))
-    atomic_write_bytes(path, header.encode("utf-8") + block)
+    with _atomic_file(path) as fh:
+        fh.write(header.encode("utf-8"))
+        _write_rast(fh, vec.reshape(1, 1, -1))
 
 
 def load_model(path) -> MetaModel:

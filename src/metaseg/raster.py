@@ -24,7 +24,10 @@ they are read.  ``load_probability_map`` converts the chunks straight
 into the float64 array the returned map keeps, so no copy of the file's
 bytes or of the map exists next to it; ``iter_probability_blocks``
 holds no map at all.  Both report a rejected map as a
-``RasterFormatError`` naming the file.
+``RasterFormatError`` naming the file.  ``iter_sample_files`` lists a
+sample directory without reading any map value: it checks each map's
+header and loads its mask.  A RAST file is written in one place too,
+header first and then the values converted to float32 chunk by chunk.
 
 All container types are immutable after construction (their arrays are
 marked read-only, and an array the caller still holds is copied rather
@@ -262,6 +265,14 @@ class ScoreMap:
         return self.scores.shape[1]
 
 
+def _check_sample_dims(sample_id: str, dims: tuple, mask: LabelMask) -> None:
+    if tuple(dims) != (mask.height, mask.width):
+        raise ValueError(
+            f"sample {sample_id!r}: probability map is {dims[0]}x{dims[1]} "
+            f"but mask is {mask.height}x{mask.width}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class Sample:
     """A probability map paired with its ground-truth mask."""
@@ -273,12 +284,24 @@ class Sample:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("sample id must be nonempty")
-        if (self.pmap.height, self.pmap.width) != (self.mask.height, self.mask.width):
-            raise ValueError(
-                f"sample {self.id!r}: probability map is "
-                f"{self.pmap.height}x{self.pmap.width} but mask is "
-                f"{self.mask.height}x{self.mask.width}"
-            )
+        _check_sample_dims(self.id, (self.pmap.height, self.pmap.width), self.mask)
+
+
+@dataclass(frozen=True, eq=False)
+class SampleFile:
+    """A sample whose probability map stays on disk: the RAST file at
+    `path`, its (H, W, C) `dims` checked from the header and the file
+    size, and its loaded ground-truth mask."""
+
+    id: str
+    path: Path
+    dims: tuple
+    mask: LabelMask
+
+    def __post_init__(self) -> None:
+        if not self.id:
+            raise ValueError("sample id must be nonempty")
+        _check_sample_dims(self.id, self.dims[:2], self.mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,12 +333,6 @@ class SampleSet:
 # ---------------------------------------------------------------------------
 # RAST binary format
 # ---------------------------------------------------------------------------
-
-
-def _rast_bytes(arr: np.ndarray) -> bytes:
-    h, w, c = arr.shape
-    header = _MAGIC + struct.pack("<III", h, w, c)
-    return header + np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
 
 def _rast_dims(head: bytes, size: int, source: str) -> tuple:
@@ -392,18 +409,41 @@ def _read_file(path) -> bytes:
         return fh.read()
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write a file via a temp sibling and rename, so readers never see
-    a partial file."""
+@contextmanager
+def _atomic_file(path):
+    """A binary file opened for writing at a temp sibling of `path` and
+    renamed onto it when the block ends without an exception, so readers
+    never see a partial file; on an exception the temp file is removed."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write a file via a temp sibling and rename, so readers never see
+    a partial file."""
+    with _atomic_file(path) as fh:
+        fh.write(data)
+
+
+def _write_rast(fh, arr: np.ndarray) -> None:
+    """Write the H x W x C array `arr` to the binary file `fh` as RAST:
+    the header, then its values converted to float32 `_CHUNK_VALUES` at a
+    time, so no copy of the array or of the file's bytes is ever held."""
+    h, w, c = arr.shape
+    flat = arr.reshape(-1)
+    chunk = np.empty(min(flat.size, _CHUNK_VALUES), dtype="<f4")
+    fh.write(_MAGIC + struct.pack("<III", h, w, c))
+    for lo in range(0, flat.size, _CHUNK_VALUES):
+        part = chunk[: flat.size - lo]
+        part[...] = flat[lo : lo + len(part)]
+        fh.write(part)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -463,7 +503,8 @@ def iter_probability_blocks(path):
 
 
 def save_probability_map(pmap: ProbabilityMap, path) -> None:
-    atomic_write_bytes(path, _rast_bytes(pmap.values))
+    with _atomic_file(path) as fh:
+        _write_rast(fh, pmap.values)
 
 
 def load_score_map(path) -> ScoreMap:
@@ -482,7 +523,8 @@ def load_score_map(path) -> ScoreMap:
 
 
 def save_score_map(smap: ScoreMap, path) -> None:
-    atomic_write_bytes(path, _rast_bytes(smap.scores[:, :, None]))
+    with _atomic_file(path) as fh:
+        _write_rast(fh, smap.scores[:, :, None])
 
 
 # ---------------------------------------------------------------------------
@@ -587,30 +629,32 @@ def save_samples(samples: SampleSet, out_dir) -> None:
         save_mask(s.mask, out / f"{s.id}.pgm")
 
 
-def _load_pair(rast: Path, ood_label: int, ignore_label: int) -> Sample:
-    pgm = rast.with_suffix(".pgm")
-    if not pgm.exists():
-        raise RasterFormatError(f"{rast}: no matching mask {pgm.name}")
-    pmap = load_probability_map(rast)
-    mask = load_mask(
-        pgm, ood_label=ood_label, ignore_label=ignore_label,
-        num_classes=pmap.num_classes,
-    )
-    return Sample(rast.stem, pmap, mask)
+def _probability_dims(path) -> tuple:
+    """The (H, W, C) of the RAST probability map at `path`, checked
+    against the file size and the shape a probability map needs before
+    any value is read."""
+    with _open_rast(path) as (dims, _):
+        pass
+    try:
+        _ProbabilityCheck(dims)
+    except ValueError as exc:
+        raise RasterFormatError(f"{path}: {exc}") from exc
+    return dims
 
 
-def iter_samples(
+def iter_sample_files(
     in_dir,
     ood_label: int = OOD_LABEL,
     ignore_label: int = IGNORE_LABEL,
 ):
-    """Load every `<id>.rast` + `<id>.pgm` pair under a directory, one at
-    a time, in id order; `.score.rast` files are ignored.
+    """Every `<id>.rast` + `<id>.pgm` pair under a directory as a
+    `SampleFile`, one at a time, in id order; `.score.rast` files are
+    ignored.
 
-    The iterator keeps no reference to a sample it has yielded, so a
-    consumer that drops each sample before asking for the next holds one
-    probability map at a time.  Errors surface when the iterator reaches
-    the offending pair, or at the end when the directory has none.
+    Only the map's header is read, and the mask is loaded and checked
+    against the map's class count and dims.  Errors surface when the
+    iterator reaches the offending pair, or at the end when the directory
+    has none.
     """
     root = Path(in_dir)
     if not root.is_dir():
@@ -620,11 +664,35 @@ def iter_samples(
         if rast.name.endswith(".score.rast"):
             continue
         found = True
-        # Yielded straight from the call: no local of this frame keeps the
-        # sample while the consumer works on it or the next one loads.
-        yield _load_pair(rast, ood_label, ignore_label)
+        pgm = rast.with_suffix(".pgm")
+        if not pgm.exists():
+            raise RasterFormatError(f"{rast}: no matching mask {pgm.name}")
+        dims = _probability_dims(rast)
+        mask = load_mask(
+            pgm, ood_label=ood_label, ignore_label=ignore_label, num_classes=dims[2]
+        )
+        yield SampleFile(rast.stem, rast, dims, mask)
     if not found:
         raise RasterFormatError(f"{root}: no sample pairs found")
+
+
+def _load_sample(sample: SampleFile) -> Sample:
+    return Sample(sample.id, load_probability_map(sample.path), sample.mask)
+
+
+def iter_samples(
+    in_dir,
+    ood_label: int = OOD_LABEL,
+    ignore_label: int = IGNORE_LABEL,
+):
+    """Every sample of `iter_sample_files` with its probability map
+    loaded, one at a time, in id order.
+
+    The iterator keeps no reference to a sample it has yielded, so a
+    consumer that drops each sample before asking for the next holds one
+    probability map at a time.
+    """
+    return map(_load_sample, iter_sample_files(in_dir, ood_label, ignore_label))
 
 
 def load_samples(

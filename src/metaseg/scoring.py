@@ -14,9 +14,11 @@ The per-pixel fields (entropy, max probability, margin) walk the map in
 blocks of `_BLOCK_PIXELS` pixels, so their temporaries stay a fixed size
 however large the map is.  Each pixel's reduction over the classes is
 the same as on the whole array, so the fields are bit-identical to the
-whole-array expressions.  `anomaly_score_file` runs the entropy kernel
-on the blocks of a probability map as they are read from its file, so
-scoring a file holds the H x W scores but never the H x W x C map.
+whole-array expressions.  `_scored_blocks` turns the blocks of a
+probability map into normalized scores one block at a time;
+`anomaly_score_file` runs it on the blocks as they are read from the
+file, so scoring a file holds the H x W scores but never the H x W x C
+map, and `features.build_metrics_dataset` runs it the same way.
 """
 
 from __future__ import annotations
@@ -120,6 +122,17 @@ def anomaly_score_map(pmap: ProbabilityMap) -> ScoreMap:
     return _normalized_scores(entropy_map(pmap), pmap.num_classes)
 
 
+def _scored_blocks(blocks, num_classes: int):
+    """Each N x C block of a probability map in `blocks`, paired with its
+    normalized scores: entropy divided by ln(C) and clamped to [0, 1]
+    value by value, so bit for bit the slice of `_normalized_scores`."""
+    log_c = np.log(num_classes)
+    for block in blocks:
+        score = _entropy_field(block)
+        score /= log_c
+        yield block, np.clip(score, 0.0, 1.0, out=score)
+
+
 def anomaly_score_file(path) -> ScoreMap:
     """The anomaly scores of the RAST probability map at `path`, bit for
     bit those of `anomaly_score_map(load_probability_map(path))`, computed
@@ -127,12 +140,12 @@ def anomaly_score_file(path) -> ScoreMap:
     the same `RasterFormatError`."""
     blocks = iter_probability_blocks(path)
     h, w, c = next(blocks)
-    entropy = np.empty(h * w)
+    scores = np.empty(h * w)
     lo = 0
-    for block in blocks:
-        entropy[lo : lo + len(block)] = _entropy_field(block)
+    for block, score in _scored_blocks(blocks, c):
+        scores[lo : lo + len(block)] = score
         lo += len(block)
-    return _normalized_scores(entropy.reshape(h, w), c)
+    return ScoreMap(_Unshared(scores.reshape(h, w)))
 
 
 def variation_ratio_map(pmap: ProbabilityMap) -> np.ndarray:

@@ -12,7 +12,7 @@ import shutil
 import struct
 import subprocess
 import sys
-import weakref
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ import pytest
 
 import metaseg
 from metaseg import cli, features, metaclf, raster
+from metaseg.segments import ThresholdConfig
 
 # Boosted optimizer flags for the tiny separable dataset; the library
 # defaults underfit 24 rows.
@@ -363,24 +364,54 @@ class TestMetrics:
 
 
 class TestStreamedSamples:
-    """segments and metrics read one sample at a time."""
+    """segments and metrics walk each map block by block from its file."""
 
     @pytest.mark.parametrize("command", ["segments", "metrics"])
-    def test_one_map_alive_at_each_load(self, command, scene_dir, tmp_path,
-                                        monkeypatch):
-        refs, alive = [], []
-        load = raster.load_probability_map
+    def test_never_loads_a_map(self, command, scene_dir, tmp_path, monkeypatch):
+        def refused(path):
+            raise AssertionError(f"{command} loaded {path} whole")
 
-        def watched(path):
-            alive.append(sum(ref() is not None for ref in refs))
-            pmap = load(path)
-            refs.append(weakref.ref(pmap.values))
-            return pmap
-
-        monkeypatch.setattr(raster, "load_probability_map", watched)
+        monkeypatch.setattr(raster, "load_probability_map", refused)
         out = tmp_path / "out.csv"
         assert cli.run([command, "--in", str(scene_dir), "--out", str(out)]) == 0
-        assert alive == [0, 0, 0, 0]
+        monkeypatch.undo()
+        if command == "metrics":
+            # The same bytes as the metrics of the loaded samples.
+            want = tmp_path / "want.csv"
+            features.save_metrics_csv(features.build_metrics_dataset(
+                raster.load_samples(scene_dir), ThresholdConfig(0.7)), want)
+            assert out.read_bytes() == want.read_bytes()
+
+    def test_metrics_memory_follows_the_anomaly_area(self, tmp_path):
+        # A 256 x 512 x 19 map, confident but for a few discs, takes
+        # 19.9 MB as float64: the whole map is more than the bound.
+        h, w, c = 256, 512, 19
+        rng = np.random.default_rng(3)
+        yy, xx = np.mgrid[:h, :w]
+        hot = np.zeros((h, w), dtype=bool)
+        for cy, cx, r in ((40, 60, 12), (120, 300, 20), (200, 450, 8)):
+            hot |= (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
+        raw = np.full((h, w, c), 1e-3)
+        raw[yy, xx, rng.integers(0, c, (h, w))] = 1.0
+        raw[hot] = rng.uniform(0.5, 1.0, (int(hot.sum()), c))
+        labels = np.where(hot, raster.OOD_LABEL, 0).astype(np.uint8)
+        labels[:40] = 1
+        d = tmp_path / "scenes"
+        raster.save_samples(raster.SampleSet([raster.Sample(
+            "big", raster.ProbabilityMap(raw / raw.sum(axis=2, keepdims=True)),
+            raster.LabelMask(labels),
+        )]), d)
+        nbytes = raw.nbytes
+        del raw
+        out = tmp_path / "mu.csv"
+        tracemalloc.start()
+        try:
+            assert cli.run(["metrics", "--in", str(d), "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * nbytes, peak / nbytes
+        assert len(read_lines(out)) == 4
 
     @pytest.mark.parametrize("command", ["segments", "metrics"])
     def test_empty_directory(self, command, tmp_path, capsys):
@@ -393,25 +424,65 @@ class TestStreamedSamples:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["segments", "metrics"])
-    @pytest.mark.parametrize("fault", ["truncated_rast", "missing_pgm"])
+    @pytest.mark.parametrize("fault", [
+        "truncated_rast", "missing_pgm", "nan_value", "sum_off", "mask_dims",
+        "other_classes",
+    ])
     def test_error_in_second_sample(self, command, fault, scene_dir, tmp_path,
                                     capsys):
         d = tmp_path / "scenes"
         shutil.copytree(scene_dir, d)
         second = sorted(p for p in d.glob("*.rast")
                         if not p.name.endswith(".score.rast"))[1]
+        pgm = second.with_suffix(".pgm")
+        values = raster.load_probability_map(second).values
+        # The error the loaders give for the fault, where they give one.
+        text = None
         if fault == "truncated_rast":
             second.write_bytes(second.read_bytes()[:-5])
             named = second.name
+        elif fault == "missing_pgm":
+            pgm.unlink()
+            named = pgm.name
+        elif fault in ("nan_value", "sum_off"):
+            bad = values.copy()
+            r, col = 5, 7
+            k = int(bad[r, col].argmin())
+            bad[r, col, k] = np.nan if fault == "nan_value" else bad[r, col, k] + 1e-3
+            with open(second, "r+b") as fh:
+                fh.seek(20)
+                fh.write(bad.astype("<f4").tobytes())
+            with pytest.raises(raster.RasterFormatError) as exc:
+                raster.load_probability_map(second)
+            text, named = str(exc.value), second.name
+        elif fault == "mask_dims":
+            mask = raster.load_mask(pgm)
+            raster.save_mask(raster.LabelMask(mask.labels[:-1]), pgm)
+            with pytest.raises(ValueError) as exc:
+                raster.Sample(second.stem, raster.ProbabilityMap(values),
+                              raster.load_mask(pgm))
+            text, named = str(exc.value), second.stem
         else:
-            second.with_suffix(".pgm").unlink()
-            named = second.with_suffix(".pgm").name
+            more = np.concatenate([values, np.zeros(values.shape[:2] + (1,))], axis=2)
+            raster.save_probability_map(raster.ProbabilityMap(more), second)
+            if command == "metrics":
+                with pytest.raises(ValueError) as exc:
+                    features.build_metrics_dataset(raster.load_samples(d),
+                                                   ThresholdConfig(0.7))
+                text, named = str(exc.value), second.stem
         out = tmp_path / "out" / "result.csv"
         out.parent.mkdir()
-        assert cli.run([command, "--in", str(d), "--out", str(out)]) == 2
+        code = cli.run([command, "--in", str(d), "--out", str(out)])
         err = capsys.readouterr().err
-        assert err.startswith("metaseg: error:")
+        if fault == "other_classes" and command == "segments":
+            # Each map is scored against its own class count.
+            assert code == 0 and err == "" and out.exists()
+            return
+        assert code == 2
+        assert err.startswith("metaseg: error:") and err.count("\n") == 1
         assert named in err
+        if text is not None:
+            assert err == f"metaseg: error: {text}\n"
         assert list(out.parent.iterdir()) == []
 
 

@@ -24,6 +24,7 @@ from metaseg.features import (
     MetricsDataset,
     StandardizationStats,
     _sample_fields,
+    _streamed_fields,
     build_metrics_dataset,
     extract_metrics,
     load_metrics_csv,
@@ -31,8 +32,8 @@ from metaseg.features import (
     standardize,
 )
 from metaseg.raster import (
-    OOD_LABEL, LabelMask, ProbabilityMap, Sample, SampleSet, iter_samples,
-    load_samples, save_samples,
+    OOD_LABEL, LabelMask, ProbabilityMap, Sample, SampleSet, iter_sample_files,
+    iter_samples, load_samples, save_samples,
 )
 from metaseg.scoring import anomaly_score_map
 from metaseg.segments import (
@@ -277,9 +278,30 @@ class TestSampleFields:
         score = anomaly_score_map(pmap)
         got = _sample_fields(pmap, score, 0.7)
         want = reference_fields(pmap, score, 0.7)
-        for name in ("ent", "vr", "margin", "maxprob", "probs"):
+        for name in ("ent", "margin", "maxprob"):
             assert got[name].tobytes() == want[name].tobytes(), name
-        assert got["dims"] == want["dims"] and got["threshold"] == 0.7
+        assert got["threshold"] == 0.7
+
+    @pytest.mark.parametrize("c", [2, 19])
+    @pytest.mark.parametrize("step", [1, 7, 4099])
+    def test_streamed_fields_match_whole_array(self, c, step):
+        # Blocks of any size, the last one partial, give the fields of the
+        # whole map bit for bit, and the hot pixels with their classes.
+        h, w = 3, scoring._BLOCK_PIXELS // 2 + 5
+        rng = np.random.default_rng(c + step)
+        raw = rng.random((h, w, c)) ** rng.uniform(0.2, 4.0, (h, w, 1)) + 1e-9
+        pmap = ProbabilityMap(raw / raw.sum(axis=2, keepdims=True))
+        score = anomaly_score_map(pmap)
+        pixels = pmap.values.reshape(-1, c)
+        blocks = (pixels[lo : lo + step] for lo in range(0, h * w, step))
+        t = float(np.median(score.scores))
+        got, hot_pixels, hot_probs = _streamed_fields(blocks, (h, w, c), t)
+        want = reference_fields(pmap, score, t)
+        for name in ("ent", "margin", "maxprob"):
+            assert got[name].tobytes() == want[name].tobytes(), name
+        assert got["threshold"] == t
+        assert np.array_equal(hot_pixels, np.flatnonzero(score.scores >= t))
+        assert hot_probs.tobytes() == pixels[hot_pixels].tobytes()
 
 
 class TestNeighborHotFraction:
@@ -646,6 +668,22 @@ class TestStreamedBuild:
         assert alive == [0, 0, 0, 0]
         assert all(ref() is None for ref in refs)
         assert len(got) > 0 and got.registry == want.registry
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+        assert got.group_ids == want.group_ids
+
+    @pytest.mark.parametrize("min_size", [1, 3])
+    def test_files_match_loaded_samples(self, tmp_path, monkeypatch, min_size):
+        # Walked from their files, in blocks that split the images
+        # anywhere, the samples give the rows of their loaded maps.
+        monkeypatch.setattr(raster, "_CHUNK_VALUES", 4099)
+        save_samples(SampleSet([
+            iid_sample(70, 90, 6, 0.3, seed=s, sample_id=f"f{s}") for s in (241, 243)
+        ]), tmp_path)
+        cfg = ThresholdConfig(0.7)
+        want = build_metrics_dataset(load_samples(tmp_path), cfg, min_size=min_size)
+        got = build_metrics_dataset(iter_sample_files(tmp_path), cfg, min_size=min_size)
+        assert len(got) > 100 and got.registry == want.registry
         assert got.rows.tobytes() == want.rows.tobytes()
         assert np.array_equal(got.labels, want.labels)
         assert got.group_ids == want.group_ids

@@ -242,6 +242,35 @@ class TestRastRoundTrip:
         back = load_score_map(path)
         np.testing.assert_array_equal(back.scores, sm.scores)
 
+    @pytest.mark.parametrize("chunk", [1, 5, 7, 1 << 18])
+    def test_saved_bytes_are_header_then_float32_values(self, tmp_path, chunk,
+                                                         monkeypatch):
+        # Chunks that split pixels, and a last chunk that is partial, give
+        # the bytes of the whole array cast to float32 at once.
+        monkeypatch.setattr(raster, "_CHUNK_VALUES", chunk)
+        pm = random_pmap(np.random.default_rng(chunk), 3, 5, 7)
+        sm = ScoreMap(np.random.default_rng(chunk).random((5, 3)))
+        for save, obj, arr in ((save_probability_map, pm, pm.values),
+                               (save_score_map, sm, sm.scores[:, :, None])):
+            path = tmp_path / "x.rast"
+            save(obj, path)
+            head = b"RASTv001" + struct.pack("<III", *arr.shape)
+            assert path.read_bytes() == head + arr.astype("<f4").tobytes()
+
+    def test_save_memory_bounded_below_the_payload(self, tmp_path):
+        # The file is written chunk by chunk: neither the float32 copy of
+        # the scores nor the file's bytes is ever held whole.
+        sm = ScoreMap(np.random.default_rng(9).random((1024, 2048)))
+        payload = sm.scores.size * 4
+        tracemalloc.start()
+        try:
+            save_score_map(sm, tmp_path / "s.score.rast")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * payload, peak / payload
+        assert (tmp_path / "s.score.rast").stat().st_size == 20 + payload
+
     def test_score_map_rejection_names_file(self, tmp_path):
         path = rast_file(tmp_path, "hot.rast", np.full((2, 2, 1), 1.5))
         with pytest.raises(RasterFormatError, match="hot.rast: scores must lie"):
@@ -708,3 +737,21 @@ class TestAtomicWrites:
         atomic_write_bytes(path, b"one")
         atomic_write_bytes(path, b"two")
         assert path.read_bytes() == b"two"
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        # A save that fails part way through its chunks leaves the file
+        # as it was and no temp file beside it.
+        path = tmp_path / "s.score.rast"
+        save_score_map(ScoreMap(np.full((4, 4), 0.5)), path)
+        before = path.read_bytes()
+        writes = []
+
+        def write_rast(fh, arr):
+            writes.append(fh.write(b"partial"))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(raster, "_write_rast", write_rast)
+        with pytest.raises(OSError, match="disk full"):
+            save_score_map(ScoreMap(np.full((4, 4), 0.25)), path)
+        assert writes and path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
