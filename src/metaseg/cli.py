@@ -198,10 +198,7 @@ def _build_parser() -> _Parser:
 def _cmd_score(cfg: RunConfig) -> None:
     in_dir = Path(cfg.options["in_dir"])
     out_dir = Path(cfg.options["out_dir"])
-    paths = [
-        p for p in sorted(in_dir.glob("*.rast"))
-        if not p.name.endswith(".score.rast")
-    ]
+    paths = raster.probability_map_paths(in_dir)
     if not paths:
         raise ValueError(f"{in_dir}: no probability maps found")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -224,31 +221,29 @@ def _sample_files(cfg: RunConfig):
 
 
 def _cmd_segments(cfg: RunConfig) -> None:
-    tcfg = segments.ThresholdConfig(cfg.options["t"])
+    t = cfg.options["t"]
 
     # One sample per call; `map` keeps no sample alive while the next loads.
     def sample_lines(sample: raster.SampleFile) -> list:
         smap = scoring.anomaly_score_file(sample.path)
-        comps = segments.extract_labeled_components(
-            smap, sample.mask, tcfg,
-            min_size=cfg.options["min_size"], source_sample=sample.id,
+        image = segments.label_image(
+            smap.scores >= t, cfg.options["min_size"], sample.mask.is_ood(), sample.id
         )
-        return [
-            [sample.id] + [str(int(v)) for v in (
-                comp.id, comp.size, comp.interior_size, comp.boundary_size,
-                *comp.bbox, comp.is_false_positive,
-            )]
-            for comp in comps
-        ]
+        sizes, boundary = image.sizes, image.boundary_sizes
+        table = np.column_stack([
+            np.arange(image.count), sizes, sizes - boundary, boundary,
+            image.bboxes, image.is_false_positive,
+        ])
+        group = raster.csv_field(sample.id) + ","
+        return [group + ",".join(map(str, row)) + "\n" for row in table.tolist()]
 
-    records = [[
+    header = raster.csv_text([[
         "group_id", "component_id", "size", "size_interior", "size_boundary",
         "bbox_rmin", "bbox_rmax", "bbox_cmin", "bbox_cmax", "is_false_positive",
-    ]]
-    for part in map(sample_lines, _sample_files(cfg)):
-        records.extend(part)
-    raster.atomic_write_text(cfg.options["out_csv"], raster.csv_text(records))
-    print(f"wrote {len(records) - 1} components to {cfg.options['out_csv']}")
+    ]])
+    lines = [line for part in map(sample_lines, _sample_files(cfg)) for line in part]
+    raster.atomic_write_text(cfg.options["out_csv"], header + "".join(lines))
+    print(f"wrote {len(lines)} components to {cfg.options['out_csv']}")
 
 
 def _cmd_metrics(cfg: RunConfig) -> None:

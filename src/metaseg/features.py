@@ -30,13 +30,15 @@ variance is used throughout for the same reason.
 
 `extract_metrics` computes the rows of all components of an image at
 once from its `LabelImage` and a loaded map.  `build_metrics_dataset`
-walks each sample's map once, block by block, keeping its H x W fields
-and the class probabilities of the pixels at or above the threshold
-only, then labels the thresholded score and computes the rows the same
-way.  Pixel values are gathered in (component, raster) order and
-components of equal pixel count are reduced together as one block, which
-reproduces `ndarray.mean`/`var` of each component bit for bit.  Python
-loops only over the distinct component sizes.
+walks each sample's map once, in the blocks of `raster._BLOCK_VALUES`
+values that every pass over a map walks, through the same code whether
+the map is loaded or on disk (`probability_blocks`).  It keeps the
+H x W fields and the class probabilities of the pixels at or above the
+threshold only, then labels the thresholded score and computes the rows
+the same way.  Pixel values are gathered in (component, raster) order
+and components of equal pixel count are reduced together as one block,
+which reproduces `ndarray.mean`/`var` of each component bit for bit.
+Python loops only over the distinct component sizes.
 """
 
 from __future__ import annotations
@@ -49,10 +51,9 @@ from pathlib import Path
 import numpy as np
 
 from .raster import (
-    _CHUNK_VALUES, ProbabilityMap, Sample, ScoreMap, _frozen, atomic_write_text,
-    csv_field, csv_text, iter_probability_blocks,
+    ProbabilityMap, ScoreMap, _frozen, atomic_write_text, csv_field, csv_text,
 )
-from .scoring import _scored_blocks, _top_two_fields
+from .scoring import _normalized_entropy, _top_two, _top_two_fields
 from .segments import LabelImage, ThresholdConfig, label_image
 
 _DISPERSION_FIELDS = ("ent", "vr", "margin")
@@ -242,32 +243,21 @@ def standardize(dataset: MetricsDataset):
 # ---------------------------------------------------------------------------
 
 
-def _sample_fields(pmap: ProbabilityMap, score: ScoreMap, threshold: float) -> dict:
-    """The H x W fields `_image_rows` reads, from a loaded map."""
-    if (pmap.height, pmap.width) != (score.height, score.width):
-        raise ValueError("probability map and score map dims differ")
-    maxprob, margin = _top_two_fields(pmap.values)
-    return {
-        "ent": score.scores,
-        "maxprob": maxprob,
-        "margin": margin,
-        "threshold": float(threshold),
-    }
-
-
 def _streamed_fields(blocks, dims: tuple, threshold: float) -> tuple:
-    """The fields of `_sample_fields` for a map of `dims` fed as N x C
-    pixel `blocks` in raster order, with the flat indices of its pixels
-    whose score is at least `threshold`, ascending, and a copy of their
-    class probabilities, one row each.  No H x W x C array is built."""
-    h, w, c = dims
+    """The H x W fields `_image_rows` reads, for a map of `dims` fed as
+    N x C pixel `blocks` in raster order, with the flat indices of its
+    pixels whose score is at least `threshold`, ascending, and a copy of
+    their class probabilities, one row each.  No H x W x C array is
+    built."""
+    h, w, _ = dims
     ent, maxprob, margin = (np.empty(h * w) for _ in range(3))
     hot_pixels, hot_probs = [], []
     lo = 0
-    for block, score in _scored_blocks(blocks, c):
+    for block in blocks:
         hi = lo + len(block)
+        score = _normalized_entropy(block)
         ent[lo:hi] = score
-        maxprob[lo:hi], margin[lo:hi] = _top_two_fields(block)
+        maxprob[lo:hi], margin[lo:hi] = _top_two(block)
         hot = np.flatnonzero(score >= threshold)
         hot_pixels.append(hot + lo)
         hot_probs.append(block[hot])
@@ -418,25 +408,17 @@ def extract_metrics(
         raise ValueError(
             f"label image is {image.shape}, sample is {(pmap.height, pmap.width)}"
         )
-    fields = _sample_fields(pmap, score, threshold)
+    if (pmap.height, pmap.width) != (score.height, score.width):
+        raise ValueError("probability map and score map dims differ")
+    maxprob, margin = _top_two_fields(pmap.values)
+    fields = {
+        "ent": score.scores,
+        "maxprob": maxprob,
+        "margin": margin,
+        "threshold": float(threshold),
+    }
     probs = pmap.values.reshape(-1, pmap.num_classes)[image.order]
     return _image_rows(image, fields, np.ascontiguousarray(probs.T))
-
-
-def _sample_blocks(sample):
-    """The (H, W, C) of a sample's probability map, then its pixels in
-    raster order as N x C blocks: read and checked from the file of a
-    `raster.SampleFile` as `raster.iter_probability_blocks` does, views of
-    the loaded map of a `Sample`."""
-    if not isinstance(sample, Sample):
-        yield from iter_probability_blocks(sample.path)
-        return
-    values = sample.pmap.values
-    yield values.shape
-    pixels = values.reshape(-1, values.shape[2])
-    step = max(1, _CHUNK_VALUES // values.shape[2])
-    for lo in range(0, len(pixels), step):
-        yield pixels[lo : lo + step]
 
 
 def build_metrics_dataset(
@@ -450,8 +432,9 @@ def build_metrics_dataset(
 
     `samples` is any iterable of in-memory `Sample`s, such as a
     `SampleSet`, or of `raster.SampleFile`s, such as
-    `raster.iter_sample_files`.  Each sample's map is walked once, block
-    by block, and only the fields of the pixels and the class
+    `raster.iter_sample_files`; both run the same code on the block
+    stream of `probability_blocks`.  Each sample's map is walked once,
+    block by block, and only the fields of the pixels and the class
     probabilities of the pixels at or above the threshold are kept; a
     file is read and checked as it is walked, so no H x W x C array is
     ever built for it, and nothing computed from it counts until its last
@@ -465,7 +448,7 @@ def build_metrics_dataset(
     # no reference to it while the next one is drawn.
     def sample_rows(sample):
         nonlocal registry
-        blocks = _sample_blocks(sample)
+        blocks = sample.probability_blocks()
         dims = next(blocks)
         if registry is None:
             registry = MetricRegistry.standard(dims[2])

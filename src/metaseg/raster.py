@@ -14,20 +14,23 @@ Label conventions: class indices run dense from 0.  Pixels labeled
 evaluation.  Loader arguments remap other file conventions onto these
 canonical values.
 
-A RAST file is read in one place, a loop that checks the header and
-payload size before any value is read and then converts fixed-size
-chunks of whole pixels to float64 blocks.  A probability map is
-validated in one place, a block-wise check (which also renormalizes
-small sum drift in place) that the ``ProbabilityMap`` constructor runs
-over its own array and ``iter_probability_blocks`` over the blocks as
-they are read.  ``load_probability_map`` converts the chunks straight
-into the float64 array the returned map keeps, so no copy of the file's
-bytes or of the map exists next to it; ``iter_probability_blocks``
-holds no map at all.  Both report a rejected map as a
-``RasterFormatError`` naming the file.  ``iter_sample_files`` lists a
-sample directory without reading any map value: it checks each map's
-header and loads its mask.  A RAST file is written in one place too,
-header first and then the values converted to float32 chunk by chunk.
+Every pass over a map's pixels walks N x C blocks of one size,
+``_BLOCK_VALUES`` (64 Ki values, rounded down to whole pixels): an
+array in memory through ``_array_blocks``, a file through the one RAST
+read loop, which checks the header and payload size before any value is
+read.  A probability map is validated in one place, a block-wise check
+(which also renormalizes small sum drift in place) that the
+``ProbabilityMap`` constructor runs over the blocks of its own array and
+``iter_probability_blocks`` over the blocks as they are read; both
+loaders report a rejected map as a ``RasterFormatError`` naming the
+file.  ``load_probability_map`` converts the blocks straight into the
+float64 array the returned map keeps; ``iter_probability_blocks`` holds
+no map at all.  A ``Sample`` and a ``SampleFile`` hand out their map as
+the same block stream (``probability_blocks``).  ``iter_sample_files``
+lists a sample directory (``probability_map_paths``) reading only each
+map's header, and refuses a map whose class count is not the first
+map's.  A RAST file is written header first, then block by block as
+float32.
 
 All container types are immutable after construction (their arrays are
 marked read-only, and an array the caller still holds is copied rather
@@ -59,16 +62,24 @@ PROB_SUM_TOL = 1e-5
 # round-trips, so they pass through untouched.
 _PROB_SUM_EXACT = 1e-7
 
-# float32 values read from a RAST file at a time, rounded down to whole
-# pixels: 1 MiB.
-_CHUNK_VALUES = 1 << 18
-# Values per block of the constructor's check of a probability map,
-# rounded down to whole pixels.
+# Values per block of every pass over a map's pixels (the constructor's
+# check, RAST reads and writes, the per-pixel kernels), rounded down to
+# whole pixels and at least one pixel: 512 KiB as float64.
 _BLOCK_VALUES = 1 << 16
 
 
 class RasterFormatError(ValueError):
     """A raster file violates the RAST or PGM format contract."""
+
+
+def _array_blocks(values: np.ndarray):
+    """The pixels of the ... x C array `values` in raster order, as N x C
+    views of floor(`_BLOCK_VALUES` / C) pixels (at least one) each, the
+    last one partial."""
+    pixels = values.reshape(-1, values.shape[-1])
+    step = max(1, _BLOCK_VALUES // pixels.shape[1])
+    for lo in range(0, len(pixels), step):
+        yield pixels[lo : lo + step]
 
 
 def _frozen(arr: np.ndarray, given) -> np.ndarray:
@@ -174,10 +185,8 @@ class ProbabilityMap:
         if arr.ndim != 3:
             raise ValueError(f"probability map must be 3-d, got shape {arr.shape}")
         check = _ProbabilityCheck(arr.shape)
-        pixels = arr.reshape(-1, arr.shape[2])
-        step = max(1, _BLOCK_VALUES // arr.shape[2])
-        for lo in range(0, len(pixels), step):
-            check.add(pixels[lo : lo + step])
+        for block in _array_blocks(arr):
+            check.add(block)
         check.finish()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -286,6 +295,12 @@ class Sample:
             raise ValueError("sample id must be nonempty")
         _check_sample_dims(self.id, (self.pmap.height, self.pmap.width), self.mask)
 
+    def probability_blocks(self):
+        """The map's (H, W, C), then its pixels in raster order as N x C
+        blocks, as `SampleFile.probability_blocks` yields those of a file."""
+        yield self.pmap.values.shape
+        yield from _array_blocks(self.pmap.values)
+
 
 @dataclass(frozen=True, eq=False)
 class SampleFile:
@@ -302,6 +317,11 @@ class SampleFile:
         if not self.id:
             raise ValueError("sample id must be nonempty")
         _check_sample_dims(self.id, self.dims[:2], self.mask)
+
+    def probability_blocks(self):
+        """The map's (H, W, C), then its pixels read, checked and
+        renormalized block by block (`iter_probability_blocks`)."""
+        return iter_probability_blocks(self.path)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,11 +385,11 @@ def _open_rast(path):
     Yields its (H, W, C), checked together with the file size before any
     value is read, and `blocks`, a generator function of the values in
     raster order as float64 N x C blocks of whole pixels.  The payload is
-    read floor(`_CHUNK_VALUES` / C) pixels (at least one) at a time, so
-    the file's bytes are never held whole.  `blocks(out)` converts each
-    chunk into the matching rows of `out`, an H*W x C float64 array;
-    `blocks()` converts them into one reused block, which the consumer is
-    done with before it asks for the next.
+    read in the blocks `_array_blocks` walks, so the file's bytes are
+    never held whole.  `blocks(out)` converts each block into the
+    matching rows of `out`, an H*W x C float64 array; `blocks()` converts
+    them into one reused block, which the consumer is done with before it
+    asks for the next.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_LEN)
@@ -377,7 +397,7 @@ def _open_rast(path):
 
         def blocks(out=None):
             pixels = h * w
-            step = max(1, _CHUNK_VALUES // c)
+            step = max(1, _BLOCK_VALUES // c)
             chunk = np.empty((min(pixels, step), c), dtype="<f4")
             reused = np.empty(chunk.shape) if out is None else None
             for lo in range(0, pixels, step):
@@ -396,7 +416,7 @@ def _open_rast(path):
 
 def _read_rast(path) -> np.ndarray:
     """The values of a RAST file as a new float64 H x W x C array, each
-    chunk of the file converted into its slice of the array."""
+    block of the file converted into its slice of the array."""
     with _open_rast(path) as (dims, blocks):
         out = np.empty(dims)
         for _ in blocks(out.reshape(-1, dims[2])):
@@ -434,16 +454,12 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def _write_rast(fh, arr: np.ndarray) -> None:
     """Write the H x W x C array `arr` to the binary file `fh` as RAST:
-    the header, then its values converted to float32 `_CHUNK_VALUES` at a
-    time, so no copy of the array or of the file's bytes is ever held."""
-    h, w, c = arr.shape
-    flat = arr.reshape(-1)
-    chunk = np.empty(min(flat.size, _CHUNK_VALUES), dtype="<f4")
-    fh.write(_MAGIC + struct.pack("<III", h, w, c))
-    for lo in range(0, flat.size, _CHUNK_VALUES):
-        part = chunk[: flat.size - lo]
-        part[...] = flat[lo : lo + len(part)]
-        fh.write(part)
+    the header, then the blocks of `_array_blocks` converted to float32
+    one at a time, so no copy of the array or of the file's bytes is ever
+    held."""
+    fh.write(_MAGIC + struct.pack("<III", *arr.shape))
+    for block in _array_blocks(arr):
+        fh.write(block.astype("<f4"))
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -642,37 +658,49 @@ def _probability_dims(path) -> tuple:
     return dims
 
 
+def probability_map_paths(in_dir) -> list:
+    """The probability maps of a sample directory: its `*.rast` files
+    but the `*.score.rast` score maps, sorted by name."""
+    return [
+        p for p in sorted(Path(in_dir).glob("*.rast"))
+        if not p.name.endswith(".score.rast")
+    ]
+
+
 def iter_sample_files(
     in_dir,
     ood_label: int = OOD_LABEL,
     ignore_label: int = IGNORE_LABEL,
 ):
-    """Every `<id>.rast` + `<id>.pgm` pair under a directory as a
-    `SampleFile`, one at a time, in id order; `.score.rast` files are
-    ignored.
+    """Every `<id>.rast` + `<id>.pgm` pair under a directory
+    (`probability_map_paths`) as a `SampleFile`, one at a time, in id
+    order.
 
     Only the map's header is read, and the mask is loaded and checked
-    against the map's class count and dims.  Errors surface when the
-    iterator reaches the offending pair, or at the end when the directory
-    has none.
+    against the map's class count and dims.  Every map must have the
+    class count of the first.  Errors surface when the iterator reaches
+    the offending pair, or at the end when the directory has none.
     """
     root = Path(in_dir)
     if not root.is_dir():
         raise FileNotFoundError(f"{root} is not a directory")
-    found = False
-    for rast in sorted(root.glob("*.rast")):
-        if rast.name.endswith(".score.rast"):
-            continue
-        found = True
+    classes = None
+    for rast in probability_map_paths(root):
         pgm = rast.with_suffix(".pgm")
         if not pgm.exists():
             raise RasterFormatError(f"{rast}: no matching mask {pgm.name}")
         dims = _probability_dims(rast)
+        if classes is None:
+            classes = dims[2]
+        elif dims[2] != classes:
+            raise RasterFormatError(
+                f"{rast}: probability map has C={dims[2]}, the first map has C={classes}"
+            )
         mask = load_mask(
             pgm, ood_label=ood_label, ignore_label=ignore_label, num_classes=dims[2]
         )
         yield SampleFile(rast.stem, rast, dims, mask)
-    if not found:
+    if classes is None:
         raise RasterFormatError(f"{root}: no sample pairs found")
 
 

@@ -10,15 +10,17 @@ lambda-weighted combination.
 Every logarithm clamps its argument at EPS = 1e-12 first, so one-hot
 inputs stay finite and golden values are reproducible bit-for-bit.
 
-The per-pixel fields (entropy, max probability, margin) walk the map in
-blocks of `_BLOCK_PIXELS` pixels, so their temporaries stay a fixed size
-however large the map is.  Each pixel's reduction over the classes is
-the same as on the whole array, so the fields are bit-identical to the
-whole-array expressions.  `_scored_blocks` turns the blocks of a
-probability map into normalized scores one block at a time;
-`anomaly_score_file` runs it on the blocks as they are read from the
-file, so scoring a file holds the H x W scores but never the H x W x C
-map, and `features.build_metrics_dataset` runs it the same way.
+The per-pixel kernels (entropy, normalized score, largest probability
+and margin) work on one N x C block of pixels at a time, the blocks of
+`raster._BLOCK_VALUES` values that every pass over a map walks, so their
+temporaries stay a fixed size however large the map is.  Each pixel's
+reduction over the classes does not depend on how many pixels a block
+holds, so the fields are bit-identical to the whole-array expressions.
+`anomaly_score_map` and `anomaly_score_file` fill the scores through one
+function from a block stream: the blocks of the loaded map, or those
+read from the file, so scoring a file holds the H x W scores but never
+the H x W x C map.  `features.build_metrics_dataset` runs the same
+kernels on the same streams.
 """
 
 from __future__ import annotations
@@ -33,14 +35,12 @@ from .raster import (
     ProbabilityMap,
     SampleSet,
     ScoreMap,
+    _array_blocks,
     _Unshared,
     iter_probability_blocks,
 )
 
 EPS = 1e-12
-# Pixels per block of the per-pixel kernels: 4096 x C float64 values,
-# 608 KiB at C = 19.
-_BLOCK_PIXELS = 4096
 
 
 @dataclass(frozen=True)
@@ -53,39 +53,49 @@ class LossBreakdown:
     lam: float
 
 
-def _pixel_blocks(values: np.ndarray, *fields: np.ndarray):
-    """Blocks of `values` (... x C) as (N x C) pixel rows, each with the
-    matching slices of the flattened per-pixel `fields` (shape ...)."""
-    flat = values.reshape(-1, values.shape[-1])
-    outs = [f.reshape(-1) for f in fields]
-    for lo in range(0, flat.shape[0], _BLOCK_PIXELS):
-        hi = lo + _BLOCK_PIXELS
-        yield flat[lo:hi], *(out[lo:hi] for out in outs)
-
-
-def _entropy_field(values: np.ndarray) -> np.ndarray:
-    """Per-pixel entropy in nats for an H x W x C probability array
-    (`-sum(p * log(max(p, EPS)))` over the last axis)."""
-    ent = np.empty(values.shape[:-1])
-    for block, out in _pixel_blocks(values, ent):
-        terms = np.maximum(block, EPS)
-        np.log(terms, out=terms)
-        terms *= block
-        np.sum(terms, axis=-1, out=out)
+def _entropy(block: np.ndarray) -> np.ndarray:
+    """Entropy in nats of every pixel of the N x C `block`
+    (`-sum(p * log(max(p, EPS)))` over the classes)."""
+    terms = np.maximum(block, EPS)
+    np.log(terms, out=terms)
+    terms *= block
+    ent = terms.sum(axis=-1)
     return np.negative(ent, out=ent)
 
 
-def _top_two_fields(values: np.ndarray) -> tuple:
+def _normalized_entropy(block: np.ndarray) -> np.ndarray:
+    """Anomaly scores of every pixel of the N x C `block`: entropy
+    divided by ln(C) and clamped to [0, 1]."""
+    score = _entropy(block)
+    score /= np.log(block.shape[1])
+    return np.clip(score, 0.0, 1.0, out=score)
+
+
+def _top_two(block: np.ndarray) -> tuple:
+    """Largest class probability of every pixel of the N x C `block` and
+    its margin over the second largest."""
+    # Partition keeps the top two values in the last two slots.
+    part = np.partition(block, block.shape[-1] - 2, axis=-1)
+    return part[:, -1], part[:, -1] - part[:, -2]
+
+
+def _pixel_fields(blocks, dims: tuple, kernel, count: int = 1) -> np.ndarray:
+    """The `count` per-pixel outputs of `kernel` over the N x C `blocks`
+    of a map of `dims` (H, W, C), fed in raster order, as one
+    count x H x W array."""
+    h, w = dims[:2]
+    fields = np.empty((count, h * w))
+    lo = 0
+    for block in blocks:
+        fields[:, lo : lo + len(block)] = kernel(block)
+        lo += len(block)
+    return fields.reshape(count, h, w)
+
+
+def _top_two_fields(values: np.ndarray) -> np.ndarray:
     """Per-pixel largest class probability and its margin over the second
     largest, in one pass, for an H x W x C probability array."""
-    top = np.empty(values.shape[:-1])
-    margin = np.empty(values.shape[:-1])
-    for block, top_out, margin_out in _pixel_blocks(values, top, margin):
-        # Partition keeps the top two values in the last two slots.
-        part = np.partition(block, block.shape[-1] - 2, axis=-1)
-        top_out[:] = part[:, -1]
-        np.subtract(part[:, -1], part[:, -2], out=margin_out)
-    return top, margin
+    return _pixel_fields(_array_blocks(values), values.shape, _top_two, 2)
 
 
 def pixel_entropy(probs) -> float:
@@ -101,36 +111,23 @@ def pixel_entropy(probs) -> float:
         raise ValueError("probabilities must be finite and in [0, 1]")
     if abs(p.sum() - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"probabilities sum to {p.sum():.8f}, not 1")
-    return float(_entropy_field(p))
+    return float(_entropy(p[None])[0])
 
 
 def entropy_map(pmap: ProbabilityMap) -> np.ndarray:
     """H x W array of per-pixel entropies in nats."""
-    return _entropy_field(pmap.values)
+    return _pixel_fields(_array_blocks(pmap.values), pmap.values.shape, _entropy)[0]
 
 
-def _normalized_scores(entropy: np.ndarray, num_classes: int) -> ScoreMap:
-    """Entropies in nats as scores: divided by ln(C) and clamped to [0, 1]
-    in place.  The map keeps `entropy` itself, so the caller hands it
-    over."""
-    entropy /= np.log(num_classes)
-    return ScoreMap(_Unshared(np.clip(entropy, 0.0, 1.0, out=entropy)))
+def _score_map(blocks, dims: tuple) -> ScoreMap:
+    """The normalized-entropy scores of the N x C `blocks` of a map of
+    `dims`; the score map keeps the array they are written into."""
+    return ScoreMap(_Unshared(_pixel_fields(blocks, dims, _normalized_entropy)[0]))
 
 
 def anomaly_score_map(pmap: ProbabilityMap) -> ScoreMap:
     """Normalized-entropy anomaly scores: entropy / ln(C), clamped to [0, 1]."""
-    return _normalized_scores(entropy_map(pmap), pmap.num_classes)
-
-
-def _scored_blocks(blocks, num_classes: int):
-    """Each N x C block of a probability map in `blocks`, paired with its
-    normalized scores: entropy divided by ln(C) and clamped to [0, 1]
-    value by value, so bit for bit the slice of `_normalized_scores`."""
-    log_c = np.log(num_classes)
-    for block in blocks:
-        score = _entropy_field(block)
-        score /= log_c
-        yield block, np.clip(score, 0.0, 1.0, out=score)
+    return _score_map(_array_blocks(pmap.values), pmap.values.shape)
 
 
 def anomaly_score_file(path) -> ScoreMap:
@@ -139,13 +136,8 @@ def anomaly_score_file(path) -> ScoreMap:
     block by block as the file is read.  A map the loader refuses raises
     the same `RasterFormatError`."""
     blocks = iter_probability_blocks(path)
-    h, w, c = next(blocks)
-    scores = np.empty(h * w)
-    lo = 0
-    for block, score in _scored_blocks(blocks, c):
-        scores[lo : lo + len(block)] = score
-        lo += len(block)
-    return ScoreMap(_Unshared(scores.reshape(h, w)))
+    dims = next(blocks)
+    return _score_map(blocks, dims)
 
 
 def variation_ratio_map(pmap: ProbabilityMap) -> np.ndarray:
@@ -155,7 +147,8 @@ def variation_ratio_map(pmap: ProbabilityMap) -> np.ndarray:
 
 def margin_map(pmap: ProbabilityMap) -> np.ndarray:
     """H x W array of the gap between the two largest class probabilities."""
-    return _top_two_fields(pmap.values)[1]
+    blocks = _array_blocks(pmap.values)
+    return _pixel_fields(blocks, pmap.values.shape, lambda b: _top_two(b)[1])[0]
 
 
 def _check_dims(pmap: ProbabilityMap, mask: LabelMask) -> None:

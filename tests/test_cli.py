@@ -20,7 +20,8 @@ import pytest
 
 import metaseg
 from metaseg import cli, features, metaclf, raster
-from metaseg.segments import ThresholdConfig
+from metaseg.scoring import anomaly_score_map
+from metaseg.segments import ThresholdConfig, extract_labeled_components
 
 # Boosted optimizer flags for the tiny separable dataset; the library
 # defaults underfit 24 rows.
@@ -330,6 +331,27 @@ class TestSegments:
             # interior + boundary partition the component
             assert int(parts[3]) + int(parts[4]) == int(parts[2])
 
+    def test_rows_match_component_records(self, scene_dir, tmp_path):
+        # Each row holds its component's fields, read from the pixel sets
+        # of the records of the loaded sample, in the header's order.
+        out = tmp_path / "segments.csv"
+        args = ["segments", "--in", str(scene_dir), "--min-size", "2", "--out", str(out)]
+        assert cli.run(args) == 0
+        want = []
+        for sample in raster.load_samples(scene_dir):
+            for comp in extract_labeled_components(
+                anomaly_score_map(sample.pmap), sample.mask, ThresholdConfig(0.7),
+                min_size=2,
+            ):
+                rows, cols = zip(*comp.pixels)
+                want.append([sample.id] + [str(int(v)) for v in (
+                    comp.id, len(comp.pixels), len(comp.interior), len(comp.boundary),
+                    min(rows), max(rows), min(cols), max(cols), comp.is_false_positive,
+                )])
+        with open(out, newline="") as fh:
+            got = list(csv.reader(fh))[1:]
+        assert len(got) > 4 and got == want
+
     def test_min_size_filters_everything(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "none.csv"
         args = [
@@ -465,19 +487,13 @@ class TestStreamedSamples:
         else:
             more = np.concatenate([values, np.zeros(values.shape[:2] + (1,))], axis=2)
             raster.save_probability_map(raster.ProbabilityMap(more), second)
-            if command == "metrics":
-                with pytest.raises(ValueError) as exc:
-                    features.build_metrics_dataset(raster.load_samples(d),
-                                                   ThresholdConfig(0.7))
-                text, named = str(exc.value), second.stem
+            with pytest.raises(raster.RasterFormatError) as exc:
+                raster.load_samples(d)
+            text, named = str(exc.value), second.name
         out = tmp_path / "out" / "result.csv"
         out.parent.mkdir()
         code = cli.run([command, "--in", str(d), "--out", str(out)])
         err = capsys.readouterr().err
-        if fault == "other_classes" and command == "segments":
-            # Each map is scored against its own class count.
-            assert code == 0 and err == "" and out.exists()
-            return
         assert code == 2
         assert err.startswith("metaseg: error:") and err.count("\n") == 1
         assert named in err

@@ -18,12 +18,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from metaseg import raster, scoring
+from metaseg import raster
 from metaseg.features import (
     MetricRegistry,
     MetricsDataset,
     StandardizationStats,
-    _sample_fields,
     _streamed_fields,
     build_metrics_dataset,
     extract_metrics,
@@ -260,15 +259,17 @@ class TestMatchesReferenceRow:
 
 
 class TestSampleFields:
-    """`_sample_fields` against the whole-array expressions, bit for bit,
-    on maps wider than one kernel block whose last block is partial."""
+    """The fields of a loaded map, walked in the blocks of its sample's
+    `probability_blocks`, against the whole-array expressions, bit for
+    bit, on maps wider than one block whose last block is partial."""
 
     @pytest.mark.parametrize("c", [2, 19])
     @pytest.mark.parametrize("block", [None, 5])
     def test_fields_match_whole_array(self, c, block, monkeypatch):
+        # Blocks of `block` pixels, or of the default size.
         if block is not None:
-            monkeypatch.setattr(scoring, "_BLOCK_PIXELS", block)
-        h, w = 2, scoring._BLOCK_PIXELS + 3
+            monkeypatch.setattr(raster, "_BLOCK_VALUES", block * c)
+        h, w = 2, raster._BLOCK_VALUES // c + 3
         rng = np.random.default_rng(c)
         raw = rng.random((h, w, c)) ** 4 + 1e-9
         raw[0, : w // 3] = 0.0
@@ -276,7 +277,11 @@ class TestSampleFields:
         raw[1, : w // 3] = 1.0 + 1e-6 * rng.standard_normal((w // 3, c))
         pmap = ProbabilityMap(raw / raw.sum(axis=2, keepdims=True))
         score = anomaly_score_map(pmap)
-        got = _sample_fields(pmap, score, 0.7)
+        blocks = Sample("s", pmap, LabelMask(np.zeros((h, w), np.uint8))
+                        ).probability_blocks()
+        dims = next(blocks)
+        assert dims == (h, w, c)
+        got, _, _ = _streamed_fields(blocks, dims, 0.7)
         want = reference_fields(pmap, score, 0.7)
         for name in ("ent", "margin", "maxprob"):
             assert got[name].tobytes() == want[name].tobytes(), name
@@ -287,7 +292,7 @@ class TestSampleFields:
     def test_streamed_fields_match_whole_array(self, c, step):
         # Blocks of any size, the last one partial, give the fields of the
         # whole map bit for bit, and the hot pixels with their classes.
-        h, w = 3, scoring._BLOCK_PIXELS // 2 + 5
+        h, w = 3, 2053
         rng = np.random.default_rng(c + step)
         raw = rng.random((h, w, c)) ** rng.uniform(0.2, 4.0, (h, w, 1)) + 1e-9
         pmap = ProbabilityMap(raw / raw.sum(axis=2, keepdims=True))
@@ -675,13 +680,14 @@ class TestStreamedBuild:
     @pytest.mark.parametrize("min_size", [1, 3])
     def test_files_match_loaded_samples(self, tmp_path, monkeypatch, min_size):
         # Walked from their files, in blocks that split the images
-        # anywhere, the samples give the rows of their loaded maps.
-        monkeypatch.setattr(raster, "_CHUNK_VALUES", 4099)
+        # anywhere, the samples give the rows of their loaded maps, walked
+        # in blocks of the default size.
         save_samples(SampleSet([
             iid_sample(70, 90, 6, 0.3, seed=s, sample_id=f"f{s}") for s in (241, 243)
         ]), tmp_path)
         cfg = ThresholdConfig(0.7)
         want = build_metrics_dataset(load_samples(tmp_path), cfg, min_size=min_size)
+        monkeypatch.setattr(raster, "_BLOCK_VALUES", 4099)
         got = build_metrics_dataset(iter_sample_files(tmp_path), cfg, min_size=min_size)
         assert len(got) > 100 and got.registry == want.registry
         assert got.rows.tobytes() == want.rows.tobytes()

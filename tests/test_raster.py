@@ -242,14 +242,15 @@ class TestRastRoundTrip:
         back = load_score_map(path)
         np.testing.assert_array_equal(back.scores, sm.scores)
 
-    @pytest.mark.parametrize("chunk", [1, 5, 7, 1 << 18])
-    def test_saved_bytes_are_header_then_float32_values(self, tmp_path, chunk,
+    @pytest.mark.parametrize("block", [1, 5, 7, 1 << 18])
+    def test_saved_bytes_are_header_then_float32_values(self, tmp_path, block,
                                                          monkeypatch):
-        # Chunks that split pixels, and a last chunk that is partial, give
-        # the bytes of the whole array cast to float32 at once.
-        monkeypatch.setattr(raster, "_CHUNK_VALUES", chunk)
-        pm = random_pmap(np.random.default_rng(chunk), 3, 5, 7)
-        sm = ScoreMap(np.random.default_rng(chunk).random((5, 3)))
+        # Blocks of one pixel or of several, a last block that is partial,
+        # and one block larger than the map give the bytes of the whole
+        # array cast to float32 at once.
+        monkeypatch.setattr(raster, "_BLOCK_VALUES", block)
+        pm = random_pmap(np.random.default_rng(block), 3, 5, 7)
+        sm = ScoreMap(np.random.default_rng(block).random((5, 3)))
         for save, obj, arr in ((save_probability_map, pm, pm.values),
                                (save_score_map, sm, sm.scores[:, :, None])):
             path = tmp_path / "x.rast"
@@ -401,20 +402,25 @@ def drifted_f32_map(seed, h, w, c, drift):
 
 
 class TestStreamedLoad:
-    """The loader streams the file in chunks into the map's own array and
-    checks finiteness block by block; the in-memory constructor over the
-    file's float32 view is the oracle."""
+    """The loader streams the file block by block into the map's own array
+    and checks finiteness block by block; the in-memory constructor over
+    the file's float32 view is the oracle."""
 
     @pytest.fixture
     def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(raster, "_CHUNK_VALUES", 7)
-        monkeypatch.setattr(raster, "_BLOCK_VALUES", 5)
+        # 7 values: a block is no multiple of C = 2..5, so maps straddle
+        # block edges.
+        monkeypatch.setattr(raster, "_BLOCK_VALUES", 7)
 
     @staticmethod
     def oracle(path):
+        """The constructor over the file's values, walking them in blocks
+        of 5 values, not the loader's 7."""
         data = path.read_bytes()
         h, w, c = struct.unpack("<III", data[8:20])
-        return ProbabilityMap(np.frombuffer(data, "<f4", offset=20).reshape(h, w, c))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(raster, "_BLOCK_VALUES", 5)
+            return ProbabilityMap(np.frombuffer(data, "<f4", offset=20).reshape(h, w, c))
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

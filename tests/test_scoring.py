@@ -204,14 +204,16 @@ class TestBlockKernels:
     is partial."""
 
     @pytest.mark.parametrize("c", [2, 19])
-    @pytest.mark.parametrize("shape", [(1, 4097), (3, 5000), (2, 2049)])
+    @pytest.mark.parametrize("shape", [(1, 40961), (3, 12001), (2, 17001)])
     @pytest.mark.parametrize("block", [None, 7, 64])
     def test_fields_match_whole_array(self, c, shape, block, monkeypatch):
+        # Blocks of `block` pixels, or of the default size.
         if block is not None:
-            monkeypatch.setattr(scoring, "_BLOCK_PIXELS", block)
+            monkeypatch.setattr(raster, "_BLOCK_VALUES", block * c)
+        block_pixels = raster._BLOCK_VALUES // c
         pixels = shape[0] * shape[1]
-        assert pixels > scoring._BLOCK_PIXELS
-        assert pixels % scoring._BLOCK_PIXELS
+        assert pixels > block_pixels
+        assert pixels % block_pixels
         rng = np.random.default_rng(c * 1000 + shape[1])
         pm = mixed_pmap(rng, *shape, c)
         v = pm.values
@@ -245,10 +247,9 @@ class TestStreamedScore:
 
     @pytest.fixture
     def small_chunks(self, monkeypatch):
-        # 7 values: a chunk is no multiple of C = 2..5 and shapes straddle
-        # chunk edges; the constructor checks 5-value blocks.
-        monkeypatch.setattr(raster, "_CHUNK_VALUES", 7)
-        monkeypatch.setattr(raster, "_BLOCK_VALUES", 5)
+        # 7 values: a block is no multiple of C = 2..5 and shapes straddle
+        # block edges.
+        monkeypatch.setattr(raster, "_BLOCK_VALUES", 7)
 
     @staticmethod
     def same_error(path):
@@ -266,20 +267,22 @@ class TestStreamedScore:
         h=st.integers(1, 6), w=st.integers(1, 6), c=st.integers(2, 5),
         seed=st.integers(0, 2**16),
         drift=st.sampled_from([0.0, 3e-6, -4e-6]),
-        block=st.sampled_from([None, 3]),
+        block=st.sampled_from([None, 5]),
     )
     def test_matches_load_then_score_bit_for_bit(
-        self, tmp_path, small_chunks, monkeypatch, h, w, c, seed, drift, block
+        self, tmp_path, small_chunks, h, w, c, seed, drift, block
     ):
-        if block is not None:
-            monkeypatch.setattr(scoring, "_BLOCK_PIXELS", block)
         raw = np.random.default_rng(seed).random((h, w, c)) + 1e-3
         arr = (raw / raw.sum(axis=2, keepdims=True)).astype(np.float32)
         arr.reshape(-1, c)[1::3, 0] += np.float32(drift)
         path = rast_file(tmp_path / "p.rast", arr)
         streamed = anomaly_score_file(path)
         assert streamed.scores.shape == (h, w)
-        loaded = anomaly_score_map(load_probability_map(path))
+        # Loaded and scored in blocks of `block` values, or of the same 7.
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(raster, "_BLOCK_VALUES", block)
+            loaded = anomaly_score_map(load_probability_map(path))
         assert streamed.scores.tobytes() == loaded.scores.tobytes()
         # Exact sums are scored untouched, drifted ones renormalized.
         ent = whole_array_entropy(arr.astype(np.float64))
@@ -388,18 +391,19 @@ class TestStreamedScore:
 
 class TestNormalizedScores:
     def test_memory_bounded_by_the_map(self):
-        # The score map keeps the entropy array it is handed; nothing of
-        # its size is allocated besides.
+        # The score map keeps the array the scores are written into;
+        # nothing of its size is allocated besides.
+        values = np.full((1024, 2048, 2), 0.5)
+        values[0, 0] = (1.0, 0.0)
+        pmap = ProbabilityMap(values)
+        del values
         tracemalloc.start()
         try:
-            entropy = np.full((1024, 2048), 0.5 * np.log(19))
-            entropy[0, :2] = [0.0, 1.1 * np.log(19)]
-            smap = scoring._normalized_scores(entropy, 19)
+            smap = anomaly_score_map(pmap)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.2 * smap.scores.nbytes, peak / smap.scores.nbytes
-        assert smap.scores is entropy
         assert smap.scores[0, 0] == 0.0 and smap.scores[0, 1] == 1.0
 
     def test_one_hot_pixels_score_negative_zero(self):
