@@ -83,15 +83,7 @@ from .scoring import (
     pixel_entropy,
     variation_ratio_map,
 )
-from .segments import (
-    ComponentRecord,
-    ThresholdConfig,
-    component_iou,
-    connected_components,
-    extract_labeled_components,
-    label_components,
-    ood_pixel_set,
-)
+from .segments import ThresholdConfig
 from .synth import SceneSpec, generate
 
 __version__ = "0.1.0"
@@ -115,8 +107,6 @@ __all__ = [
     "LossBreakdown", "anomaly_score_map", "combined_objective", "entropy_map",
     "loss_in", "loss_out", "margin_map", "pixel_entropy",
     "variation_ratio_map",
-    "ComponentRecord", "ThresholdConfig", "component_iou",
-    "connected_components", "extract_labeled_components", "label_components",
-    "ood_pixel_set",
+    "ThresholdConfig",
     "SceneSpec", "generate",
 ]

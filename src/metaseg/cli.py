@@ -227,7 +227,7 @@ def _cmd_segments(cfg: RunConfig) -> None:
     def sample_lines(sample: raster.SampleFile) -> list:
         smap = scoring.anomaly_score_file(sample.path)
         image = segments.label_image(
-            smap.scores >= t, cfg.options["min_size"], sample.mask.is_ood(), sample.id
+            smap.scores >= t, cfg.options["min_size"], sample.mask.is_ood()
         )
         sizes, boundary = image.sizes, image.boundary_sizes
         table = np.column_stack([

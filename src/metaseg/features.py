@@ -458,8 +458,7 @@ def build_metrics_dataset(
                 f"registry expects C={registry.num_classes}"
             )
         fields, hot_pixels, probs = _streamed_fields(blocks, dims, cfg.t)
-        image = label_image(fields["ent"] >= cfg.t, min_size, sample.mask.is_ood(),
-                            sample.id)
+        image = label_image(fields["ent"] >= cfg.t, min_size, sample.mask.is_ood())
         if not image.count:
             return None
         # The hot pixels in (component, raster) order (`image.order` holds

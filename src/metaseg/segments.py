@@ -18,10 +18,11 @@ component.  Labeling is run-based: horizontal runs of hot pixels are
 joined across adjacent rows by vectorized min-label hooking with pointer
 jumping, so no Python loop visits a pixel or a component.  Because the
 components are maximal, the boundary of the whole hot mask is exactly the
-union of the per-component boundaries.  Every `ComponentRecord` is a view
-of one component of a label image, and its id is its index there; the
-metric rows (`features.extract_metrics`) and the false-positive removal
-(`metaclf.remove_false_positives`) take the label image itself.
+union of the per-component boundaries.  `label_image` is the one way to
+get components and `LabelImage.is_false_positive` the one false-positive
+rule; the `segments` step, the metric rows (`features.extract_metrics`)
+and the false-positive removal (`metaclf.remove_false_positives`) all
+take the label image itself.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .raster import LabelMask, ScoreMap, _frozen
+from .raster import _frozen
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,24 @@ class LabelImage:
     component when an OOD mask was given, else None.
     """
 
-    def __init__(self, labels, boundary, ood=None, source_sample: str = ""):
-        self.labels = _frozen(np.asarray(labels, dtype=np.int32), labels)
+    def __init__(self, labels, boundary, ood=None):
+        given = np.asarray(labels)
+        if given.ndim != 2 or given.size == 0 or given.dtype.kind not in "iu":
+            raise ValueError(
+                f"labels must be a nonempty 2-d integer array, got "
+                f"{given.dtype} of shape {given.shape}"
+            )
+        if given.min() < -1:
+            raise ValueError(f"component id {given.min()} is below -1")
+        if np.shape(boundary) != given.shape:
+            raise ValueError(f"boundary is {np.shape(boundary)}, labels are {given.shape}")
+        if ood is not None and np.shape(ood) != given.shape:
+            raise ValueError(f"OOD mask is {np.shape(ood)}, labels are {given.shape}")
+        # An id of at least H*W leaves some id below it empty; refusing it
+        # here also keeps every id exact in int32.
+        if given.max() >= given.size:
+            raise ValueError("component ids must be 0..K-1, each nonempty")
+        self.labels = _frozen(given.astype(np.int32, copy=False), labels)
         flat = self.labels.reshape(-1)
         pix = np.flatnonzero(flat >= 0)
         comp = flat[pix]
@@ -75,7 +92,6 @@ class LabelImage:
                 ~np.logical_or.reduceat(hit, self.offsets) if count
                 else np.zeros(0, dtype=bool)
             )
-        self.source_sample = source_sample
         for arr in (self.sizes, self.offsets, self.order, self.on_boundary):
             arr.flags.writeable = False
 
@@ -105,112 +121,6 @@ class LabelImage:
             np.minimum.reduceat(cols, self.offsets),
             np.maximum.reduceat(cols, self.offsets),
         ], axis=1)
-
-    def records(self) -> list:
-        """One `ComponentRecord` view per component, in id order."""
-        fps = (
-            [None] * self.count if self.is_false_positive is None
-            else self.is_false_positive.tolist()
-        )
-        return [ComponentRecord(self, k, fp) for k, fp in enumerate(fps)]
-
-
-class ComponentRecord:
-    """One predicted-OoD connected component: component `id` of the
-    `LabelImage` `image`.
-
-    `is_false_positive` is None until the component has been compared
-    against a ground-truth mask.  The pixel sets are built from the image
-    on every access.
-    """
-
-    __slots__ = ("image", "id", "is_false_positive")
-
-    def __init__(self, image: LabelImage, id: int,
-                 is_false_positive: bool | None = None) -> None:
-        if not 0 <= id < image.count:
-            raise ValueError(f"component id {id} not in an image of {image.count}")
-        for name, value in zip(self.__slots__, (image, id, is_false_positive)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ComponentRecord is immutable; cannot set {name!r}")
-
-    def __repr__(self) -> str:
-        return (
-            f"ComponentRecord(id={self.id}, size={self.size}, bbox={self.bbox}, "
-            f"is_false_positive={self.is_false_positive}, "
-            f"source_sample={self.source_sample!r})"
-        )
-
-    def _index(self, shape=None) -> tuple:
-        """(rows, cols, on_boundary) arrays of the pixels, raster order,
-        checked to lie inside an image of `shape` when one is given."""
-        if shape is not None:
-            (h, w), (_, rmax, _, cmax) = shape, self.bbox
-            if rmax >= h or cmax >= w:
-                raise ValueError(f"component bbox {self.bbox} outside {h}x{w} image")
-        lo = self.image.offsets[self.id]
-        span = slice(lo, lo + self.image.sizes[self.id])
-        rows, cols = np.divmod(self.image.order[span], self.image.shape[1])
-        return rows, cols, self.image.on_boundary[span]
-
-    def _pixel_set(self, part) -> frozenset:
-        rows, cols, on_bd = self._index()
-        sel = slice(None) if part is None else on_bd == part
-        return frozenset(zip(rows[sel].tolist(), cols[sel].tolist()))
-
-    @property
-    def pixels(self) -> frozenset:
-        return self._pixel_set(None)
-
-    @property
-    def boundary(self) -> frozenset:
-        return self._pixel_set(True)
-
-    @property
-    def interior(self) -> frozenset:
-        return self._pixel_set(False)
-
-    @property
-    def bbox(self) -> tuple:
-        """(rmin, rmax, cmin, cmax)."""
-        return tuple(self.image.bboxes[self.id].tolist())
-
-    @property
-    def source_sample(self) -> str:
-        return self.image.source_sample
-
-    @property
-    def size(self) -> int:
-        return int(self.image.sizes[self.id])
-
-    @property
-    def boundary_size(self) -> int:
-        return int(self.image.boundary_sizes[self.id])
-
-    @property
-    def interior_size(self) -> int:
-        return self.size - self.boundary_size
-
-
-def ood_pixel_set(score: ScoreMap, cfg: ThresholdConfig) -> set:
-    """All (row, col) whose score meets the threshold (inclusive)."""
-    return {(int(r), int(c)) for r, c in np.argwhere(score.scores >= cfg.t)}
-
-
-def _pixel_grid(pixels, dims) -> np.ndarray:
-    h, w = dims
-    if h < 1 or w < 1:
-        raise ValueError(f"invalid image dims {dims}")
-    pts = np.array(list(pixels), dtype=np.intp).reshape(-1, 2)
-    bad = (pts[:, 0] < 0) | (pts[:, 0] >= h) | (pts[:, 1] < 0) | (pts[:, 1] >= w)
-    if bad.any():
-        r, c = pts[np.argmax(bad)]
-        raise ValueError(f"pixel ({r}, {c}) outside {h}x{w} image")
-    grid = np.zeros((h, w), dtype=bool)
-    grid[pts[:, 0], pts[:, 1]] = True
-    return grid
 
 
 def boundary_grid(grid: np.ndarray) -> np.ndarray:
@@ -280,12 +190,7 @@ def _component_labels(hot: np.ndarray, min_size: int) -> np.ndarray:
     return labels.reshape(h, w)
 
 
-def label_image(
-    hot,
-    min_size: int = 1,
-    ood=None,
-    source_sample: str = "",
-) -> LabelImage:
+def label_image(hot, min_size: int = 1, ood=None) -> LabelImage:
     """Label the maximal 8-connected components of the boolean image `hot`.
 
     Ids are assigned in raster-scan order of each component's first
@@ -298,66 +203,4 @@ def label_image(
     hot = np.asarray(hot, dtype=bool)
     if hot.ndim != 2 or hot.size == 0:
         raise ValueError(f"invalid image dims {hot.shape}")
-    if ood is not None and np.shape(ood) != hot.shape:
-        raise ValueError(f"OOD mask is {np.shape(ood)}, image is {hot.shape}")
-    return LabelImage(
-        _component_labels(hot, min_size), boundary_grid(hot), ood, source_sample
-    )
-
-
-def connected_components(
-    pixels,
-    image_dims,
-    min_size: int = 1,
-    source_sample: str = "",
-) -> list:
-    """Partition a pixel set into maximal 8-connected components.
-
-    Ids are assigned in raster-scan order of each component's first
-    pixel, renumbered from 0 after the optional min-size filter (off by
-    default, matching no-filtering behavior).
-    """
-    grid = _pixel_grid(pixels, image_dims)
-    return label_image(grid, min_size, source_sample=source_sample).records()
-
-
-def component_iou(comp: ComponentRecord, mask: LabelMask) -> float:
-    """Intersection over union between the component and the mask's OOD
-    pixels.  IGNORE pixels count as non-OoD."""
-    ood = mask.is_ood()
-    rows, cols, _ = comp._index(ood.shape)
-    inter = int(ood[rows, cols].sum())
-    union = comp.size + int(ood.sum()) - inter
-    return inter / union
-
-
-def label_components(comps, mask: LabelMask) -> list:
-    """Attach ground-truth labels: false positive iff IoU with the OOD
-    pixel set is exactly zero, i.e. no pixel of the component is OOD
-    (any overlap makes a true positive)."""
-    ood = mask.is_ood()
-    labeled = []
-    for comp in comps:
-        rows, cols, _ = comp._index(ood.shape)
-        labeled.append(ComponentRecord(comp.image, comp.id, not ood[rows, cols].any()))
-    return labeled
-
-
-def extract_labeled_components(
-    score: ScoreMap,
-    mask: LabelMask,
-    cfg: ThresholdConfig,
-    min_size: int = 1,
-    source_sample: str = "",
-) -> list:
-    """Threshold, build components, and label them in one call.  The
-    records are views of one shared `LabelImage`."""
-    if (score.height, score.width) != (mask.height, mask.width):
-        raise ValueError(
-            f"score map is {score.height}x{score.width} "
-            f"but mask is {mask.height}x{mask.width}"
-        )
-    image = label_image(
-        score.scores >= cfg.t, min_size, mask.is_ood(), source_sample
-    )
-    return image.records()
+    return LabelImage(_component_labels(hot, min_size), boundary_grid(hot), ood)

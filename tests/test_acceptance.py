@@ -11,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+from pixel_sets import pixel_sets
 
 from metaseg import (
     analysis,
@@ -290,8 +291,7 @@ def test_criterion_06_components_match_union_find_oracle():
     for trial in range(1000):
         density = 0.3 if trial % 2 == 0 else 0.7
         grid = rng.random((32, 32)) < density
-        pixels = {(int(r), int(c)) for r, c in np.argwhere(grid)}
-        got = {c.pixels for c in segments.connected_components(pixels, (32, 32))}
+        got = {pixels for pixels, _, _ in pixel_sets(segments.label_image(grid))}
         if got != union_find_partition(grid):
             mismatches += 1
     report(6, mismatches == 0, f"{mismatches} mismatches over 1,000 grids")

@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from pixel_sets import pixel_sets
 
 import metaseg
 from metaseg import cli, features, metaclf, raster
 from metaseg.scoring import anomaly_score_map
-from metaseg.segments import ThresholdConfig, extract_labeled_components
+from metaseg.segments import ThresholdConfig, label_image
 
 # Boosted optimizer flags for the tiny separable dataset; the library
 # defaults underfit 24 rows.
@@ -333,20 +334,20 @@ class TestSegments:
 
     def test_rows_match_component_records(self, scene_dir, tmp_path):
         # Each row holds its component's fields, read from the pixel sets
-        # of the records of the loaded sample, in the header's order.
+        # of the label image of the loaded sample, in the header's order.
         out = tmp_path / "segments.csv"
         args = ["segments", "--in", str(scene_dir), "--min-size", "2", "--out", str(out)]
         assert cli.run(args) == 0
         want = []
         for sample in raster.load_samples(scene_dir):
-            for comp in extract_labeled_components(
-                anomaly_score_map(sample.pmap), sample.mask, ThresholdConfig(0.7),
-                min_size=2,
-            ):
-                rows, cols = zip(*comp.pixels)
+            hot, ood = anomaly_score_map(sample.pmap).scores >= 0.7, sample.mask.is_ood()
+            image = label_image(hot, 2, ood)
+            for k, (pixels, boundary, interior) in enumerate(pixel_sets(image)):
+                rows, cols = zip(*pixels)
                 want.append([sample.id] + [str(int(v)) for v in (
-                    comp.id, len(comp.pixels), len(comp.interior), len(comp.boundary),
-                    min(rows), max(rows), min(cols), max(cols), comp.is_false_positive,
+                    k, len(pixels), len(interior), len(boundary),
+                    min(rows), max(rows), min(cols), max(cols),
+                    not any(ood[p] for p in pixels),
                 )])
         with open(out, newline="") as fh:
             got = list(csv.reader(fh))[1:]

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from pixel_sets import pixel_sets
 
 from metaseg import raster
 from metaseg.features import (
@@ -35,12 +36,7 @@ from metaseg.raster import (
     iter_samples, load_samples, save_samples,
 )
 from metaseg.scoring import anomaly_score_map
-from metaseg.segments import (
-    LabelImage,
-    ThresholdConfig,
-    extract_labeled_components,
-    label_image,
-)
+from metaseg.segments import LabelImage, ThresholdConfig, label_image
 from metaseg.synth import SceneSpec, generate
 
 
@@ -102,23 +98,25 @@ def _reference_index(pixels):
     return rows, cols
 
 
-def reference_row(comp, fields):
-    """One component's metric row the straightforward way: sorted pixel
-    lists, one 1-d reduction per statistic and a full-image dilation for
-    the ring."""
+def reference_row(sets, fields):
+    """One component's metric row the straightforward way, from its
+    (pixels, boundary, interior) sets: sorted pixel lists, one 1-d
+    reduction per statistic and a full-image dilation for the ring."""
+    pixels, boundary, interior = sets
     h, w = fields["dims"]
-    rmin, rmax, cmin, cmax = comp.bbox
-    all_ix = _reference_index(comp.pixels)
-    bd_ix = _reference_index(comp.boundary)
-    in_ix = _reference_index(comp.interior)
+    rows, cols = zip(*pixels)
+    rmin, rmax, cmin, cmax = min(rows), max(rows), min(cols), max(cols)
+    all_ix = _reference_index(pixels)
+    bd_ix = _reference_index(boundary)
+    in_ix = _reference_index(interior)
 
     out = []
     for name in ("ent", "vr", "margin"):
         out.extend(_reference_dispersion(fields[name], all_ix, in_ix, bd_ix))
 
-    s = float(comp.size)
-    s_in = float(len(comp.interior))
-    s_bd = float(len(comp.boundary))
+    s = float(len(pixels))
+    s_in = float(len(interior))
+    s_bd = float(len(boundary))
     out.extend([
         s, s_in, s_bd, s_bd / s, float(np.sqrt(s)),
         float(all_ix[0].mean()) / h, float(all_ix[1].mean()) / w,
@@ -173,11 +171,10 @@ def assert_rows_match_reference(samples, t=0.7, min_size=1):
     for sample in samples:
         score = anomaly_score_map(sample.pmap)
         fields = reference_fields(sample.pmap, score, t)
-        for comp in extract_labeled_components(
-            score, sample.mask, ThresholdConfig(t), min_size=min_size
-        ):
-            want.append(reference_row(comp, fields))
-            labels.append(comp.is_false_positive)
+        image = label_image(score.scores >= t, min_size, sample.mask.is_ood())
+        for sets, fp in zip(pixel_sets(image), image.is_false_positive.tolist()):
+            want.append(reference_row(sets, fields))
+            labels.append(fp)
     want = np.array(want).reshape(-1, reg.total)
     assert np.array_equal(ds.rows, want)
     assert ds.labels.tolist() == labels
@@ -236,8 +233,8 @@ class TestMatchesReferenceRow:
         image = label_image(score.scores >= 0.7)
         rows = extract_metrics(image, sample.pmap, score, reg)
         assert rows.shape == (image.count, reg.total) and image.count > 7
-        for comp in image.records():
-            assert np.array_equal(rows[comp.id], reference_row(comp, fields))
+        for k, sets in enumerate(pixel_sets(image)):
+            assert np.array_equal(rows[k], reference_row(sets, fields))
 
     def test_hand_built_record_matches_reference(self):
         # Not a maximal component, and split by hand: the ring may hold hot
@@ -249,11 +246,11 @@ class TestMatchesReferenceRow:
         boundary = np.zeros((8, 8), dtype=bool)
         boundary[[2, 4], [2, 4]] = True
         image = LabelImage(labels, boundary)
-        comp, = image.records()
-        assert comp.interior == {(2, 3), (3, 3)}
+        sets, = pixel_sets(image)
+        assert sets[2] == {(2, 3), (3, 3)}
         reg = MetricRegistry.standard(3)
         got, = extract_metrics(image, sample.pmap, score, reg)
-        assert np.array_equal(got, reference_row(comp, reference_fields(
+        assert np.array_equal(got, reference_row(sets, reference_fields(
             sample.pmap, score, 0.7)))
         assert dict(zip(reg.names, got))["nb_hot_frac"] == 1.0
 

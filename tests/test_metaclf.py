@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pixel_sets import pixel_sets
 
 from metaseg import features, metaclf, scoring, segments, synth
 from metaseg.features import (
@@ -586,12 +587,12 @@ class TestRemoveFalsePositives:
         t = 0.6
         want = sm.scores.copy()
         want_kept = []
-        for comp in image.records():
-            if model.predict_raw(rows[comp.id]) >= t:
-                for r, c in comp.pixels:
+        for k, (pixels, _, _) in enumerate(pixel_sets(image)):
+            if model.predict_raw(rows[k]) >= t:
+                for r, c in pixels:
                     want[r, c] = 0.0
             else:
-                want_kept.append(comp.id)
+                want_kept.append(k)
         calls = []
         batch = MetaModel.predict_raw_batch
         monkeypatch.setattr(MetaModel, "predict_raw_batch",

@@ -7,7 +7,7 @@ import pytest
 
 from metaseg.raster import OOD_LABEL
 from metaseg.scoring import anomaly_score_map, pixel_entropy
-from metaseg.segments import ThresholdConfig, extract_labeled_components
+from metaseg.segments import label_image
 from metaseg.synth import SceneSpec, generate, solve_mix_weight
 
 
@@ -24,6 +24,12 @@ def base_spec(**overrides):
     )
     defaults.update(overrides)
     return SceneSpec(**defaults)
+
+
+def labeled(sample):
+    """The label image of a sample's score map thresholded at 0.7, with
+    the false-positive flags of its mask."""
+    return label_image(anomaly_score_map(sample.pmap).scores >= 0.7, ood=sample.mask.is_ood())
 
 
 class TestSolveMixWeight:
@@ -151,40 +157,27 @@ class TestGeneration:
 
     def test_true_blobs_marked_ood(self):
         ss = generate(base_spec(false_blob_rate=0.0), 4)
-        cfg = ThresholdConfig(0.7)
         for s in ss:
-            comps = extract_labeled_components(
-                anomaly_score_map(s.pmap), s.mask, cfg
-            )
-            for comp in comps:
-                assert comp.is_false_positive is False
+            assert not labeled(s).is_false_positive.any()
 
     def test_false_blobs_labeled_false_positive(self):
         # blob_count (0, 0): every component comes from a false blob.
         ss = generate(base_spec(blob_count=(0, 0), false_blob_rate=3.0), 6)
-        cfg = ThresholdConfig(0.7)
         total = 0
         for s in ss:
             assert not s.mask.is_ood().any()
-            comps = extract_labeled_components(
-                anomaly_score_map(s.pmap), s.mask, cfg
-            )
-            for comp in comps:
-                assert comp.is_false_positive is True
-                total += 1
+            image = labeled(s)
+            assert image.is_false_positive.all()
+            total += image.count
         assert total > 0
 
     def test_components_match_planted_blobs(self):
         # Separation keeps each blob its own component; with no false
         # blobs the component count equals the OOD component count.
         ss = generate(base_spec(false_blob_rate=0.0, blob_count=(2, 3)), 5)
-        cfg = ThresholdConfig(0.7)
         for s in ss:
-            comps = extract_labeled_components(
-                anomaly_score_map(s.pmap), s.mask, cfg
-            )
             ood_pixels = int(s.mask.is_ood().sum())
-            comp_pixels = sum(c.size for c in comps)
+            comp_pixels = int(labeled(s).sizes.sum())
             assert comp_pixels == ood_pixels
 
     def test_coupled_scenes_balanced(self):
@@ -198,17 +191,11 @@ class TestGeneration:
             seed=21,
         )
         ss = generate(spec, 30)
-        cfg = ThresholdConfig(0.7)
         n_tp = n_fp = 0
         for s in ss:
-            comps = extract_labeled_components(
-                anomaly_score_map(s.pmap), s.mask, cfg
-            )
-            for comp in comps:
-                if comp.is_false_positive:
-                    n_fp += 1
-                else:
-                    n_tp += 1
+            fp = labeled(s).is_false_positive
+            n_fp += int(fp.sum())
+            n_tp += int((~fp).sum())
         # Both classes must be present in comparable numbers.
         assert n_tp >= 20 and n_fp >= 20
 
