@@ -22,7 +22,6 @@ from .analysis import (
     fpr_at_95_tpr,
     incremental_evaluation,
     lars_order,
-    leave_one_out,
     loo_scores,
     ood_fraction,
     split_by_ood_fraction,
@@ -38,17 +37,14 @@ from .features import (
     standardize,
 )
 from .metaclf import (
-    LogisticModel,
     MetaModel,
     MlpModel,
     TrainConfig,
     bce_loss,
-    bce_loss_mean,
     count_parameters,
     gradient,
     load_model,
     parameter_breakdown,
-    predict,
     predict_batch,
     remove_false_positives,
     save_model,
@@ -91,14 +87,13 @@ __version__ = "0.1.0"
 __all__ = [
     "EvalReport", "LarsOrdering", "auprc", "auroc", "evaluate_components",
     "evaluate_pixels", "evaluate_scores", "fpr_at_95_tpr",
-    "incremental_evaluation", "lars_order", "leave_one_out", "loo_scores",
-    "ood_fraction", "split_by_ood_fraction",
+    "incremental_evaluation", "lars_order", "loo_scores", "ood_fraction",
+    "split_by_ood_fraction",
     "MetricRegistry", "MetricsDataset", "StandardizationStats",
     "build_metrics_dataset", "extract_metrics", "load_metrics_csv",
     "save_metrics_csv", "standardize",
-    "LogisticModel", "MetaModel", "MlpModel", "TrainConfig", "bce_loss",
-    "bce_loss_mean", "count_parameters", "gradient", "load_model",
-    "parameter_breakdown", "predict", "predict_batch",
+    "MetaModel", "MlpModel", "TrainConfig", "bce_loss", "count_parameters",
+    "gradient", "load_model", "parameter_breakdown", "predict_batch",
     "remove_false_positives", "save_model", "train",
     "IGNORE_LABEL", "OOD_LABEL", "LabelMask", "ProbabilityMap",
     "RasterFormatError", "Sample", "SampleSet", "ScoreMap", "load_mask",

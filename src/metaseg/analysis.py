@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import MetricsDataset, build_metrics_dataset
-from .metaclf import TrainConfig, train
-from .raster import LabelMask, SampleSet, ScoreMap, atomic_write_text
-from .segments import ThresholdConfig
+from .features import MetricsDataset
+from .metaclf import HIDDEN_DIMS, TrainConfig, train
+from .raster import LabelMask, ScoreMap, atomic_write_text
 
 _TIE_TOL = 1e-12
 
@@ -211,12 +210,13 @@ def evaluate_pixels(scores, masks) -> EvalReport:
 
 
 def loo_scores(
-    model_kind: str,
     dataset: MetricsDataset,
     cfg: TrainConfig,
+    hidden_dims=HIDDEN_DIMS["mlp"],
 ) -> np.ndarray:
     """Pooled leave-one-group-out predictions, aligned with the dataset's
-    rows.  Each fold trains with the same configuration and seed."""
+    rows.  Each fold trains a model of these hidden layer widths with the
+    same configuration and seed."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     groups = list(dict.fromkeys(dataset.group_ids))
@@ -227,25 +227,9 @@ def loo_scores(
         train_ix, held_ix = dataset.split_by_group(group)
         if not train_ix:
             raise ValueError(f"group {group!r} holds every row; cannot train")
-        fold = train(model_kind, dataset.subset(train_ix), cfg)[0]
+        fold = train(dataset.subset(train_ix), cfg, hidden_dims=hidden_dims)[0]
         out[held_ix] = fold.predict_raw_batch(dataset.rows[held_ix])
     return out
-
-
-def leave_one_out(
-    model_kind: str,
-    samples: SampleSet,
-    cfg: TrainConfig,
-    threshold: ThresholdConfig,
-    registry,
-):
-    """Build the metrics dataset, run leave-one-sample-out evaluation,
-    and report over the pooled predictions.  Returns (scores, report)."""
-    if len(samples) < 2:
-        raise ValueError("leave-one-out needs at least 2 samples")
-    dataset = build_metrics_dataset(samples, threshold, registry)
-    scores = loo_scores(model_kind, dataset, cfg)
-    return scores, evaluate_scores(scores, dataset.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +328,9 @@ def lars_order(dataset: MetricsDataset) -> LarsOrdering:
 
 
 def incremental_evaluation(
-    model_kind: str,
     dataset: MetricsDataset,
     cfg: TrainConfig,
+    hidden_dims=HIDDEN_DIMS["mlp"],
 ):
     """Evaluate metric subsets of growing size along the entry order.
 
@@ -362,7 +346,7 @@ def incremental_evaluation(
     for i in range(1, dataset.num_metrics + 1):
         cols = sorted(ordering.ordered_metric_indices[:i])
         sub = dataset.select_metrics(cols)
-        scores = loo_scores(model_kind, sub, cfg)
+        scores = loo_scores(sub, cfg, hidden_dims=hidden_dims)
         report = evaluate_scores(scores, sub.labels)
         aurocs.append(report.auroc)
         auprcs.append(report.auprc)

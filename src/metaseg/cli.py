@@ -52,6 +52,9 @@ class RunConfig:
             if v is not None and not 0 <= v <= 255:
                 raise ValueError(f"{name} must fit in a byte, got {v}")
 
+    def hidden_dims(self) -> tuple:
+        return metaclf.HIDDEN_DIMS[self.options["kind"]]
+
     def train_config(self) -> metaclf.TrainConfig:
         o = self.options
         return metaclf.TrainConfig(
@@ -77,7 +80,7 @@ def _thread_count() -> int:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", choices=("logistic", "mlp"), default="logistic",
+    p.add_argument("--kind", choices=tuple(metaclf.HIDDEN_DIMS), default="logistic",
                    help="meta classifier family")
     p.add_argument("--seed", type=int, default=0, help="training seed")
     p.add_argument("--lr", type=float, default=1e-3, help="learning rate")
@@ -260,8 +263,8 @@ def _cmd_metrics(cfg: RunConfig) -> None:
 def _cmd_train_meta(cfg: RunConfig) -> None:
     dataset = features.load_metrics_csv(cfg.options["mu"])
     model, trace = metaclf.train(
-        cfg.options["kind"], dataset, cfg.train_config(),
-        threshold=cfg.options["t"],
+        dataset, cfg.train_config(), threshold=cfg.options["t"],
+        hidden_dims=cfg.hidden_dims(),
     )
     metaclf.save_model(model, cfg.options["out_model"])
     final = f"{trace[-1]:.6f}" if trace else "n/a"
@@ -305,7 +308,8 @@ def _cmd_eval_meta(cfg: RunConfig) -> None:
 
 def _cmd_loo(cfg: RunConfig) -> None:
     dataset = features.load_metrics_csv(cfg.options["mu"])
-    scores = analysis.loo_scores(cfg.options["kind"], dataset, cfg.train_config())
+    scores = analysis.loo_scores(dataset, cfg.train_config(),
+                                 hidden_dims=cfg.hidden_dims())
     report = analysis.evaluate_scores(scores, dataset.labels)
     if cfg.options.get("scores_csv"):
         records = [["row", "group_id", "label", "score"]] + [
@@ -334,7 +338,7 @@ def _cmd_lars(cfg: RunConfig) -> None:
 def _cmd_incremental(cfg: RunConfig) -> None:
     dataset = features.load_metrics_csv(cfg.options["mu"])
     aurocs, auprcs = analysis.incremental_evaluation(
-        cfg.options["kind"], dataset, cfg.train_config()
+        dataset, cfg.train_config(), hidden_dims=cfg.hidden_dims()
     )
     steps = np.arange(1, len(aurocs) + 1)
     analysis.save_curve_csv(

@@ -1,9 +1,11 @@
 """Meta classifiers: logistic regression and a small MLP, from scratch.
 
-Both model kinds are one feed-forward core, `MlpModel`: a stack with
-rectifier hidden activations and a sigmoid output.  `LogisticModel` is
-its one-layer (no hidden layer) case, and a model's kind is read from its
-depth, so a model file's `kind` line must agree with its `layer_dims`.
+Both model kinds are one feed-forward model, `MlpModel`: a stack with
+rectifier hidden activations and a sigmoid output.  Logistic regression
+is the stack without a hidden layer, so the hidden layer widths are the
+only architecture setting; `HIDDEN_DIMS` names the paper's two models,
+and a model's kind is read from its depth.  A model file's `kind`,
+`n_features` and activation lines must agree with its parameters.
 The output is the probability that a predicted-OoD component is a false
 positive.  Training minimizes batch-mean binary cross entropy with Adam
 plus decoupled weight decay (applied to weights only, never biases) and
@@ -54,6 +56,9 @@ _MODEL_MAGIC = "metaseg-model v1"
 
 _HIDDEN_ACTIVATION = "relu"
 _OUTPUT_ACTIVATION = "sigmoid"
+
+# Hidden layer widths of the paper's two meta classifiers.
+HIDDEN_DIMS = {"logistic": (), "mlp": (75, 75, 75)}
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -166,10 +171,8 @@ class MlpModel:
     """Feed-forward stack: rectifier hidden layers, sigmoid output.
 
     `layers` holds (weights, biases) per layer with weights shaped
-    (fan_in, fan_out); the last fan_out must be 1.  `standard` builds the
-    reference shape with three hidden layers of 75 units each.  A stack of
-    one layer is a logistic model (see `LogisticModel`); `kind` reads the
-    model kind from the depth.
+    (fan_in, fan_out); the last fan_out must be 1.  A stack of one layer
+    is a logistic model; `kind` reads the model kind from the depth.
     """
 
     layers: tuple
@@ -211,15 +214,9 @@ class MlpModel:
         return _core(self.layer_dims, vec)
 
     @classmethod
-    def standard(cls, n_features: int, rng: np.random.Generator | None = None) -> "MlpModel":
-        """The reference architecture: three hidden layers of 75 units."""
-        return cls.from_dims((n_features, 75, 75, 75, 1), rng)
-
-    @classmethod
     def from_dims(cls, dims, rng: np.random.Generator | None = None) -> "MlpModel":
+        """Zero parameters, or Glorot-initialized ones drawn from `rng`."""
         dims = _check_dims(dims)
-        if len(dims) < 3:
-            raise ValueError("an MLP needs at least one hidden layer")
         if rng is None:
             vec = np.zeros(_vector_size(dims))
         else:
@@ -227,30 +224,10 @@ class MlpModel:
         return _core(dims, vec)
 
 
-class LogisticModel(MlpModel):
-    """Linear scorer with a sigmoid output: N_m weights plus one bias, the
-    one-layer case of the feed-forward core."""
-
-    def __init__(self, weights, bias) -> None:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
-        super().__init__(layers=((w, np.array([float(bias)])),))
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.layers[0][0][:, 0]
-
-    @property
-    def bias(self) -> float:
-        return float(self.layers[0][1][0])
-
-
 def _core(dims, vec: np.ndarray) -> MlpModel:
     """The core with these layer dims holding a copy of the flat vector
     (`MlpModel` copies the layer views it is given)."""
-    (w, b), *rest = _unpack(dims, np.asarray(vec, dtype=np.float64))
-    if rest:
-        return MlpModel(layers=((w, b), *rest))
-    return LogisticModel(weights=w, bias=b[0])
+    return MlpModel(layers=tuple(_unpack(dims, np.asarray(vec, dtype=np.float64))))
 
 
 @dataclass(frozen=True)
@@ -267,16 +244,19 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        # Written so that nan fails every range test.
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be nonnegative and finite, "
+                             f"got {self.weight_decay}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ValueError("adam betas must be in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
+        if not 0 < self.adam_eps < np.inf:
+            raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
 
 
 @dataclass(frozen=True)
@@ -286,7 +266,6 @@ class MetaModel:
     optionally the score threshold its dataset was built at and the
     names of the metrics it was trained on, in column order."""
 
-    kind: str
     core: MlpModel
     stats: StandardizationStats
     config: TrainConfig
@@ -294,7 +273,6 @@ class MetaModel:
     feature_names: tuple | None = None
 
     def __post_init__(self) -> None:
-        _check_kind(self.kind, self.core)
         if self.stats.mean.shape[0] != self.core.n_features:
             raise ValueError("standardization statistics do not match the model")
         if self.feature_names is not None:
@@ -316,42 +294,24 @@ class MetaModel:
             msg = f"dataset metric {i} is {names[i]!r}, model was trained on {ours[i]!r}"
         raise ValueError(msg)
 
-    def predict_raw(self, features) -> float:
-        """Predict from un-standardized metrics."""
-        row = np.asarray(features, dtype=np.float64).reshape(1, -1)
-        return float(self.predict_raw_batch(row)[0])
+    @property
+    def kind(self) -> str:
+        return self.core.kind
 
     def predict_raw_batch(self, rows: np.ndarray) -> np.ndarray:
+        """Predict from un-standardized metric rows."""
         return predict_batch(self.core, self.stats.apply(rows))
 
 
-def _check_kind(kind: str, core: MlpModel) -> None:
-    if kind not in ("logistic", "mlp"):
-        raise ValueError(f"unknown model kind {kind!r}")
-    if kind != core.kind:
-        raise ValueError(
-            f"model kind {kind!r} does not match layer dims {core.layer_dims}"
-        )
-
-
-def _core_of(model) -> MlpModel:
-    return model.core if isinstance(model, MetaModel) else model
-
-
-def predict(model, features) -> float:
-    """Sigmoid output for one already-standardized metric vector."""
-    row = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    return float(predict_batch(model, row)[0])
-
-
-def predict_batch(model, rows: np.ndarray) -> np.ndarray:
+def predict_batch(core: MlpModel, rows: np.ndarray) -> np.ndarray:
+    """Sigmoid outputs for already-standardized metric rows."""
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != model.n_features:
+    if rows.ndim != 2 or rows.shape[1] != core.n_features:
         raise ValueError(
-            f"model expects {model.n_features} features per row, "
+            f"model expects {core.n_features} features per row, "
             f"got rows of shape {rows.shape}"
         )
-    p, _ = _forward(model.layers, rows, _buffers(model.layer_dims, rows.shape[0]))
+    p, _ = _forward(core.layers, rows, _buffers(core.layer_dims, rows.shape[0]))
     return p
 
 
@@ -368,16 +328,9 @@ def bce_loss(predictions, labels) -> float:
     return float(-np.sum(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
 
 
-def bce_loss_mean(predictions, labels) -> float:
-    """Batch-mean form of the loss; this is what the optimizer follows."""
-    n = np.asarray(predictions).reshape(-1).shape[0]
-    return bce_loss(predictions, labels) / n
-
-
-def gradient(model, rows, labels) -> np.ndarray:
-    """Analytic gradient of the batch-mean BCE with respect to every
-    parameter, in the model's flat-vector layout."""
-    core = _core_of(model)
+def gradient(core: MlpModel, rows, labels) -> np.ndarray:
+    """Analytic gradient of the batch-mean BCE (the loss the optimizer
+    follows) with respect to every parameter, in the flat-vector layout."""
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim == 1:
         x = x.reshape(1, -1)
@@ -393,26 +346,14 @@ def gradient(model, rows, labels) -> np.ndarray:
     return flat
 
 
-def count_parameters(model) -> int:
-    core = _core_of(model)
-    return int(core.to_vector().shape[0])
+def count_parameters(core: MlpModel) -> int:
+    return _vector_size(core.layer_dims)
 
 
-def parameter_breakdown(model) -> list:
+def parameter_breakdown(core: MlpModel) -> list:
     """Per-layer parameter counts (weights plus biases)."""
-    core = _core_of(model)
     dims = core.layer_dims
     return [fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:])]
-
-
-def _init_core(model_kind: str, n_features: int, rng: np.random.Generator,
-               hidden_dims=(75, 75, 75)) -> MlpModel:
-    """Glorot-initialized core; `hidden_dims` applies to an MLP only."""
-    hidden = tuple(hidden_dims) if model_kind == "mlp" else ()
-    dims = _check_dims((n_features, *hidden, 1))
-    core = _core(dims, glorot_init_vector(dims, rng))
-    _check_kind(model_kind, core)
-    return core
 
 
 @functools.cache
@@ -470,18 +411,19 @@ def _identity_stats(n: int) -> StandardizationStats:
 
 
 def train(
-    model_kind: str,
     dataset: MetricsDataset,
     cfg: TrainConfig,
     threshold: float | None = None,
-    hidden_dims=(75, 75, 75),
+    hidden_dims=HIDDEN_DIMS["mlp"],
 ):
     """Train a meta classifier; returns (MetaModel, per-epoch mean losses).
 
-    Metrics are standardized internally and the statistics stored in the
-    returned model.  Mini-batch Adam follows the batch-mean BCE; weight
-    decay is decoupled (subtracted as lr * decay * weight after each Adam
-    step) and skips biases.  The per-epoch shuffle and the weight init
+    `hidden_dims` lists the hidden layer widths: () trains logistic
+    regression (see `HIDDEN_DIMS`).  Metrics are standardized internally
+    and the statistics stored in the returned model.  Mini-batch Adam
+    follows the batch-mean BCE; weight decay is decoupled (subtracted as
+    lr * decay * weight after each Adam step) and skips biases.  The
+    per-epoch shuffle and the weight init
     share one generator seeded from cfg.seed, so identical inputs give
     bit-identical parameters.  The final incomplete batch is kept.
 
@@ -504,9 +446,8 @@ def train(
     y = dataset.labels.astype(np.float64)
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    core = _init_core(model_kind, dataset.num_metrics, rng, hidden_dims=hidden_dims)
-    dims = core.layer_dims
-    theta = core.to_vector()
+    dims = _check_dims((dataset.num_metrics, *hidden_dims, 1))
+    theta = glorot_init_vector(dims, rng)
     grad = np.empty_like(theta)
     layers, grads = _unpack(dims, theta), _unpack(dims, grad)
     batch_rows = min(n, cfg.batch_size)
@@ -554,8 +495,7 @@ def train(
             trace.append(epoch_sum / n)
 
     meta = MetaModel(
-        kind=model_kind,
-        core=core.with_vector(theta),
+        core=_core(dims, theta),
         stats=stats,
         config=cfg,
         threshold=threshold,
@@ -607,7 +547,9 @@ def _float_list(values) -> str:
 def save_model(meta: MetaModel, path) -> None:
     """Write descriptor lines then the flat parameter vector as a
     1 x 1 x P RAST block; the file round-trips bit-exactly.  The metric
-    names, when the model has them, are one CSV record on one line."""
+    names, when the model has them, are one CSV record on one line.  The
+    `kind`, `n_features` and activation lines restate what the parameters
+    fix, and `load_model` checks them against it."""
     core = meta.core
     cfg = meta.config
     lines = [
@@ -659,7 +601,7 @@ def load_model(path) -> MetaModel:
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}: model field {key!r}: {exc}") from None
 
-    kind = value("kind")
+    value("kind")  # required; checked against the parameters below
     dims = value("layer_dims", lambda s: _check_dims(int(d) for d in s.split(",")))
     n_params = value("params", int)
     vec = _parse_rast(block, str(path)).reshape(-1)
@@ -676,10 +618,20 @@ def load_model(path) -> MetaModel:
     names = (value("feature_names", lambda s: tuple(next(csv.reader([s])) or [""]))
              if "feature_names" in values else None)
     try:
-        return MetaModel(
-            kind=kind, core=_core(dims, vec),
+        meta = MetaModel(
+            core=_core(dims, vec),
             stats=StandardizationStats(mean=mean, sigma=sigma),
             config=TrainConfig(**config), threshold=threshold, feature_names=names,
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    # Lines that restate the parameters must agree with them; the
+    # optional ones may be missing.
+    restated = {"kind": meta.kind, "n_features": str(meta.core.n_features),
+                "hidden_activation": _HIDDEN_ACTIVATION,
+                "output_activation": _OUTPUT_ACTIVATION}
+    for key, want in restated.items():
+        if values.get(key, want) != want:
+            raise ValueError(f"{path}: model field {key!r} is {values[key]!r}, "
+                             f"expected {want!r}")
+    return meta

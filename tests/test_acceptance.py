@@ -127,22 +127,21 @@ def fd_gradient(model, x, y, h=1e-5):
     """Central finite differences of the batch-mean cross entropy."""
     theta = model.to_vector()
     out = np.zeros_like(theta)
+    n = np.asarray(x).shape[0]
     for k in range(theta.shape[0]):
         tp, tm = theta.copy(), theta.copy()
         tp[k] += h
         tm[k] -= h
         pp = metaclf.predict_batch(model.with_vector(tp), x)
         pm = metaclf.predict_batch(model.with_vector(tm), x)
-        out[k] = (metaclf.bce_loss_mean(pp, y) - metaclf.bce_loss_mean(pm, y)) / (2 * h)
+        out[k] = (metaclf.bce_loss(pp, y) / n - metaclf.bce_loss(pm, y) / n) / (2 * h)
     return out
 
 
 def min_preactivation_gap(model, x):
     """Finite differences are only valid away from rectifier kinks, so
     configurations whose smallest |hidden pre-activation| is below a
-    margin are redrawn."""
-    if isinstance(model, metaclf.LogisticModel):
-        return np.inf
+    margin are redrawn; a model without hidden layers has no kink."""
     gap = np.inf
     a = np.asarray(x, dtype=np.float64)
     for w, b in model.layers[:-1]:
@@ -177,8 +176,8 @@ def custom_dataset(rows, labels, groups):
 
 
 def test_criterion_01_architecture_parameter_counts():
-    mlp = metaclf.MlpModel.standard(75)
-    logistic = metaclf.LogisticModel(np.zeros(75), 0.0)
+    mlp = metaclf.MlpModel.from_dims((75, *metaclf.HIDDEN_DIMS["mlp"], 1))
+    logistic = metaclf.MlpModel.from_dims((75, *metaclf.HIDDEN_DIMS["logistic"], 1))
     total = metaclf.count_parameters(mlp)
     layers = metaclf.parameter_breakdown(mlp)
     log_total = metaclf.count_parameters(logistic)
@@ -237,9 +236,8 @@ def test_criterion_04_gradients_match_finite_differences():
         n_feat = int(rng.integers(2, 7))
         batch = int(rng.integers(1, 9))
         if checked % 2 == 0:
-            model = metaclf.LogisticModel(
-                rng.normal(0, 1, n_feat), float(rng.normal())
-            )
+            weights = rng.normal(0, 1, (n_feat, 1))
+            model = metaclf.MlpModel(layers=((weights, [rng.normal()]),))
         else:
             dims = (n_feat, int(rng.integers(3, 8)), int(rng.integers(2, 6)), 1)
             model = metaclf.MlpModel.from_dims(dims, rng)
@@ -319,8 +317,8 @@ def test_criterion_07_mlp_beats_logistic_under_nonlinear_coupling():
     )
     cfg = metaclf.TrainConfig(seed=5)
     results = {}
-    for kind in ("logistic", "mlp"):
-        scores = analysis.loo_scores(kind, dataset, cfg)
+    for kind, hidden_dims in metaclf.HIDDEN_DIMS.items():
+        scores = analysis.loo_scores(dataset, cfg, hidden_dims=hidden_dims)
         results[kind] = (
             analysis.auroc(scores, dataset.labels),
             analysis.auprc(scores, dataset.labels),
@@ -351,8 +349,8 @@ def test_criterion_08_incremental_evaluation_consistency():
     cfg = metaclf.TrainConfig(
         learning_rate=0.05, weight_decay=0.0, epochs=20, batch_size=16, seed=3
     )
-    aurocs, auprcs = analysis.incremental_evaluation("logistic", dataset, cfg)
-    full = analysis.loo_scores("logistic", dataset, cfg)
+    aurocs, auprcs = analysis.incremental_evaluation(dataset, cfg, hidden_dims=())
+    full = analysis.loo_scores(dataset, cfg, hidden_dims=())
     full_auroc = analysis.auroc(full, dataset.labels)
     full_auprc = analysis.auprc(full, dataset.labels)
     exact = aurocs[-1] == full_auroc and auprcs[-1] == full_auprc

@@ -25,7 +25,6 @@ from metaseg.analysis import (
     fpr_at_95_tpr,
     incremental_evaluation,
     lars_order,
-    leave_one_out,
     loo_scores,
     ood_fraction,
     pr_points,
@@ -39,8 +38,9 @@ from metaseg.features import (
     MetricRegistry,
     MetricsDataset,
     StandardizationStats,
+    build_metrics_dataset,
 )
-from metaseg.metaclf import LogisticModel, MetaModel, TrainConfig
+from metaseg.metaclf import MetaModel, MlpModel, TrainConfig
 from metaseg.raster import IGNORE_LABEL, OOD_LABEL, LabelMask, ScoreMap
 from metaseg.segments import ThresholdConfig
 from metaseg.synth import SceneSpec, generate
@@ -289,9 +289,9 @@ class TestEvalReport:
 
 def identity_meta(weights, bias=0.0):
     n = len(weights)
+    w = np.asarray(weights, dtype=np.float64).reshape(n, 1)
     return MetaModel(
-        kind="logistic",
-        core=LogisticModel(weights=np.asarray(weights, dtype=np.float64), bias=bias),
+        core=MlpModel(layers=((w, [bias]),)),
         stats=StandardizationStats(np.zeros(n), np.ones(n)),
         config=TrainConfig(),
     )
@@ -407,15 +407,15 @@ class TestLeaveOneOut:
     def test_every_row_scored_once(self):
         ds = self.grouped_dataset()
         cfg = TrainConfig(learning_rate=0.05, epochs=20, batch_size=8, seed=0)
-        scores = loo_scores("logistic", ds, cfg)
+        scores = loo_scores(ds, cfg, hidden_dims=())
         assert scores.shape == (len(ds),)
         assert np.isfinite(scores).all()
 
     def test_deterministic(self):
         ds = self.grouped_dataset()
         cfg = TrainConfig(epochs=5, seed=3)
-        a = loo_scores("logistic", ds, cfg)
-        b = loo_scores("logistic", ds, cfg)
+        a = loo_scores(ds, cfg, hidden_dims=())
+        b = loo_scores(ds, cfg, hidden_dims=())
         np.testing.assert_array_equal(a, b)
 
     def test_holding_out_changes_predictions(self):
@@ -423,10 +423,10 @@ class TestLeaveOneOut:
         # not, so the two disagree in general.
         ds = self.grouped_dataset()
         cfg = TrainConfig(learning_rate=0.05, epochs=30, batch_size=8, seed=1)
-        loo = loo_scores("logistic", ds, cfg)
+        loo = loo_scores(ds, cfg, hidden_dims=())
         from metaseg.metaclf import train
 
-        full, _ = train("logistic", ds, cfg)
+        full, _ = train(ds, cfg, hidden_dims=())
         in_sample = full.predict_raw_batch(ds.rows)
         assert not np.allclose(loo, in_sample)
 
@@ -437,7 +437,7 @@ class TestLeaveOneOut:
             ("a", "a", "a", "a"),
         )
         with pytest.raises(ValueError, match="2 groups"):
-            loo_scores("logistic", ds, TrainConfig(epochs=1))
+            loo_scores(ds, TrainConfig(epochs=1), hidden_dims=())
 
     def test_end_to_end_on_scenes(self):
         spec = SceneSpec(
@@ -449,13 +449,10 @@ class TestLeaveOneOut:
             seed=139,
         )
         samples = generate(spec, 6)
-        scores, report = leave_one_out(
-            "logistic",
-            samples,
-            TrainConfig(epochs=10, seed=0),
-            ThresholdConfig(0.7),
-            MetricRegistry.standard(5),
-        )
+        dataset = build_metrics_dataset(samples, ThresholdConfig(0.7),
+                                        MetricRegistry.standard(5))
+        scores = loo_scores(dataset, TrainConfig(epochs=10, seed=0), hidden_dims=())
+        report = evaluate_scores(scores, dataset.labels)
         assert np.isfinite(scores).all()
         assert 0.0 <= report.auroc <= 1.0
         assert report.positives + report.negatives == scores.shape[0]
@@ -561,7 +558,7 @@ class TestIncrementalEvaluation:
     def test_lengths_match_metric_count(self):
         ds = self.small_dataset()
         cfg = TrainConfig(learning_rate=0.05, epochs=8, batch_size=8, seed=0)
-        aurocs, auprcs = incremental_evaluation("logistic", ds, cfg)
+        aurocs, auprcs = incremental_evaluation(ds, cfg, hidden_dims=())
         assert len(aurocs) == ds.num_metrics
         assert len(auprcs) == ds.num_metrics
         assert all(0.0 <= v <= 1.0 for v in aurocs + auprcs)
@@ -569,8 +566,8 @@ class TestIncrementalEvaluation:
     def test_final_step_reproduces_full_run_exactly(self):
         ds = self.small_dataset()
         cfg = TrainConfig(learning_rate=0.05, epochs=8, batch_size=8, seed=0)
-        aurocs, auprcs = incremental_evaluation("logistic", ds, cfg)
-        full = loo_scores("logistic", ds, cfg)
+        aurocs, auprcs = incremental_evaluation(ds, cfg, hidden_dims=())
+        full = loo_scores(ds, cfg, hidden_dims=())
         assert aurocs[-1] == auroc(full, ds.labels)
         assert auprcs[-1] == auprc(full, ds.labels)
 

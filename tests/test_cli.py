@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,22 @@ class TestDataErrors:
         ]
         assert cli.run(args) == 2
         assert "metaseg: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag, field", [("--lr", "learning_rate"),
+                                             ("--weight-decay", "weight_decay")])
+    def test_non_finite_optimizer_flag(self, toy_mu, tmp_path, capsys, flag, field,
+                                       value):
+        # Refused before training, so no step computes with it.
+        out = tmp_path / "m.model"
+        args = ["train-meta", "--mu", str(toy_mu), "--out", str(out), flag, value]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.run(args) == 2
+        assert [w.category for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"metaseg: error: {field} must be")
+        assert "RuntimeWarning" not in err and not out.exists()
 
     def test_model_missing_header_field(self, toy_mu, tmp_path, capsys):
         model = tmp_path / "m.model"
@@ -559,7 +576,9 @@ class TestTrainEval:
             "--kind", "mlp", "--epochs", "3",
         ]
         assert cli.run(args) == 0
-        assert metaclf.load_model(out).kind == "mlp"
+        model = metaclf.load_model(out)
+        assert model.kind == "mlp"
+        assert model.core.layer_dims == (3, *metaclf.HIDDEN_DIMS["mlp"], 1)
 
 
 class TestLooLarsIncremental:

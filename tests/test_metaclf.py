@@ -24,18 +24,16 @@ from metaseg.features import (
     MetricRegistry, MetricsDataset, StandardizationStats, build_metrics_dataset,
 )
 from metaseg.metaclf import (
-    LogisticModel,
+    HIDDEN_DIMS,
     MetaModel,
     MlpModel,
     TrainConfig,
     bce_loss,
-    bce_loss_mean,
     count_parameters,
     glorot_init_vector,
     gradient,
     load_model,
     parameter_breakdown,
-    predict,
     predict_batch,
     remove_false_positives,
     save_model,
@@ -53,17 +51,24 @@ def toy_dataset(rows, labels):
     return MetricsDataset(rows, np.asarray(labels, dtype=bool), groups, reg)
 
 
+def logistic(weights, bias):
+    """The one-layer core with these weights and bias."""
+    w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
+    return MlpModel(layers=((w, [float(bias)]),))
+
+
 def fd_gradient(model, x, y, h=1e-5):
     """Central finite differences of the batch-mean BCE."""
     theta = model.to_vector()
     out = np.zeros_like(theta)
+    n = np.asarray(x).shape[0]
     for k in range(theta.shape[0]):
         tp, tm = theta.copy(), theta.copy()
         tp[k] += h
         tm[k] -= h
         pp = predict_batch(model.with_vector(tp), x)
         pm = predict_batch(model.with_vector(tm), x)
-        out[k] = (bce_loss_mean(pp, y) - bce_loss_mean(pm, y)) / (2 * h)
+        out[k] = (bce_loss(pp, y) / n - bce_loss(pm, y) / n) / (2 * h)
     return out
 
 
@@ -75,8 +80,6 @@ def min_preactivation_gap(model, x):
     zero, so finite-difference checks are valid only with a clear margin
     from that kink.
     """
-    if isinstance(model, LogisticModel):
-        return np.inf
     gap = np.inf
     a = np.asarray(x, dtype=np.float64)
     for w, b in model.layers[:-1]:
@@ -88,13 +91,13 @@ def min_preactivation_gap(model, x):
 
 class TestParameterCounts:
     def test_standard_mlp_breakdown(self):
-        model = MlpModel.standard(75)
+        model = MlpModel.from_dims((75, *HIDDEN_DIMS["mlp"], 1))
         assert count_parameters(model) == 17176
         assert parameter_breakdown(model) == [5700, 5700, 5700, 76]
         assert model.layer_dims == (75, 75, 75, 75, 1)
 
     def test_logistic_count(self):
-        model = LogisticModel(weights=np.zeros(75), bias=0.0)
+        model = MlpModel.from_dims((75, *HIDDEN_DIMS["logistic"], 1))
         assert count_parameters(model) == 76
         assert parameter_breakdown(model) == [76]
 
@@ -105,7 +108,7 @@ class TestParameterCounts:
 
     def test_count_scales_with_features(self):
         for n in (5, 20, 75):
-            model = MlpModel.standard(n)
+            model = MlpModel.from_dims((n, *HIDDEN_DIMS["mlp"], 1))
             assert count_parameters(model) == (
                 n * 75 + 75 + 2 * (75 * 75 + 75) + 75 + 1
             )
@@ -119,21 +122,18 @@ class TestParameterCounts:
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
-            MlpModel.from_dims((4, 1))  # no hidden layer
-        with pytest.raises(ValueError):
             MlpModel.from_dims((4, 6, 2))  # output must be one unit
 
 
 class TestPrediction:
     def test_zero_parameters_give_half(self):
-        lg = LogisticModel(weights=np.zeros(3), bias=0.0)
-        assert predict(lg, np.ones(3)) == 0.5
-        mlp = MlpModel.from_dims((3, 4, 1))
-        assert predict(mlp, np.ones(3)) == 0.5
+        for dims in ((3, 1), (3, 4, 1)):
+            model = MlpModel.from_dims(dims)
+            assert predict_batch(model, np.ones((1, 3))).tolist() == [0.5]
 
     def test_known_sigmoid_value(self):
-        lg = LogisticModel(weights=np.array([1.0]), bias=0.0)
-        assert predict(lg, [math.log(3.0)]) == pytest.approx(0.75, abs=1e-12)
+        lg = logistic([1.0], 0.0)
+        assert predict_batch(lg, [[math.log(3.0)]])[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_sigmoid_stability(self):
         assert sigmoid(np.array([1000.0]))[0] == 1.0
@@ -147,9 +147,9 @@ class TestPrediction:
         assert p.min() >= 0.0 and p.max() <= 1.0
 
     def test_feature_count_checked(self):
-        lg = LogisticModel(weights=np.zeros(3), bias=0.0)
+        lg = MlpModel.from_dims((3, 1))
         with pytest.raises(ValueError, match="expects 3"):
-            predict(lg, np.ones(4))
+            predict_batch(lg, np.ones((1, 4)))
         with pytest.raises(ValueError, match="rows"):
             predict_batch(lg, np.ones((2, 4)))
 
@@ -159,7 +159,8 @@ class TestPrediction:
         rows = rng.normal(0, 1, (10, 4))
         batch = predict_batch(model, rows)
         for i in range(10):
-            assert batch[i] == pytest.approx(predict(model, rows[i]), abs=1e-15)
+            single = predict_batch(model, rows[i : i + 1])[0]
+            assert batch[i] == pytest.approx(single, abs=1e-15)
 
 
 class TestBceLoss:
@@ -174,7 +175,6 @@ class TestBceLoss:
     def test_sum_form(self):
         p = [0.5, 0.5, 0.5]
         assert bce_loss(p, [1, 1, 1]) == pytest.approx(3 * math.log(2.0), abs=1e-12)
-        assert bce_loss_mean(p, [1, 1, 1]) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_clamp_keeps_loss_finite(self):
         assert np.isfinite(bce_loss([0.0], [1]))
@@ -192,7 +192,7 @@ class TestGradient:
     def test_zero_logistic_closed_form(self):
         # At zero parameters p = 1/2, so the mean-BCE gradient for a
         # single (x, y=1) row is (-x/2, -1/2).
-        lg = LogisticModel(weights=np.zeros(3), bias=0.0)
+        lg = MlpModel.from_dims((3, 1))
         x = np.array([1.0, -2.0, 0.5])
         g = gradient(lg, x, [1])
         np.testing.assert_allclose(g[:3], -x / 2.0, atol=1e-15)
@@ -212,9 +212,7 @@ class TestGradient:
         checked = 0
         while checked < 20:
             if checked % 2 == 0:
-                model = LogisticModel(
-                    weights=rng.normal(0, 0.5, 3), bias=float(rng.normal())
-                )
+                model = logistic(rng.normal(0, 0.5, 3), rng.normal())
             else:
                 model = MlpModel.from_dims((3, 4, 4, 1), rng)
             x = rng.normal(0, 1, (int(rng.integers(1, 6)), 3))
@@ -228,7 +226,7 @@ class TestGradient:
             checked += 1
 
     def test_validation(self):
-        lg = LogisticModel(weights=np.zeros(2), bias=0.0)
+        lg = MlpModel.from_dims((2, 1))
         with pytest.raises(ValueError, match="empty"):
             gradient(lg, np.zeros((0, 2)), [])
         with pytest.raises(ValueError, match="equal length"):
@@ -285,8 +283,8 @@ class TestTraining:
     def test_both_kinds_fit_separable_data(self):
         ds = separable_dataset()
         cfg = TrainConfig(learning_rate=0.05, epochs=200, batch_size=8, seed=1)
-        for kind in ("logistic", "mlp"):
-            meta, trace = train(kind, ds, cfg, hidden_dims=(8, 8))
+        for hidden_dims in ((), (8, 8)):
+            meta, trace = train(ds, cfg, hidden_dims=hidden_dims)
             p = meta.predict_raw_batch(ds.rows)
             assert np.mean((p >= 0.5) == ds.labels) == 1.0
             assert trace[-1] < trace[0]
@@ -294,18 +292,18 @@ class TestTraining:
     def test_mlp_solves_xor_logistic_cannot(self):
         ds = xor_dataset()
         cfg = TrainConfig(learning_rate=0.02, epochs=300, batch_size=16, seed=3)
-        meta_mlp, _ = train("mlp", ds, cfg, hidden_dims=(8, 8))
+        meta_mlp, _ = train(ds, cfg, hidden_dims=(8, 8))
         acc_mlp = np.mean((meta_mlp.predict_raw_batch(ds.rows) >= 0.5) == ds.labels)
         assert acc_mlp >= 0.95
-        meta_lg, _ = train("logistic", ds, cfg)
+        meta_lg, _ = train(ds, cfg, hidden_dims=())
         acc_lg = np.mean((meta_lg.predict_raw_batch(ds.rows) >= 0.5) == ds.labels)
         assert acc_lg <= 0.75
 
     def test_bit_deterministic(self):
         ds = separable_dataset()
         cfg = TrainConfig(epochs=5, seed=9)
-        a, trace_a = train("mlp", ds, cfg, hidden_dims=(6, 6))
-        b, trace_b = train("mlp", ds, cfg, hidden_dims=(6, 6))
+        a, trace_a = train(ds, cfg, hidden_dims=(6, 6))
+        b, trace_b = train(ds, cfg, hidden_dims=(6, 6))
         np.testing.assert_array_equal(a.core.to_vector(), b.core.to_vector())
         assert trace_a == trace_b
 
@@ -318,29 +316,29 @@ class TestTraining:
         ds = pinned_dataset()
         cfg = TrainConfig(learning_rate=0.01, epochs=4, batch_size=16, seed=3)
         cases = [
-            ("mlp", {"hidden_dims": (8, 8)},
+            ("mlp", (8, 8),
              "0505ac9f608e95d566f75b2471638d271b46cc6416a1bb6f417c19885cc2e3f3",
              "93e21731562e8fe364e65899f26891d72f01753949e873d848f20d632076cc76"),
-            ("logistic", {},
+            ("logistic", HIDDEN_DIMS["logistic"],
              "8c1e853145a5acb5fe34f61b8746ce824e9bee9dfb67a751c8631a35c9efdfc6",
              "d403887a81b7b38bc77de1266c8231dfdf714badab8a51af04bd6be2d37435bb"),
         ]
-        for kind, options, params_digest, trace_digest in cases:
-            meta, trace = train(kind, ds, cfg, **options)
+        for kind, hidden_dims, params_digest, trace_digest in cases:
+            meta, trace = train(ds, cfg, hidden_dims=hidden_dims)
             vec = meta.core.to_vector().tobytes()
             assert hashlib.sha256(vec).hexdigest() == params_digest, kind
             assert hashlib.sha256(repr(trace).encode()).hexdigest() == trace_digest, kind
 
     def test_seed_changes_parameters(self):
         ds = separable_dataset()
-        a, _ = train("logistic", ds, TrainConfig(epochs=3, seed=0))
-        b, _ = train("logistic", ds, TrainConfig(epochs=3, seed=1))
+        a, _ = train(ds, TrainConfig(epochs=3, seed=0), hidden_dims=())
+        b, _ = train(ds, TrainConfig(epochs=3, seed=1), hidden_dims=())
         assert not np.array_equal(a.core.to_vector(), b.core.to_vector())
 
     def test_zero_epochs_returns_initialization(self):
         ds = separable_dataset()
         cfg = TrainConfig(epochs=0, seed=4)
-        meta, trace = train("logistic", ds, cfg)
+        meta, trace = train(ds, cfg, hidden_dims=())
         assert trace == ()
         expected = glorot_init_vector(
             (2, 1), np.random.Generator(np.random.PCG64(4))
@@ -349,7 +347,7 @@ class TestTraining:
 
     def test_trace_length_and_finiteness(self):
         ds = separable_dataset()
-        meta, trace = train("logistic", ds, TrainConfig(epochs=7, seed=2))
+        meta, trace = train(ds, TrainConfig(epochs=7, seed=2), hidden_dims=())
         assert len(trace) == 7
         assert all(np.isfinite(v) for v in trace)
 
@@ -358,31 +356,24 @@ class TestTraining:
         # on weights only when predictions sit at 1/2; with a large decay
         # the weight norm must drop relative to the no-decay run.
         ds = separable_dataset()
-        hi, _ = train(
-            "logistic", ds,
-            TrainConfig(weight_decay=0.5, epochs=30, seed=5),
-        )
-        lo, _ = train(
-            "logistic", ds,
-            TrainConfig(weight_decay=0.0, epochs=30, seed=5),
-        )
-        assert np.linalg.norm(hi.core.weights) < np.linalg.norm(lo.core.weights)
+        hi, _ = train(ds, TrainConfig(weight_decay=0.5, epochs=30, seed=5),
+                      hidden_dims=())
+        lo, _ = train(ds, TrainConfig(weight_decay=0.0, epochs=30, seed=5),
+                      hidden_dims=())
+        (w_hi, _), = hi.core.layers
+        (w_lo, _), = lo.core.layers
+        assert np.linalg.norm(w_hi) < np.linalg.norm(w_lo)
 
     def test_single_class_labels_warn(self):
         ds = toy_dataset(np.random.default_rng(0).normal(0, 1, (6, 2)), [1] * 6)
         with pytest.warns(UserWarning, match="single-class"):
-            train("logistic", ds, TrainConfig(epochs=1, seed=0))
+            train(ds, TrainConfig(epochs=1, seed=0), hidden_dims=())
 
     def test_empty_dataset_rejected(self):
         reg = MetricRegistry.custom(["m0"])
         ds = MetricsDataset(np.zeros((0, 1)), np.zeros(0, dtype=bool), (), reg)
         with pytest.raises(ValueError, match="empty"):
-            train("logistic", ds, TrainConfig(epochs=1))
-
-    def test_unknown_kind_rejected(self):
-        ds = separable_dataset()
-        with pytest.raises(ValueError, match="unknown model kind"):
-            train("forest", ds, TrainConfig(epochs=1))
+            train(ds, TrainConfig(epochs=1), hidden_dims=())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -393,6 +384,11 @@ class TestTraining:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(adam_beta1=1.0)
+        for field in ("learning_rate", "weight_decay", "adam_eps"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError,
+                                   match=f"{field} must be .* finite, got {value}"):
+                    TrainConfig(**{field: value})
 
 
 def _blas_getter():
@@ -429,7 +425,7 @@ class TestBlasPin:
 
         monkeypatch.setattr(metaclf, "_backward", spy)
         before = get()
-        train("mlp", separable_dataset(), self.CFG, hidden_dims=(4,))
+        train(separable_dataset(), self.CFG, hidden_dims=(4,))
         assert get() == before
         assert seen and set(seen) == {1}
 
@@ -447,15 +443,15 @@ class TestBlasPin:
         monkeypatch.setattr(metaclf, "_backward", fail_third)
         before = get()
         with pytest.raises(RuntimeError, match="third step"):
-            train("mlp", separable_dataset(), self.CFG, hidden_dims=(4,))
+            train(separable_dataset(), self.CFG, hidden_dims=(4,))
         assert calls == [1, 1, 1]
         assert get() == before
 
     def test_noop_setter_gives_same_bits(self, monkeypatch):
         ds = separable_dataset()
-        pinned = train("mlp", ds, self.CFG, hidden_dims=(6, 6))
+        pinned = train(ds, self.CFG, hidden_dims=(6, 6))
         monkeypatch.setattr(metaclf, "_blas_setter", lambda: None)
-        free = train("mlp", ds, self.CFG, hidden_dims=(6, 6))
+        free = train(ds, self.CFG, hidden_dims=(6, 6))
         np.testing.assert_array_equal(pinned[0].core.to_vector(),
                                       free[0].core.to_vector())
         assert pinned[1] == free[1]
@@ -467,13 +463,13 @@ class TestBlasPin:
         # the calls overlap.
         get = _blas_getter()
         ds = separable_dataset()
-        expected = train("mlp", ds, self.CFG, hidden_dims=(4,))[0].core.to_vector()
+        expected = train(ds, self.CFG, hidden_dims=(4,))[0].core.to_vector()
         before = get()
         results = []
 
         def work():
             for _ in range(5):
-                results.append(train("mlp", ds, self.CFG, hidden_dims=(4,))[0])
+                results.append(train(ds, self.CFG, hidden_dims=(4,))[0])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -502,10 +498,7 @@ class TestRemoveFalsePositives:
 
     def logistic_model(self, weights, bias, n=2):
         stats = StandardizationStats(np.zeros(n), np.ones(n))
-        core = LogisticModel(weights, bias)
-        return MetaModel(
-            kind="logistic", core=core, stats=stats, config=TrainConfig()
-        )
+        return MetaModel(core=logistic(weights, bias), stats=stats, config=TrainConfig())
 
     def constant_model(self, p_out):
         # Logistic with zero weights: output sigmoid(bias) everywhere.
@@ -588,7 +581,7 @@ class TestRemoveFalsePositives:
         want = sm.scores.copy()
         want_kept = []
         for k, (pixels, _, _) in enumerate(pixel_sets(image)):
-            if model.predict_raw(rows[k]) >= t:
+            if model.predict_raw_batch(rows[k : k + 1])[0] >= t:
                 for r, c in pixels:
                     want[r, c] = 0.0
             else:
@@ -611,7 +604,7 @@ class TestRemoveFalsePositives:
         samples = synth.generate(synth.SceneSpec(dims=(32, 32), num_classes=4, seed=3), 4)
         registry = MetricRegistry.standard(4)
         dataset = build_metrics_dataset(samples, ThresholdConfig(0.7), registry)
-        model, _ = train("logistic", dataset, TrainConfig(epochs=5, seed=0))
+        model, _ = train(dataset, TrainConfig(epochs=5, seed=0), hidden_dims=())
         env = {"features": features, "metaclf": metaclf, "scoring": scoring,
                "segments": segments, "samples": samples, "registry": registry,
                "model": model}
@@ -624,10 +617,11 @@ class TestRemoveFalsePositives:
 
 
 class TestModelFiles:
-    def trained(self, kind, tmp=None):
+    def trained(self, kind):
         ds = separable_dataset()
         cfg = TrainConfig(learning_rate=0.05, epochs=20, batch_size=8, seed=1)
-        meta, _ = train(kind, ds, cfg, threshold=0.7, hidden_dims=(6, 6))
+        hidden_dims = {"logistic": (), "mlp": (6, 6)}[kind]
+        meta, _ = train(ds, cfg, threshold=0.7, hidden_dims=hidden_dims)
         return meta, ds
 
     def test_round_trip_fields(self, tmp_path):
@@ -664,7 +658,7 @@ class TestModelFiles:
 
     def test_no_threshold_round_trips_as_none(self, tmp_path):
         ds = separable_dataset()
-        meta, _ = train("logistic", ds, TrainConfig(epochs=1, seed=0))
+        meta, _ = train(ds, TrainConfig(epochs=1, seed=0), hidden_dims=())
         path = tmp_path / "model.bin"
         save_model(meta, path)
         assert load_model(path).threshold is None
@@ -684,7 +678,7 @@ class TestModelFiles:
     def test_single_empty_metric_name_round_trips(self, tmp_path):
         ds = toy_dataset([[0.0], [1.0], [2.0]], [0, 1, 1])
         ds = MetricsDataset(ds.rows, ds.labels, ds.group_ids, MetricRegistry.custom([""]))
-        meta, _ = train("logistic", ds, TrainConfig(epochs=1, seed=0))
+        meta, _ = train(ds, TrainConfig(epochs=1, seed=0), hidden_dims=())
         save_model(meta, tmp_path / "m.bin")
         assert load_model(tmp_path / "m.bin").feature_names == ("",)
 
@@ -743,11 +737,10 @@ class TestModelFiles:
                                      np.array([1.0, 2.0, 0.5]))
         rng = np.random.Generator(np.random.PCG64(0))
         cases = [
-            (MetaModel("logistic", LogisticModel(np.arange(3) / 4, 0.5), stats,
-                       TrainConfig()),
+            (MetaModel(logistic(np.arange(3) / 4, 0.5), stats, TrainConfig()),
              "ed797aa01b2f0efbedc78089f1e41e3c5bc307bce821374a0b0bc206db7250d7"),
-            (MetaModel("mlp", MlpModel.from_dims((3, 4, 1), rng), stats,
-                       TrainConfig(), threshold=0.7),
+            (MetaModel(MlpModel.from_dims((3, 4, 1), rng), stats, TrainConfig(),
+                       threshold=0.7),
              "4a1a6a1ae7b9a1af468896dd07064bdcfa040b447c838d1fe67e0f013817992b"),
         ]
         for meta, digest in cases:
@@ -770,6 +763,34 @@ class TestModelFiles:
             path.write_bytes(data[:start] + data[data.index(b"\n", start + 1):])
             with pytest.raises(ValueError, match=f"missing model field '{key}'"):
                 load_model(path)
+
+    @pytest.mark.parametrize("line", [b"hidden_activation tanh",
+                                      b"output_activation softmax", b"n_features 9"])
+    def test_restated_field_must_agree(self, tmp_path, line):
+        # A 3-input ReLU/sigmoid model whose header claims otherwise.
+        meta = MetaModel(MlpModel.from_dims((3, 4, 1)),
+                         StandardizationStats(np.zeros(3), np.ones(3)), TrainConfig())
+        path = tmp_path / "model.bin"
+        save_model(meta, path)
+        data = path.read_bytes()
+        key = line.split(b" ")[0]
+        start = data.index(b"\n" + key + b" ") + 1
+        path.write_bytes(data[:start] + line + data[data.index(b"\n", start):])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: model field '{key.decode()}' is")):
+            load_model(path)
+
+    def test_non_finite_config_field_refused(self, tmp_path):
+        meta, _ = self.trained("logistic")
+        path = tmp_path / "model.bin"
+        save_model(meta, path)
+        data = path.read_bytes()
+        start = data.index(b"\nlearning_rate ") + 1
+        path.write_bytes(data[:start] + b"learning_rate nan"
+                         + data[data.index(b"\n", start):])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: learning_rate must be positive and finite, got nan")):
+            load_model(path)
 
     def test_every_unparseable_config_field_is_named(self, tmp_path):
         meta, _ = self.trained("logistic")
@@ -794,51 +815,52 @@ class TestCallerArraysStayWriteable:
         assert model.layers[0][0][0, 0] == 1.0 and model.layers[1][1][0] == 0.0
         assert not any(a.flags.writeable for layer in model.layers for a in layer)
 
-    def test_logistic_model(self):
-        w = np.ones(2)
-        model = LogisticModel(w, 0.0)
-        w[0] = 7.0
-        assert model.weights[0] == 1.0
 
 
 class TestKindFromDepth:
     """A model's kind is read from its depth: one layer is logistic."""
 
     def test_core_kind(self):
-        assert LogisticModel(np.zeros(2), 0.0).kind == "logistic"
+        assert MlpModel.from_dims((2, 1)).kind == "logistic"
         assert MlpModel.from_dims((2, 3, 1)).kind == "mlp"
-
-    def test_meta_model_refuses_mismatched_kind(self):
         stats = StandardizationStats(np.zeros(2), np.ones(2))
-        with pytest.raises(ValueError, match="does not match"):
-            MetaModel(kind="logistic", core=MlpModel.from_dims((2, 3, 1)),
-                      stats=stats, config=TrainConfig())
-        with pytest.raises(ValueError, match="does not match"):
-            MetaModel(kind="mlp", core=LogisticModel(np.zeros(2), 0.0),
-                      stats=stats, config=TrainConfig())
+        for dims, kind in (((2, 1), "logistic"), ((2, 3, 1), "mlp")):
+            meta = MetaModel(MlpModel.from_dims(dims), stats, TrainConfig())
+            assert meta.kind == kind
+
+    def test_logistic_core_round_trips(self, tmp_path):
+        rng = np.random.default_rng(113)
+        core = MlpModel.from_dims((5, *HIDDEN_DIMS["logistic"], 1), rng)
+        assert core.kind == "logistic" and core.layer_dims == (5, 1)
+        path = tmp_path / "logistic.bin"
+        stats = StandardizationStats(np.zeros(5), np.ones(5))
+        save_model(MetaModel(core, stats, TrainConfig()), path)
+        back = load_model(path)
+        assert back.kind == "logistic"
+        # The file stores float32 parameters.
+        np.testing.assert_array_equal(back.core.to_vector(),
+                                      core.to_vector().astype(np.float32))
 
     def test_model_file_with_mismatched_kind_rejected(self, tmp_path):
-        for kind, other in (("logistic", "mlp"), ("mlp", "logistic")):
-            meta, _ = train(kind, separable_dataset(),
-                            TrainConfig(epochs=1, seed=0), hidden_dims=(3,))
+        for hidden_dims, kind, other in (((), "logistic", "mlp"),
+                                         ((3,), "mlp", "logistic"),
+                                         ((3,), "mlp", "forest")):
+            meta, _ = train(separable_dataset(), TrainConfig(epochs=1, seed=0),
+                            hidden_dims=hidden_dims)
             path = tmp_path / f"{kind}.bin"
             save_model(meta, path)
             data = path.read_bytes()
             path.write_bytes(data.replace(f"\nkind {kind}\n".encode(),
                                           f"\nkind {other}\n".encode(), 1))
-            with pytest.raises(ValueError, match=re.escape(str(path))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: model field 'kind' is '{other}', expected '{kind}'")):
                 load_model(path)
-
-    def test_mlp_without_hidden_layer_rejected(self):
-        with pytest.raises(ValueError):
-            train("mlp", separable_dataset(), TrainConfig(epochs=1),
-                  hidden_dims=())
 
 
 @pytest.fixture(scope="module")
 def saved_model(tmp_path_factory):
     """Bytes of a small saved MLP model, plus a scratch path to write to."""
-    meta, _ = train("mlp", separable_dataset(), TrainConfig(epochs=1, seed=0),
+    meta, _ = train(separable_dataset(), TrainConfig(epochs=1, seed=0),
                     threshold=0.5, hidden_dims=(3,))
     path = tmp_path_factory.mktemp("fuzz") / "model.bin"
     save_model(meta, path)
