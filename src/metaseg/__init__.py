@@ -72,12 +72,9 @@ from .scoring import (
     LossBreakdown,
     anomaly_score_map,
     combined_objective,
-    entropy_map,
     loss_in,
     loss_out,
-    margin_map,
     pixel_entropy,
-    variation_ratio_map,
 )
 from .segments import ThresholdConfig
 from .synth import SceneSpec, generate
@@ -99,9 +96,8 @@ __all__ = [
     "RasterFormatError", "Sample", "SampleSet", "ScoreMap", "load_mask",
     "load_probability_map", "load_samples", "load_score_map", "save_mask",
     "save_probability_map", "save_samples", "save_score_map",
-    "LossBreakdown", "anomaly_score_map", "combined_objective", "entropy_map",
-    "loss_in", "loss_out", "margin_map", "pixel_entropy",
-    "variation_ratio_map",
+    "LossBreakdown", "anomaly_score_map", "combined_objective", "loss_in",
+    "loss_out", "pixel_entropy",
     "ThresholdConfig",
     "SceneSpec", "generate",
 ]

@@ -173,12 +173,12 @@ def evaluate_with_curves(scores, labels):
     return _report(*table), _roc(*table), _pr(*table)
 
 
-def evaluate_components(model, dataset: MetricsDataset) -> EvalReport:
-    """Score every row with the model; positive class = false positive.
-    A model that records its metric names refuses a dataset whose names
-    differ."""
+def evaluate_components(model, dataset: MetricsDataset):
+    """`evaluate_with_curves` of the model's scores of every row; positive
+    class = false positive.  A model that records its metric names
+    refuses a dataset whose names differ."""
     model.check_metrics(dataset.registry.names)
-    return evaluate_scores(model.predict_raw_batch(dataset.rows), dataset.labels)
+    return evaluate_with_curves(model.predict_raw_batch(dataset.rows), dataset.labels)
 
 
 def evaluate_pixels(scores, masks) -> EvalReport:

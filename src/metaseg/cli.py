@@ -44,9 +44,8 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        t = self.options.get("t")
-        if t is not None and not 0.0 <= t <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {t}")
+        if self.options.get("t") is not None:
+            segments.ThresholdConfig(self.options["t"])
         for name in ("ood_label", "ignore_label"):
             v = self.options.get(name)
             if v is not None and not 0 <= v <= 255:
@@ -286,11 +285,7 @@ def _report_and_print(report: analysis.EvalReport, out_csv: str) -> None:
 def _cmd_eval_meta(cfg: RunConfig) -> None:
     model = metaclf.load_model(cfg.options["model"])
     dataset = features.load_metrics_csv(cfg.options["mu"])
-    model.check_metrics(dataset.registry.names)
-    scores = model.predict_raw_batch(dataset.rows)
-    report, (fpr, tpr), (rec, prec) = analysis.evaluate_with_curves(
-        scores, dataset.labels
-    )
+    report, (fpr, tpr), (rec, prec) = analysis.evaluate_components(model, dataset)
     if cfg.options.get("roc_svg"):
         analysis.svg_line_plot(
             [("ROC", fpr, tpr)], cfg.options["roc_svg"],

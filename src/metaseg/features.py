@@ -28,17 +28,19 @@ of a component with no interior fall back to whole-component statistics,
 which keeps single-pixel components finite.  Population (not sample)
 variance is used throughout for the same reason.
 
-`extract_metrics` computes the rows of all components of an image at
-once from its `LabelImage` and a loaded map.  `build_metrics_dataset`
-walks each sample's map once, in the blocks of `raster._BLOCK_VALUES`
-values that every pass over a map walks, through the same code whether
-the map is loaded or on disk (`probability_blocks`).  It keeps the
-H x W fields and the class probabilities of the pixels at or above the
-threshold only, then labels the thresholded score and computes the rows
-the same way.  Pixel values are gathered in (component, raster) order
-and components of equal pixel count are reduced together as one block,
-which reproduces `ndarray.mean`/`var` of each component bit for bit.
-Python loops only over the distinct component sizes.
+`build_metrics_dataset` labels every sample by thresholding its score;
+`extract_metrics` takes the label image of one sample from the caller.
+Both run the same two steps.  First, the sample's map is walked once, in
+the blocks of `raster._BLOCK_VALUES` values that every pass over a map
+walks, through the same code whether the map is loaded or on disk
+(`probability_blocks`); the walk keeps the H x W fields and the class
+probabilities of the pixels at or above the threshold only, so a label
+image must hold no pixel below it.  Second, the rows of all components
+of the image are computed at once: pixel values are gathered in
+(component, raster) order and components of equal pixel count are
+reduced together as one block, which reproduces `ndarray.mean`/`var` of
+each component bit for bit.  Python loops only over the distinct
+component sizes.
 """
 
 from __future__ import annotations
@@ -50,10 +52,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .raster import (
-    ProbabilityMap, ScoreMap, _frozen, atomic_write_text, csv_field, csv_text,
-)
-from .scoring import _normalized_entropy, _top_two, _top_two_fields
+from .raster import _frozen, atomic_write_text, csv_field, csv_text
+from .scoring import _normalized_entropy, _top_two
 from .segments import LabelImage, ThresholdConfig, label_image
 
 _DISPERSION_FIELDS = ("ent", "vr", "margin")
@@ -244,11 +244,11 @@ def standardize(dataset: MetricsDataset):
 
 
 def _streamed_fields(blocks, dims: tuple, threshold: float) -> tuple:
-    """The H x W fields `_image_rows` reads, for a map of `dims` fed as
-    N x C pixel `blocks` in raster order, with the flat indices of its
+    """The H x W fields `_component_rows` reads, for a map of `dims` fed
+    as N x C pixel `blocks` in raster order, with the flat indices of its
     pixels whose score is at least `threshold`, ascending, and a copy of
-    their class probabilities, one row each.  No H x W x C array is
-    built."""
+    their class probabilities as a C-contiguous C x N_hot array, one
+    column each.  No H x W x C array is built."""
     h, w, _ = dims
     ent, maxprob, margin = (np.empty(h * w) for _ in range(3))
     hot_pixels, hot_probs = [], []
@@ -260,7 +260,7 @@ def _streamed_fields(blocks, dims: tuple, threshold: float) -> tuple:
         maxprob[lo:hi], margin[lo:hi] = _top_two(block)
         hot = np.flatnonzero(score >= threshold)
         hot_pixels.append(hot + lo)
-        hot_probs.append(block[hot])
+        hot_probs.append(block[hot].T)
         lo = hi
     fields = {
         "ent": ent.reshape(h, w),
@@ -268,13 +268,32 @@ def _streamed_fields(blocks, dims: tuple, threshold: float) -> tuple:
         "margin": margin.reshape(h, w),
         "threshold": float(threshold),
     }
-    return fields, np.concatenate(hot_pixels), np.concatenate(hot_probs)
+    hot_pixels = np.concatenate(hot_pixels)
+    probs = np.empty((dims[2], hot_pixels.size))
+    return fields, hot_pixels, np.concatenate(hot_probs, axis=1, out=probs)
 
 
-def _grouped_moments(values: np.ndarray, sizes: np.ndarray):
+def _sample_fields(sample, registry: MetricRegistry | None, threshold: float) -> tuple:
+    """`_streamed_fields` of the map of `sample` at `threshold`: its H x W
+    fields, hot pixels and their class probabilities, from one walk of
+    `sample.probability_blocks()`.  A map whose class count is not the
+    one of `registry` (any, when it is None) is refused before its first
+    block is read."""
+    blocks = sample.probability_blocks()
+    dims = next(blocks)
+    if registry is not None and registry.num_classes != dims[2]:
+        raise ValueError(
+            f"sample {sample.id!r} has C={dims[2]}, "
+            f"registry expects C={registry.num_classes}"
+        )
+    return _streamed_fields(blocks, dims, threshold)
+
+
+def _grouped_moments(values: np.ndarray, sizes: np.ndarray, columns=None):
     """Mean and population variance of every segment of `values` (F x N),
     whose columns hold the segments back to back, `sizes[k]` columns
-    each, as two F x K arrays; empty segments get NaN.
+    each, as two F x K arrays; empty segments get NaN.  With `columns`,
+    the segments are those of `values[:, columns]`, which is never built.
 
     The segments of one size are gathered (`np.take` returns a new
     C-contiguous array; it copies a non-contiguous `values` whole on every
@@ -295,33 +314,47 @@ def _grouped_moments(values: np.ndarray, sizes: np.ndarray):
         n = sizes[ks[0]]
         if not n:
             continue
-        block = np.take(values, starts[ks, None] + np.arange(n), axis=1)
+        cols = starts[ks, None] + np.arange(n)
+        block = np.take(values, cols if columns is None else columns[cols], axis=1)
         mean[:, ks] = block.mean(axis=-1)
         var[:, ks] = block.var(axis=-1)
     return mean, var
 
 
-def _image_rows(image: LabelImage, fields: dict, probs: np.ndarray) -> np.ndarray:
-    """Metric rows of every component of `image`, in id order, from the
-    H x W `fields` of its sample and `probs`, the class probabilities of
-    the component pixels as a C-contiguous C x K_pix array, one column
-    per entry of `image.order`."""
+def _component_rows(
+    image: LabelImage, fields: dict, hot_pixels: np.ndarray, hot_probs: np.ndarray
+) -> np.ndarray:
+    """Metric rows of every component of `image`, in id order, from
+    `_streamed_fields` of its sample.  Only the class probabilities of the
+    hot pixels were kept, so an image that holds a pixel scored below the
+    threshold is refused."""
     h, w = fields["ent"].shape
-    n_cls = probs.shape[0]
+    if image.shape != (h, w):
+        raise ValueError(f"label image is {image.shape}, sample is {(h, w)}")
+    order, sizes = image.order, image.sizes
+    flat = {name: fields[name].reshape(-1) for name in ("ent", "maxprob", "margin")}
+    ent, t = flat["ent"][order], fields["threshold"]
+    low = np.flatnonzero(ent < t)
+    if low.size:
+        r, c = divmod(int(order[low[0]]), w)
+        raise ValueError(
+            f"label image pixel ({r}, {c}) scores {ent[low[0]]:.6g}, below the "
+            f"threshold {t}, so its class probabilities were not kept"
+        )
+    n_cls = hot_probs.shape[0]
     k = image.count
     if not k:
         return np.zeros((0, 37 + 2 * n_cls))
-    order, sizes = image.order, image.sizes
-    flat = {name: fields[name].reshape(-1) for name in ("ent", "maxprob", "margin")}
 
     # Dispersion and class probabilities: pixel values in (component,
     # raster) order, then split into boundary and interior.  The variation
     # ratio is 1 - the largest probability.
-    disp = np.stack(
-        [flat["ent"][order], 1.0 - flat["maxprob"][order], flat["margin"][order]]
-    )
+    disp = np.stack([ent, 1.0 - flat["maxprob"][order], flat["margin"][order]])
     mean_all, var_all = _grouped_moments(disp, sizes)
-    cls_mean, cls_var = _grouped_moments(probs, sizes)
+    # The column of every component pixel among the hot pixels.
+    cls_mean, cls_var = _grouped_moments(
+        hot_probs, sizes, np.searchsorted(hot_pixels, order)
+    )
     s_bd = image.boundary_sizes
     s_in = sizes - s_bd
     mean_bd, var_bd = _grouped_moments(disp[:, image.on_boundary], s_bd)
@@ -387,38 +420,20 @@ def _image_rows(image: LabelImage, fields: dict, probs: np.ndarray) -> np.ndarra
 
 def extract_metrics(
     image: LabelImage,
-    pmap: ProbabilityMap,
-    score: ScoreMap,
+    sample,
+    cfg: ThresholdConfig,
     registry: MetricRegistry,
-    threshold: float = 0.7,
 ) -> np.ndarray:
     """Metric rows of every component of `image`, K x N in id order, laid
     out per the registry.
 
-    `threshold` is the score threshold the neighborhood hot-fraction
-    metric compares against; pass the same t used to build the
-    components.
+    `sample` is an in-memory `Sample` or a `raster.SampleFile`; its map is
+    walked once, as `build_metrics_dataset` walks it, and scored at
+    `cfg.t`.  Every pixel of `image` must score at least `cfg.t`, as those
+    of `segments.label_image(score >= cfg.t, ...)` do; for such an image
+    the rows are those `build_metrics_dataset` gives, bit for bit.
     """
-    if registry.num_classes != pmap.num_classes:
-        raise ValueError(
-            f"registry is for C={registry.num_classes}, "
-            f"probability map has C={pmap.num_classes}"
-        )
-    if image.shape != (pmap.height, pmap.width):
-        raise ValueError(
-            f"label image is {image.shape}, sample is {(pmap.height, pmap.width)}"
-        )
-    if (pmap.height, pmap.width) != (score.height, score.width):
-        raise ValueError("probability map and score map dims differ")
-    maxprob, margin = _top_two_fields(pmap.values)
-    fields = {
-        "ent": score.scores,
-        "maxprob": maxprob,
-        "margin": margin,
-        "threshold": float(threshold),
-    }
-    probs = pmap.values.reshape(-1, pmap.num_classes)[image.order]
-    return _image_rows(image, fields, np.ascontiguousarray(probs.T))
+    return _component_rows(image, *_sample_fields(sample, registry, cfg.t))
 
 
 def build_metrics_dataset(
@@ -448,25 +463,13 @@ def build_metrics_dataset(
     # no reference to it while the next one is drawn.
     def sample_rows(sample):
         nonlocal registry
-        blocks = sample.probability_blocks()
-        dims = next(blocks)
+        fields, hot_pixels, probs = _sample_fields(sample, registry, cfg.t)
         if registry is None:
-            registry = MetricRegistry.standard(dims[2])
-        if registry.num_classes != dims[2]:
-            raise ValueError(
-                f"sample {sample.id!r} has C={dims[2]}, "
-                f"registry expects C={registry.num_classes}"
-            )
-        fields, hot_pixels, probs = _streamed_fields(blocks, dims, cfg.t)
+            registry = MetricRegistry.standard(probs.shape[0])
         image = label_image(fields["ent"] >= cfg.t, min_size, sample.mask.is_ood())
         if not image.count:
             return None
-        # The hot pixels in (component, raster) order (`image.order` holds
-        # those of the components min_size keeps), then class-major; each
-        # rebinding frees the array before it.
-        probs = probs[np.searchsorted(hot_pixels, image.order)]
-        probs = np.ascontiguousarray(probs.T)
-        rows = _image_rows(image, fields, probs)
+        rows = _component_rows(image, fields, hot_pixels, probs)
         return rows, image.is_false_positive, (sample.id,) * image.count
 
     parts = [part for part in map(sample_rows, samples) if part is not None]

@@ -49,7 +49,7 @@ from .raster import (
     ScoreMap, _Unshared, _atomic_file, _frozen, _parse_rast, _write_rast,
     csv_text,
 )
-from .segments import LabelImage
+from .segments import LabelImage, ThresholdConfig
 
 _CLAMP = 1e-12
 _MODEL_MAGIC = "metaseg-model v1"
@@ -275,6 +275,8 @@ class MetaModel:
     def __post_init__(self) -> None:
         if self.stats.mean.shape[0] != self.core.n_features:
             raise ValueError("standardization statistics do not match the model")
+        if self.threshold is not None:
+            ThresholdConfig(self.threshold)
         if self.feature_names is not None:
             object.__setattr__(self, "feature_names", tuple(self.feature_names))
             if len(self.feature_names) != self.core.n_features:
@@ -515,9 +517,10 @@ def remove_false_positives(
     positives.
 
     `rows` are the un-standardized metric rows of the image's components
-    in id order, as `features.extract_metrics` returns them.  All rows are
-    scored in one batch, and every component with predicted FP
-    probability >= decision_threshold is zeroed in a copy of the score
+    in id order, as `features.extract_metrics(image, sample, cfg,
+    registry)` returns them for the sample `score` was computed from.
+    All rows are scored in one batch, and every component with predicted
+    FP probability >= decision_threshold is zeroed in a copy of the score
     map.  Returns (cleaned score map, ids of the kept components).
     """
     if not 0.0 <= decision_threshold <= 1.0:

@@ -19,8 +19,10 @@ holds, so the fields are bit-identical to the whole-array expressions.
 `anomaly_score_map` and `anomaly_score_file` fill the scores through one
 function from a block stream: the blocks of the loaded map, or those
 read from the file, so scoring a file holds the H x W scores but never
-the H x W x C map.  `features.build_metrics_dataset` runs the same
-kernels on the same streams.
+the H x W x C map.  The metric rows (`features.extract_metrics` and
+`features.build_metrics_dataset`) take every per-pixel field, the
+largest probability and margin too, from the same kernels on the same
+streams; no whole-map field function exists besides the scores.
 """
 
 from __future__ import annotations
@@ -79,25 +81,6 @@ def _top_two(block: np.ndarray) -> tuple:
     return part[:, -1], part[:, -1] - part[:, -2]
 
 
-def _pixel_fields(blocks, dims: tuple, kernel, count: int = 1) -> np.ndarray:
-    """The `count` per-pixel outputs of `kernel` over the N x C `blocks`
-    of a map of `dims` (H, W, C), fed in raster order, as one
-    count x H x W array."""
-    h, w = dims[:2]
-    fields = np.empty((count, h * w))
-    lo = 0
-    for block in blocks:
-        fields[:, lo : lo + len(block)] = kernel(block)
-        lo += len(block)
-    return fields.reshape(count, h, w)
-
-
-def _top_two_fields(values: np.ndarray) -> np.ndarray:
-    """Per-pixel largest class probability and its margin over the second
-    largest, in one pass, for an H x W x C probability array."""
-    return _pixel_fields(_array_blocks(values), values.shape, _top_two, 2)
-
-
 def pixel_entropy(probs) -> float:
     """Entropy in nats of a single probability vector.
 
@@ -114,15 +97,17 @@ def pixel_entropy(probs) -> float:
     return float(_entropy(p[None])[0])
 
 
-def entropy_map(pmap: ProbabilityMap) -> np.ndarray:
-    """H x W array of per-pixel entropies in nats."""
-    return _pixel_fields(_array_blocks(pmap.values), pmap.values.shape, _entropy)[0]
-
-
 def _score_map(blocks, dims: tuple) -> ScoreMap:
     """The normalized-entropy scores of the N x C `blocks` of a map of
-    `dims`; the score map keeps the array they are written into."""
-    return ScoreMap(_Unshared(_pixel_fields(blocks, dims, _normalized_entropy)[0]))
+    `dims` (H, W, C), fed in raster order; the score map keeps the array
+    they are written into."""
+    h, w = dims[:2]
+    scores = np.empty(h * w)
+    lo = 0
+    for block in blocks:
+        scores[lo : lo + len(block)] = _normalized_entropy(block)
+        lo += len(block)
+    return ScoreMap(_Unshared(scores.reshape(h, w)))
 
 
 def anomaly_score_map(pmap: ProbabilityMap) -> ScoreMap:
@@ -138,17 +123,6 @@ def anomaly_score_file(path) -> ScoreMap:
     blocks = iter_probability_blocks(path)
     dims = next(blocks)
     return _score_map(blocks, dims)
-
-
-def variation_ratio_map(pmap: ProbabilityMap) -> np.ndarray:
-    """H x W array of 1 - max_c p(c) per pixel."""
-    return 1.0 - pmap.values.max(axis=-1)
-
-
-def margin_map(pmap: ProbabilityMap) -> np.ndarray:
-    """H x W array of the gap between the two largest class probabilities."""
-    blocks = _array_blocks(pmap.values)
-    return _pixel_fields(blocks, pmap.values.shape, lambda b: _top_two(b)[1])[0]
 
 
 def _check_dims(pmap: ProbabilityMap, mask: LabelMask) -> None:

@@ -311,7 +311,7 @@ class TestEvaluateComponents:
         # all positives above all negatives.
         rows = np.array([[1.0, 0.3], [0.0, 0.9], [1.0, 0.5], [0.0, 0.1]])
         ds = toy_dataset(rows, [1, 0, 1, 0])
-        report = evaluate_components(identity_meta([10.0, 0.0]), ds)
+        report = evaluate_components(identity_meta([10.0, 0.0]), ds)[0]
         assert report.auroc == 1.0
         assert report.auprc == 1.0
         assert report.fpr95 == 0.0
@@ -320,7 +320,7 @@ class TestEvaluateComponents:
     def test_constant_model_scores_half(self):
         rows = np.random.default_rng(131).normal(0, 1, (10, 2))
         ds = toy_dataset(rows, [1, 0] * 5)
-        report = evaluate_components(identity_meta([0.0, 0.0]), ds)
+        report = evaluate_components(identity_meta([0.0, 0.0]), ds)[0]
         assert report.auroc == 0.5
 
     def test_permuted_metrics_rejected(self):
@@ -329,7 +329,7 @@ class TestEvaluateComponents:
         with pytest.raises(ValueError, match="dataset metric 0 is 'm0'"):
             evaluate_components(meta, ds)
         meta = dataclasses.replace(meta, feature_names=("m0", "m1"))
-        assert evaluate_components(meta, ds).auroc == 1.0
+        assert evaluate_components(meta, ds)[0].auroc == 1.0
 
     def test_empty_dataset_rejected(self):
         reg = MetricRegistry.custom(["m0"])

@@ -211,6 +211,23 @@ class TestDataErrors:
         assert f"{model}: model field 'learning_rate'" in err
         assert "'abc'" in err
 
+    def test_model_threshold_nan(self, toy_mu, tmp_path, capsys):
+        model = tmp_path / "m.model"
+        args = ["train-meta", "--mu", str(toy_mu), "--out", str(model)]
+        assert cli.run(args + TRAIN_FLAGS) == 0
+        data = model.read_bytes()
+        start = data.index(b"\nthreshold ") + 1
+        model.write_bytes(data[:start] + b"threshold nan"
+                          + data[data.index(b"\n", start):])
+        capsys.readouterr()
+        report = tmp_path / "r.csv"
+        args = ["eval-meta", "--model", str(model), "--mu", str(toy_mu),
+                "--out", str(report)]
+        assert cli.run(args) == 2
+        err = capsys.readouterr().err
+        assert err == (f"metaseg: error: {model}: threshold must be in [0, 1], "
+                       "got nan\n")
+        assert not report.exists()
 
     def test_model_refuses_swapped_metric_columns(self, toy_mu, tmp_path, capsys):
         model = tmp_path / "m.model"

@@ -40,10 +40,14 @@ from metaseg.segments import LabelImage, ThresholdConfig, label_image
 from metaseg.synth import SceneSpec, generate
 
 
+def sample_of(pmap, sample_id="s"):
+    """`pmap` as a sample whose mask labels every pixel class 0."""
+    return Sample(sample_id, pmap, LabelMask(np.zeros(pmap.values.shape[:2], np.uint8)))
+
+
 def uniform_sample(h, w, c):
     """Uniform probabilities everywhere: score 1.0 at every pixel."""
-    pmap = ProbabilityMap(np.full((h, w, c), 1.0 / c))
-    return pmap, anomaly_score_map(pmap)
+    return sample_of(ProbabilityMap(np.full((h, w, c), 1.0 / c)))
 
 
 def block_image(rmin, rmax, cmin, cmax, dims):
@@ -231,7 +235,7 @@ class TestMatchesReferenceRow:
         fields = reference_fields(sample.pmap, score, 0.7)
         reg = MetricRegistry.standard(4)
         image = label_image(score.scores >= 0.7)
-        rows = extract_metrics(image, sample.pmap, score, reg)
+        rows = extract_metrics(image, sample, ThresholdConfig(0.7), reg)
         assert rows.shape == (image.count, reg.total) and image.count > 7
         for k, sets in enumerate(pixel_sets(image)):
             assert np.array_equal(rows[k], reference_row(sets, fields))
@@ -249,7 +253,7 @@ class TestMatchesReferenceRow:
         sets, = pixel_sets(image)
         assert sets[2] == {(2, 3), (3, 3)}
         reg = MetricRegistry.standard(3)
-        got, = extract_metrics(image, sample.pmap, score, reg)
+        got, = extract_metrics(image, sample, ThresholdConfig(0.7), reg)
         assert np.array_equal(got, reference_row(sets, reference_fields(
             sample.pmap, score, 0.7)))
         assert dict(zip(reg.names, got))["nb_hot_frac"] == 1.0
@@ -303,7 +307,8 @@ class TestSampleFields:
             assert got[name].tobytes() == want[name].tobytes(), name
         assert got["threshold"] == t
         assert np.array_equal(hot_pixels, np.flatnonzero(score.scores >= t))
-        assert hot_probs.tobytes() == pixels[hot_pixels].tobytes()
+        assert hot_probs.flags.c_contiguous
+        assert hot_probs.tobytes() == pixels[hot_pixels].T.tobytes(order="C")
 
 
 class TestNeighborHotFraction:
@@ -362,17 +367,17 @@ class TestExtractMetrics:
     def named(self, row, reg):
         return dict(zip(reg.names, row))
 
-    def block_row(self, block, pmap, score, reg, **kwargs):
+    def block_row(self, block, sample, reg, cfg=ThresholdConfig()):
         """The named metrics of one filled rectangle, (rmin, rmax, cmin,
         cmax, dims), the only component of its label image."""
-        rows = extract_metrics(block_image(*block), pmap, score, reg, **kwargs)
+        rows = extract_metrics(block_image(*block), sample, cfg, reg)
         assert rows.shape == (1, reg.total)
         return self.named(rows[0], reg)
 
     def test_uniform_block_dispersion_and_geometry(self):
-        pmap, score = uniform_sample(10, 10, 4)
+        sample = uniform_sample(10, 10, 4)
         reg = MetricRegistry.standard(4)
-        m = self.block_row((1, 3, 1, 3, (10, 10)), pmap, score, reg)
+        m = self.block_row((1, 3, 1, 3, (10, 10)), sample, reg)
 
         assert m["ent_mean"] == pytest.approx(1.0, abs=1e-12)
         assert m["ent_var"] == pytest.approx(0.0, abs=1e-15)
@@ -394,9 +399,9 @@ class TestExtractMetrics:
             assert m[f"cls{c}_var"] == pytest.approx(0.0, abs=1e-15)
 
     def test_uniform_block_neighborhood(self):
-        pmap, score = uniform_sample(10, 10, 4)
+        sample = uniform_sample(10, 10, 4)
         reg = MetricRegistry.standard(4)
-        m = self.block_row((1, 3, 1, 3, (10, 10)), pmap, score, reg, threshold=0.7)
+        m = self.block_row((1, 3, 1, 3, (10, 10)), sample, reg, ThresholdConfig(0.7))
         # Ring is the 5x5 dilation minus the 3x3 block: 16 pixels.
         assert m["nb_ring_bd_ratio"] == pytest.approx(2.0, abs=1e-12)
         assert m["nb_ent_mean"] == pytest.approx(1.0, abs=1e-12)
@@ -405,9 +410,9 @@ class TestExtractMetrics:
         assert m["nb_margin_mean"] == pytest.approx(0.0, abs=1e-12)
 
     def test_full_image_component_has_empty_ring(self):
-        pmap, score = uniform_sample(3, 3, 4)
+        sample = uniform_sample(3, 3, 4)
         reg = MetricRegistry.standard(4)
-        m = self.block_row((0, 2, 0, 2, (3, 3)), pmap, score, reg)
+        m = self.block_row((0, 2, 0, 2, (3, 3)), sample, reg)
         for name in (
             "nb_ent_mean", "nb_maxprob_mean", "nb_hot_frac",
             "nb_ring_bd_ratio", "nb_margin_mean",
@@ -415,9 +420,9 @@ class TestExtractMetrics:
             assert m[name] == 0.0
 
     def test_single_pixel_interior_fallback(self):
-        pmap, score = uniform_sample(5, 5, 4)
+        sample = uniform_sample(5, 5, 4)
         reg = MetricRegistry.standard(4)
-        m = self.block_row((2, 2, 2, 2, (5, 5)), pmap, score, reg)
+        m = self.block_row((2, 2, 2, 2, (5, 5)), sample, reg)
         assert m["size"] == 1.0
         assert m["size_in"] == 0.0
         assert m["size_bd"] == 1.0
@@ -427,10 +432,10 @@ class TestExtractMetrics:
         assert np.isfinite(list(m.values())).all()
 
     def test_translation_moves_only_centroid(self):
-        pmap, score = uniform_sample(12, 12, 3)
+        sample = uniform_sample(12, 12, 3)
         reg = MetricRegistry.standard(3)
-        ma = self.block_row((1, 3, 1, 3, (12, 12)), pmap, score, reg)
-        mb = self.block_row((5, 7, 7, 9, (12, 12)), pmap, score, reg)
+        ma = self.block_row((1, 3, 1, 3, (12, 12)), sample, reg)
+        mb = self.block_row((5, 7, 7, 9, (12, 12)), sample, reg)
         for name in reg.names:
             if name in ("center_row", "center_col"):
                 continue
@@ -442,42 +447,45 @@ class TestExtractMetrics:
     def test_rows_follow_component_ids(self):
         # Two separate rectangles in one image give, in id (raster) order,
         # the rows each gets as the only component of its own image.
-        pmap, score = uniform_sample(12, 12, 3)
+        sample = uniform_sample(12, 12, 3)
         reg = MetricRegistry.standard(3)
         blocks = [(1, 3, 1, 3, (12, 12)), (5, 7, 7, 9, (12, 12))]
         hot = (block_image(*blocks[0]).labels >= 0) | (block_image(*blocks[1]).labels >= 0)
-        rows = extract_metrics(label_image(hot), pmap, score, reg)
+        cfg = ThresholdConfig()
+        rows = extract_metrics(label_image(hot), sample, cfg, reg)
         for row, block in zip(rows, blocks, strict=True):
-            one = extract_metrics(block_image(*block), pmap, score, reg)[0]
+            one = extract_metrics(block_image(*block), sample, cfg, reg)[0]
             assert np.array_equal(row, one)
 
     def test_image_without_components(self):
-        pmap, score = uniform_sample(4, 5, 3)
+        sample = uniform_sample(4, 5, 3)
         reg = MetricRegistry.standard(3)
         image = label_image(np.zeros((4, 5), dtype=bool))
-        assert extract_metrics(image, pmap, score, reg).shape == (0, reg.total)
+        rows = extract_metrics(image, sample, ThresholdConfig(), reg)
+        assert rows.shape == (0, reg.total)
 
     def test_image_shape_mismatch_rejected(self):
-        pmap, score = uniform_sample(4, 4, 3)
+        sample = uniform_sample(4, 4, 3)
         reg = MetricRegistry.standard(3)
         with pytest.raises(ValueError, match="label image is"):
-            extract_metrics(block_image(0, 0, 0, 0, (4, 5)), pmap, score, reg)
+            self.block_row((0, 0, 0, 0, (4, 5)), sample, reg)
 
     def test_registry_class_mismatch_rejected(self):
-        pmap, score = uniform_sample(4, 4, 3)
+        sample = uniform_sample(4, 4, 3)
         reg = MetricRegistry.standard(4)
         with pytest.raises(ValueError, match="registry"):
-            extract_metrics(block_image(0, 0, 0, 0, (4, 4)), pmap, score, reg)
+            self.block_row((0, 0, 0, 0, (4, 4)), sample, reg)
 
     def test_nonuniform_field_statistics(self):
         # Two-pixel component with distinct scores: check mean/var by hand.
+        # Pixel (0, 0) scores 0.469, so the threshold is below it.
         arr = np.zeros((1, 2, 2))
         arr[0, 0] = [0.9, 0.1]
         arr[0, 1] = [0.6, 0.4]
         pmap = ProbabilityMap(arr)
         score = anomaly_score_map(pmap)
         reg = MetricRegistry.standard(2)
-        m = self.block_row((0, 0, 0, 1, (1, 2)), pmap, score, reg)
+        m = self.block_row((0, 0, 0, 1, (1, 2)), sample_of(pmap), reg, ThresholdConfig(0.4))
         s = score.scores[0]
         assert m["ent_mean"] == pytest.approx(s.mean(), abs=1e-12)
         assert m["ent_var"] == pytest.approx(s.var(), abs=1e-12)
@@ -485,6 +493,53 @@ class TestExtractMetrics:
         assert m["margin_mean"] == pytest.approx(0.5, abs=1e-12)
         assert m["cls0_mean"] == pytest.approx(0.75, abs=1e-12)
         assert m["cls0_var"] == pytest.approx(0.0225, abs=1e-12)
+
+
+    def test_below_threshold_pixel_rejected(self):
+        # The map's class probabilities are kept for hot pixels only.
+        arr = np.zeros((1, 2, 2))
+        arr[0, 0] = [0.9, 0.1]
+        arr[0, 1] = [0.6, 0.4]
+        sample = sample_of(ProbabilityMap(arr))
+        reg = MetricRegistry.standard(2)
+        with pytest.raises(ValueError, match=r"pixel \(0, 0\) scores 0.468996, below"):
+            self.block_row((0, 0, 0, 1, (1, 2)), sample, reg)
+        with pytest.raises(ValueError, match="below the threshold 0.5"):
+            self.block_row((0, 0, 0, 0, (1, 2)), sample, reg, ThresholdConfig(0.5))
+        assert self.block_row((0, 0, 0, 1, (1, 2)), sample, reg, ThresholdConfig(0.46))
+
+    @pytest.mark.parametrize("t", [0.5, 0.7])
+    def test_sample_file_gives_the_same_bytes(self, tmp_path, monkeypatch, t):
+        # A loaded sample, walked in blocks of the default size, and its
+        # file, walked in blocks that split the image anywhere.
+        save_samples(small_scene_set(count=3, seed=263), tmp_path)
+        cfg, reg = ThresholdConfig(t), MetricRegistry.standard(5)
+        images, want = [], []
+        for sample in load_samples(tmp_path):
+            score = anomaly_score_map(sample.pmap).scores
+            images.append(label_image(score >= t))
+            want.append(extract_metrics(images[-1], sample, cfg, reg))
+        monkeypatch.setattr(raster, "_BLOCK_VALUES", 4099)
+        files = list(iter_sample_files(tmp_path))
+        for image, sample_file, rows in zip(images, files, want, strict=True):
+            got = extract_metrics(image, sample_file, cfg, reg)
+            assert got.tobytes() == rows.tobytes()
+        assert sum(len(rows) for rows in want) > 3
+
+    @pytest.mark.parametrize("min_size", [1, 3])
+    def test_rows_concatenate_to_the_dataset(self, min_size):
+        samples = SampleSet(list(small_scene_set(count=3, seed=269)) + [
+            iid_sample(40, 50, 5, 0.3, seed=271, sample_id="iid")
+        ])
+        cfg, reg = ThresholdConfig(0.7), MetricRegistry.standard(5)
+        ds = build_metrics_dataset(samples, cfg, reg, min_size=min_size)
+        rows = []
+        for sample in samples:
+            score = anomaly_score_map(sample.pmap).scores
+            image = label_image(score >= cfg.t, min_size, sample.mask.is_ood())
+            rows.append(extract_metrics(image, sample, cfg, reg))
+        assert len(ds) > 20
+        assert np.concatenate(rows).tobytes() == ds.rows.tobytes()
 
 
 class TestMetricsDataset:

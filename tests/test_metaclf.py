@@ -663,6 +663,26 @@ class TestModelFiles:
         save_model(meta, path)
         assert load_model(path).threshold is None
 
+    @pytest.mark.parametrize("threshold", [7.0, -0.1, float("nan"), float("inf")])
+    def test_threshold_outside_unit_interval_refused(self, threshold):
+        meta, _ = self.trained("logistic")
+        with pytest.raises(ValueError, match=re.escape(
+                f"threshold must be in [0, 1], got {threshold}")):
+            MetaModel(core=meta.core, stats=meta.stats, config=meta.config,
+                      threshold=threshold)
+
+    def test_non_finite_threshold_in_file_refused(self, tmp_path):
+        meta, _ = self.trained("logistic")
+        path = tmp_path / "model.bin"
+        save_model(meta, path)
+        data = path.read_bytes()
+        start = data.index(b"\nthreshold ") + 1
+        path.write_bytes(data[:start] + b"threshold nan"
+                         + data[data.index(b"\n", start):])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: threshold must be in [0, 1], got nan")):
+            load_model(path)
+
     def test_metric_names_round_trip(self, tmp_path):
         meta, ds = self.trained("logistic")
         assert meta.feature_names == ds.registry.names

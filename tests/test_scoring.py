@@ -22,16 +22,14 @@ from metaseg.raster import (
     load_probability_map,
     save_probability_map,
 )
+from metaseg.features import _streamed_fields
 from metaseg.scoring import (
     anomaly_score_file,
     anomaly_score_map,
     combined_objective,
-    entropy_map,
     loss_in,
     loss_out,
-    margin_map,
     pixel_entropy,
-    variation_ratio_map,
 )
 
 
@@ -120,10 +118,10 @@ class TestScoreMaps:
             assert sm.scores.min() >= 0.0
             assert sm.scores.max() <= 1.0
 
-    def test_entropy_map_matches_pixelwise(self):
+    def test_entropy_kernel_matches_pixelwise(self):
         rng = np.random.default_rng(31)
         pm = random_pmap(rng, 3, 4, 6)
-        em = entropy_map(pm)
+        em = scoring._entropy(pm.values.reshape(-1, 6)).reshape(3, 4)
         for r in range(3):
             for c in range(4):
                 assert em[r, c] == pytest.approx(
@@ -140,31 +138,43 @@ class TestScoreMaps:
         )
 
 
+def top_two(vec):
+    """The `_top_two` kernel on a one-pixel block: (largest probability,
+    margin over the second largest)."""
+    top, margin = scoring._top_two(np.asarray(vec, dtype=np.float64)[None])
+    return float(top[0]), float(margin[0])
+
+
 class TestVariationRatioAndMargin:
+    """The variation ratio is 1 - the largest probability."""
+
     def test_variation_ratio_values(self):
-        vr = variation_ratio_map(pmap_of([0.7, 0.2, 0.1]))
-        assert vr[0, 0] == pytest.approx(0.3, abs=1e-12)
-        vr_uniform = variation_ratio_map(pmap_of(np.full(4, 0.25)))
-        assert vr_uniform[0, 0] == pytest.approx(0.75, abs=1e-12)
+        top, _ = top_two([0.7, 0.2, 0.1])
+        assert 1.0 - top == pytest.approx(0.3, abs=1e-12)
+        top_uniform, _ = top_two(np.full(4, 0.25))
+        assert 1.0 - top_uniform == pytest.approx(0.75, abs=1e-12)
 
     def test_margin_values(self):
-        mg = margin_map(pmap_of([0.7, 0.2, 0.1]))
-        assert mg[0, 0] == pytest.approx(0.5, abs=1e-12)
-        mg_tied = margin_map(pmap_of([0.4, 0.4, 0.2]))
-        assert mg_tied[0, 0] == pytest.approx(0.0, abs=1e-12)
+        _, mg = top_two([0.7, 0.2, 0.1])
+        assert mg == pytest.approx(0.5, abs=1e-12)
+        _, mg_tied = top_two([0.4, 0.4, 0.2])
+        assert mg_tied == pytest.approx(0.0, abs=1e-12)
 
     def test_margin_matches_sort(self):
         rng = np.random.default_rng(41)
         pm = random_pmap(rng, 5, 5, 11)
-        mg = margin_map(pm)
+        fields, _, _ = _streamed_fields(raster._array_blocks(pm.values), (5, 5, 11), 1.0)
         top2 = np.sort(pm.values, axis=-1)[:, :, -2:]
-        np.testing.assert_allclose(mg, top2[:, :, 1] - top2[:, :, 0], atol=1e-12)
+        np.testing.assert_allclose(
+            fields["margin"], top2[:, :, 1] - top2[:, :, 0], atol=1e-12
+        )
 
     def test_one_hot_extremes(self):
         vec = np.zeros(5)
         vec[0] = 1.0
-        assert variation_ratio_map(pmap_of(vec))[0, 0] == 0.0
-        assert margin_map(pmap_of(vec))[0, 0] == 1.0
+        top, mg = top_two(vec)
+        assert 1.0 - top == 0.0
+        assert mg == 1.0
 
 
 def whole_array_entropy(values):
@@ -218,14 +228,15 @@ class TestBlockKernels:
         pm = mixed_pmap(rng, *shape, c)
         v = pm.values
         ent = whole_array_entropy(v)
-        assert bits(entropy_map(pm)) == bits(ent)
+        blocks = raster._array_blocks(v)
+        assert bits(np.concatenate([scoring._entropy(b) for b in blocks])) == bits(ent)
         scores = np.clip(ent / np.log(c), 0.0, 1.0)
         assert bits(anomaly_score_map(pm).scores) == bits(scores)
-        assert bits(variation_ratio_map(pm)) == bits(1.0 - v.max(axis=-1))
-        assert bits(margin_map(pm)) == bits(whole_array_margin(v))
-        top, margin = scoring._top_two_fields(v)
-        assert bits(top) == bits(v.max(axis=-1))
-        assert bits(margin) == bits(whole_array_margin(v))
+        fields, _, _ = _streamed_fields(raster._array_blocks(v), v.shape, 0.7)
+        assert bits(fields["ent"]) == bits(scores)
+        assert bits(fields["maxprob"]) == bits(v.max(axis=-1))
+        assert bits(1.0 - fields["maxprob"]) == bits(1.0 - v.max(axis=-1))
+        assert bits(fields["margin"]) == bits(whole_array_margin(v))
 
     @pytest.mark.parametrize("c", [2, 19])
     def test_single_vector_matches_whole_array(self, c):
