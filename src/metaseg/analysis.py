@@ -13,7 +13,10 @@ pixels excluded.
 
 Leave-one-out cross-validation holds out one sample (image) at a time,
 trains on the remaining rows with the same seed, and pools the held-out
-predictions.  Least-angle regression supplies a feature entry order,
+predictions.  When the training is large enough to repay starting them,
+the folds run on a pool of worker processes, and each fold's predictions
+are written back by row, so the result does not depend on the worker
+count.  Least-angle regression supplies a feature entry order,
 which the incremental evaluation consumes: train and evaluate on the
 first i ordered metrics, for i = 1..N_m, keeping subset columns in
 their original dataset order so the final entry reproduces the
@@ -22,13 +25,18 @@ full-feature run exactly.
 
 from __future__ import annotations
 
+import math
+import os
+import pickle
+import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .features import MetricsDataset
 from .metaclf import HIDDEN_DIMS, TrainConfig, train
-from .raster import LabelMask, ScoreMap, atomic_write_text
+from .raster import LabelMask, ScoreMap, atomic_write_text, worker_count
 
 _TIE_TOL = 1e-12
 
@@ -209,6 +217,130 @@ def evaluate_pixels(scores, masks) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
+# Estimated sequential training work, in multiply-adds, above which the
+# folds run in worker processes.  Starting the workers, each a fresh
+# interpreter that imports numpy and metaseg, and joining them cost
+# 0.35 s or more of wall time on a 2-CPU host, where 3e9 is about 1 s of
+# training on one core: the logistic leave-one-out on 50 scenes (1e9)
+# stays in-process, the MLP one (1.5e10) pools.
+_POOL_MIN_WORK = 3e9
+# The fixed cost of one layer in one Adam step (the numpy calls of its
+# forward, backward and update), in multiply-adds.
+_LAYER_STEP_WORK = 2e5
+
+
+def _training_work(rows: int, num_metrics: int, cfg: TrainConfig, hidden_dims) -> float:
+    """A deterministic estimate of one `train` call on `rows` rows, in
+    multiply-adds: Adam steps times the per-step cost of every layer."""
+    dims = (num_metrics, *hidden_dims, 1)
+    steps = cfg.epochs * math.ceil(rows / cfg.batch_size)
+    batch = min(rows, cfg.batch_size)
+    return steps * sum(_LAYER_STEP_WORK + batch * a * b for a, b in zip(dims, dims[1:]))
+
+
+def _fold(dataset: MetricsDataset, cfg: TrainConfig, hidden_dims, group: str,
+          cols=None) -> np.ndarray:
+    """Predictions for the rows of `group` by a model trained on every
+    other row; with `cols`, on those metric columns only."""
+    if cols is not None:
+        dataset = dataset.select_metrics(cols)
+    train_ix, held_ix = dataset.split_by_group(group)
+    fold = train(dataset.subset(train_ix), cfg, hidden_dims=hidden_dims)[0]
+    return fold.predict_raw_batch(dataset.rows[held_ix])
+
+
+# (dataset, cfg, hidden_dims) of the pool a worker process serves; set
+# by the pool's initializer, in the worker only.
+_worker_args = None
+
+
+def _init_worker(path: str) -> None:
+    global _worker_args
+    with open(path, "rb") as fh:
+        _worker_args = pickle.load(fh)
+
+
+def _worker_fold(task):
+    """`_fold` of one (group, cols) task in a worker process: its scores or
+    its error, plus the warnings it issued as `warn_explicit` arguments."""
+    scores = error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            scores = _fold(*_worker_args, *task)
+        except Exception as exc:
+            error = exc
+    return scores, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _fold_scores(dataset: MetricsDataset, cfg: TrainConfig, hidden_dims, tasks,
+                 work: float) -> list:
+    """`_fold` of each (group, cols) task, in task order.
+
+    The tasks run in-process unless `worker_count()` allows two workers or
+    more and the estimated training `work` exceeds `_POOL_MIN_WORK`; then
+    they run on a pool of spawned processes (forking a process that holds
+    OpenBLAS threads is unsafe), each of which reads the dataset once from
+    a private temporary file.  Handed over in the spawn payload instead, a
+    dataset larger than a pipe buffer would make each worker's start wait
+    until the one before had imported this package, and a worker that
+    failed on start would leave this process blocked forever in that
+    write.  A fold's bits do not depend on the process that trains it.
+    Warnings and errors reach the caller as from the in-process run: task
+    by task, each fold's warnings are issued again here, at the place the
+    fold issued them, and the first error is raised after them (its
+    traceback ends here; METASEG_THREADS=1 shows the fold's own).
+    """
+    workers = min(worker_count(), len(tasks))
+    if workers < 2 or work <= _POOL_MIN_WORK:
+        return [_fold(dataset, cfg, hidden_dims, *task) for task in tasks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    registry = globals().setdefault("__warningregistry__", {})
+    out = []
+    with tempfile.TemporaryDirectory(prefix="metaseg-folds-") as tmp:
+        path = os.path.join(tmp, "folds.pickle")
+        with open(path, "wb") as fh:
+            pickle.dump((dataset, cfg, hidden_dims), fh, pickle.HIGHEST_PROTOCOL)
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_worker, initargs=(path,),
+        )
+        try:
+            for scores, error, caught in pool.map(_worker_fold, tasks):
+                for message, category, filename, lineno in caught:
+                    warnings.warn_explicit(message, category, filename, lineno,
+                                           module=__name__, registry=registry)
+                if error is not None:
+                    raise error
+                out.append(scores)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    return out
+
+
+def _held_rows(dataset: MetricsDataset) -> dict:
+    """The rows of each group, groups in order of first appearance: the
+    held-out rows of the leave-one-group-out folds."""
+    if len(dataset) == 0:
+        raise ValueError("empty dataset")
+    held = {}
+    for i, group in enumerate(dataset.group_ids):
+        held.setdefault(group, []).append(i)
+    if len(held) < 2:
+        raise ValueError("leave-one-out needs at least 2 groups")
+    return held
+
+
+def _pooled(n: int, held: dict, scores) -> np.ndarray:
+    """The held-out `scores` of each fold written to its rows of `n`."""
+    out = np.full(n, np.nan)
+    for rows, s in zip(held.values(), scores):
+        out[rows] = s
+    return out
+
+
 def loo_scores(
     dataset: MetricsDataset,
     cfg: TrainConfig,
@@ -216,20 +348,15 @@ def loo_scores(
 ) -> np.ndarray:
     """Pooled leave-one-group-out predictions, aligned with the dataset's
     rows.  Each fold trains a model of these hidden layer widths with the
-    same configuration and seed."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    groups = list(dict.fromkeys(dataset.group_ids))
-    if len(groups) < 2:
-        raise ValueError("leave-one-out needs at least 2 groups")
-    out = np.full(len(dataset), np.nan)
-    for group in groups:
-        train_ix, held_ix = dataset.split_by_group(group)
-        if not train_ix:
-            raise ValueError(f"group {group!r} holds every row; cannot train")
-        fold = train(dataset.subset(train_ix), cfg, hidden_dims=hidden_dims)[0]
-        out[held_ix] = fold.predict_raw_batch(dataset.rows[held_ix])
-    return out
+    same configuration and seed.  Large runs train their folds in worker
+    processes (see `_fold_scores`), so a script that calls this must
+    guard its top-level code with ``if __name__ == "__main__":``."""
+    held = _held_rows(dataset)
+    work = len(held) * _training_work(len(dataset), dataset.num_metrics, cfg,
+                                      hidden_dims)
+    tasks = [(group,) for group in held]
+    return _pooled(len(dataset), held,
+                   _fold_scores(dataset, cfg, hidden_dims, tasks, work))
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +465,24 @@ def incremental_evaluation(
     their original column order), the model is reinitialized and
     leave-one-group-out evaluated, and pooled AUROC/AUPRC appended.  The
     final step selects every column, reproducing the full-feature run
-    bit-for-bit.
+    bit-for-bit.  The (subset, fold) grid is one task list for
+    `_fold_scores`, so the guard `loo_scores` asks of scripts holds here
+    too.
     """
     ordering = lars_order(dataset)
+    held = _held_rows(dataset)
+    subsets = [tuple(sorted(ordering.ordered_metric_indices[:i]))
+               for i in range(1, dataset.num_metrics + 1)]
+    work = len(held) * sum(
+        _training_work(len(dataset), len(cols), cfg, hidden_dims) for cols in subsets)
+    tasks = [(group, cols) for cols in subsets for group in held]
+    scores = _fold_scores(dataset, cfg, hidden_dims, tasks, work)
     aurocs = []
     auprcs = []
-    for i in range(1, dataset.num_metrics + 1):
-        cols = sorted(ordering.ordered_metric_indices[:i])
-        sub = dataset.select_metrics(cols)
-        scores = loo_scores(sub, cfg, hidden_dims=hidden_dims)
-        report = evaluate_scores(scores, sub.labels)
+    for k in range(len(subsets)):
+        fold_scores = scores[k * len(held) : (k + 1) * len(held)]
+        report = evaluate_scores(_pooled(len(dataset), held, fold_scores),
+                                 dataset.labels)
         aurocs.append(report.auroc)
         auprcs.append(report.auprc)
     return aurocs, auprcs

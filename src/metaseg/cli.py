@@ -8,13 +8,14 @@ generation.  Every subcommand is deterministic given its inputs and
 declared seed, and all outputs are written atomically.
 
 Exit codes: 0 success, 1 usage error, 2 data error.  The environment
-variable METASEG_THREADS caps the worker pool used for per-file work.
+variable METASEG_THREADS caps the workers a step runs at once: the
+threads of `score` and the worker processes of `loo` and `incremental`;
+1 keeps every step in one process.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -63,19 +64,6 @@ class RunConfig:
             batch_size=o["batch_size"],
             seed=o["seed"],
         )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("METASEG_THREADS")
-    if raw is None:
-        return min(os.cpu_count() or 1, 8)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"METASEG_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValueError("METASEG_THREADS must be >= 1")
-    return n
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -209,7 +197,7 @@ def _cmd_score(cfg: RunConfig) -> None:
         smap = scoring.anomaly_score_file(path)
         raster.save_score_map(smap, out_dir / f"{path.stem}.score.rast")
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+    with ThreadPoolExecutor(max_workers=raster.worker_count()) as pool:
         list(pool.map(work, paths))
     print(f"wrote {len(paths)} score maps to {out_dir}")
 

@@ -482,6 +482,28 @@ def csv_text(records) -> str:
     return "".join(",".join(map(csv_field, rec)) + "\n" for rec in records)
 
 
+def worker_count() -> int:
+    """The number of workers a step may run at once: the `score` step's
+    threads and the fold processes of leave-one-out and incremental
+    evaluation.  `METASEG_THREADS` sets it (1 keeps every step in one
+    process); by default it is the number of CPUs this process may run
+    on, at most 8."""
+    raw = os.environ.get("METASEG_THREADS")
+    if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        return min(cpus, 8)
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValueError(f"METASEG_THREADS must be an integer, got {raw!r}")
+    if n < 1:
+        raise ValueError("METASEG_THREADS must be >= 1")
+    return n
+
+
 def load_probability_map(path) -> ProbabilityMap:
     """Load a RAST probability map into the array the map keeps;
     `ProbabilityMap` validates it and renormalizes small sum drift."""

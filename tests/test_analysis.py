@@ -10,10 +10,15 @@ agree exactly.
 
 import dataclasses
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from metaseg import analysis
 from metaseg.analysis import (
     EvalReport,
     auprc,
@@ -40,7 +45,7 @@ from metaseg.features import (
     StandardizationStats,
     build_metrics_dataset,
 )
-from metaseg.metaclf import MetaModel, MlpModel, TrainConfig
+from metaseg.metaclf import HIDDEN_DIMS, MetaModel, MlpModel, TrainConfig
 from metaseg.raster import IGNORE_LABEL, OOD_LABEL, LabelMask, ScoreMap
 from metaseg.segments import ThresholdConfig
 from metaseg.synth import SceneSpec, generate
@@ -570,6 +575,81 @@ class TestIncrementalEvaluation:
         full = loo_scores(ds, cfg, hidden_dims=())
         assert aurocs[-1] == auroc(full, ds.labels)
         assert auprcs[-1] == auprc(full, ds.labels)
+
+
+def fold_spy(monkeypatch):
+    """Groups of the folds `analysis._fold` trains in this process; folds
+    run by worker processes never reach it."""
+    seen = []
+    fold = analysis._fold
+
+    def spy(dataset, cfg, hidden_dims, group, cols=None):
+        seen.append(group)
+        return fold(dataset, cfg, hidden_dims, group, cols)
+
+    monkeypatch.setattr(analysis, "_fold", spy)
+    return seen
+
+
+class TestFoldPool:
+    """Folds run on worker processes: same bits, warnings and errors as
+    in-process, no process left behind, and only above the cut-off."""
+
+    CFG = TrainConfig(learning_rate=0.05, epochs=8, batch_size=8, seed=0)
+
+    def test_single_class_warning_reaches_caller(self, monkeypatch):
+        # Group g0 holds every positive row, so its fold trains on one class.
+        y = [True, True, False, False, False, False]
+        ds = toy_dataset(np.arange(12.0).reshape(6, 2), y,
+                         ("g0", "g0", "g1", "g1", "g2", "g2"))
+        caught = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("METASEG_THREADS", threads)
+            # Any training work pools when two workers are allowed.
+            monkeypatch.setattr(analysis, "_POOL_MIN_WORK", 0.0)
+            seen = fold_spy(monkeypatch)
+            with pytest.warns(UserWarning, match="single-class") as got:
+                loo_scores(ds, self.CFG, hidden_dims=())
+            assert len(seen) == (3 if threads == "1" else 0)
+            caught[threads] = [(str(w.message), w.filename, w.lineno) for w in got]
+        assert caught["1"] == caught["2"]
+        assert caught["1"][0][1] == analysis.__file__
+
+    def test_unguarded_script_fails_instead_of_hanging(self, tmp_path):
+        # Each spawned worker imports the script again and dies starting a
+        # pool of its own; the caller must get an error, also when the
+        # dataset's pickle (77 KB here) exceeds a pipe buffer.
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import numpy as np\n"
+            "from metaseg import analysis, features, metaclf\n"
+            "analysis._POOL_MIN_WORK = 0.0\n"
+            "rows = np.random.default_rng(0).normal(size=(120, 80))\n"
+            "ds = features.MetricsDataset(\n"
+            "    rows, np.arange(120) % 2 == 0, [f'g{i % 4}' for i in range(120)],\n"
+            "    features.MetricRegistry.custom([f'm{j}' for j in range(80)]))\n"
+            "analysis.loo_scores(ds, metaclf.TrainConfig(epochs=1), hidden_dims=())\n"
+        )
+        env = dict(os.environ, METASEG_THREADS="2")
+        proc = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode != 0
+        assert b"BrokenProcessPool" in proc.stderr
+
+    def test_small_logistic_loo_stays_in_process(self, monkeypatch):
+        monkeypatch.setenv("METASEG_THREADS", "2")
+        seen = fold_spy(monkeypatch)
+        ds = TestIncrementalEvaluation().small_dataset()
+        loo_scores(ds, self.CFG, hidden_dims=())
+        assert seen == list(dict.fromkeys(ds.group_ids))
+
+    def test_cut_off_splits_the_walkthrough_loo_runs(self):
+        # The README walkthrough's mu.csv: 246 rows of 75 metrics from 50
+        # scenes, trained with the CLI defaults.
+        def work(hidden_dims):
+            return 50 * analysis._training_work(246, 75, TrainConfig(), hidden_dims)
+
+        assert work(()) < analysis._POOL_MIN_WORK < work(HIDDEN_DIMS["mlp"])
 
 
 class TestOodFractionSplit:

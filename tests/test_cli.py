@@ -7,6 +7,8 @@ CSV so training subcommands have a known-good answer.
 """
 
 import csv
+import hashlib
+import multiprocessing
 import os
 import shutil
 import struct
@@ -21,7 +23,7 @@ import pytest
 from pixel_sets import pixel_sets
 
 import metaseg
-from metaseg import cli, features, metaclf, raster
+from metaseg import analysis, cli, features, metaclf, raster
 from metaseg.scoring import anomaly_score_map
 from metaseg.segments import ThresholdConfig, label_image
 
@@ -345,6 +347,15 @@ class TestScore:
             code = cli.run(["score", "--in", str(scene_dir), "--out", str(out)])
             assert code == 2
 
+    def test_default_worker_count_is_the_usable_cpus(self, monkeypatch):
+        # The CPUs this process may run on, not the host's, at most 8.
+        monkeypatch.delenv("METASEG_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        for cpus, want in (({0, 5, 9}, 3), (set(range(32)), 8)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            assert raster.worker_count() == want
+
 
 class TestSegments:
     """segments: labeled component table."""
@@ -666,6 +677,87 @@ class TestLooLarsIncremental:
         # the full-subset step equals the plain leave-one-out run
         assert rows[-1][1] == report_value(report, "auroc")
         assert svg.read_bytes().startswith(b"<svg")
+
+
+@pytest.fixture(scope="module")
+def pool_mu(tmp_path_factory):
+    """Metrics CSV whose MLP leave-one-out and incremental runs are just
+    above the cut-off where the folds move to worker processes."""
+    rng = np.random.default_rng(43)
+    n = 240
+    labels = rng.random(n) < 0.5
+    rows = rng.normal(0.0, 1.0, size=(n, 2))
+    rows[:, 0] += np.where(labels, 1.0, -1.0)
+    dataset = features.MetricsDataset(
+        rows=rows, labels=labels, group_ids=[f"g{i // 6}" for i in range(n)],
+        registry=features.MetricRegistry.custom(("sig", "noise")),
+    )
+    path = tmp_path_factory.mktemp("mu") / "mu.csv"
+    features.save_metrics_csv(dataset, path)
+    return path
+
+
+class TestFoldPool:
+    """`loo` and `incremental` train their folds on METASEG_THREADS worker
+    processes when the training work is above `analysis._POOL_MIN_WORK`."""
+
+    POOL_FLAGS = ["--kind", "mlp", "--epochs", "20"]
+
+    def spy(self, monkeypatch):
+        calls = []
+        fold = analysis._fold
+        monkeypatch.setattr(analysis, "_fold",
+                            lambda *a: calls.append(a[3]) or fold(*a))
+        return calls
+
+    def test_corpus_is_above_the_cut_off(self, pool_mu):
+        dataset = features.load_metrics_csv(pool_mu)
+        cfg = metaclf.TrainConfig(epochs=20)
+        work = 40 * analysis._training_work(len(dataset), 2, cfg,
+                                            metaclf.HIDDEN_DIMS["mlp"])
+        assert analysis._POOL_MIN_WORK < work < 1.5 * analysis._POOL_MIN_WORK
+
+    def test_outputs_identical_at_every_worker_count(self, pool_mu, tmp_path,
+                                                     monkeypatch):
+        digests = {}
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("METASEG_THREADS", threads)
+            calls = self.spy(monkeypatch)
+            out = tmp_path / threads
+            out.mkdir()
+            assert cli.run(["loo", "--mu", str(pool_mu), "--out", str(out / "loo.csv"),
+                            "--scores-csv", str(out / "scores.csv")]
+                           + self.POOL_FLAGS) == 0
+            assert cli.run(["incremental", "--mu", str(pool_mu),
+                            "--out", str(out / "curve.csv")] + self.POOL_FLAGS) == 0
+            # In-process, the folds reach `_fold` here; pooled, they do not.
+            assert len(calls) == (40 * 3 if threads == "1" else 0)
+            assert multiprocessing.active_children() == []
+            digests[threads] = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                                for name in ("loo.csv", "scores.csv", "curve.csv")]
+        assert digests["1"] == digests["2"] == digests["4"]
+
+    def test_fold_error_exits_2_with_the_same_message(self, tmp_path, monkeypatch,
+                                                      capsys):
+        # Values of 1e300 overflow every fold's standardization.
+        dataset = features.MetricsDataset(
+            rows=[[1e300], [-1e300], [1.0], [2.0]], labels=[1, 0, 1, 0],
+            group_ids=["a", "b", "c", "d"],
+            registry=features.MetricRegistry.custom(("m",)),
+        )
+        mu = tmp_path / "mu.csv"
+        features.save_metrics_csv(dataset, mu)
+        monkeypatch.setattr(analysis, "_POOL_MIN_WORK", 0.0)
+        errors = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("METASEG_THREADS", threads)
+            calls = self.spy(monkeypatch)
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                code = cli.run(["loo", "--mu", str(mu), "--out", str(tmp_path / "r.csv")])
+            assert code == 2 and len(calls) == (1 if threads == "1" else 0)
+            assert multiprocessing.active_children() == []
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == "metaseg: error: statistics must be finite\n"
 
 
 class TestFilterProxy:
