@@ -11,7 +11,10 @@ Per-pixel probabilities come from a two-point mixture: weight w on the
 uniform distribution, the rest split alpha / (1 - alpha) between two
 chosen classes.  Given alpha, w is solved by bisection so the pixel hits
 an exact target normalized entropy; alpha then steers the probability
-margin independently of the entropy.
+margin independently of the entropy.  A scene holds at most three
+(target, alpha) pairs, background and anomaly at a high or a low
+margin, so w is solved once per pair the scene uses and gathered per
+pixel.
 
 With `nonlinear_coupling` enabled, every blob draws two latent bits, one
 picking the small or large half of the size range and one picking a high
@@ -34,6 +37,8 @@ from .raster import OOD_LABEL, LabelMask, ProbabilityMap, Sample, SampleSet
 
 _ALPHA_HIGH = 1.0
 _ALPHA_LOW = 0.55
+_ANOMALY_HIGH = 1
+_ANOMALY_LOW = 2
 _BISECT_ITERS = 60
 _PLACE_ATTEMPTS = 60
 _SEPARATION = 2
@@ -146,7 +151,16 @@ def _erode8(grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _generate_one(spec: SceneSpec, index: int) -> Sample:
+def _pair_table(spec: SceneSpec):
+    """(target entropy, alpha) of each pixel kind: background, anomaly at
+    the high margin, anomaly at the low margin."""
+    target = np.array([spec.background_entropy, spec.anomaly_entropy, spec.anomaly_entropy])
+    return target, np.array([1.0, _ALPHA_HIGH, _ALPHA_LOW])
+
+
+def _layout(spec: SceneSpec, index: int):
+    """Scene `index`'s peak class, second class and kind (an index into
+    `_pair_table`) per pixel, and its mask labels."""
     rng = np.random.Generator(np.random.PCG64(spec.seed + index))
     h, w = spec.dims
     c = spec.num_classes
@@ -161,8 +175,7 @@ def _generate_one(spec: SceneSpec, index: int) -> Sample:
         peak[:, start:end] = strip_classes[k]
         start = end
 
-    target = np.full((h, w), spec.background_entropy)
-    alpha = np.ones((h, w))
+    kind = np.zeros((h, w), dtype=np.intp)
     second = (peak + 1) % c
     labels = peak.astype(np.uint8)
 
@@ -196,11 +209,11 @@ def _generate_one(spec: SceneSpec, index: int) -> Sample:
                 else bool(size_bit ^ margin_bit)
             )
             size = draw_size(size_bit)
-            blob_alpha = _ALPHA_HIGH if margin_bit else _ALPHA_LOW
+            blob_kind = _ANOMALY_HIGH if margin_bit else _ANOMALY_LOW
         else:
             ring = False
             size = draw_size(None)
-            blob_alpha = _ALPHA_HIGH
+            blob_kind = _ANOMALY_HIGH
         shape_kind = int(rng.integers(0, 2))
         stamp = _stamp(shape_kind, size)
         pos = place(size)
@@ -217,8 +230,7 @@ def _generate_one(spec: SceneSpec, index: int) -> Sample:
         rows, cols = np.nonzero(hot)
         rows = rows + r0
         cols = cols + c0
-        target[rows, cols] = spec.anomaly_entropy
-        alpha[rows, cols] = blob_alpha
+        kind[rows, cols] = blob_kind
         peak[rows, cols] = c1
         second[rows, cols] = c2
         if is_true:
@@ -234,8 +246,21 @@ def _generate_one(spec: SceneSpec, index: int) -> Sample:
     n_false = int(rng.poisson(spec.false_blob_rate))
     for _ in range(n_false):
         paint(is_true=False)
+    return peak, second, kind, labels
 
-    weight = solve_mix_weight(target, alpha, c)
+
+def _generate_one(spec: SceneSpec, index: int) -> Sample:
+    h, w = spec.dims
+    c = spec.num_classes
+    peak, second, kind, labels = _layout(spec, index)
+    target, alpha = _pair_table(spec)
+    # Solve only the pairs the scene uses: the low-margin pair may lie
+    # below its floor, which is an error only where a blob uses it.
+    used = np.bincount(kind.ravel(), minlength=alpha.size) > 0
+    pair_weight = np.zeros_like(alpha)
+    pair_weight[used] = solve_mix_weight(target[used], alpha[used], c)
+    weight = pair_weight[kind]
+    alpha = alpha[kind]
     values = np.repeat((weight / c)[:, :, None], c, axis=2)
     rr, cc = np.mgrid[0:h, 0:w]
     values[rr, cc, peak] += (1.0 - weight) * alpha

@@ -14,9 +14,12 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from metaseg import analysis
 from metaseg.analysis import (
@@ -127,6 +130,19 @@ def auroc_by_rank_sum(scores, labels):
         ranks[order[i:j]] = 0.5 * (i + 1 + j)
         i = j
     return float((ranks[y].sum() - pos * (pos + 1) / 2.0) / (pos * neg))
+
+
+def rank_table_by_argsort(scores, labels):
+    """(TP, FP) at each distinct descending score from one stable argsort
+    and a cumulative sum of the permuted labels, plus the totals."""
+    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    y = np.asarray(labels, dtype=bool).reshape(-1)
+    pos = int(y.sum())
+    order = np.argsort(-s, kind="stable")
+    s = s[order]
+    last = np.append(np.flatnonzero(s[1:] != s[:-1]), s.size - 1)
+    tp = np.cumsum(y[order])[last]
+    return tp, last + 1 - tp, pos, s.size - pos
 
 
 def quantized_scores(rng, n, levels):
@@ -280,6 +296,82 @@ class TestRankTableExact:
             evaluate_scores([0.5, 0.4], [0, 0])
 
 
+def assert_table_matches_argsort(scores, labels, need_negative=True):
+    got = analysis._rank_table(scores, labels, need_negative=need_negative)
+    want = rank_table_by_argsort(scores, labels)
+    for g, w in zip(got[:2], want[:2]):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    assert got[2:] == want[2:]
+
+
+class TestRankTableAgainstArgsort:
+    """The count table equals the stable-argsort one element for element,
+    so every report and curve keeps its bits."""
+
+    def test_quantized_float32_ties(self):
+        rng = np.random.default_rng(157)
+        for n, levels in [(17, 2), (1_000, 64), (20_000, 4_096)]:
+            y = rng.random(n) < 0.3
+            y[0], y[1] = True, False
+            assert_table_matches_argsort(quantized_scores(rng, n, levels), y)
+
+    def test_mixed_signed_zeros_tie(self):
+        s = np.array([0.0, -0.0, 0.5, -0.0, 0.0, -0.5, -0.0])
+        y = np.array([1, 0, 0, 1, 0, 1, 1], dtype=bool)
+        assert_table_matches_argsort(s, y)
+        tp, fp, _, _ = analysis._rank_table(s, y, need_negative=True)
+        assert tp.tolist() == [0, 3, 4] and fp.tolist() == [1, 3, 3]
+
+    def test_all_equal_scores(self):
+        y = np.zeros(50, dtype=bool)
+        y[::7] = True
+        assert_table_matches_argsort(np.full(50, 0.25), y)
+
+    def test_single_positive(self):
+        rng = np.random.default_rng(163)
+        s = quantized_scores(rng, 500, 40)
+        for i in (0, 250, 499):
+            y = np.zeros(500, dtype=bool)
+            y[i] = True
+            assert_table_matches_argsort(s, y)
+
+    def test_no_negatives(self):
+        rng = np.random.default_rng(167)
+        s = quantized_scores(rng, 300, 25)
+        assert_table_matches_argsort(s, np.ones(300, dtype=bool), need_negative=False)
+
+    def test_single_element(self):
+        assert_table_matches_argsort([0.3], [True], need_negative=False)
+
+    def test_large_nearly_distinct_population(self):
+        rng = np.random.default_rng(173)
+        n = 200_000
+        s = rng.random(n).astype(np.float32)
+        y = rng.random(n) < s * 0.2
+        assert_table_matches_argsort(s, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.sampled_from([
+                    -1.0, -0.5, -0.0, 0.0, 5e-324, 0.5, np.nextafter(0.5, 1.0),
+                    np.nextafter(0.5, 0.0), 1.0, 1e300,
+                ]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_property_matches_argsort(self, data):
+        s = np.array([v for v, _ in data])
+        y = np.array([b for _, b in data])
+        assume(y.any())
+        assert_table_matches_argsort(s, y, need_negative=False)
+
+
 class TestEvalReport:
     def test_prevalence(self):
         r = EvalReport(auroc=0.5, auprc=0.5, fpr95=None, positives=3, negatives=9)
@@ -395,6 +487,28 @@ class TestEvaluatePixels:
         mask = LabelMask(np.zeros((3, 3), dtype=np.uint8))
         with pytest.raises(ValueError, match="does not match"):
             evaluate_pixels([ScoreMap(np.zeros((2, 2)))], [mask])
+
+    def test_peak_memory_per_kept_pixel(self):
+        # 65.4 B per kept pixel is the tracemalloc peak of the stable-argsort
+        # ranking on the 890,880 kept pixels of the benchmark's two
+        # Cityscapes-shaped score maps, which hold nearly distinct float32
+        # values; the ranking must not need more.
+        rng = np.random.default_rng(179)
+        scores, masks = [], []
+        for _ in range(2):
+            labels = np.zeros((500, 1000), dtype=np.uint8)
+            labels[rng.random(labels.shape) < 0.05] = OOD_LABEL
+            labels[rng.random(labels.shape) < 0.1] = IGNORE_LABEL
+            masks.append(LabelMask(labels))
+            scores.append(ScoreMap(rng.random(labels.shape).astype(np.float32)))
+        kept = sum(int((~m.is_ignore()).sum()) for m in masks)
+        tracemalloc.start()
+        try:
+            evaluate_pixels(scores, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / kept <= 65.4
 
 
 class TestLeaveOneOut:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from metaseg.raster import OOD_LABEL
+from metaseg import synth
+from metaseg.raster import OOD_LABEL, ProbabilityMap
 from metaseg.scoring import anomaly_score_map, pixel_entropy
 from metaseg.segments import label_image
 from metaseg.synth import SceneSpec, generate, solve_mix_weight
@@ -24,6 +25,21 @@ def base_spec(**overrides):
     )
     defaults.update(overrides)
     return SceneSpec(**defaults)
+
+
+def values_by_whole_map(spec, index):
+    """Scene `index`'s probabilities with the mixture weight solved for
+    every pixel's own (target, alpha) in one whole-map bisection."""
+    peak, second, kind, _ = synth._layout(spec, index)
+    target, alpha = synth._pair_table(spec)
+    target, alpha = target[kind], alpha[kind]
+    c = spec.num_classes
+    weight = solve_mix_weight(target, alpha, c)
+    values = np.repeat((weight / c)[:, :, None], c, axis=2)
+    rr, cc = np.mgrid[0 : spec.dims[0], 0 : spec.dims[1]]
+    values[rr, cc, peak] += (1.0 - weight) * alpha
+    values[rr, cc, second] += (1.0 - weight) * (1.0 - alpha)
+    return ProbabilityMap(values).values
 
 
 def labeled(sample):
@@ -198,6 +214,23 @@ class TestGeneration:
             n_tp += int((~fp).sum())
         # Both classes must be present in comparable numbers.
         assert n_tp >= 20 and n_fp >= 20
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    @pytest.mark.parametrize("seed", [3, 29])
+    def test_matches_whole_map_solve(self, coupled, seed):
+        spec = base_spec(dims=(64, 64), num_classes=19, blob_size=(5, 12),
+                         false_blob_rate=3.0, nonlinear_coupling=coupled, seed=seed)
+        for i, sample in enumerate(generate(spec, 6)):
+            want = values_by_whole_map(spec, i)
+            assert np.array_equal(sample.pmap.values.view(np.uint64), want.view(np.uint64))
+
+    def test_low_alpha_floor_only_where_a_blob_uses_it(self):
+        # At 19 classes the alpha = 0.55 pair cannot go below a normalized
+        # entropy of 0.23; only coupled scenes paint low-margin blobs.
+        spec = dict(num_classes=19, anomaly_entropy=0.22, background_entropy=0.05)
+        assert len(generate(base_spec(**spec), 4)) == 4
+        with pytest.raises(ValueError, match="below the minimum"):
+            generate(base_spec(nonlinear_coupling=True, **spec), 4)
 
     def test_count_validated(self):
         with pytest.raises(ValueError, match="count"):
