@@ -2,7 +2,7 @@
 
 The pipeline turns per-pixel class-probability rasters into normalized
 entropy anomaly scores, extracts thresholded 8-connected components,
-summarizes each component with a fixed registry of hand-crafted
+summarizes each component with a fixed layout of hand-crafted
 metrics, and trains logistic or MLP meta classifiers that identify
 false-positive components so they can be removed.  Evaluation tooling
 covers component- and pixel-level ranking metrics, leave-one-out cross
@@ -27,12 +27,12 @@ from .analysis import (
     split_by_ood_fraction,
 )
 from .features import (
-    MetricRegistry,
     MetricsDataset,
     StandardizationStats,
     build_metrics_dataset,
     extract_metrics,
     load_metrics_csv,
+    metric_names,
     save_metrics_csv,
     standardize,
 )
@@ -86,9 +86,9 @@ __all__ = [
     "evaluate_pixels", "evaluate_scores", "fpr_at_95_tpr",
     "incremental_evaluation", "lars_order", "loo_scores", "ood_fraction",
     "split_by_ood_fraction",
-    "MetricRegistry", "MetricsDataset", "StandardizationStats",
-    "build_metrics_dataset", "extract_metrics", "load_metrics_csv",
-    "save_metrics_csv", "standardize",
+    "MetricsDataset", "StandardizationStats", "build_metrics_dataset",
+    "extract_metrics", "load_metrics_csv", "metric_names", "save_metrics_csv",
+    "standardize",
     "MetaModel", "MlpModel", "TrainConfig", "bce_loss", "count_parameters",
     "gradient", "load_model", "parameter_breakdown", "predict_batch",
     "remove_false_positives", "save_model", "train",

@@ -48,7 +48,7 @@ class EvalReport:
 
     auroc: float
     auprc: float
-    fpr95: float | None
+    fpr95: float
     positives: int
     negatives: int
 
@@ -57,7 +57,7 @@ class EvalReport:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} out of range: {v}")
-        if self.fpr95 is not None and not 0.0 <= self.fpr95 <= 1.0:
+        if not 0.0 <= self.fpr95 <= 1.0:
             raise ValueError(f"fpr95 out of range: {self.fpr95}")
         if self.positives < 0 or self.negatives < 0:
             raise ValueError("counts must be nonnegative")
@@ -173,26 +173,16 @@ def _report(tp, fp, pos, neg) -> EvalReport:
                       fpr95=_fpr95(tp, fp, pos, neg), positives=pos, negatives=neg)
 
 
-def roc_points(scores, labels):
-    """(FPR, TPR) arrays over the distinct thresholds, with the (0, 0)
-    endpoint prepended, for plotting."""
-    return _roc(*_rank_table(scores, labels, need_negative=True))
-
-
-def pr_points(scores, labels):
-    """(recall, precision) arrays over the distinct thresholds."""
-    return _pr(*_rank_table(scores, labels, need_negative=False))
-
-
 def evaluate_scores(scores, labels) -> EvalReport:
     """AUROC, AUPRC and FPR95 of one scored population, from one table."""
     return _report(*_rank_table(scores, labels, need_negative=True))
 
 
 def evaluate_with_curves(scores, labels):
-    """`evaluate_scores`, `roc_points` and `pr_points` of one population,
+    """`evaluate_scores` of one population with its ROC and PR curves,
     all read from one count table: (report, (fpr, tpr), (recall,
-    precision))."""
+    precision)).  The ROC curve runs over the distinct thresholds, with
+    the (0, 0) endpoint prepended."""
     table = _rank_table(scores, labels, need_negative=True)
     return _report(*table), _roc(*table), _pr(*table)
 
@@ -201,7 +191,7 @@ def evaluate_components(model, dataset: MetricsDataset):
     """`evaluate_with_curves` of the model's scores of every row; positive
     class = false positive.  A model that records its metric names
     refuses a dataset whose names differ."""
-    model.check_metrics(dataset.registry.names)
+    model.check_metrics(dataset.names)
     return evaluate_with_curves(model.predict_raw_batch(dataset.rows), dataset.labels)
 
 
@@ -546,16 +536,11 @@ def save_report_csv(report: EvalReport, path) -> None:
     rows = [
         ("auroc", f"{report.auroc:.9g}"),
         ("auprc", f"{report.auprc:.9g}"),
+        ("fpr95", f"{report.fpr95:.9g}"),
+        ("positives", str(report.positives)),
+        ("negatives", str(report.negatives)),
+        ("prevalence", f"{report.prevalence:.9g}"),
     ]
-    if report.fpr95 is not None:
-        rows.append(("fpr95", f"{report.fpr95:.9g}"))
-    rows.extend(
-        [
-            ("positives", str(report.positives)),
-            ("negatives", str(report.negatives)),
-            ("prevalence", f"{report.prevalence:.9g}"),
-        ]
-    )
     lines = ["metric,value"] + [f"{k},{v}" for k, v in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -263,10 +263,9 @@ def _cmd_train_meta(cfg: RunConfig) -> None:
 
 def _report_and_print(report: analysis.EvalReport, out_csv: str) -> None:
     analysis.save_report_csv(report, out_csv)
-    fpr = f"{report.fpr95:.4f}" if report.fpr95 is not None else "n/a"
     print(
-        f"auroc {report.auroc:.4f}  auprc {report.auprc:.4f}  fpr95 {fpr}  "
-        f"({report.positives} positives / {report.negatives} negatives)"
+        f"auroc {report.auroc:.4f}  auprc {report.auprc:.4f}  fpr95 {report.fpr95:.4f}"
+        f"  ({report.positives} positives / {report.negatives} negatives)"
     )
 
 
@@ -309,7 +308,7 @@ def _cmd_lars(cfg: RunConfig) -> None:
     dataset = features.load_metrics_csv(cfg.options["mu"])
     ordering = analysis.lars_order(dataset)
     records = [["step", "metric_index", "metric_name", "entry_correlation"]] + [
-        [str(step), str(idx), dataset.registry.names[idx], f"{corr:.9g}"]
+        [str(step), str(idx), dataset.names[idx], f"{corr:.9g}"]
         for step, (idx, corr) in enumerate(
             zip(ordering.ordered_metric_indices, ordering.entry_correlations)
         )

@@ -23,10 +23,11 @@ vector combining four families:
   would belong to the component.  The column is kept so the layout stays
   at 24 + 8 + 2C + 5.
 
-That totals 24 + 8 + 2C + 5 metrics, 75 at C = 19.  Interior statistics
-of a component with no interior fall back to whole-component statistics,
-which keeps single-pixel components finite.  Population (not sample)
-variance is used throughout for the same reason.
+That totals 24 + 8 + 2C + 5 metrics, 75 at C = 19, named in row order by
+`metric_names`.  Interior statistics of a component with no interior fall
+back to whole-component statistics, which keeps single-pixel components
+finite.  Population (not sample) variance is used throughout for the same
+reason.
 
 `build_metrics_dataset` labels every sample by thresholding its score;
 `extract_metrics` takes the label image of one sample from the caller.
@@ -73,75 +74,40 @@ _RATIO_GUARD = 1e-9
 _NEIGHBORS8 = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc)
 
 
-@dataclass(frozen=True)
-class MetricRegistry:
-    """Fixed, ordered metric layout.
-
-    `standard(C)` builds the full four-family layout described above;
-    `custom(names)` wraps an arbitrary name list for small hand-built
-    datasets (toy training sets, metric subsets).  Only standard
-    registries can drive metric extraction from rasters.
-    """
-
-    names: tuple
-    num_classes: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "names", tuple(self.names))
-        if not self.names:
-            raise ValueError("registry needs at least one metric")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("metric names must be unique")
-        if self.num_classes:
-            expected = 24 + 8 + 2 * self.num_classes + 5
-            if len(self.names) != expected:
-                raise ValueError(
-                    f"standard registry at C={self.num_classes} needs "
-                    f"{expected} metrics, got {len(self.names)}"
-                )
-
-    @property
-    def total(self) -> int:
-        return len(self.names)
-
-    @classmethod
-    def standard(cls, num_classes: int) -> "MetricRegistry":
-        if num_classes < 2:
-            raise ValueError("standard registry needs num_classes >= 2")
-        names = [
-            f"{field}_{stat}"
-            for field in _DISPERSION_FIELDS
-            for stat in _DISPERSION_STATS
-        ]
-        names.extend(_GEOMETRY_NAMES)
-        for c in range(num_classes):
-            names.extend((f"cls{c}_mean", f"cls{c}_var"))
-        names.extend(_NEIGHBOR_NAMES)
-        return cls(names=tuple(names), num_classes=num_classes)
-
-    @classmethod
-    def custom(cls, names) -> "MetricRegistry":
-        return cls(names=tuple(names), num_classes=0)
+def metric_names(num_classes: int) -> tuple:
+    """Names of the 24 + 8 + 2C + 5 metrics of a component of a map with
+    `num_classes` classes, in row order."""
+    if num_classes < 2:
+        raise ValueError("metric layout needs num_classes >= 2")
+    names = [f"{f}_{stat}" for f in _DISPERSION_FIELDS for stat in _DISPERSION_STATS]
+    names.extend(_GEOMETRY_NAMES)
+    for c in range(num_classes):
+        names.extend((f"cls{c}_mean", f"cls{c}_var"))
+    return (*names, *_NEIGHBOR_NAMES)
 
 
 @dataclass(frozen=True, eq=False)
 class MetricsDataset:
-    """Component metric rows with ground-truth labels and provenance."""
+    """Component metric rows, one column per name in `names`, with
+    ground-truth labels and provenance."""
 
     rows: np.ndarray
     labels: np.ndarray
     group_ids: tuple
-    registry: MetricRegistry
+    names: tuple
 
     def __post_init__(self) -> None:
+        names = tuple(self.names)
+        if not names:
+            raise ValueError("dataset needs at least one metric")
+        if len(set(names)) != len(names):
+            raise ValueError("metric names must be unique")
         rows = np.atleast_2d(np.asarray(self.rows, dtype=np.float64))
         labels = np.asarray(self.labels, dtype=bool).reshape(-1)
         if rows.size == 0:
-            rows = rows.reshape(0, self.registry.total)
-        if rows.ndim != 2 or rows.shape[1] != self.registry.total:
-            raise ValueError(
-                f"rows must be n x {self.registry.total}, got {rows.shape}"
-            )
+            rows = rows.reshape(0, len(names))
+        if rows.ndim != 2 or rows.shape[1] != len(names):
+            raise ValueError(f"rows must be n x {len(names)}, got {rows.shape}")
         if not np.isfinite(rows).all():
             raise ValueError("metric rows must be finite")
         if labels.shape[0] != rows.shape[0] or len(self.group_ids) != rows.shape[0]:
@@ -149,13 +115,14 @@ class MetricsDataset:
         object.__setattr__(self, "rows", _frozen(rows, self.rows))
         object.__setattr__(self, "labels", _frozen(labels, self.labels))
         object.__setattr__(self, "group_ids", tuple(str(g) for g in self.group_ids))
+        object.__setattr__(self, "names", names)
 
     def __len__(self) -> int:
         return self.rows.shape[0]
 
     @property
     def num_metrics(self) -> int:
-        return self.registry.total
+        return len(self.names)
 
     def subset(self, indices) -> "MetricsDataset":
         """Row subset in the given index order."""
@@ -164,7 +131,7 @@ class MetricsDataset:
             rows=self.rows[idx],
             labels=self.labels[idx],
             group_ids=tuple(self.group_ids[i] for i in idx),
-            registry=self.registry,
+            names=self.names,
         )
 
     def split_by_group(self, held_out: str):
@@ -174,15 +141,13 @@ class MetricsDataset:
         return out, held
 
     def select_metrics(self, metric_indices) -> "MetricsDataset":
-        """Column subset, keeping the given metric order, as a custom
-        registry."""
+        """Column subset, keeping the given metric order."""
         idx = np.asarray(metric_indices, dtype=np.intp).reshape(-1)
-        names = tuple(self.registry.names[i] for i in idx)
         return MetricsDataset(
             rows=self.rows[:, idx],
             labels=self.labels,
             group_ids=self.group_ids,
-            registry=MetricRegistry.custom(names),
+            names=tuple(self.names[i] for i in idx),
         )
 
 
@@ -233,7 +198,7 @@ def standardize(dataset: MetricsDataset):
         rows=stats.apply(dataset.rows),
         labels=dataset.labels,
         group_ids=dataset.group_ids,
-        registry=dataset.registry,
+        names=dataset.names,
     )
     return out, stats
 
@@ -273,18 +238,18 @@ def _streamed_fields(blocks, dims: tuple, threshold: float) -> tuple:
     return fields, hot_pixels, np.concatenate(hot_probs, axis=1, out=probs)
 
 
-def _sample_fields(sample, registry: MetricRegistry | None, threshold: float) -> tuple:
+def _sample_fields(sample, num_classes: int | None, threshold: float) -> tuple:
     """`_streamed_fields` of the map of `sample` at `threshold`: its H x W
     fields, hot pixels and their class probabilities, from one walk of
-    `sample.probability_blocks()`.  A map whose class count is not the
-    one of `registry` (any, when it is None) is refused before its first
-    block is read."""
+    `sample.probability_blocks()`.  A map with other than `num_classes`
+    classes (any, when it is None) is refused before its first block is
+    read."""
     blocks = sample.probability_blocks()
     dims = next(blocks)
-    if registry is not None and registry.num_classes != dims[2]:
+    if num_classes is not None and dims[2] != num_classes:
         raise ValueError(
             f"sample {sample.id!r} has C={dims[2]}, "
-            f"registry expects C={registry.num_classes}"
+            f"the first sample has C={num_classes}"
         )
     return _streamed_fields(blocks, dims, threshold)
 
@@ -343,8 +308,9 @@ def _component_rows(
         )
     n_cls = hot_probs.shape[0]
     k = image.count
+    out = np.empty((k, len(metric_names(n_cls))))
     if not k:
-        return np.zeros((0, 37 + 2 * n_cls))
+        return out
 
     # Dispersion and class probabilities: pixel values in (component,
     # raster) order, then split into boundary and interior.  The variation
@@ -392,7 +358,6 @@ def _component_rows(
 
     s = sizes.astype(np.float64)
     bbox = image.bboxes
-    out = np.empty((k, 37 + 2 * n_cls))
     with np.errstate(divide="ignore", invalid="ignore"):
         for f in range(len(_DISPERSION_FIELDS)):
             out[:, 8 * f:8 * f + 8] = np.stack([
@@ -422,10 +387,9 @@ def extract_metrics(
     image: LabelImage,
     sample,
     cfg: ThresholdConfig,
-    registry: MetricRegistry,
 ) -> np.ndarray:
     """Metric rows of every component of `image`, K x N in id order, laid
-    out per the registry.
+    out as `metric_names` of the sample's class count.
 
     `sample` is an in-memory `Sample` or a `raster.SampleFile`; its map is
     walked once, as `build_metrics_dataset` walks it, and scored at
@@ -433,13 +397,12 @@ def extract_metrics(
     of `segments.label_image(score >= cfg.t, ...)` do; for such an image
     the rows are those `build_metrics_dataset` gives, bit for bit.
     """
-    return _component_rows(image, *_sample_fields(sample, registry, cfg.t))
+    return _component_rows(image, *_sample_fields(sample, None, cfg.t))
 
 
 def build_metrics_dataset(
     samples,
     cfg: ThresholdConfig,
-    registry: MetricRegistry | None = None,
     min_size: int = 1,
 ) -> MetricsDataset:
     """Score, threshold, segment, and label every sample, emitting one
@@ -453,19 +416,21 @@ def build_metrics_dataset(
     probabilities of the pixels at or above the threshold are kept; a
     file is read and checked as it is walked, so no H x W x C array is
     ever built for it, and nothing computed from it counts until its last
-    block has passed the check.  Without a `registry`, the standard one
-    for the first sample's class count is used.  Rows follow the sample
-    order, then component id within a sample.
+    block has passed the check.  Columns follow `metric_names` of the
+    first sample's class count; a later sample with another class count is
+    refused.  Rows follow the sample order, then component id within a
+    sample.
     """
+
+    num_classes = None
 
     # The work on one sample happens in this function so that none of
     # its locals outlives the sample, and `map` (unlike a for loop) holds
     # no reference to it while the next one is drawn.
     def sample_rows(sample):
-        nonlocal registry
-        fields, hot_pixels, probs = _sample_fields(sample, registry, cfg.t)
-        if registry is None:
-            registry = MetricRegistry.standard(probs.shape[0])
+        nonlocal num_classes
+        fields, hot_pixels, probs = _sample_fields(sample, num_classes, cfg.t)
+        num_classes = probs.shape[0]
         image = label_image(fields["ent"] >= cfg.t, min_size, sample.mask.is_ood())
         if not image.count:
             return None
@@ -473,14 +438,14 @@ def build_metrics_dataset(
         return rows, image.is_false_positive, (sample.id,) * image.count
 
     parts = [part for part in map(sample_rows, samples) if part is not None]
-    if registry is None:
+    if num_classes is None:
         raise ValueError("no samples to take the class count from")
     rows, labels, groups = zip(*parts) if parts else ((), (), ())
     return MetricsDataset(
-        rows=np.concatenate(rows) if rows else np.zeros((0, registry.total)),
-        labels=np.concatenate(labels) if labels else np.zeros(0, dtype=bool),
+        rows=np.concatenate(rows) if rows else (),
+        labels=np.concatenate(labels) if labels else (),
         group_ids=tuple(g for ids in groups for g in ids),
-        registry=registry,
+        names=metric_names(num_classes),
     )
 
 
@@ -494,7 +459,7 @@ def save_metrics_csv(dataset: MetricsDataset, path) -> None:
     group_id; floats at 9 significant digits."""
     # One %-template formats a whole row.
     template = ",".join(["%.9g"] * dataset.num_metrics) + ",%d,%s\n"
-    lines = [csv_text([list(dataset.registry.names) + ["label", "group_id"]])]
+    lines = [csv_text([[*dataset.names, "label", "group_id"]])]
     for row, label, group in zip(
         dataset.rows.tolist(), dataset.labels.tolist(), dataset.group_ids
     ):
@@ -540,10 +505,9 @@ def _raise_first_bad_record(path, n: int) -> None:
 def load_metrics_csv(path) -> MetricsDataset:
     """Read a dataset written by `save_metrics_csv`.
 
-    The registry is reconstructed from the header: the standard layout
-    when the names match one, otherwise a custom registry.  The body is
-    parsed in one `np.loadtxt` pass; a file it rejects is re-read record
-    by record only to name the faulty line.
+    The metric names are the header's, as they are.  The body is parsed
+    in one `np.loadtxt` pass; a file it rejects is re-read record by
+    record only to name the faulty line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -553,13 +517,7 @@ def load_metrics_csv(path) -> MetricsDataset:
         if len(header) < 3 or header[-2:] != ["label", "group_id"]:
             raise ValueError(f"{path}: expected trailing label,group_id columns")
         names = header[:-2]
-        registry = MetricRegistry.custom(names)
         n = len(names)
-        if (n - 37) % 2 == 0 and n >= 41:
-            c = (n - 37) // 2
-            std = MetricRegistry.standard(c)
-            if std.names == tuple(names):
-                registry = std
         body = np.dtype([("x", np.float64, (n,)), ("label", object), ("group", object)])
         try:
             with warnings.catch_warnings():
@@ -578,7 +536,7 @@ def load_metrics_csv(path) -> MetricsDataset:
                 rows=table["x"],
                 labels=ones,
                 group_ids=table["group"].tolist(),
-                registry=registry,
+                names=names,
             )
         except ValueError as exc:
             fault = exc

@@ -501,7 +501,7 @@ def train(
         stats=stats,
         config=cfg,
         threshold=threshold,
-        feature_names=dataset.registry.names,
+        feature_names=dataset.names,
     )
     return meta, tuple(trace)
 
@@ -517,8 +517,8 @@ def remove_false_positives(
     positives.
 
     `rows` are the un-standardized metric rows of the image's components
-    in id order, as `features.extract_metrics(image, sample, cfg,
-    registry)` returns them for the sample `score` was computed from.
+    in id order, as `features.extract_metrics(image, sample, cfg)`
+    returns them for the sample `score` was computed from.
     All rows are scored in one batch, and every component with predicted
     FP probability >= decision_threshold is zeroed in a copy of the score
     map.  Returns (cleaned score map, ids of the kept components).

@@ -164,9 +164,7 @@ def custom_dataset(rows, labels, groups):
         rows=rows,
         labels=labels,
         group_ids=groups,
-        registry=features.MetricRegistry.custom(
-            [f"m{j}" for j in range(np.asarray(rows).shape[1])]
-        ),
+        names=[f"m{j}" for j in range(np.asarray(rows).shape[1])],
     )
 
 
@@ -313,10 +311,7 @@ def test_criterion_07_mlp_beats_logistic_under_nonlinear_coupling():
         seed=20,
     )
     samples = synth.generate(spec, 200)
-    registry = features.MetricRegistry.standard(spec.num_classes)
-    dataset = features.build_metrics_dataset(
-        samples, segments.ThresholdConfig(0.7), registry
-    )
+    dataset = features.build_metrics_dataset(samples, segments.ThresholdConfig(0.7))
     cfg = metaclf.TrainConfig(seed=5)
     results = {}
     for kind, hidden_dims in metaclf.HIDDEN_DIMS.items():

@@ -35,15 +35,12 @@ from metaseg.analysis import (
     lars_order,
     loo_scores,
     ood_fraction,
-    pr_points,
-    roc_points,
     save_curve_csv,
     save_report_csv,
     split_by_ood_fraction,
     svg_line_plot,
 )
 from metaseg.features import (
-    MetricRegistry,
     MetricsDataset,
     StandardizationStats,
     build_metrics_dataset,
@@ -226,17 +223,20 @@ class TestCurveMetricOracles:
         s = rng.random(30)
         y = rng.random(30) < 0.5
         y[0], y[1] = True, False
-        fpr, tpr = roc_points(s, y)
+        _, (fpr, tpr), _ = evaluate_with_curves(s, y)
         assert (fpr[0], tpr[0]) == (0.0, 0.0)
         assert (fpr[-1], tpr[-1]) == (1.0, 1.0)
         assert (np.diff(fpr) >= 0).all() and (np.diff(tpr) >= 0).all()
+        rec_o, _, fpr_o = curve_by_scan(s, y)
+        np.testing.assert_allclose(fpr[1:], fpr_o, atol=1e-12)
+        np.testing.assert_allclose(tpr[1:], rec_o, atol=1e-12)
 
     def test_pr_points_match_scan(self):
         rng = np.random.default_rng(127)
         s = rng.integers(0, 5, size=20) / 4.0
         y = rng.random(20) < 0.5
         y[0], y[1] = True, False
-        rec, prec = pr_points(s, y)
+        _, _, (rec, prec) = evaluate_with_curves(s, y)
         rec_o, prec_o, _ = curve_by_scan(s, y)
         np.testing.assert_allclose(rec, rec_o, atol=1e-12)
         np.testing.assert_allclose(prec, prec_o, atol=1e-12)
@@ -284,10 +284,8 @@ class TestRankTableExact:
             s = quantized_scores(rng, n, levels)
             y = rng.random(n) < 0.25
             y[0], y[1] = True, False
-            report, roc, pr = evaluate_with_curves(s, y)
+            report, _, _ = evaluate_with_curves(s, y)
             assert report == evaluate_scores(s, y)
-            for got, want in ((roc, roc_points(s, y)), (pr, pr_points(s, y))):
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_evaluate_scores_validation(self):
         with pytest.raises(ValueError, match="negative"):
@@ -374,12 +372,12 @@ class TestRankTableAgainstArgsort:
 
 class TestEvalReport:
     def test_prevalence(self):
-        r = EvalReport(auroc=0.5, auprc=0.5, fpr95=None, positives=3, negatives=9)
+        r = EvalReport(auroc=0.5, auprc=0.5, fpr95=0.5, positives=3, negatives=9)
         assert r.prevalence == 0.25
 
     def test_range_validation(self):
         with pytest.raises(ValueError, match="auroc"):
-            EvalReport(auroc=1.5, auprc=0.5, fpr95=None, positives=1, negatives=1)
+            EvalReport(auroc=1.5, auprc=0.5, fpr95=0.5, positives=1, negatives=1)
         with pytest.raises(ValueError, match="fpr95"):
             EvalReport(auroc=0.5, auprc=0.5, fpr95=-0.1, positives=1, negatives=1)
 
@@ -396,10 +394,10 @@ def identity_meta(weights, bias=0.0):
 
 def toy_dataset(rows, labels, groups=None):
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    reg = MetricRegistry.custom([f"m{i}" for i in range(rows.shape[1])])
+    names = [f"m{i}" for i in range(rows.shape[1])]
     if groups is None:
         groups = tuple(f"g{i}" for i in range(rows.shape[0]))
-    return MetricsDataset(rows, np.asarray(labels, dtype=bool), tuple(groups), reg)
+    return MetricsDataset(rows, np.asarray(labels, dtype=bool), tuple(groups), names)
 
 
 class TestEvaluateComponents:
@@ -429,8 +427,7 @@ class TestEvaluateComponents:
         assert evaluate_components(meta, ds)[0].auroc == 1.0
 
     def test_empty_dataset_rejected(self):
-        reg = MetricRegistry.custom(["m0"])
-        ds = MetricsDataset(np.zeros((0, 1)), np.zeros(0, dtype=bool), (), reg)
+        ds = MetricsDataset(np.zeros((0, 1)), np.zeros(0, dtype=bool), (), ["m0"])
         with pytest.raises(ValueError, match="empty"):
             evaluate_components(identity_meta([1.0]), ds)
 
@@ -568,8 +565,7 @@ class TestLeaveOneOut:
             seed=139,
         )
         samples = generate(spec, 6)
-        dataset = build_metrics_dataset(samples, ThresholdConfig(0.7),
-                                        MetricRegistry.standard(5))
+        dataset = build_metrics_dataset(samples, ThresholdConfig(0.7))
         scores = loo_scores(dataset, TrainConfig(epochs=10, seed=0), hidden_dims=())
         report = evaluate_scores(scores, dataset.labels)
         assert np.isfinite(scores).all()
@@ -741,7 +737,7 @@ class TestFoldPool:
             "rows = np.random.default_rng(0).normal(size=(120, 80))\n"
             "ds = features.MetricsDataset(\n"
             "    rows, np.arange(120) % 2 == 0, [f'g{i % 4}' for i in range(120)],\n"
-            "    features.MetricRegistry.custom([f'm{j}' for j in range(80)]))\n"
+            "    [f'm{j}' for j in range(80)])\n"
             "analysis.loo_scores(ds, metaclf.TrainConfig(epochs=1), hidden_dims=())\n"
         )
         env = dict(os.environ, METASEG_THREADS="2")
@@ -826,12 +822,6 @@ class TestSerialization:
         assert data["fpr95"] == "0.125"
         assert data["positives"] == "4"
         assert data["prevalence"] == "0.25"
-
-    def test_report_csv_omits_missing_fpr95(self, tmp_path):
-        r = EvalReport(auroc=0.5, auprc=0.5, fpr95=None, positives=1, negatives=1)
-        path = tmp_path / "report.csv"
-        save_report_csv(r, path)
-        assert "fpr95" not in path.read_text()
 
     def test_svg_deterministic_and_wellformed(self, tmp_path):
         xs = np.linspace(0, 1, 20)

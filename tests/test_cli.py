@@ -60,7 +60,7 @@ def toy_mu(tmp_path_factory):
         rows=rows,
         labels=labels,
         group_ids=[f"g{i // 4}" for i in range(n)],
-        registry=features.MetricRegistry.custom(("sig", "noise_a", "noise_b")),
+        names=("sig", "noise_a", "noise_b"),
     )
     path = tmp_path_factory.mktemp("mu") / "mu.csv"
     features.save_metrics_csv(dataset, path)
@@ -230,6 +230,15 @@ class TestDataErrors:
         assert err == (f"metaseg: error: {model}: threshold must be in [0, 1], "
                        "got nan\n")
         assert not report.exists()
+
+    def test_metrics_csv_with_a_repeated_name(self, tmp_path, capsys):
+        mu = tmp_path / "dup.csv"
+        mu.write_text("m0,m0,label,group_id\n1.0,2.0,0,g\n")
+        out = tmp_path / "order.csv"
+        assert cli.run(["lars", "--mu", str(mu), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"metaseg: error: {mu}: metric names must be unique\n"
+        assert not out.exists()
 
     def test_model_refuses_swapped_metric_columns(self, toy_mu, tmp_path, capsys):
         model = tmp_path / "m.model"
@@ -690,7 +699,7 @@ def pool_mu(tmp_path_factory):
     rows[:, 0] += np.where(labels, 1.0, -1.0)
     dataset = features.MetricsDataset(
         rows=rows, labels=labels, group_ids=[f"g{i // 6}" for i in range(n)],
-        registry=features.MetricRegistry.custom(("sig", "noise")),
+        names=("sig", "noise"),
     )
     path = tmp_path_factory.mktemp("mu") / "mu.csv"
     features.save_metrics_csv(dataset, path)
@@ -743,7 +752,7 @@ class TestFoldPool:
         dataset = features.MetricsDataset(
             rows=[[1e300], [-1e300], [1.0], [2.0]], labels=[1, 0, 1, 0],
             group_ids=["a", "b", "c", "d"],
-            registry=features.MetricRegistry.custom(("m",)),
+            names=("m",),
         )
         mu = tmp_path / "mu.csv"
         features.save_metrics_csv(dataset, mu)

@@ -21,13 +21,13 @@ from pixel_sets import pixel_sets
 
 from metaseg import raster
 from metaseg.features import (
-    MetricRegistry,
     MetricsDataset,
     StandardizationStats,
     _streamed_fields,
     build_metrics_dataset,
     extract_metrics,
     load_metrics_csv,
+    metric_names,
     save_metrics_csv,
     standardize,
 )
@@ -169,8 +169,8 @@ def iid_sample(h, w, c, hot_frac, seed, sample_id="iid"):
 
 
 def assert_rows_match_reference(samples, t=0.7, min_size=1):
-    reg = MetricRegistry.standard(samples[0].pmap.num_classes)
-    ds = build_metrics_dataset(samples, ThresholdConfig(t), reg, min_size=min_size)
+    names = metric_names(samples[0].pmap.num_classes)
+    ds = build_metrics_dataset(samples, ThresholdConfig(t), min_size=min_size)
     want, labels = [], []
     for sample in samples:
         score = anomaly_score_map(sample.pmap)
@@ -179,7 +179,7 @@ def assert_rows_match_reference(samples, t=0.7, min_size=1):
         for sets, fp in zip(pixel_sets(image), image.is_false_positive.tolist()):
             want.append(reference_row(sets, fields))
             labels.append(fp)
-    want = np.array(want).reshape(-1, reg.total)
+    want = np.array(want).reshape(-1, len(names))
     assert np.array_equal(ds.rows, want)
     assert ds.labels.tolist() == labels
     return ds
@@ -191,7 +191,7 @@ class TestMatchesReferenceRow:
     def test_iid_scene_with_a_thousand_components(self):
         sample = iid_sample(128, 176, 6, 0.3, seed=211)
         ds = assert_rows_match_reference(SampleSet([sample]))
-        named = dict(zip(ds.registry.names, ds.rows.T))
+        named = dict(zip(ds.names, ds.rows.T))
         assert len(ds) >= 1000
         # Single-pixel components, whose interior falls back to the whole
         # component, and components past numpy's 8-way unrolled sum.
@@ -205,7 +205,7 @@ class TestMatchesReferenceRow:
         samples = SampleSet([iid_sample(40, 50, 4, 0.62, seed=s, sample_id=f"b{s}")
                              for s in (3, 5)])
         ds = assert_rows_match_reference(samples)
-        assert ds.rows[:, ds.registry.names.index("size")].max() > 128
+        assert ds.rows[:, ds.names.index("size")].max() > 128
 
     def test_component_covering_the_whole_image(self):
         sample = iid_sample(6, 7, 5, 1.0, seed=223)
@@ -218,7 +218,7 @@ class TestMatchesReferenceRow:
                              for s in (227, 229)])
         for min_size in (2, 4):
             ds = assert_rows_match_reference(samples, min_size=min_size)
-            assert ds.rows[:, ds.registry.names.index("size")].min() >= min_size
+            assert ds.rows[:, ds.names.index("size")].min() >= min_size
 
     def test_edge_touching_components(self):
         sample = iid_sample(12, 14, 3, 0.3, seed=233)
@@ -227,16 +227,16 @@ class TestMatchesReferenceRow:
         probs[:, [0, -1], :] = 1.0 / 3
         edge = Sample("edge", ProbabilityMap(probs), sample.mask)
         ds = assert_rows_match_reference(SampleSet([edge]))
-        assert ds.rows[0, ds.registry.names.index("size")] >= 2 * (12 + 14) - 4
+        assert ds.rows[0, ds.names.index("size")] >= 2 * (12 + 14) - 4
 
     def test_extract_metrics_matches_reference(self):
         sample = iid_sample(30, 40, 4, 0.4, seed=239)
         score = anomaly_score_map(sample.pmap)
         fields = reference_fields(sample.pmap, score, 0.7)
-        reg = MetricRegistry.standard(4)
+        names = metric_names(4)
         image = label_image(score.scores >= 0.7)
-        rows = extract_metrics(image, sample, ThresholdConfig(0.7), reg)
-        assert rows.shape == (image.count, reg.total) and image.count > 7
+        rows = extract_metrics(image, sample, ThresholdConfig(0.7))
+        assert rows.shape == (image.count, len(names)) and image.count > 7
         for k, sets in enumerate(pixel_sets(image)):
             assert np.array_equal(rows[k], reference_row(sets, fields))
 
@@ -252,11 +252,11 @@ class TestMatchesReferenceRow:
         image = LabelImage(labels, boundary)
         sets, = pixel_sets(image)
         assert sets[2] == {(2, 3), (3, 3)}
-        reg = MetricRegistry.standard(3)
-        got, = extract_metrics(image, sample, ThresholdConfig(0.7), reg)
+        names = metric_names(3)
+        got, = extract_metrics(image, sample, ThresholdConfig(0.7))
         assert np.array_equal(got, reference_row(sets, reference_fields(
             sample.pmap, score, 0.7)))
-        assert dict(zip(reg.names, got))["nb_hot_frac"] == 1.0
+        assert dict(zip(names, got))["nb_hot_frac"] == 1.0
 
 
 class TestSampleFields:
@@ -317,67 +317,57 @@ class TestNeighborHotFraction:
         # threshold: such a pixel would belong to the component.
         samples = SampleSet([iid_sample(40, 60, 5, 0.45, seed=251)])
         for t, spec_samples in ((0.7, samples), (0.5, small_scene_set())):
-            reg = MetricRegistry.standard(spec_samples[0].pmap.num_classes)
-            ds = build_metrics_dataset(spec_samples, ThresholdConfig(t), reg)
+            names = metric_names(spec_samples[0].pmap.num_classes)
+            ds = build_metrics_dataset(spec_samples, ThresholdConfig(t))
             assert len(ds) > 0
-            assert (ds.rows[:, reg.names.index("nb_hot_frac")] == 0.0).all()
+            assert (ds.rows[:, names.index("nb_hot_frac")] == 0.0).all()
 
 
-class TestMetricRegistry:
-    def test_standard_counts(self):
-        assert MetricRegistry.standard(19).total == 75
-        assert MetricRegistry.standard(2).total == 41
-        assert MetricRegistry.standard(150).total == 337
+class TestMetricNames:
+    def test_counts(self):
+        assert len(metric_names(19)) == 75
+        assert len(metric_names(2)) == 41
+        assert len(metric_names(150)) == 337
+        with pytest.raises(ValueError, match="num_classes >= 2"):
+            metric_names(1)
 
     def test_layout_order(self):
-        reg = MetricRegistry.standard(2)
-        assert reg.names[0] == "ent_mean"
-        assert reg.names[:8] == (
+        names = metric_names(2)
+        assert names[0] == "ent_mean"
+        assert names[:8] == (
             "ent_mean", "ent_mean_in", "ent_mean_bd", "ent_var",
             "ent_var_in", "ent_var_bd", "ent_bd_in_ratio", "ent_bd_in_diff",
         )
-        assert reg.names[8] == "vr_mean"
-        assert reg.names[16] == "margin_mean"
-        assert reg.names[24:32] == (
+        assert names[8] == "vr_mean"
+        assert names[16] == "margin_mean"
+        assert names[24:32] == (
             "size", "size_in", "size_bd", "size_bd_frac", "size_sqrt",
             "center_row", "center_col", "bbox_fill",
         )
-        assert reg.names[32:36] == ("cls0_mean", "cls0_var", "cls1_mean", "cls1_var")
-        assert reg.names[36:] == (
+        assert names[32:36] == ("cls0_mean", "cls0_var", "cls1_mean", "cls1_var")
+        assert names[36:] == (
             "nb_ent_mean", "nb_maxprob_mean", "nb_hot_frac",
             "nb_ring_bd_ratio", "nb_margin_mean",
         )
 
     def test_names_unique(self):
         for c in (2, 19, 150):
-            names = MetricRegistry.standard(c).names
+            names = metric_names(c)
             assert len(set(names)) == len(names)
-
-    def test_custom_registry(self):
-        reg = MetricRegistry.custom(["a", "b"])
-        assert reg.total == 2
-        assert reg.num_classes == 0
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            MetricRegistry.custom(["a", "a"])
 
 
 class TestExtractMetrics:
-    def named(self, row, reg):
-        return dict(zip(reg.names, row))
-
-    def block_row(self, block, sample, reg, cfg=ThresholdConfig()):
+    def block_row(self, block, sample, cfg=ThresholdConfig()):
         """The named metrics of one filled rectangle, (rmin, rmax, cmin,
         cmax, dims), the only component of its label image."""
-        rows = extract_metrics(block_image(*block), sample, cfg, reg)
-        assert rows.shape == (1, reg.total)
-        return self.named(rows[0], reg)
+        rows = extract_metrics(block_image(*block), sample, cfg)
+        names = metric_names(sample.pmap.num_classes)
+        assert rows.shape == (1, len(names))
+        return dict(zip(names, rows[0]))
 
     def test_uniform_block_dispersion_and_geometry(self):
         sample = uniform_sample(10, 10, 4)
-        reg = MetricRegistry.standard(4)
-        m = self.block_row((1, 3, 1, 3, (10, 10)), sample, reg)
+        m = self.block_row((1, 3, 1, 3, (10, 10)), sample)
 
         assert m["ent_mean"] == pytest.approx(1.0, abs=1e-12)
         assert m["ent_var"] == pytest.approx(0.0, abs=1e-15)
@@ -400,8 +390,7 @@ class TestExtractMetrics:
 
     def test_uniform_block_neighborhood(self):
         sample = uniform_sample(10, 10, 4)
-        reg = MetricRegistry.standard(4)
-        m = self.block_row((1, 3, 1, 3, (10, 10)), sample, reg, ThresholdConfig(0.7))
+        m = self.block_row((1, 3, 1, 3, (10, 10)), sample, ThresholdConfig(0.7))
         # Ring is the 5x5 dilation minus the 3x3 block: 16 pixels.
         assert m["nb_ring_bd_ratio"] == pytest.approx(2.0, abs=1e-12)
         assert m["nb_ent_mean"] == pytest.approx(1.0, abs=1e-12)
@@ -411,8 +400,7 @@ class TestExtractMetrics:
 
     def test_full_image_component_has_empty_ring(self):
         sample = uniform_sample(3, 3, 4)
-        reg = MetricRegistry.standard(4)
-        m = self.block_row((0, 2, 0, 2, (3, 3)), sample, reg)
+        m = self.block_row((0, 2, 0, 2, (3, 3)), sample)
         for name in (
             "nb_ent_mean", "nb_maxprob_mean", "nb_hot_frac",
             "nb_ring_bd_ratio", "nb_margin_mean",
@@ -421,8 +409,7 @@ class TestExtractMetrics:
 
     def test_single_pixel_interior_fallback(self):
         sample = uniform_sample(5, 5, 4)
-        reg = MetricRegistry.standard(4)
-        m = self.block_row((2, 2, 2, 2, (5, 5)), sample, reg)
+        m = self.block_row((2, 2, 2, 2, (5, 5)), sample)
         assert m["size"] == 1.0
         assert m["size_in"] == 0.0
         assert m["size_bd"] == 1.0
@@ -433,10 +420,10 @@ class TestExtractMetrics:
 
     def test_translation_moves_only_centroid(self):
         sample = uniform_sample(12, 12, 3)
-        reg = MetricRegistry.standard(3)
-        ma = self.block_row((1, 3, 1, 3, (12, 12)), sample, reg)
-        mb = self.block_row((5, 7, 7, 9, (12, 12)), sample, reg)
-        for name in reg.names:
+        names = metric_names(3)
+        ma = self.block_row((1, 3, 1, 3, (12, 12)), sample)
+        mb = self.block_row((5, 7, 7, 9, (12, 12)), sample)
+        for name in names:
             if name in ("center_row", "center_col"):
                 continue
             assert ma[name] == pytest.approx(mb[name], abs=1e-12), name
@@ -448,33 +435,35 @@ class TestExtractMetrics:
         # Two separate rectangles in one image give, in id (raster) order,
         # the rows each gets as the only component of its own image.
         sample = uniform_sample(12, 12, 3)
-        reg = MetricRegistry.standard(3)
         blocks = [(1, 3, 1, 3, (12, 12)), (5, 7, 7, 9, (12, 12))]
         hot = (block_image(*blocks[0]).labels >= 0) | (block_image(*blocks[1]).labels >= 0)
         cfg = ThresholdConfig()
-        rows = extract_metrics(label_image(hot), sample, cfg, reg)
+        rows = extract_metrics(label_image(hot), sample, cfg)
         for row, block in zip(rows, blocks, strict=True):
-            one = extract_metrics(block_image(*block), sample, cfg, reg)[0]
+            one = extract_metrics(block_image(*block), sample, cfg)[0]
             assert np.array_equal(row, one)
 
     def test_image_without_components(self):
         sample = uniform_sample(4, 5, 3)
-        reg = MetricRegistry.standard(3)
         image = label_image(np.zeros((4, 5), dtype=bool))
-        rows = extract_metrics(image, sample, ThresholdConfig(), reg)
-        assert rows.shape == (0, reg.total)
+        rows = extract_metrics(image, sample, ThresholdConfig())
+        assert rows.shape == (0, len(metric_names(3)))
+
+    @pytest.mark.parametrize("c", [2, 5, 19])
+    def test_rows_as_wide_as_the_names(self, c):
+        sample = iid_sample(20, 24, c, 0.4, seed=c)
+        score = anomaly_score_map(sample.pmap).scores
+        cfg, width = ThresholdConfig(0.7), len(metric_names(c))
+        image = label_image(score >= cfg.t)
+        assert image.count > 0
+        assert extract_metrics(image, sample, cfg).shape == (image.count, width)
+        empty = label_image(np.zeros_like(score, dtype=bool))
+        assert extract_metrics(empty, sample, cfg).shape == (0, width)
 
     def test_image_shape_mismatch_rejected(self):
         sample = uniform_sample(4, 4, 3)
-        reg = MetricRegistry.standard(3)
         with pytest.raises(ValueError, match="label image is"):
-            self.block_row((0, 0, 0, 0, (4, 5)), sample, reg)
-
-    def test_registry_class_mismatch_rejected(self):
-        sample = uniform_sample(4, 4, 3)
-        reg = MetricRegistry.standard(4)
-        with pytest.raises(ValueError, match="registry"):
-            self.block_row((0, 0, 0, 0, (4, 4)), sample, reg)
+            self.block_row((0, 0, 0, 0, (4, 5)), sample)
 
     def test_nonuniform_field_statistics(self):
         # Two-pixel component with distinct scores: check mean/var by hand.
@@ -484,8 +473,7 @@ class TestExtractMetrics:
         arr[0, 1] = [0.6, 0.4]
         pmap = ProbabilityMap(arr)
         score = anomaly_score_map(pmap)
-        reg = MetricRegistry.standard(2)
-        m = self.block_row((0, 0, 0, 1, (1, 2)), sample_of(pmap), reg, ThresholdConfig(0.4))
+        m = self.block_row((0, 0, 0, 1, (1, 2)), sample_of(pmap), ThresholdConfig(0.4))
         s = score.scores[0]
         assert m["ent_mean"] == pytest.approx(s.mean(), abs=1e-12)
         assert m["ent_var"] == pytest.approx(s.var(), abs=1e-12)
@@ -501,28 +489,27 @@ class TestExtractMetrics:
         arr[0, 0] = [0.9, 0.1]
         arr[0, 1] = [0.6, 0.4]
         sample = sample_of(ProbabilityMap(arr))
-        reg = MetricRegistry.standard(2)
         with pytest.raises(ValueError, match=r"pixel \(0, 0\) scores 0.468996, below"):
-            self.block_row((0, 0, 0, 1, (1, 2)), sample, reg)
+            self.block_row((0, 0, 0, 1, (1, 2)), sample)
         with pytest.raises(ValueError, match="below the threshold 0.5"):
-            self.block_row((0, 0, 0, 0, (1, 2)), sample, reg, ThresholdConfig(0.5))
-        assert self.block_row((0, 0, 0, 1, (1, 2)), sample, reg, ThresholdConfig(0.46))
+            self.block_row((0, 0, 0, 0, (1, 2)), sample, ThresholdConfig(0.5))
+        assert self.block_row((0, 0, 0, 1, (1, 2)), sample, ThresholdConfig(0.46))
 
     @pytest.mark.parametrize("t", [0.5, 0.7])
     def test_sample_file_gives_the_same_bytes(self, tmp_path, monkeypatch, t):
         # A loaded sample, walked in blocks of the default size, and its
         # file, walked in blocks that split the image anywhere.
         save_samples(small_scene_set(count=3, seed=263), tmp_path)
-        cfg, reg = ThresholdConfig(t), MetricRegistry.standard(5)
+        cfg = ThresholdConfig(t)
         images, want = [], []
         for sample in load_samples(tmp_path):
             score = anomaly_score_map(sample.pmap).scores
             images.append(label_image(score >= t))
-            want.append(extract_metrics(images[-1], sample, cfg, reg))
+            want.append(extract_metrics(images[-1], sample, cfg))
         monkeypatch.setattr(raster, "_BLOCK_VALUES", 4099)
         files = list(iter_sample_files(tmp_path))
         for image, sample_file, rows in zip(images, files, want, strict=True):
-            got = extract_metrics(image, sample_file, cfg, reg)
+            got = extract_metrics(image, sample_file, cfg)
             assert got.tobytes() == rows.tobytes()
         assert sum(len(rows) for rows in want) > 3
 
@@ -531,24 +518,24 @@ class TestExtractMetrics:
         samples = SampleSet(list(small_scene_set(count=3, seed=269)) + [
             iid_sample(40, 50, 5, 0.3, seed=271, sample_id="iid")
         ])
-        cfg, reg = ThresholdConfig(0.7), MetricRegistry.standard(5)
-        ds = build_metrics_dataset(samples, cfg, reg, min_size=min_size)
+        cfg = ThresholdConfig(0.7)
+        ds = build_metrics_dataset(samples, cfg, min_size=min_size)
         rows = []
         for sample in samples:
             score = anomaly_score_map(sample.pmap).scores
             image = label_image(score >= cfg.t, min_size, sample.mask.is_ood())
-            rows.append(extract_metrics(image, sample, cfg, reg))
+            rows.append(extract_metrics(image, sample, cfg))
         assert len(ds) > 20
         assert np.concatenate(rows).tobytes() == ds.rows.tobytes()
 
 
 class TestMetricsDataset:
     def toy(self):
-        reg = MetricRegistry.custom(["m0", "m1", "m2"])
+        names = ["m0", "m1", "m2"]
         rows = np.arange(12, dtype=np.float64).reshape(4, 3)
         labels = np.array([True, False, True, False])
         groups = ("a", "a", "b", "c")
-        return MetricsDataset(rows, labels, groups, reg)
+        return MetricsDataset(rows, labels, groups, names)
 
     def test_subset_preserves_order(self):
         ds = self.toy()
@@ -566,26 +553,36 @@ class TestMetricsDataset:
     def test_select_metrics(self):
         ds = self.toy()
         sel = ds.select_metrics([2, 0])
-        assert sel.registry.names == ("m2", "m0")
+        assert sel.names == ("m2", "m0")
         np.testing.assert_array_equal(sel.rows, ds.rows[:, [2, 0]])
 
     def test_shape_validation(self):
-        reg = MetricRegistry.custom(["m0", "m1"])
+        names = ["m0", "m1"]
         with pytest.raises(ValueError, match="rows must be"):
-            MetricsDataset(np.zeros((2, 3)), [True, False], ("a", "b"), reg)
+            MetricsDataset(np.zeros((2, 3)), [True, False], ("a", "b"), names)
         with pytest.raises(ValueError, match="equal length"):
-            MetricsDataset(np.zeros((2, 2)), [True], ("a", "b"), reg)
+            MetricsDataset(np.zeros((2, 2)), [True], ("a", "b"), names)
 
     def test_non_finite_rejected(self):
-        reg = MetricRegistry.custom(["m0"])
+        names = ["m0"]
         with pytest.raises(ValueError, match="finite"):
-            MetricsDataset(np.array([[np.nan]]), [True], ("a",), reg)
+            MetricsDataset(np.array([[np.nan]]), [True], ("a",), names)
+
+    def test_names_kept_as_a_tuple(self):
+        ds = MetricsDataset(np.zeros((1, 2)), [True], ("a",), ["x", "y"])
+        assert ds.names == ("x", "y") and ds.num_metrics == 2
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            MetricsDataset(np.zeros((1, 2)), [True], ("a",), ["m", "m"])
+        with pytest.raises(ValueError, match="at least one metric"):
+            MetricsDataset(np.zeros((1, 0)), [True], ("a",), [])
 
 
 class TestCallerArraysStayWriteable:
     def test_metrics_dataset(self):
         rows, labels = np.zeros((2, 2)), np.array([True, False])
-        ds = MetricsDataset(rows, labels, ("a", "b"), MetricRegistry.custom(["x", "y"]))
+        ds = MetricsDataset(rows, labels, ("a", "b"), ["x", "y"])
         rows[0, 0] = 5.0
         labels[0] = False
         assert ds.rows[0, 0] == 0.0 and ds.labels[0]
@@ -601,9 +598,9 @@ class TestCallerArraysStayWriteable:
 
 class TestStandardize:
     def test_known_column(self):
-        reg = MetricRegistry.custom(["m0"])
+        names = ["m0"]
         ds = MetricsDataset(
-            np.array([[0.0], [2.0], [4.0]]), [0, 1, 0], ("a", "b", "c"), reg
+            np.array([[0.0], [2.0], [4.0]]), [0, 1, 0], ("a", "b", "c"), names
         )
         out, stats = standardize(ds)
         np.testing.assert_allclose(
@@ -613,35 +610,35 @@ class TestStandardize:
         assert stats.sigma[0] == pytest.approx(1.632993161855452, abs=1e-12)
 
     def test_zero_variance_column_unchanged(self):
-        reg = MetricRegistry.custom(["m0", "m1"])
+        names = ["m0", "m1"]
         rows = np.array([[5.0, 1.0], [5.0, 3.0]])
-        ds = MetricsDataset(rows, [0, 1], ("a", "b"), reg)
+        ds = MetricsDataset(rows, [0, 1], ("a", "b"), names)
         out, stats = standardize(ds)
         np.testing.assert_array_equal(out.rows[:, 0], [5.0, 5.0])
         assert stats.mean[0] == 0.0 and stats.sigma[0] == 1.0
 
     def test_standardized_moments(self):
         rng = np.random.default_rng(67)
-        reg = MetricRegistry.custom([f"m{i}" for i in range(4)])
+        names = [f"m{i}" for i in range(4)]
         ds = MetricsDataset(
             rng.normal(3.0, 2.5, size=(50, 4)),
             rng.random(50) < 0.5,
             tuple(f"g{i}" for i in range(50)),
-            reg,
+            names,
         )
         out, _ = standardize(ds)
         np.testing.assert_allclose(out.rows.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.rows.std(axis=0), 1.0, atol=1e-12)
 
     def test_stats_apply_to_held_out_rows(self):
-        reg = MetricRegistry.custom(["m0"])
-        ds = MetricsDataset(np.array([[0.0], [2.0]]), [0, 1], ("a", "b"), reg)
+        names = ["m0"]
+        ds = MetricsDataset(np.array([[0.0], [2.0]]), [0, 1], ("a", "b"), names)
         _, stats = standardize(ds)
         np.testing.assert_allclose(stats.apply(np.array([[4.0]])), [[3.0]])
 
     def test_too_few_rows_rejected(self):
-        reg = MetricRegistry.custom(["m0"])
-        ds = MetricsDataset(np.array([[1.0]]), [1], ("a",), reg)
+        names = ["m0"]
+        ds = MetricsDataset(np.array([[1.0]]), [1], ("a",), names)
         with pytest.raises(ValueError, match="2 rows"):
             standardize(ds)
 
@@ -665,8 +662,7 @@ def small_scene_set(count=4, seed=101):
 class TestBuildDataset:
     def test_rows_follow_sample_then_component_order(self):
         samples = small_scene_set()
-        reg = MetricRegistry.standard(5)
-        ds = build_metrics_dataset(samples, ThresholdConfig(0.7), reg)
+        ds = build_metrics_dataset(samples, ThresholdConfig(0.7))
         assert len(ds) > 0
         # group ids appear in sample order, contiguously
         seen = []
@@ -677,23 +673,25 @@ class TestBuildDataset:
 
     def test_deterministic_rebuild(self):
         samples = small_scene_set()
-        reg = MetricRegistry.standard(5)
-        a = build_metrics_dataset(samples, ThresholdConfig(0.7), reg)
-        b = build_metrics_dataset(samples, ThresholdConfig(0.7), reg)
+        a = build_metrics_dataset(samples, ThresholdConfig(0.7))
+        b = build_metrics_dataset(samples, ThresholdConfig(0.7))
         np.testing.assert_array_equal(a.rows, b.rows)
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.group_ids == b.group_ids
 
     def test_class_mismatch_rejected(self):
-        samples = small_scene_set()
-        reg = MetricRegistry.standard(7)
-        with pytest.raises(ValueError, match="registry expects"):
-            build_metrics_dataset(samples, ThresholdConfig(0.7), reg)
+        # The first sample sets C; a later one with another C is refused
+        # before its first block is read.
+        mixed = SampleSet([
+            iid_sample(12, 16, 5, 0.3, seed=277, sample_id="c5"),
+            iid_sample(12, 16, 7, 0.3, seed=281, sample_id="c7"),
+        ])
+        with pytest.raises(ValueError, match="sample 'c7' has C=7, the first sample has C=5"):
+            build_metrics_dataset(mixed, ThresholdConfig(0.7))
 
     def test_high_threshold_gives_empty_dataset(self):
         samples = small_scene_set()
-        reg = MetricRegistry.standard(5)
-        ds = build_metrics_dataset(samples, ThresholdConfig(1.0), reg)
+        ds = build_metrics_dataset(samples, ThresholdConfig(1.0))
         assert len(ds) == 0
         assert ds.rows.shape == (0, 75 - 2 * (19 - 5))
 
@@ -718,13 +716,12 @@ class TestStreamedBuild:
     def test_holds_one_map_at_a_time(self, tmp_path, monkeypatch):
         save_samples(small_scene_set(), tmp_path)
         cfg = ThresholdConfig(0.7)
-        want = build_metrics_dataset(load_samples(tmp_path), cfg,
-                                     MetricRegistry.standard(5))
+        want = build_metrics_dataset(load_samples(tmp_path), cfg)
         refs, alive = self.watch_loads(monkeypatch)
         got = build_metrics_dataset(iter_samples(tmp_path), cfg)
         assert alive == [0, 0, 0, 0]
         assert all(ref() is None for ref in refs)
-        assert len(got) > 0 and got.registry == want.registry
+        assert len(got) > 0 and got.names == want.names
         assert got.rows.tobytes() == want.rows.tobytes()
         assert np.array_equal(got.labels, want.labels)
         assert got.group_ids == want.group_ids
@@ -741,7 +738,7 @@ class TestStreamedBuild:
         want = build_metrics_dataset(load_samples(tmp_path), cfg, min_size=min_size)
         monkeypatch.setattr(raster, "_BLOCK_VALUES", 4099)
         got = build_metrics_dataset(iter_sample_files(tmp_path), cfg, min_size=min_size)
-        assert len(got) > 100 and got.registry == want.registry
+        assert len(got) > 100 and got.names == want.names
         assert got.rows.tobytes() == want.rows.tobytes()
         assert np.array_equal(got.labels, want.labels)
         assert got.group_ids == want.group_ids
@@ -749,9 +746,6 @@ class TestStreamedBuild:
     def test_empty_stream_needs_a_registry(self):
         with pytest.raises(ValueError, match="no samples"):
             build_metrics_dataset(iter(()), ThresholdConfig(0.7))
-        ds = build_metrics_dataset(iter(()), ThresholdConfig(0.7),
-                                   MetricRegistry.standard(5))
-        assert ds.rows.shape == (0, 47)
 
 
 def reference_save(dataset, path):
@@ -759,7 +753,7 @@ def reference_save(dataset, path):
     `f"{x:.9g}"`, every record through `csv.writer`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(dataset.registry.names) + ["label", "group_id"])
+        writer.writerow(list(dataset.names) + ["label", "group_id"])
         for row, label, group in zip(dataset.rows, dataset.labels, dataset.group_ids):
             writer.writerow([f"{v:.9g}" for v in row] + [str(int(label)), group])
 
@@ -823,7 +817,7 @@ def csv_datasets(draw):
         rows=np.array(rows, dtype=np.float64).reshape(count, n),
         labels=draw(st.lists(st.booleans(), min_size=count, max_size=count)),
         group_ids=draw(st.lists(csv_group_ids, min_size=count, max_size=count)),
-        registry=MetricRegistry.custom([f"m{i}" for i in range(n)]),
+        names=[f"m{i}" for i in range(n)],
     )
 
 
@@ -850,7 +844,7 @@ class TestCsvMatchesReference:
 
     def test_carriage_return_in_group_id_is_quoted(self, tmp_path):
         ds = MetricsDataset(np.zeros((3, 1)), [0, 1, 0], ("a\rb", "c\r", "d"),
-                            MetricRegistry.custom(["m0"]))
+                            ["m0"])
         path = tmp_path / "cr.csv"
         save_metrics_csv(ds, path)
         assert path.read_bytes() == b'm0,label,group_id\n0,0,"a\rb"\n0,1,"c\r"\n0,0,d\n'
@@ -858,8 +852,7 @@ class TestCsvMatchesReference:
 
     def test_standard_registry_scenes(self, tmp_path):
         samples = small_scene_set()
-        ds = build_metrics_dataset(samples, ThresholdConfig(0.7),
-                                   MetricRegistry.standard(5))
+        ds = build_metrics_dataset(samples, ThresholdConfig(0.7))
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         save_metrics_csv(ds, got)
         reference_save(ds, want)
@@ -874,31 +867,29 @@ class TestCsvMatchesReference:
 class TestMetricsCsv:
     def test_round_trip_standard_registry(self, tmp_path):
         samples = small_scene_set()
-        reg = MetricRegistry.standard(5)
-        ds = build_metrics_dataset(samples, ThresholdConfig(0.7), reg)
+        names = metric_names(5)
+        ds = build_metrics_dataset(samples, ThresholdConfig(0.7))
         path = tmp_path / "mu.csv"
         save_metrics_csv(ds, path)
         back = load_metrics_csv(path)
-        assert back.registry.num_classes == 5
-        assert back.registry.names == reg.names
+        assert back.names == names
         np.testing.assert_allclose(back.rows, ds.rows, rtol=1e-8, atol=1e-12)
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.group_ids == ds.group_ids
 
     def test_column_count_matches_names_plus_two(self, tmp_path):
         samples = small_scene_set()
-        reg = MetricRegistry.standard(5)
-        ds = build_metrics_dataset(samples, ThresholdConfig(0.7), reg)
+        names = metric_names(5)
+        ds = build_metrics_dataset(samples, ThresholdConfig(0.7))
         path = tmp_path / "mu.csv"
         save_metrics_csv(ds, path)
         header = path.read_text().splitlines()[0].split(",")
-        assert len(header) == reg.total + 2
+        assert len(header) == len(names) + 2
         assert header[-2:] == ["label", "group_id"]
 
     def test_save_is_deterministic_and_stable(self, tmp_path):
         samples = small_scene_set()
-        reg = MetricRegistry.standard(5)
-        ds = build_metrics_dataset(samples, ThresholdConfig(0.7), reg)
+        ds = build_metrics_dataset(samples, ThresholdConfig(0.7))
         p1, p2, p3 = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
         save_metrics_csv(ds, p1)
         save_metrics_csv(ds, p2)
@@ -909,15 +900,14 @@ class TestMetricsCsv:
         assert p1.read_bytes() == p3.read_bytes()
 
     def test_custom_registry_detected(self, tmp_path):
-        reg = MetricRegistry.custom(["alpha", "beta"])
+        names = ["alpha", "beta"]
         ds = MetricsDataset(
-            np.array([[1.5, -2.25], [0.0, 3.125]]), [1, 0], ("g1", "g2"), reg
+            np.array([[1.5, -2.25], [0.0, 3.125]]), [1, 0], ("g1", "g2"), names
         )
         path = tmp_path / "toy.csv"
         save_metrics_csv(ds, path)
         back = load_metrics_csv(path)
-        assert back.registry.num_classes == 0
-        assert back.registry.names == ("alpha", "beta")
+        assert back.names == ("alpha", "beta")
         np.testing.assert_array_equal(back.rows, ds.rows)
 
     def test_malformed_files_rejected(self, tmp_path):

@@ -21,7 +21,7 @@ from pixel_sets import pixel_sets
 
 from metaseg import features, metaclf, scoring, segments, synth
 from metaseg.features import (
-    MetricRegistry, MetricsDataset, StandardizationStats, build_metrics_dataset,
+    MetricsDataset, StandardizationStats, build_metrics_dataset,
 )
 from metaseg.metaclf import (
     HIDDEN_DIMS,
@@ -46,9 +46,9 @@ from metaseg.segments import ThresholdConfig, label_image
 
 def toy_dataset(rows, labels):
     rows = np.asarray(rows, dtype=np.float64)
-    reg = MetricRegistry.custom([f"m{i}" for i in range(rows.shape[1])])
+    names = [f"m{i}" for i in range(rows.shape[1])]
     groups = tuple(f"g{i}" for i in range(rows.shape[0]))
-    return MetricsDataset(rows, np.asarray(labels, dtype=bool), groups, reg)
+    return MetricsDataset(rows, np.asarray(labels, dtype=bool), groups, names)
 
 
 def logistic(weights, bias):
@@ -370,8 +370,7 @@ class TestTraining:
             train(ds, TrainConfig(epochs=1, seed=0), hidden_dims=())
 
     def test_empty_dataset_rejected(self):
-        reg = MetricRegistry.custom(["m0"])
-        ds = MetricsDataset(np.zeros((0, 1)), np.zeros(0, dtype=bool), (), reg)
+        ds = MetricsDataset(np.zeros((0, 1)), np.zeros(0, dtype=bool), (), ["m0"])
         with pytest.raises(ValueError, match="empty"):
             train(ds, TrainConfig(epochs=1), hidden_dims=())
 
@@ -602,12 +601,10 @@ class TestRemoveFalsePositives:
         blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
         snippet, = [b for b in blocks if "remove_false_positives(" in b]
         samples = synth.generate(synth.SceneSpec(dims=(32, 32), num_classes=4, seed=3), 4)
-        registry = MetricRegistry.standard(4)
-        dataset = build_metrics_dataset(samples, ThresholdConfig(0.7), registry)
+        dataset = build_metrics_dataset(samples, ThresholdConfig(0.7))
         model, _ = train(dataset, TrainConfig(epochs=5, seed=0), hidden_dims=())
         env = {"features": features, "metaclf": metaclf, "scoring": scoring,
-               "segments": segments, "samples": samples, "registry": registry,
-               "model": model}
+               "segments": segments, "samples": samples, "model": model}
         exec(snippet, env)
         score, image, cleaned, kept = (env[k] for k in ("score", "image", "cleaned", "kept"))
         flagged = model.predict_raw_batch(env["rows"]) >= 0.5
@@ -685,7 +682,7 @@ class TestModelFiles:
 
     def test_metric_names_round_trip(self, tmp_path):
         meta, ds = self.trained("logistic")
-        assert meta.feature_names == ds.registry.names
+        assert meta.feature_names == ds.names
         names = ("a,b", 'q"uote, tab\tand\rcr, \u00e9t\u00e9')
         meta = dataclasses.replace(meta, feature_names=names)
         p1, p2 = tmp_path / "m1.bin", tmp_path / "m2.bin"
@@ -697,7 +694,7 @@ class TestModelFiles:
 
     def test_single_empty_metric_name_round_trips(self, tmp_path):
         ds = toy_dataset([[0.0], [1.0], [2.0]], [0, 1, 1])
-        ds = MetricsDataset(ds.rows, ds.labels, ds.group_ids, MetricRegistry.custom([""]))
+        ds = MetricsDataset(ds.rows, ds.labels, ds.group_ids, [""])
         meta, _ = train(ds, TrainConfig(epochs=1, seed=0), hidden_dims=())
         save_model(meta, tmp_path / "m.bin")
         assert load_model(tmp_path / "m.bin").feature_names == ("",)
@@ -731,12 +728,12 @@ class TestModelFiles:
         path.write_bytes(data[:start] + data[data.index(b"\n", start + 1):])
         back = load_model(path)
         assert back.feature_names is None
-        back.check_metrics(ds.registry.names[::-1])
+        back.check_metrics(ds.names[::-1])
 
     def test_check_metrics_refuses_other_names(self):
         meta, ds = self.trained("logistic")
-        meta.check_metrics(ds.registry.names)
-        names = ds.registry.names[::-1]
+        meta.check_metrics(ds.names)
+        names = ds.names[::-1]
         with pytest.raises(ValueError, match="dataset metric 0 is 'm1', model was "
                                              "trained on 'm0'"):
             meta.check_metrics(names)

@@ -75,7 +75,7 @@ def component_sizes(sample, t):
     """The `size` column of the metric rows `build_metrics_dataset`
     extracts from `sample` at threshold `t`."""
     ds = build_metrics_dataset(SampleSet([sample]), ThresholdConfig(t))
-    return ds.rows[:, ds.registry.names.index("size")].tolist()
+    return ds.rows[:, ds.names.index("size")].tolist()
 
 
 class TestThreshold:
