@@ -9,15 +9,19 @@ declared seed, and all outputs are written atomically.
 
 Exit codes: 0 success, 1 usage error, 2 data error.  The environment
 variable METASEG_THREADS caps the workers a step runs at once: the
-threads of `score` and the worker processes of `loo` and `incremental`;
-1 keeps every step in one process.
+threads of `score`, `segments` and `metrics` (`raster.thread_map`) and
+the worker processes of `loo` and `incremental`; 1 keeps every step in
+one thread.  `score` gives every map to a thread; `segments` and
+`metrics` only maps of at least `raster._THREAD_MIN_VALUES` values, and
+work on smaller ones in the main thread.  Outputs and errors do not
+depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -197,8 +201,8 @@ def _cmd_score(cfg: RunConfig) -> None:
         smap = scoring.anomaly_score_file(path)
         raster.save_score_map(smap, out_dir / f"{path.stem}.score.rast")
 
-    with ThreadPoolExecutor(max_workers=raster.worker_count()) as pool:
-        list(pool.map(work, paths))
+    for _ in raster.thread_map(work, paths):
+        pass
     print(f"wrote {len(paths)} score maps to {out_dir}")
 
 
@@ -213,7 +217,7 @@ def _sample_files(cfg: RunConfig):
 def _cmd_segments(cfg: RunConfig) -> None:
     t = cfg.options["t"]
 
-    # One sample per call; `map` keeps no sample alive while the next loads.
+    # One sample per call, so that no sample outlives its work.
     def sample_lines(sample: raster.SampleFile) -> list:
         smap = scoring.anomaly_score_file(sample.path)
         image = segments.label_image(
@@ -231,7 +235,10 @@ def _cmd_segments(cfg: RunConfig) -> None:
         "group_id", "component_id", "size", "size_interior", "size_boundary",
         "bbox_rmin", "bbox_rmax", "bbox_cmin", "bbox_cmax", "is_false_positive",
     ]])
-    lines = [line for part in map(sample_lines, _sample_files(cfg)) for line in part]
+    parts = raster.thread_map(
+        sample_lines, _sample_files(cfg), values=lambda s: math.prod(s.dims)
+    )
+    lines = [line for part in parts for line in part]
     raster.atomic_write_text(cfg.options["out_csv"], header + "".join(lines))
     print(f"wrote {len(lines)} components to {cfg.options['out_csv']}")
 

@@ -42,18 +42,26 @@ of the image are computed at once: pixel values are gathered in
 reduced together as one block, which reproduces `ndarray.mean`/`var` of
 each component bit for bit.  Python loops only over the distinct
 component sizes.
+
+`build_metrics_dataset` works the samples whose maps hold at least
+`raster._THREAD_MIN_VALUES` values on `raster.thread_map`'s threads, up
+to `raster.worker_count()` at once, and smaller ones one at a time in the
+calling thread.  A sample's rows do not depend on the thread that
+computes them, and they come out in sample order.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .raster import _frozen, atomic_write_text, csv_field, csv_text
+from .raster import _frozen, atomic_write_text, csv_field, csv_text, thread_map
 from .scoring import _normalized_entropy, _top_two
 from .segments import LabelImage, ThresholdConfig, label_image
 
@@ -416,30 +424,40 @@ def build_metrics_dataset(
     probabilities of the pixels at or above the threshold are kept; a
     file is read and checked as it is walked, so no H x W x C array is
     ever built for it, and nothing computed from it counts until its last
-    block has passed the check.  Columns follow `metric_names` of the
-    first sample's class count; a later sample with another class count is
-    refused.  Rows follow the sample order, then component id within a
-    sample.
+    block has passed the check.  Samples whose maps hold at least
+    `raster._THREAD_MIN_VALUES` values are worked on `raster.thread_map`'s
+    threads, up to `worker_count()` at once; smaller ones in this thread,
+    one at a time.  Columns follow `metric_names` of the first sample's
+    class count, read from its `dims` before any work starts; a later
+    sample with another class count is refused.  Rows follow the sample
+    order, then component id within a sample, and do not depend on the
+    thread that computed them.
     """
+    samples = iter(samples)
+    head = list(itertools.islice(samples, 1))
+    if not head:
+        raise ValueError("no samples to take the class count from")
+    num_classes = head[0].dims[2]
 
-    num_classes = None
+    # The first sample, then the rest, keeping none once it is drawn, so
+    # that no sample outlives its work.
+    def drawn():
+        yield head.pop()
+        yield from samples
 
-    # The work on one sample happens in this function so that none of
-    # its locals outlives the sample, and `map` (unlike a for loop) holds
-    # no reference to it while the next one is drawn.
     def sample_rows(sample):
-        nonlocal num_classes
         fields, hot_pixels, probs = _sample_fields(sample, num_classes, cfg.t)
-        num_classes = probs.shape[0]
         image = label_image(fields["ent"] >= cfg.t, min_size, sample.mask.is_ood())
         if not image.count:
             return None
         rows = _component_rows(image, fields, hot_pixels, probs)
         return rows, image.is_false_positive, (sample.id,) * image.count
 
-    parts = [part for part in map(sample_rows, samples) if part is not None]
-    if num_classes is None:
-        raise ValueError("no samples to take the class count from")
+    parts = [
+        part
+        for part in thread_map(sample_rows, drawn(), values=lambda s: math.prod(s.dims))
+        if part is not None
+    ]
     rows, labels, groups = zip(*parts) if parts else ((), (), ())
     return MetricsDataset(
         rows=np.concatenate(rows) if rows else (),
@@ -505,9 +523,10 @@ def _raise_first_bad_record(path, n: int) -> None:
 def load_metrics_csv(path) -> MetricsDataset:
     """Read a dataset written by `save_metrics_csv`.
 
-    The metric names are the header's, as they are.  The body is parsed
-    in one `np.loadtxt` pass; a file it rejects is re-read record by
-    record only to name the faulty line.
+    The metric names are the header's, as they are, and are checked
+    before the body is read.  The body is parsed in one `np.loadtxt`
+    pass; a file it rejects is re-read record by record only to name the
+    faulty line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -517,6 +536,8 @@ def load_metrics_csv(path) -> MetricsDataset:
         if len(header) < 3 or header[-2:] != ["label", "group_id"]:
             raise ValueError(f"{path}: expected trailing label,group_id columns")
         names = header[:-2]
+        if len(set(names)) != len(names):
+            raise ValueError(f"{path}: metric names must be unique")
         n = len(names)
         body = np.dtype([("x", np.float64, (n,)), ("label", object), ("group", object)])
         try:

@@ -11,10 +11,10 @@ Per-pixel probabilities come from a two-point mixture: weight w on the
 uniform distribution, the rest split alpha / (1 - alpha) between two
 chosen classes.  Given alpha, w is solved by bisection so the pixel hits
 an exact target normalized entropy; alpha then steers the probability
-margin independently of the entropy.  A scene holds at most three
-(target, alpha) pairs, background and anomaly at a high or a low
-margin, so w is solved once per pair the scene uses and gathered per
-pixel.
+margin independently of the entropy.  The scenes of one `generate` call
+hold at most three (target, alpha) pairs, background and anomaly at a
+high or a low margin, so w is solved once per pair, when a scene first
+uses it, and gathered per pixel.
 
 With `nonlinear_coupling` enabled, every blob draws two latent bits, one
 picking the small or large half of the size range and one picking a high
@@ -249,16 +249,21 @@ def _layout(spec: SceneSpec, index: int):
     return peak, second, kind, labels
 
 
-def _generate_one(spec: SceneSpec, index: int) -> Sample:
+def _generate_one(spec: SceneSpec, index: int, pair_weight: np.ndarray) -> Sample:
+    """Scene `index`.  `pair_weight` holds the mixture weight of each pair
+    of `_pair_table` solved so far, NaN for the others; the pairs this
+    scene is the first to use are solved and stored in it."""
     h, w = spec.dims
     c = spec.num_classes
     peak, second, kind, labels = _layout(spec, index)
     target, alpha = _pair_table(spec)
-    # Solve only the pairs the scene uses: the low-margin pair may lie
-    # below its floor, which is an error only where a blob uses it.
-    used = np.bincount(kind.ravel(), minlength=alpha.size) > 0
-    pair_weight = np.zeros_like(alpha)
-    pair_weight[used] = solve_mix_weight(target[used], alpha[used], c)
+    # Solve only the pairs a scene uses: the low-margin pair may lie below
+    # its floor, which is an error only where a blob uses it.  The
+    # bisection works entry by entry, so a weight has the same bits
+    # whichever pairs it is solved with.
+    new = (np.bincount(kind.ravel(), minlength=alpha.size) > 0) & np.isnan(pair_weight)
+    if new.any():
+        pair_weight[new] = solve_mix_weight(target[new], alpha[new], c)
     weight = pair_weight[kind]
     alpha = alpha[kind]
     values = np.repeat((weight / c)[:, :, None], c, axis=2)
@@ -277,4 +282,5 @@ def generate(spec: SceneSpec, count: int) -> SampleSet:
     spec.seed + i, so the set is reproducible and order-stable."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return SampleSet(tuple(_generate_one(spec, i) for i in range(count)))
+    pair_weight = np.full(len(_pair_table(spec)[0]), np.nan)
+    return SampleSet(tuple(_generate_one(spec, i, pair_weight) for i in range(count)))

@@ -14,6 +14,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -234,6 +235,17 @@ class TestDataErrors:
     def test_metrics_csv_with_a_repeated_name(self, tmp_path, capsys):
         mu = tmp_path / "dup.csv"
         mu.write_text("m0,m0,label,group_id\n1.0,2.0,0,g\n")
+        out = tmp_path / "order.csv"
+        assert cli.run(["lars", "--mu", str(mu), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"metaseg: error: {mu}: metric names must be unique\n"
+        assert not out.exists()
+
+    def test_repeated_name_is_reported_before_a_body_fault(self, tmp_path, capsys):
+        # The header is checked before the body is parsed, so the bad
+        # label on line 3 does not hide the repeated name.
+        mu = tmp_path / "dupbad.csv"
+        mu.write_text("m0,m0,label,group_id\n1.0,2.0,0,g\n1.0,2.0,7,g\n")
         out = tmp_path / "order.csv"
         assert cli.run(["lars", "--mu", str(mu), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -555,6 +567,64 @@ class TestStreamedSamples:
         if text is not None:
             assert err == f"metaseg: error: {text}\n"
         assert list(out.parent.iterdir()) == []
+
+
+class TestSampleThreads:
+    """`score`, `segments` and `metrics` work their maps on METASEG_THREADS
+    threads (`raster.thread_map`); with the cut-off at 0 every map goes to
+    a thread, however small."""
+
+    @pytest.fixture(autouse=True)
+    def every_map_threaded(self, monkeypatch):
+        monkeypatch.setattr(raster, "_THREAD_MIN_VALUES", 0)
+
+    def test_outputs_identical_at_every_worker_count(self, tmp_path, monkeypatch):
+        scenes = tmp_path / "scenes"
+        # SYNTH_FLAGS with 7 scenes instead of 4.
+        synth = ["synth", "--out", str(scenes), "--count", "7"] + SYNTH_FLAGS[2:]
+        assert cli.run(synth) == 0
+        threads_before = threading.active_count()
+        outputs = {}
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("METASEG_THREADS", threads)
+            out = tmp_path / threads
+            for step, dest in (("score", "scored"), ("segments", "segments.csv"),
+                               ("metrics", "mu.csv")):
+                assert cli.run([step, "--in", str(scenes), "--out", str(out / dest)]) == 0
+            assert threading.active_count() == threads_before
+            outputs[threads] = {
+                p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()
+            }
+        assert len(outputs["1"]) == 7 + 2
+        assert outputs["1"] == outputs["2"] == outputs["4"]
+
+    @pytest.mark.parametrize("command", ["score", "segments", "metrics"])
+    def test_first_failing_map_is_reported(self, command, scene_dir, tmp_path,
+                                           monkeypatch, capsys):
+        # Three maps: the second has a NaN in its last block, the third no
+        # mask, which `segments` and `metrics` find on drawing it, while the
+        # second may still be in work.
+        monkeypatch.setattr(raster, "_BLOCK_VALUES", 64)
+        d = tmp_path / "scenes"
+        d.mkdir()
+        for i, name in enumerate("abc"):
+            for ext in (".rast", ".pgm"):
+                shutil.copy(scene_dir / f"scene_{i:04d}{ext}", d / f"{name}{ext}")
+        with open(d / "b.rast", "r+b") as fh:
+            fh.seek(-4, os.SEEK_END)
+            fh.write(struct.pack("<f", float("nan")))
+        (d / "c.pgm").unlink()
+        h, w, c = raster.load_probability_map(d / "a.rast").values.shape
+        out = tmp_path / "out" / "result"
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("METASEG_THREADS", threads)
+            assert cli.run([command, "--in", str(d), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == (f"metaseg: error: {d / 'b.rast'}: non-finite value at "
+                           f"({h - 1}, {w - 1}, {c - 1})\n")
+            if command != "score":
+                assert not out.exists()
 
 
 class TestTrainEval:

@@ -689,6 +689,19 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="sample 'c7' has C=7, the first sample has C=5"):
             build_metrics_dataset(mixed, ThresholdConfig(0.7))
 
+    def test_class_mismatch_rejected_on_threads(self, monkeypatch):
+        # The class count is the first sample's before any sample goes to
+        # a thread, so no timing lets the C=7 sample through.
+        monkeypatch.setattr(raster, "_THREAD_MIN_VALUES", 0)
+        monkeypatch.setenv("METASEG_THREADS", "2")
+        mixed = SampleSet([
+            iid_sample(12, 16, 5, 0.3, seed=277, sample_id="c5"),
+            iid_sample(12, 16, 7, 0.3, seed=281, sample_id="c7"),
+        ])
+        for _ in range(20):
+            with pytest.raises(ValueError, match="sample 'c7' has C=7, the first sample has C=5"):
+                build_metrics_dataset(mixed, ThresholdConfig(0.7))
+
     def test_high_threshold_gives_empty_dataset(self):
         samples = small_scene_set()
         ds = build_metrics_dataset(samples, ThresholdConfig(1.0))
@@ -720,6 +733,23 @@ class TestStreamedBuild:
         refs, alive = self.watch_loads(monkeypatch)
         got = build_metrics_dataset(iter_samples(tmp_path), cfg)
         assert alive == [0, 0, 0, 0]
+        assert all(ref() is None for ref in refs)
+        assert len(got) > 0 and got.names == want.names
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+        assert got.group_ids == want.group_ids
+
+    def test_holds_one_map_per_thread(self, tmp_path, monkeypatch):
+        # With every map on a thread, a map is loaded while at most one
+        # per other worker is still in work or waiting.
+        monkeypatch.setattr(raster, "_THREAD_MIN_VALUES", 0)
+        monkeypatch.setenv("METASEG_THREADS", "2")
+        save_samples(small_scene_set(), tmp_path)
+        cfg = ThresholdConfig(0.7)
+        want = build_metrics_dataset(load_samples(tmp_path), cfg)
+        refs, alive = self.watch_loads(monkeypatch)
+        got = build_metrics_dataset(iter_samples(tmp_path), cfg)
+        assert len(alive) == 4 and max(alive) <= raster.worker_count() - 1
         assert all(ref() is None for ref in refs)
         assert len(got) > 0 and got.names == want.names
         assert got.rows.tobytes() == want.rows.tobytes()

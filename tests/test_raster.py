@@ -1,6 +1,8 @@
 """Tests for raster containers and the RAST/PGM file formats."""
 
 import struct
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -729,6 +731,79 @@ class TestSampleDirectories:
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_samples(tmp_path / "nope")
+
+
+class TestThreadMap:
+    """`thread_map`: ordered, bounded and erring as `map` does."""
+
+    @pytest.fixture(params=["1", "2", "4"])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setenv("METASEG_THREADS", request.param)
+        return int(request.param)
+
+    def test_results_in_item_order(self, workers):
+        # Later items finish first on a pool.
+        def slow_square(i):
+            time.sleep(0.002 * (7 - i))
+            return i * i
+
+        assert list(raster.thread_map(slow_square, range(8))) == [i * i for i in range(8)]
+
+    def test_draws_at_most_the_worker_count_ahead(self, workers):
+        drawn = []
+
+        def items():
+            for i in range(10):
+                drawn.append(i)
+                yield i
+
+        for i, got in enumerate(raster.thread_map(lambda x: x, items())):
+            assert got == i and len(drawn) <= i + workers
+
+    def test_small_items_run_in_the_calling_thread(self, workers):
+        # The cut-off compares `values(item)`; the 2^21-value map threads
+        # when there are workers, the others never.
+        sizes = [10, raster._THREAD_MIN_VALUES, raster._THREAD_MIN_VALUES - 1]
+        caller = threading.get_ident()
+        on_caller = list(raster.thread_map(
+            lambda n: threading.get_ident() == caller, sizes, values=lambda n: n,
+        ))
+        assert on_caller == [True, workers == 1, True]
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_first_failing_item_wins(self, workers, threaded, monkeypatch):
+        if threaded:
+            monkeypatch.setattr(raster, "_THREAD_MIN_VALUES", 0)
+
+        def fail_on_odd(i):
+            time.sleep(0.002 * (5 - i))
+            if i % 2:
+                raise ValueError(f"item {i}")
+            return i
+
+        got = []
+        with pytest.raises(ValueError, match="^item 1$"):
+            for r in raster.thread_map(fail_on_odd, range(6), values=lambda i: 1):
+                got.append(r)
+        assert got == [0]
+
+    def test_draw_error_waits_for_the_items_before_it(self, workers):
+        def items():
+            yield from (0, 1, 2)
+            raise ValueError("cannot draw item 3")
+
+        got = []
+        with pytest.raises(ValueError, match="cannot draw item 3"):
+            for r in raster.thread_map(lambda i: i, items()):
+                got.append(r)
+        assert got == [0, 1, 2]
+
+    def test_threads_are_joined_when_the_consumer_stops(self, workers):
+        before = threading.active_count()
+        results = raster.thread_map(lambda i: time.sleep(0.01) or i, range(20))
+        assert next(results) == 0
+        results.close()
+        assert threading.active_count() == before
 
 
 class TestAtomicWrites:
