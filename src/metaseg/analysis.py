@@ -548,6 +548,12 @@ def save_report_csv(report: EvalReport, path) -> None:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
+def _xml_text(text) -> str:
+    """`text` as XML character data: `&`, `<` and `>` escaped, as
+    `xml.sax.saxutils.escape` does, whose import pulls in `urllib.request`."""
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def svg_line_plot(
     series,
     path,
@@ -562,7 +568,8 @@ def svg_line_plot(
     """Standalone SVG line plot; `series` is a list of (name, xs, ys).
 
     Coordinates are emitted with 6 decimals, so identical inputs give
-    identical files.
+    identical files.  `&`, `<` and `>` in the title, the axis labels and
+    the series names are escaped.
     """
     if not series:
         raise ValueError("need at least one series")
@@ -594,7 +601,7 @@ def svg_line_plot(
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.6f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'font-family="sans-serif" font-size="16">{_xml_text(title)}</text>',
     ]
     axis = (
         f'<polyline fill="none" stroke="black" stroke-width="1" points='
@@ -625,12 +632,12 @@ def svg_line_plot(
         )
     out.append(
         f'<text x="{width / 2:.6f}" y="{height - 12:.6f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>'
+        f'font-family="sans-serif" font-size="13">{_xml_text(x_label)}</text>'
     )
     out.append(
         f'<text x="16" y="{height / 2:.6f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {height / 2:.6f})">{y_label}</text>'
+        f'transform="rotate(-90 16 {height / 2:.6f})">{_xml_text(y_label)}</text>'
     )
     for si, (name, xs, ys) in enumerate(series):
         xs = np.asarray(xs, dtype=np.float64)
@@ -651,7 +658,7 @@ def svg_line_plot(
         )
         out.append(
             f'<text x="{width - margin - 120:.6f}" y="{ly:.6f}" '
-            f'font-family="sans-serif" font-size="12">{name}</text>'
+            f'font-family="sans-serif" font-size="12">{_xml_text(name)}</text>'
         )
     out.append("</svg>")
     atomic_write_text(path, "\n".join(out) + "\n")

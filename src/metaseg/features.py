@@ -61,7 +61,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .raster import _frozen, atomic_write_text, csv_field, csv_text, thread_map
+from .raster import (
+    _distinct_ids, _frozen, atomic_write_text, csv_field, csv_text, thread_map,
+)
 from .scoring import _normalized_entropy, _top_two
 from .segments import LabelImage, ThresholdConfig, label_image
 
@@ -429,7 +431,9 @@ def build_metrics_dataset(
     threads, up to `worker_count()` at once; smaller ones in this thread,
     one at a time.  Columns follow `metric_names` of the first sample's
     class count, read from its `dims` before any work starts; a later
-    sample with another class count is refused.  Rows follow the sample
+    sample with another class count is refused, and so is a repeated
+    sample id, which would merge two samples into one group of
+    `group_ids` (one leave-one-out fold).  Rows follow the sample
     order, then component id within a sample, and do not depend on the
     thread that computed them.
     """
@@ -455,7 +459,9 @@ def build_metrics_dataset(
 
     parts = [
         part
-        for part in thread_map(sample_rows, drawn(), values=lambda s: math.prod(s.dims))
+        for part in thread_map(
+            sample_rows, _distinct_ids(drawn()), values=lambda s: math.prod(s.dims),
+        )
         if part is not None
     ]
     rows, labels, groups = zip(*parts) if parts else ((), (), ())

@@ -351,10 +351,7 @@ class SampleSet:
     samples: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
-        ids = [s.id for s in self.samples]
-        if len(set(ids)) != len(ids):
-            raise ValueError("sample identifiers must be unique")
+        object.__setattr__(self, "samples", tuple(_distinct_ids(self.samples)))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -737,12 +734,35 @@ def save_mask(mask: LabelMask, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def save_samples(samples: SampleSet, out_dir) -> None:
+def _distinct_ids(samples):
+    """`samples`, drawn one at a time as they are asked for, refusing
+    with `ValueError` a sample whose id an earlier one has.  Nothing
+    drawn is kept but its id."""
+    seen = set()
+
+    def checked(sample):
+        if sample.id in seen:
+            raise ValueError(f"sample ids must be unique: {sample.id!r} is repeated")
+        seen.add(sample.id)
+        return sample
+
+    return map(checked, samples)
+
+
+def save_samples(samples, out_dir) -> None:
+    """Write `samples`, any iterable of `Sample`s such as a `SampleSet`
+    or the scenes of `synth.generate`, as `<id>.rast` + `<id>.pgm` pairs
+    under `out_dir`, in order.  Each sample is dropped before the next is
+    drawn, so samples built as they are drawn are held one at a time.  A
+    repeated id is refused before its files are written; the files
+    written before an error stay."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for s in samples:
+    for s in _distinct_ids(samples):
         save_probability_map(s.pmap, out / f"{s.id}.rast")
         save_mask(s.mask, out / f"{s.id}.pgm")
+        # The loop would rebind `s` only after drawing the next sample.
+        del s
 
 
 def _probability_dims(path) -> tuple:

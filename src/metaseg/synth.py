@@ -14,7 +14,9 @@ an exact target normalized entropy; alpha then steers the probability
 margin independently of the entropy.  The scenes of one `generate` call
 hold at most three (target, alpha) pairs, background and anomaly at a
 high or a low margin, so w is solved once per pair, when a scene first
-uses it, and gathered per pixel.
+uses it, and gathered per pixel.  `generate` builds each scene only when
+it is asked for, so a consumer that writes and drops one scene at a time
+holds one map.
 
 With `nonlinear_coupling` enabled, every blob draws two latent bits, one
 picking the small or large half of the size range and one picking a high
@@ -29,11 +31,12 @@ model on per-component statistics can exploit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import OOD_LABEL, LabelMask, ProbabilityMap, Sample, SampleSet
+from .raster import OOD_LABEL, LabelMask, ProbabilityMap, Sample, _Unshared
 
 _ALPHA_HIGH = 1.0
 _ALPHA_LOW = 0.55
@@ -249,38 +252,76 @@ def _layout(spec: SceneSpec, index: int):
     return peak, second, kind, labels
 
 
-def _generate_one(spec: SceneSpec, index: int, pair_weight: np.ndarray) -> Sample:
-    """Scene `index`.  `pair_weight` holds the mixture weight of each pair
-    of `_pair_table` solved so far, NaN for the others; the pairs this
-    scene is the first to use are solved and stored in it."""
-    h, w = spec.dims
-    c = spec.num_classes
-    peak, second, kind, labels = _layout(spec, index)
-    target, alpha = _pair_table(spec)
-    # Solve only the pairs a scene uses: the low-margin pair may lie below
-    # its floor, which is an error only where a blob uses it.  The
-    # bisection works entry by entry, so a weight has the same bits
-    # whichever pairs it is solved with.
-    new = (np.bincount(kind.ravel(), minlength=alpha.size) > 0) & np.isnan(pair_weight)
-    if new.any():
-        pair_weight[new] = solve_mix_weight(target[new], alpha[new], c)
-    weight = pair_weight[kind]
-    alpha = alpha[kind]
-    values = np.repeat((weight / c)[:, :, None], c, axis=2)
-    rr, cc = np.mgrid[0:h, 0:w]
-    values[rr, cc, peak] += (1.0 - weight) * alpha
-    values[rr, cc, second] += (1.0 - weight) * (1.0 - alpha)
-    return Sample(
-        id=f"scene_{index:04d}",
-        pmap=ProbabilityMap(values),
-        mask=LabelMask(labels),
-    )
+class Scenes:
+    """The `count` scenes of `spec`, each built when it is asked for.
+
+    A sequence of `Sample`s with `len`, `ids`, iteration and indexing
+    that keeps no scene it has built: iterating holds none it has
+    yielded, and indexing a scene again builds it again, with the same
+    bits.  Scene i derives its stream from spec.seed + i, so the scenes
+    are reproducible and order-stable; the bisection solves a pair entry
+    by entry, so no scene's bits depend on the order the scenes are
+    built in.  `SampleSet(tuple(scenes))` keeps them all.
+    """
+
+    def __init__(self, spec: SceneSpec, count: int) -> None:
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        self.spec = spec
+        self._count = count
+        # The mixture weight of each pair of `_pair_table` solved so far,
+        # NaN for the others.
+        self._pair_weight = np.full(len(_pair_table(spec)[0]), np.nan)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        return map(self.scene, range(self._count))
+
+    def __getitem__(self, i) -> Sample:
+        i = operator.index(i)
+        return self.scene(i + self._count if i < 0 else i)
+
+    @property
+    def ids(self) -> tuple:
+        return tuple(_scene_id(i) for i in range(self._count))
+
+    def scene(self, index: int) -> Sample:
+        """Build scene `index`, 0 <= index < len(self)."""
+        if not 0 <= index < self._count:
+            raise IndexError(f"scene index {index} out of range")
+        spec = self.spec
+        h, w = spec.dims
+        c = spec.num_classes
+        peak, second, kind, labels = _layout(spec, index)
+        target, alpha = _pair_table(spec)
+        # Solve only the pairs a scene uses: the low-margin pair may lie
+        # below its floor, which is an error only where a blob uses it.
+        pair_weight = self._pair_weight
+        new = (np.bincount(kind.ravel(), minlength=alpha.size) > 0) & np.isnan(pair_weight)
+        if new.any():
+            pair_weight[new] = solve_mix_weight(target[new], alpha[new], c)
+        weight = pair_weight[kind]
+        alpha = alpha[kind]
+        # Built in place and handed over, so the map is never copied.
+        values = np.empty((h, w, c))
+        values[...] = (weight / c)[:, :, None]
+        rr = np.arange(h)[:, None]
+        cc = np.arange(w)[None, :]
+        values[rr, cc, peak] += (1.0 - weight) * alpha
+        values[rr, cc, second] += (1.0 - weight) * (1.0 - alpha)
+        return Sample(
+            id=_scene_id(index),
+            pmap=ProbabilityMap(_Unshared(values)),
+            mask=LabelMask(labels),
+        )
 
 
-def generate(spec: SceneSpec, count: int) -> SampleSet:
-    """Generate `count` scenes; sample i derives its stream from
-    spec.seed + i, so the set is reproducible and order-stable."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    pair_weight = np.full(len(_pair_table(spec)[0]), np.nan)
-    return SampleSet(tuple(_generate_one(spec, i, pair_weight) for i in range(count)))
+def _scene_id(index: int) -> str:
+    return f"scene_{index:04d}"
+
+
+def generate(spec: SceneSpec, count: int) -> Scenes:
+    """The `count` scenes of `spec`, built lazily (`Scenes`)."""
+    return Scenes(spec, count)

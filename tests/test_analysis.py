@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -834,6 +835,14 @@ class TestSerialization:
         assert body.startswith("<svg ")
         assert body.rstrip().endswith("</svg>")
         assert body.count("<polyline") == 3  # axis + two series
+
+    def test_svg_escapes_markup_in_text(self, tmp_path):
+        path = tmp_path / "e.svg"
+        svg_line_plot([("a < b & c", [0.0, 1.0], [0.0, 1.0])], path,
+                      title="ROC & PR <test>", x_label="x > 0", y_label="<y>")
+        texts = [el.text for el in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        for text in ("ROC & PR <test>", "x > 0", "<y>", "a < b & c"):
+            assert text in texts
 
     def test_svg_range_override(self, tmp_path):
         path = tmp_path / "r.svg"

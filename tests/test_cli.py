@@ -948,3 +948,42 @@ class TestSynth:
     def test_zero_count_is_data_error(self, tmp_path):
         args = ["synth", "--out", str(tmp_path / "x"), "--count", "0"]
         assert cli.run(args) == 2
+
+    def test_memory_holds_one_scene(self, tmp_path):
+        # Each scene is written and dropped before the next is built, so
+        # the step holds one 128 x 128 x 19 map whatever the count.
+        out = tmp_path / "scenes"
+        args = ["synth", "--out", str(out), "--count", "8", "--height", "128",
+                "--width", "128", "--couple"]
+        tracemalloc.start()
+        try:
+            assert cli.run(args) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        map_bytes = 128 * 128 * 19 * 8
+        assert peak <= 2 * map_bytes, peak / map_bytes
+        assert len(list(out.glob("*.rast"))) == 8
+
+    def test_scene_error_is_one_line(self, tmp_path):
+        # At 19 classes the low-margin pair cannot reach an anomaly
+        # entropy of 0.22.  At seed 39 scene 2 is the first coupled scene
+        # to paint a low-margin blob, so it fails when it is built, and
+        # the two scenes written before it stay.
+        out = tmp_path / "scenes"
+        env = {**os.environ, "PYTHONPATH": str(Path(metaseg.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "metaseg", "synth", "--out", str(out),
+             "--count", "4", "--seed", "39", "--couple",
+             "--anomaly-entropy", "0.22", "--background-entropy", "0.05"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("metaseg: error:")
+        assert "below the minimum" in lines[0]
+        assert proc.stdout == ""
+        assert sorted(p.name for p in out.iterdir()) == [
+            "scene_0000.pgm", "scene_0000.rast", "scene_0001.pgm", "scene_0001.rast",
+        ]

@@ -679,6 +679,16 @@ class TestBuildDataset:
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.group_ids == b.group_ids
 
+    def test_repeated_sample_id_rejected(self):
+        # Rows are grouped by sample id, so a repeated id would put two
+        # scenes in one leave-one-out fold.
+        first, second = small_scene_set(count=2)
+        twin = Sample(first.id, second.pmap, second.mask)
+        with pytest.raises(ValueError, match="'scene_0000' is repeated"):
+            build_metrics_dataset([first, twin], ThresholdConfig(0.7))
+        with pytest.raises(ValueError, match="'scene_0000' is repeated"):
+            SampleSet([first, twin])
+
     def test_class_mismatch_rejected(self):
         # The first sample sets C; a later one with another C is refused
         # before its first block is read.

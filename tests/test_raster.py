@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -204,7 +205,7 @@ class TestSampleSet:
         pm = ProbabilityMap(np.full((1, 1, 2), 0.5))
         mask = LabelMask(np.zeros((1, 1), dtype=np.uint8))
         s = Sample("a", pm, mask)
-        with pytest.raises(ValueError, match="unique"):
+        with pytest.raises(ValueError, match="unique: 'a' is repeated"):
             SampleSet((s, s))
 
     def test_iteration_preserves_order(self):
@@ -689,14 +690,14 @@ class TestParserFuzz:
 
 
 class TestSampleDirectories:
+    def build_sample(self, rng, i):
+        pm = random_pmap(rng, 3, 4, 5)
+        labels = rng.integers(0, 5, size=(3, 4)).astype(np.uint8)
+        labels[0, 0] = OOD_LABEL
+        return Sample(f"img_{i:03d}", pm, LabelMask(labels))
+
     def build_set(self, rng, n=3):
-        out = []
-        for i in range(n):
-            pm = random_pmap(rng, 3, 4, 5)
-            labels = rng.integers(0, 5, size=(3, 4)).astype(np.uint8)
-            labels[0, 0] = OOD_LABEL
-            out.append(Sample(f"img_{i:03d}", pm, LabelMask(labels)))
-        return SampleSet(tuple(out))
+        return SampleSet(tuple(self.build_sample(rng, i) for i in range(n)))
 
     def test_round_trip(self, tmp_path):
         ss = self.build_set(np.random.default_rng(5))
@@ -731,6 +732,30 @@ class TestSampleDirectories:
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_samples(tmp_path / "nope")
+
+    def test_each_sample_released_before_the_next_is_drawn(self, tmp_path):
+        rng = np.random.default_rng(8)
+        refs, alive_at_draw = [], []
+
+        def draw(i):
+            alive_at_draw.append([r() is not None for r in refs])
+            sample = self.build_sample(rng, i)
+            refs.append(weakref.ref(sample))
+            return sample
+
+        save_samples(map(draw, range(3)), tmp_path / "d")
+        assert alive_at_draw == [[], [False], [False, False]]
+        assert load_samples(tmp_path / "d").ids == ("img_000", "img_001", "img_002")
+
+    def test_repeated_id_refused_before_its_files(self, tmp_path):
+        rng = np.random.default_rng(9)
+        first, other = self.build_sample(rng, 0), self.build_sample(rng, 1)
+        twin = Sample(first.id, other.pmap, other.mask)
+        with pytest.raises(ValueError, match="'img_000' is repeated"):
+            save_samples([first, twin], tmp_path / "d")
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["img_000.pgm", "img_000.rast"]
+        back = load_samples(tmp_path / "d")[0]
+        np.testing.assert_allclose(back.pmap.values, first.pmap.values, atol=2e-6)
 
 
 class TestThreadMap:
@@ -797,6 +822,24 @@ class TestThreadMap:
             for r in raster.thread_map(lambda i: i, items()):
                 got.append(r)
         assert got == [0, 1, 2]
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_item_released_once_its_result_is_consumed(self, workers, threaded):
+        class Item:
+            pass
+
+        refs = []
+
+        def draw(i):
+            item = Item()
+            refs.append(weakref.ref(item))
+            return item
+
+        size = raster._THREAD_MIN_VALUES if threaded else 1
+        results = raster.thread_map(lambda item: None, map(draw, range(6)),
+                                    values=lambda item: size)
+        alive = [refs[i]() is not None for i, _ in enumerate(results)]
+        assert alive == [False] * 6
 
     def test_threads_are_joined_when_the_consumer_stops(self, workers):
         before = threading.active_count()

@@ -1,6 +1,7 @@
 """Tests for the synthetic scene generator."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -227,11 +228,53 @@ class TestGeneration:
     def test_low_alpha_floor_only_where_a_blob_uses_it(self):
         # At 19 classes the alpha = 0.55 pair cannot go below a normalized
         # entropy of 0.23; only coupled scenes paint low-margin blobs.
+        # Scenes are built when they are asked for, so the error comes
+        # from building the scene, not from `generate`.
         spec = dict(num_classes=19, anomaly_entropy=0.22, background_entropy=0.05)
-        assert len(generate(base_spec(**spec), 4)) == 4
+        assert len(list(generate(base_spec(**spec), 4))) == 4
+        scenes = generate(base_spec(nonlinear_coupling=True, **spec), 4)
         with pytest.raises(ValueError, match="below the minimum"):
-            generate(base_spec(nonlinear_coupling=True, **spec), 4)
+            list(scenes)
 
     def test_count_validated(self):
         with pytest.raises(ValueError, match="count"):
             generate(base_spec(), 0)
+
+
+class TestLazyScenes:
+    """`generate` builds each scene when it is asked for."""
+
+    def spec(self):
+        return base_spec(dims=(40, 40), num_classes=19, blob_size=(5, 12),
+                         false_blob_rate=3.0, nonlinear_coupling=True, seed=5)
+
+    def test_same_bits_by_iteration_indexing_and_reversed_order(self):
+        def bits(sample):
+            return sample.id, sample.pmap.values.tobytes(), sample.mask.labels.tobytes()
+
+        by_iteration = [bits(s) for s in generate(self.spec(), 6)]
+        # A fresh call built backwards solves its mixture pairs in another
+        # order; building a scene again on the same call reuses them.
+        backwards = generate(self.spec(), 6)
+        by_reversed_index = [bits(backwards[i]) for i in reversed(range(6))][::-1]
+        again = [bits(backwards[i]) for i in range(6)]
+        assert by_reversed_index == by_iteration
+        assert again == by_iteration
+        assert bits(backwards[-1]) == by_iteration[-1]
+
+    def test_sequence_protocol(self):
+        scenes = generate(self.spec(), 3)
+        assert len(scenes) == 3
+        assert scenes.ids == ("scene_0000", "scene_0001", "scene_0002")
+        assert [s.id for s in scenes] == list(scenes.ids)
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                scenes[i]
+        with pytest.raises(TypeError):
+            scenes[0.0]
+
+    def test_iteration_keeps_no_scene(self):
+        scenes = iter(generate(self.spec(), 3))
+        first = weakref.ref(next(scenes))
+        assert first() is None
+        assert next(scenes).id == "scene_0001"
