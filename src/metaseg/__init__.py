@@ -17,6 +17,7 @@ from .analysis import (
     auprc,
     auroc,
     evaluate_components,
+    evaluate_pixel_files,
     evaluate_pixels,
     evaluate_scores,
     fpr_at_95_tpr,
@@ -83,9 +84,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvalReport", "LarsOrdering", "auprc", "auroc", "evaluate_components",
-    "evaluate_pixels", "evaluate_scores", "fpr_at_95_tpr",
-    "incremental_evaluation", "lars_order", "loo_scores", "ood_fraction",
-    "split_by_ood_fraction",
+    "evaluate_pixel_files", "evaluate_pixels", "evaluate_scores",
+    "fpr_at_95_tpr", "incremental_evaluation", "lars_order", "loo_scores",
+    "ood_fraction", "split_by_ood_fraction",
     "MetricsDataset", "StandardizationStats", "build_metrics_dataset",
     "extract_metrics", "load_metrics_csv", "metric_names", "save_metrics_csv",
     "standardize",

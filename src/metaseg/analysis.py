@@ -10,7 +10,13 @@ tie-aware trapezoid over that table, i.e. Mann-Whitney U with ties
 counted half.  Component-level evaluation scores every metric row with a
 trained meta classifier, the positive class being "false positive
 component"; pixel-level evaluation pools pixels over all images with OOD
-as the positive class and IGNORE pixels excluded.
+as the positive class and IGNORE pixels excluded.  The pool is one score
+array and one label array, sized from the masks before any score is
+read; score files fill it at float32, which they store, reading only
+their kept pixels.  The ranking sorts the pool in place and frees each
+array once it is consumed, and the report walks the count table in
+slices, so the step holds the pool or the table plus one float64 array
+of table length at most.
 
 Leave-one-out cross-validation holds out one sample (image) at a time,
 trains on the remaining rows with the same seed, and pools the held-out
@@ -26,6 +32,7 @@ full-feature run exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
@@ -37,7 +44,16 @@ import numpy as np
 
 from .features import MetricsDataset
 from .metaclf import HIDDEN_DIMS, TrainConfig, train
-from .raster import LabelMask, ScoreMap, atomic_write_text, worker_count
+from .raster import (
+    IGNORE_LABEL,
+    OOD_LABEL,
+    LabelMask,
+    RasterFormatError,
+    _open_score_map,
+    atomic_write_text,
+    load_mask,
+    worker_count,
+)
 
 _TIE_TOL = 1e-12
 
@@ -88,59 +104,106 @@ class LarsOrdering:
 
 
 def _rank_table(scores, labels, need_negative: bool):
+    """`_rank_pool` of a copy of the caller's scores, float32 kept as
+    float32 (the cast to float64 is exact, so the table is the same) and
+    any other dtype cast to float64."""
+    s = np.asarray(scores)
+    dtype = np.float32 if s.dtype == np.float32 else np.float64
+    y = np.asarray(labels, dtype=bool).reshape(-1)
+    return _rank_pool([np.array(s.reshape(-1), dtype=dtype), y], need_negative)
+
+
+def _rank_pool(pool: list, need_negative: bool):
     """Validate once and sort once: the cumulative (TP, FP) counts at the
     inclusive threshold of each distinct score, descending, plus the
     positive and negative totals.
 
-    One unstable sort groups equal scores (compared with `!=`, so -0.0
-    and +0.0 tie); `searchsorted` places each positive in its group and
-    `bincount` counts them, so no permutation is ever built."""
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    y = np.asarray(labels, dtype=bool).reshape(-1)
+    `pool` is a list [scores, labels] of a 1-d float array and a bool
+    array that no caller holds.  It is emptied, so that each array is
+    freed once consumed, and the scores are sorted in place.  The sort
+    groups equal scores (compared with `!=`, so -0.0 and +0.0 tie);
+    `searchsorted` places each positive in its group and `bincount`
+    counts them, so no permutation is ever built."""
+    s, y = pool
+    pool.clear()
     if s.shape != y.shape or s.size == 0:
         raise ValueError("scores and labels must be nonempty and equal-length")
-    if not np.isfinite(s).all():
+    # min and max propagate NaN: both are finite iff every score is.
+    if not (np.isfinite(s.min()) and np.isfinite(s.max())):
         raise ValueError("scores must be finite")
-    pos = int(y.sum())
+    pos = int(np.count_nonzero(y))
     neg = s.size - pos
     if pos == 0:
         raise ValueError("need at least one positive")
     if need_negative and neg == 0:
         raise ValueError("need at least one negative")
-    ordered = np.sort(s)
-    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    distinct = ordered[first]
-    # Freed before the table-length sums, which would otherwise raise the
-    # peak bytes per ranked score.
-    del ordered
     # Sorted, the positives probe `distinct` in order and stay in cache:
     # searching them in pixel order took 3x as long on 890,880 scores.
     positives = s[y]
     positives.sort()
+    del y
+    s.sort()
+    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    distinct = s[first]
+    size = s.size
+    # Each array is freed once consumed: the table-length arrays alive at
+    # once set the step's peak.
+    del s
     per_group = np.bincount(np.searchsorted(distinct, positives), minlength=distinct.size)
     del distinct, positives
-    tp = np.cumsum(per_group[::-1])
-    fp = np.cumsum(np.diff(first, append=s.size)[::-1])
+    # Both sums run in place over reversed views, descending thresholds
+    # first: TP sums the positives of the groups at or above each one,
+    # and FP = (items at or above) - TP = size - first - TP.
+    tp = per_group[::-1]
+    np.cumsum(tp, out=tp)
+    fp = first[::-1]
+    np.subtract(size, fp, out=fp)
     fp -= tp
     return tp, fp, pos, neg
+
+
+# Elements per slice of the table-length loops of the report, so that
+# their temporaries stay small whatever the table's length.
+_TABLE_CHUNK = 1 << 14
+
+
+def _table_slices(n: int):
+    """(start, stop) of the consecutive slices of a table of length `n`."""
+    for lo in range(0, n, _TABLE_CHUNK):
+        yield lo, min(n, lo + _TABLE_CHUNK)
 
 
 def _auroc(tp, fp, pos, neg) -> float:
     # Each of the n_k negatives of group k is beaten by the tp_k - p_k
     # positives above it and ties the group's p_k positives, so
     # 2U = sum n_k (2 tp_k - p_k): an exact integer, divided once.
-    p = np.diff(tp, prepend=0)
-    n = np.diff(fp, prepend=0)
-    return int(np.sum(n * (2 * tp - p))) / (2 * pos * neg)
+    twice_u = 0
+    for lo, hi in _table_slices(tp.size):
+        t, f = tp[lo:hi], fp[lo:hi]
+        p = np.diff(t, prepend=tp[lo - 1] if lo else 0)
+        n = np.diff(f, prepend=fp[lo - 1] if lo else 0)
+        twice_u += int(np.sum(n * (2 * t - p)))
+    return twice_u / (2 * pos * neg)
 
 
 def _auprc(tp, fp, pos, neg) -> float:
-    recall = tp / pos
-    return float(np.sum(np.diff(recall, prepend=0.0) * (tp / (tp + fp))))
+    # Each term is the recall step times the precision; the terms fill one
+    # array that `np.sum` adds whole, so the pairwise sum keeps its bits.
+    terms = np.empty(tp.size)
+    for lo, hi in _table_slices(tp.size):
+        t = tp[lo:hi]
+        step = np.diff(t / pos, prepend=tp[lo - 1] / pos if lo else 0.0)
+        np.multiply(step, t / (t + fp[lo:hi]), out=terms[lo:hi])
+    return float(np.sum(terms))
 
 
 def _fpr95(tp, fp, pos, neg) -> float:
-    return float((fp[tp / pos >= 0.95] / neg).min())
+    best = np.inf
+    for lo, hi in _table_slices(tp.size):
+        reached = fp[lo:hi][tp[lo:hi] / pos >= 0.95]
+        if reached.size:
+            best = min(best, float((reached / neg).min()))
+    return best
 
 
 def auroc(scores, labels) -> float:
@@ -195,29 +258,84 @@ def evaluate_components(model, dataset: MetricsDataset):
     return evaluate_with_curves(model.predict_raw_batch(dataset.rows), dataset.labels)
 
 
+def _pool_pixels(masks, fills, dtype) -> list:
+    """[scores, labels]: the scores and OOD labels of the kept (not IGNORE)
+    pixels of every image, in image then raster order, in one `dtype`
+    array and one bool array sized from `masks` before any score is read.
+    `fills` gives, per image, a function that writes the image's scores
+    where its H x W bool `keep` is True, in raster order, into `out`:
+    `fill(out, keep)`."""
+    if not any(np.any(mask.is_ood()) for mask in masks):
+        raise ValueError("no OOD pixels in any mask")
+    kept = sum(mask.labels.size - int(np.count_nonzero(mask.is_ignore())) for mask in masks)
+    scores = np.empty(kept, dtype=dtype)
+    labels = np.empty(kept, dtype=bool)
+    at = 0
+    for mask, fill in zip(masks, fills):
+        keep = ~mask.is_ignore()
+        n = int(np.count_nonzero(keep))
+        fill(scores[at : at + n], keep)
+        np.equal(mask.labels[keep], OOD_LABEL, out=labels[at : at + n])
+        at += n
+    return [scores, labels]
+
+
 def evaluate_pixels(scores, masks) -> EvalReport:
     """Pool pixels of all images: positive class = OOD pixels, IGNORE
     pixels excluded."""
     if len(scores) != len(masks) or not scores:
         raise ValueError("need equal-length, nonempty score/mask lists")
-    pooled_scores = []
-    pooled_labels = []
-    for smap, mask in zip(scores, masks):
+    for i, (smap, mask) in enumerate(zip(scores, masks)):
         if (smap.height, smap.width) != (mask.height, mask.width):
             raise ValueError(
-                f"score map {smap.height}x{smap.width} does not match "
-                f"mask {mask.height}x{mask.width}"
+                f"image {i}: score map {smap.height}x{smap.width} does not "
+                f"match mask {mask.height}x{mask.width}"
             )
-        keep = ~mask.is_ignore()
-        pooled_scores.append(smap.scores[keep])
-        pooled_labels.append(mask.is_ood()[keep])
-    s = np.concatenate(pooled_scores)
-    y = np.concatenate(pooled_labels)
-    # The per-image pieces would otherwise stay alive through the ranking.
-    del pooled_scores, pooled_labels
-    if not y.any():
-        raise ValueError("no OOD pixels in any mask")
-    return evaluate_scores(s, y)
+    fills = [functools.partial(_compress_kept, smap.scores) for smap in scores]
+    pool = _pool_pixels(masks, fills, np.float64)
+    return _report(*_rank_pool(pool, need_negative=True))
+
+
+def _compress_kept(values, out, keep) -> None:
+    """`fill` of `_pool_pixels` for the H x W array `values`."""
+    np.compress(keep.reshape(-1), values.reshape(-1), out=out)
+
+
+def _read_kept(path, out, keep) -> None:
+    """`fill` of `_pool_pixels` for the score map file at `path`."""
+    with _open_score_map(path) as (_, read):
+        read(out, keep)
+
+
+def evaluate_pixel_files(
+    pairs, ood_label: int = OOD_LABEL, ignore_label: int = IGNORE_LABEL
+) -> EvalReport:
+    """`evaluate_pixels` of score maps on disk: `pairs` of (score map path,
+    mask path), the masks loaded as `load_mask` does with the labels
+    given.
+
+    Every mask is loaded and checked against the size in its score map's
+    header before any score is read.  The kept scores are then read file
+    by file straight into one float32 array: the files store float32, so
+    the pool holds every value exactly, and no score map is ever held
+    whole."""
+    if not pairs:
+        raise ValueError("need a nonempty list of score/mask pairs")
+    masks = []
+    for spath, mpath in pairs:
+        mask = load_mask(mpath, ood_label=ood_label, ignore_label=ignore_label)
+        with _open_score_map(spath) as ((h, w), _):
+            if (h, w) != (mask.height, mask.width):
+                raise RasterFormatError(
+                    f"{spath}: score map {h}x{w} does not match "
+                    f"mask {mpath} ({mask.height}x{mask.width})"
+                )
+        masks.append(mask)
+    fills = [functools.partial(_read_kept, spath) for spath, _ in pairs]
+    pool = _pool_pixels(masks, fills, np.float32)
+    # The masks are done with; the ranking is the step's peak.
+    del masks
+    return _report(*_rank_pool(pool, need_negative=True))
 
 
 # ---------------------------------------------------------------------------

@@ -385,20 +385,17 @@ def _cmd_eval_pixel(cfg: RunConfig) -> None:
     score_paths = sorted(scores_dir.glob("*.score.rast"))
     if not score_paths:
         raise ValueError(f"{scores_dir}: no score maps found")
-    smaps, masks = [], []
+    pairs = []
     for spath in score_paths:
         stem = spath.name[: -len(".score.rast")]
         mpath = masks_dir / f"{stem}.pgm"
         if not mpath.exists():
             raise ValueError(f"{spath}: no matching mask {mpath}")
-        smaps.append(raster.load_score_map(spath))
-        masks.append(
-            raster.load_mask(
-                mpath, ood_label=cfg.options["ood_label"],
-                ignore_label=cfg.options["ignore_label"],
-            )
-        )
-    report = analysis.evaluate_pixels(smaps, masks)
+        pairs.append((spath, mpath))
+    report = analysis.evaluate_pixel_files(
+        pairs, ood_label=cfg.options["ood_label"],
+        ignore_label=cfg.options["ignore_label"],
+    )
     _report_and_print(report, cfg.options["out_csv"])
 
 

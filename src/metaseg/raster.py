@@ -25,7 +25,12 @@ read.  A probability map is validated in one place, a block-wise check
 loaders report a rejected map as a ``RasterFormatError`` naming the
 file.  ``load_probability_map`` converts the blocks straight into the
 float64 array the returned map keeps; ``iter_probability_blocks`` holds
-no map at all.  A ``Sample`` and a ``SampleFile`` hand out their map as
+no map at all.  A score map's checks and clamp are likewise one
+block-wise check, run by the ``ScoreMap`` constructor and by
+``_open_score_map``, the one reader of score files, as the file is read:
+``load_score_map`` reads a file into the float64 array its map keeps,
+and pixel evaluation reads only the kept values, straight into its
+pooled array.  A ``Sample`` and a ``SampleFile`` hand out their map as
 the same block stream (``probability_blocks``).  ``iter_sample_files``
 lists a sample directory (``probability_map_paths``) reading only each
 map's header, and refuses a map whose class count is not the first
@@ -255,6 +260,40 @@ class LabelMask:
         return (self.labels != OOD_LABEL) & (self.labels != IGNORE_LABEL)
 
 
+class _ScoreCheck:
+    """The checks of an H x W score map, fed its values in blocks, so that
+    a map read from a file is checked as it is read.
+
+    The shape is checked on construction.  `add` tells whether a block
+    holds values to clamp into [0, 1].  `finish` raises the map's first
+    fault in this order: a non-finite value, then a value more than
+    1e-12 outside [0, 1]."""
+
+    def __init__(self, shape: tuple) -> None:
+        if len(shape) != 2 or 0 in shape:
+            raise ValueError(f"score map must be 2-d and nonempty, got {shape}")
+        self.finite = True
+        self.lo, self.hi = np.inf, -np.inf
+
+    def add(self, block: np.ndarray) -> bool:
+        """Check the map's next values, `block`; True if it holds finite
+        values outside [0, 1]."""
+        # min and max propagate NaN: both are finite iff every value is.
+        lo, hi = float(block.min()), float(block.max())
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            self.finite = False
+            return False
+        self.lo, self.hi = min(self.lo, lo), max(self.hi, hi)
+        return lo < 0.0 or hi > 1.0
+
+    def finish(self) -> None:
+        """Raise `ValueError` for the first fault of the values added."""
+        if not self.finite:
+            raise ValueError("score map contains non-finite values")
+        if self.lo < -1e-12 or self.hi > 1.0 + 1e-12:
+            raise ValueError("scores must lie in [0, 1]")
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreMap:
     """H x W anomaly scores in [0, 1]; higher means more anomalous.  Values
@@ -268,15 +307,10 @@ class ScoreMap:
         else:
             with np.errstate(invalid="ignore"):  # as in ProbabilityMap
                 arr = np.asarray(self.scores, dtype=np.float64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"score map must be 2-d and nonempty, got {arr.shape}")
-        # min and max propagate NaN: both are finite iff every value is.
-        lo, hi = arr.min(), arr.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("score map contains non-finite values")
-        if lo < -1e-12 or hi > 1.0 + 1e-12:
-            raise ValueError("scores must lie in [0, 1]")
-        if lo < 0.0 or hi > 1.0:
+        check = _ScoreCheck(arr.shape)
+        clamp = check.add(arr)
+        check.finish()
+        if clamp:
             arr = np.clip(arr, 0.0, 1.0)
         object.__setattr__(self, "scores", _frozen(arr, self.scores))
 
@@ -620,19 +654,62 @@ def save_probability_map(pmap: ProbabilityMap, path) -> None:
         _write_rast(fh, pmap.values)
 
 
-def load_score_map(path) -> ScoreMap:
-    """Load a single-channel RAST score map; `ScoreMap` validates it.  A
-    file with more channels is refused before any value is read."""
+@contextmanager
+def _open_score_map(path):
+    """Open the RAST score map at `path` for one read, the one way a score
+    file is read.
+
+    Yields its (H, W), checked together with the file size, and refused
+    unless the file has one channel, before any value is read; and
+    `read(out, keep=None)`, which reads the values in raster order block
+    by block, checks and clamps each block as `ScoreMap` does, and writes
+    it into `out`: every value into the H x W float64 array `out`, or,
+    given `keep`, an H x W bool array, the values where it is True in
+    order into the 1-d float array `out`.  A map `ScoreMap` refuses
+    raises a `RasterFormatError` naming the file once every value is
+    read.
+    """
     with _open_rast(path) as ((h, w, c), blocks):
         if c != 1:
             raise RasterFormatError(f"{path}: score map must have C=1, got {c}")
-        scores = np.empty((h, w))
-        for _ in blocks(scores.reshape(-1, 1)):
-            pass
-    try:
-        return ScoreMap(_Unshared(scores))
-    except ValueError as exc:
-        raise RasterFormatError(f"{path}: {exc}") from exc
+
+        def read(out, keep=None):
+            if keep is not None:
+                # A caller that checked the header against the mask may
+                # read a file replaced since.
+                if keep.shape != (h, w):
+                    raise RasterFormatError(
+                        f"{path}: score map {h}x{w} does not match "
+                        f"mask {keep.shape[0]}x{keep.shape[1]}"
+                    )
+                keep = keep.reshape(-1)
+            check = _ScoreCheck((h, w))
+            lo = at = 0
+            for block in blocks(out.reshape(-1, 1) if keep is None else None):
+                if check.add(block):
+                    np.clip(block, 0.0, 1.0, out=block)
+                if keep is not None:
+                    kept = keep[lo : lo + len(block)]
+                    n = int(np.count_nonzero(kept))
+                    out[at : at + n] = block[kept, 0]
+                    at += n
+                lo += len(block)
+            try:
+                check.finish()
+            except ValueError as exc:
+                raise RasterFormatError(f"{path}: {exc}") from exc
+
+        yield (h, w), read
+
+
+def load_score_map(path) -> ScoreMap:
+    """Load a single-channel RAST score map into the float64 array the map
+    keeps, checked and clamped as it is read (`_open_score_map`).  A file
+    with more channels is refused before any value is read."""
+    with _open_score_map(path) as (dims, read):
+        scores = np.empty(dims)
+        read(scores)
+    return ScoreMap(_Unshared(scores))
 
 
 def save_score_map(smap: ScoreMap, path) -> None:

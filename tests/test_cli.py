@@ -913,7 +913,121 @@ class TestEvalPixel:
             "--masks", str(holey), "--out", str(tmp_path / "r.csv"),
         ]
         assert cli.run(args) == 2
-        assert "scene_0002" in capsys.readouterr().err
+        assert_one_error_line(capsys, "scene_0002.score.rast")
+        assert not (tmp_path / "r.csv").exists()
+
+    @staticmethod
+    def write_pair(d, name, scores, labels):
+        """`<name>.score.rast` holding `scores` as written, bypassing the
+        library's checks, and `<name>.pgm` holding `labels`."""
+        save_rast(d / f"{name}.score.rast", scores[:, :, None])
+        raster.save_mask(raster.LabelMask(labels), d / f"{name}.pgm")
+
+    def test_streamed_report_equals_in_memory_oracle(self, tmp_path):
+        # Eleven images: IGNORE pixels, -0.0 and +0.0 (which tie), tiny
+        # negative scores that are clamped to 0, a constant map, and
+        # ties across images from float32 scores on a coarse grid.
+        rng = np.random.default_rng(181)
+        d = tmp_path / "pairs"
+        d.mkdir()
+        for i in range(11):
+            shape = (7 + i, 13 - i // 2)
+            labels = np.zeros(shape, dtype=np.uint8)
+            labels[rng.random(shape) < 0.2] = raster.OOD_LABEL
+            labels[rng.random(shape) < 0.15] = raster.IGNORE_LABEL
+            scores = (rng.integers(0, 40, size=shape) / 40).astype(np.float32)
+            flat = scores.reshape(-1)
+            flat[rng.random(flat.size) < 0.1] = -0.0
+            flat[rng.random(flat.size) < 0.05] = -1e-13
+            if i == 3:
+                scores[:] = 0.375
+            self.write_pair(d, f"img_{i:02d}", scores, labels)
+        out = tmp_path / "pixel_report.csv"
+        args = ["eval-pixel", "--scores", str(d), "--masks", str(d), "--out", str(out)]
+        assert cli.run(args) == 0
+        paths = sorted(d.glob("*.score.rast"))
+        smaps = [raster.load_score_map(p) for p in paths]
+        assert any(np.signbit(s.scores).any() for s in smaps)
+        masks = [raster.load_mask(p.with_name(p.name.replace(".score.rast", ".pgm")))
+                 for p in paths]
+        oracle = tmp_path / "oracle.csv"
+        analysis.save_report_csv(analysis.evaluate_pixels(smaps, masks), oracle)
+        assert out.read_bytes() == oracle.read_bytes()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("channels", "score map must have C=1, got 19"),
+        ("nan", "score map contains non-finite values"),
+        ("above_one", "scores must lie in [0, 1]"),
+        ("truncated", "payload is"),
+        ("size", "score map 4x6 does not match mask"),
+    ])
+    def test_refusal_names_the_file(self, tmp_path, capsys, fault, message):
+        d = tmp_path / "pairs"
+        d.mkdir()
+        labels = np.zeros((4, 6), dtype=np.uint8)
+        labels[0, 0] = raster.OOD_LABEL
+        self.write_pair(d, "a", np.full((4, 6), 0.25), labels)
+        scores = np.full((4, 6), 0.5)
+        if fault == "nan":
+            scores[2, 3] = np.nan
+        elif fault == "above_one":
+            scores[1, 1] = 1.5
+        self.write_pair(d, "b", scores, labels)
+        bad = d / "b.score.rast"
+        if fault == "channels":
+            save_rast(bad, np.full((4, 6, 19), 1 / 19))
+        elif fault == "truncated":
+            bad.write_bytes(bad.read_bytes()[:-4])
+        elif fault == "size":
+            raster.save_mask(raster.LabelMask(np.zeros((5, 6), dtype=np.uint8)), d / "b.pgm")
+        out = tmp_path / "pixel_report.csv"
+        args = ["eval-pixel", "--scores", str(d), "--masks", str(d), "--out", str(out)]
+        assert cli.run(args) == 2
+        err = assert_one_error_line(capsys, f"{bad}: ")
+        assert message in err
+        if fault == "size":
+            assert str(d / "b.pgm") in err
+        assert not out.exists()
+
+    def test_peak_memory_per_kept_pixel(self, tmp_path):
+        # The step holds one float32 score and one bool label per kept
+        # pixel, and the ranking needs at most 21.8 B per kept pixel
+        # beyond them, on nearly distinct float32 scores with 10% of the
+        # pixels IGNORE.  The whole step read 64.0-67.1 B per kept pixel
+        # when it loaded every score map as float64 before pooling.
+        rng = np.random.default_rng(179)
+        kept = 0
+        for i in range(2):
+            labels = np.zeros((500, 1000), dtype=np.uint8)
+            labels[rng.random(labels.shape) < 0.05] = raster.OOD_LABEL
+            labels[rng.random(labels.shape) < 0.1] = raster.IGNORE_LABEL
+            kept += int(np.count_nonzero(labels != raster.IGNORE_LABEL))
+            self.write_pair(tmp_path, f"img_{i}", rng.random(labels.shape), labels)
+        args = ["eval-pixel", "--scores", str(tmp_path), "--masks", str(tmp_path),
+                "--out", str(tmp_path / "pixel_report.csv")]
+        tracemalloc.start()
+        try:
+            assert cli.run(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - 5 * kept) / kept <= 21.8
+        assert peak / kept <= 30.0
+
+
+def assert_one_error_line(capsys, text) -> str:
+    """The one line written to stderr, a `metaseg: error:` holding `text`."""
+    err = capsys.readouterr().err
+    assert err.startswith("metaseg: error:") and err.count("\n") == 1, err
+    assert text in err
+    return err
+
+
+def save_rast(path, arr):
+    """`arr` written as a RAST file of its own shape, unchecked."""
+    h, w, c = arr.shape
+    path.write_bytes(b"RASTv001" + struct.pack("<III", h, w, c)
+                     + np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 class TestSynth:
