@@ -58,11 +58,9 @@ from .raster import (
     ProbabilityMap,
     RasterFormatError,
     Sample,
-    SampleSet,
     ScoreMap,
     load_mask,
     load_probability_map,
-    load_samples,
     load_score_map,
     save_mask,
     save_probability_map,
@@ -94,8 +92,8 @@ __all__ = [
     "gradient", "load_model", "parameter_breakdown", "predict_batch",
     "remove_false_positives", "save_model", "train",
     "IGNORE_LABEL", "OOD_LABEL", "LabelMask", "ProbabilityMap",
-    "RasterFormatError", "Sample", "SampleSet", "ScoreMap", "load_mask",
-    "load_probability_map", "load_samples", "load_score_map", "save_mask",
+    "RasterFormatError", "Sample", "ScoreMap", "load_mask",
+    "load_probability_map", "load_score_map", "save_mask",
     "save_probability_map", "save_samples", "save_score_map",
     "LossBreakdown", "anomaly_score_map", "combined_objective", "loss_in",
     "loss_out", "pixel_entropy",

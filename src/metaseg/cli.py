@@ -5,7 +5,10 @@ rasters, component tables, metric datasets, meta-classifier training
 and evaluation, leave-one-out runs, feature ordering and incremental
 curves, proxy splits, pixel-level evaluation, and synthetic data
 generation.  Every subcommand is deterministic given its inputs and
-declared seed, and all outputs are written atomically.
+declared seed, and all outputs are written atomically.  Each subcommand
+takes the parsed options as a dict, and the library checks their values:
+`segments.ThresholdConfig` the threshold `--t`, before any file is read,
+and `raster.load_mask` the mask labels `--ood-label`/`--ignore-label`.
 
 Exit codes: 0 success, 1 usage error, 2 data error.  The environment
 variable METASEG_THREADS caps the workers a step runs at once: the
@@ -22,7 +25,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,33 +43,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: the subcommand plus its validated options."""
-
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.options.get("t") is not None:
-            segments.ThresholdConfig(self.options["t"])
-        for name in ("ood_label", "ignore_label"):
-            v = self.options.get(name)
-            if v is not None and not 0 <= v <= 255:
-                raise ValueError(f"{name} must fit in a byte, got {v}")
-
-    def hidden_dims(self) -> tuple:
-        return metaclf.HIDDEN_DIMS[self.options["kind"]]
-
-    def train_config(self) -> metaclf.TrainConfig:
-        o = self.options
-        return metaclf.TrainConfig(
-            learning_rate=o["lr"],
-            weight_decay=o["weight_decay"],
-            epochs=o["epochs"],
-            batch_size=o["batch_size"],
-            seed=o["seed"],
-        )
+def _train_config(o: dict) -> metaclf.TrainConfig:
+    return metaclf.TrainConfig(
+        learning_rate=o["lr"],
+        weight_decay=o["weight_decay"],
+        epochs=o["epochs"],
+        batch_size=o["batch_size"],
+        seed=o["seed"],
+    )
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -189,9 +172,9 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_score(cfg: RunConfig) -> None:
-    in_dir = Path(cfg.options["in_dir"])
-    out_dir = Path(cfg.options["out_dir"])
+def _cmd_score(o: dict) -> None:
+    in_dir = Path(o["in_dir"])
+    out_dir = Path(o["out_dir"])
     paths = raster.probability_map_paths(in_dir)
     if not paths:
         raise ValueError(f"{in_dir}: no probability maps found")
@@ -206,22 +189,20 @@ def _cmd_score(cfg: RunConfig) -> None:
     print(f"wrote {len(paths)} score maps to {out_dir}")
 
 
-def _sample_files(cfg: RunConfig):
+def _sample_files(o: dict):
     return raster.iter_sample_files(
-        cfg.options["in_dir"],
-        ood_label=cfg.options.get("ood_label", raster.OOD_LABEL),
-        ignore_label=cfg.options.get("ignore_label", raster.IGNORE_LABEL),
+        o["in_dir"], ood_label=o["ood_label"], ignore_label=o["ignore_label"]
     )
 
 
-def _cmd_segments(cfg: RunConfig) -> None:
-    t = cfg.options["t"]
+def _cmd_segments(o: dict) -> None:
+    t = segments.ThresholdConfig(o["t"]).t
 
     # One sample per call, so that no sample outlives its work.
     def sample_lines(sample: raster.SampleFile) -> list:
         smap = scoring.anomaly_score_file(sample.path)
         image = segments.label_image(
-            smap.scores >= t, cfg.options["min_size"], sample.mask.is_ood()
+            smap.scores >= t, o["min_size"], sample.mask.is_ood()
         )
         sizes, boundary = image.sizes, image.boundary_sizes
         table = np.column_stack([
@@ -236,35 +217,36 @@ def _cmd_segments(cfg: RunConfig) -> None:
         "bbox_rmin", "bbox_rmax", "bbox_cmin", "bbox_cmax", "is_false_positive",
     ]])
     parts = raster.thread_map(
-        sample_lines, _sample_files(cfg), values=lambda s: math.prod(s.dims)
+        sample_lines, _sample_files(o), values=lambda s: math.prod(s.dims)
     )
     lines = [line for part in parts for line in part]
-    raster.atomic_write_text(cfg.options["out_csv"], header + "".join(lines))
-    print(f"wrote {len(lines)} components to {cfg.options['out_csv']}")
+    raster.atomic_write_text(o["out_csv"], header + "".join(lines))
+    print(f"wrote {len(lines)} components to {o['out_csv']}")
 
 
-def _cmd_metrics(cfg: RunConfig) -> None:
+def _cmd_metrics(o: dict) -> None:
     dataset = features.build_metrics_dataset(
-        _sample_files(cfg), segments.ThresholdConfig(cfg.options["t"])
+        _sample_files(o), segments.ThresholdConfig(o["t"])
     )
-    features.save_metrics_csv(dataset, cfg.options["out_csv"])
+    features.save_metrics_csv(dataset, o["out_csv"])
     print(
         f"wrote {len(dataset)} rows x {dataset.num_metrics} metrics "
-        f"to {cfg.options['out_csv']}"
+        f"to {o['out_csv']}"
     )
 
 
-def _cmd_train_meta(cfg: RunConfig) -> None:
-    dataset = features.load_metrics_csv(cfg.options["mu"])
+def _cmd_train_meta(o: dict) -> None:
+    t = segments.ThresholdConfig(o["t"]).t
+    dataset = features.load_metrics_csv(o["mu"])
     model, trace = metaclf.train(
-        dataset, cfg.train_config(), threshold=cfg.options["t"],
-        hidden_dims=cfg.hidden_dims(),
+        dataset, _train_config(o), threshold=t,
+        hidden_dims=metaclf.HIDDEN_DIMS[o["kind"]],
     )
-    metaclf.save_model(model, cfg.options["out_model"])
+    metaclf.save_model(model, o["out_model"])
     final = f"{trace[-1]:.6f}" if trace else "n/a"
     print(
-        f"trained {cfg.options['kind']} on {len(dataset)} rows; "
-        f"final epoch loss {final}; wrote {cfg.options['out_model']}"
+        f"trained {o['kind']} on {len(dataset)} rows; "
+        f"final epoch loss {final}; wrote {o['out_model']}"
     )
 
 
@@ -276,43 +258,43 @@ def _report_and_print(report: analysis.EvalReport, out_csv: str) -> None:
     )
 
 
-def _cmd_eval_meta(cfg: RunConfig) -> None:
-    model = metaclf.load_model(cfg.options["model"])
-    dataset = features.load_metrics_csv(cfg.options["mu"])
+def _cmd_eval_meta(o: dict) -> None:
+    model = metaclf.load_model(o["model"])
+    dataset = features.load_metrics_csv(o["mu"])
     report, (fpr, tpr), (rec, prec) = analysis.evaluate_components(model, dataset)
-    if cfg.options.get("roc_svg"):
+    if o.get("roc_svg"):
         analysis.svg_line_plot(
-            [("ROC", fpr, tpr)], cfg.options["roc_svg"],
+            [("ROC", fpr, tpr)], o["roc_svg"],
             title="Component ROC", x_label="false positive rate",
             x_range=(0, 1), y_range=(0, 1), y_label="true positive rate",
         )
-    if cfg.options.get("pr_svg"):
+    if o.get("pr_svg"):
         analysis.svg_line_plot(
-            [("PR", rec, prec)], cfg.options["pr_svg"],
+            [("PR", rec, prec)], o["pr_svg"],
             title="Component precision-recall", x_label="recall",
             x_range=(0, 1), y_range=(0, 1), y_label="precision",
         )
-    _report_and_print(report, cfg.options["out_csv"])
+    _report_and_print(report, o["out_csv"])
 
 
-def _cmd_loo(cfg: RunConfig) -> None:
-    dataset = features.load_metrics_csv(cfg.options["mu"])
-    scores = analysis.loo_scores(dataset, cfg.train_config(),
-                                 hidden_dims=cfg.hidden_dims())
+def _cmd_loo(o: dict) -> None:
+    dataset = features.load_metrics_csv(o["mu"])
+    scores = analysis.loo_scores(dataset, _train_config(o),
+                                 hidden_dims=metaclf.HIDDEN_DIMS[o["kind"]])
     report = analysis.evaluate_scores(scores, dataset.labels)
-    if cfg.options.get("scores_csv"):
+    if o.get("scores_csv"):
         records = [["row", "group_id", "label", "score"]] + [
             [str(i), g, str(int(y)), f"{s:.9g}"]
             for i, (g, y, s) in enumerate(
                 zip(dataset.group_ids, dataset.labels, scores)
             )
         ]
-        raster.atomic_write_text(cfg.options["scores_csv"], raster.csv_text(records))
-    _report_and_print(report, cfg.options["out_csv"])
+        raster.atomic_write_text(o["scores_csv"], raster.csv_text(records))
+    _report_and_print(report, o["out_csv"])
 
 
-def _cmd_lars(cfg: RunConfig) -> None:
-    dataset = features.load_metrics_csv(cfg.options["mu"])
+def _cmd_lars(o: dict) -> None:
+    dataset = features.load_metrics_csv(o["mu"])
     ordering = analysis.lars_order(dataset)
     records = [["step", "metric_index", "metric_name", "entry_correlation"]] + [
         [str(step), str(idx), dataset.names[idx], f"{corr:.9g}"]
@@ -320,46 +302,43 @@ def _cmd_lars(cfg: RunConfig) -> None:
             zip(ordering.ordered_metric_indices, ordering.entry_correlations)
         )
     ]
-    raster.atomic_write_text(cfg.options["out_csv"], raster.csv_text(records))
-    print(f"wrote ordering of {dataset.num_metrics} metrics to {cfg.options['out_csv']}")
+    raster.atomic_write_text(o["out_csv"], raster.csv_text(records))
+    print(f"wrote ordering of {dataset.num_metrics} metrics to {o['out_csv']}")
 
 
-def _cmd_incremental(cfg: RunConfig) -> None:
-    dataset = features.load_metrics_csv(cfg.options["mu"])
+def _cmd_incremental(o: dict) -> None:
+    dataset = features.load_metrics_csv(o["mu"])
     aurocs, auprcs = analysis.incremental_evaluation(
-        dataset, cfg.train_config(), hidden_dims=cfg.hidden_dims()
+        dataset, _train_config(o), hidden_dims=metaclf.HIDDEN_DIMS[o["kind"]]
     )
     steps = np.arange(1, len(aurocs) + 1)
     analysis.save_curve_csv(
         [("num_metrics", steps), ("auroc", aurocs), ("auprc", auprcs)],
-        cfg.options["out_csv"],
+        o["out_csv"],
     )
-    if cfg.options.get("svg"):
+    if o.get("svg"):
         analysis.svg_line_plot(
             [("AUROC", steps, aurocs), ("AUPRC", steps, auprcs)],
-            cfg.options["svg"],
+            o["svg"],
             title="Incremental metric evaluation",
             x_label="number of metrics", y_label="value", y_range=(0, 1),
         )
     print(
-        f"wrote {len(aurocs)}-step incremental curve to {cfg.options['out_csv']}"
+        f"wrote {len(aurocs)}-step incremental curve to {o['out_csv']}"
     )
 
 
-def _cmd_filter_proxy(cfg: RunConfig) -> None:
-    in_dir = Path(cfg.options["in_dir"])
+def _cmd_filter_proxy(o: dict) -> None:
+    in_dir = Path(o["in_dir"])
     paths = sorted(in_dir.glob("*.pgm"))
     if not paths:
         raise ValueError(f"{in_dir}: no masks found")
     masks = [
-        raster.load_mask(
-            p, ood_label=cfg.options["ood_label"],
-            ignore_label=cfg.options["ignore_label"],
-        )
+        raster.load_mask(p, ood_label=o["ood_label"], ignore_label=o["ignore_label"])
         for p in paths
     ]
     low_ix, high_ix, rest_ix = analysis.split_by_ood_fraction(
-        masks, cfg.options["low"], cfg.options["high"]
+        masks, o["low"], o["high"]
     )
     bucket = {}
     for i in low_ix:
@@ -372,16 +351,16 @@ def _cmd_filter_proxy(cfg: RunConfig) -> None:
         [path.stem, f"{analysis.ood_fraction(masks[i]):.9g}", bucket[i]]
         for i, path in enumerate(paths)
     ]
-    raster.atomic_write_text(cfg.options["out_csv"], raster.csv_text(records))
+    raster.atomic_write_text(o["out_csv"], raster.csv_text(records))
     print(
         f"split {len(paths)} masks: {len(low_ix)} low / {len(high_ix)} high / "
         f"{len(rest_ix)} rest"
     )
 
 
-def _cmd_eval_pixel(cfg: RunConfig) -> None:
-    scores_dir = Path(cfg.options["scores_dir"])
-    masks_dir = Path(cfg.options["masks_dir"])
+def _cmd_eval_pixel(o: dict) -> None:
+    scores_dir = Path(o["scores_dir"])
+    masks_dir = Path(o["masks_dir"])
     score_paths = sorted(scores_dir.glob("*.score.rast"))
     if not score_paths:
         raise ValueError(f"{scores_dir}: no score maps found")
@@ -393,14 +372,12 @@ def _cmd_eval_pixel(cfg: RunConfig) -> None:
             raise ValueError(f"{spath}: no matching mask {mpath}")
         pairs.append((spath, mpath))
     report = analysis.evaluate_pixel_files(
-        pairs, ood_label=cfg.options["ood_label"],
-        ignore_label=cfg.options["ignore_label"],
+        pairs, ood_label=o["ood_label"], ignore_label=o["ignore_label"]
     )
-    _report_and_print(report, cfg.options["out_csv"])
+    _report_and_print(report, o["out_csv"])
 
 
-def _cmd_synth(cfg: RunConfig) -> None:
-    o = cfg.options
+def _cmd_synth(o: dict) -> None:
     spec = synth.SceneSpec(
         dims=(o["height"], o["width"]),
         num_classes=o["classes"],
@@ -444,8 +421,7 @@ def run(argv) -> int:
         # argparse exits directly for --help/--version.
         return int(exc.code or 0)
     try:
-        cfg = RunConfig(command=ns.command, options=vars(ns))
-        _COMMANDS[ns.command](cfg)
+        _COMMANDS[ns.command](vars(ns))
     except (ValueError, OSError) as exc:
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 2

@@ -418,15 +418,14 @@ def build_metrics_dataset(
     """Score, threshold, segment, and label every sample, emitting one
     metric row per component.
 
-    `samples` is any iterable of in-memory `Sample`s, such as a
-    `SampleSet`, or of `raster.SampleFile`s, such as
-    `raster.iter_sample_files`; both run the same code on the block
-    stream of `probability_blocks`.  Each sample's map is walked once,
-    block by block, and only the fields of the pixels and the class
-    probabilities of the pixels at or above the threshold are kept; a
-    file is read and checked as it is walked, so no H x W x C array is
-    ever built for it, and nothing computed from it counts until its last
-    block has passed the check.  Samples whose maps hold at least
+    `samples` is any iterable of in-memory `Sample`s, such as a list,
+    or of `raster.SampleFile`s, such as `raster.iter_sample_files`; both
+    run the same code on the block stream of `probability_blocks`.  Each
+    sample's map is walked once, block by block, and only the fields of
+    the pixels and the class probabilities of the pixels at or above the
+    threshold are kept; a file is read and checked as it is walked, so
+    no H x W x C array is ever built for it, and nothing computed from
+    it counts until its last block has passed the check.  Samples whose maps hold at least
     `raster._THREAD_MIN_VALUES` values are worked on `raster.thread_map`'s
     threads, up to `worker_count()` at once; smaller ones in this thread,
     one at a time.  Columns follow `metric_names` of the first sample's

@@ -378,29 +378,6 @@ class SampleFile:
         return iter_probability_blocks(self.path)
 
 
-@dataclass(frozen=True, eq=False)
-class SampleSet:
-    """An ordered collection of samples with unique identifiers."""
-
-    samples: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(_distinct_ids(self.samples)))
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def __iter__(self):
-        return iter(self.samples)
-
-    def __getitem__(self, i: int) -> Sample:
-        return self.samples[i]
-
-    @property
-    def ids(self) -> tuple:
-        return tuple(s.id for s in self.samples)
-
-
 # ---------------------------------------------------------------------------
 # RAST binary format
 # ---------------------------------------------------------------------------
@@ -778,9 +755,13 @@ def load_mask(
     """Load a PGM mask, remapping `ood_label`/`ignore_label` pixel values
     onto the canonical OOD_LABEL/IGNORE_LABEL markers.
 
-    When `num_classes` is given, any other pixel value >= num_classes is
-    rejected as an unknown label.
+    Both labels must fit in a byte and differ.  When `num_classes` is
+    given, any other pixel value >= num_classes is rejected as an unknown
+    label.
     """
+    for name, v in (("ood_label", ood_label), ("ignore_label", ignore_label)):
+        if not 0 <= v <= 255:
+            raise ValueError(f"{name} must fit in a byte, got {v}")
     if ood_label == ignore_label:
         raise ValueError("ood_label and ignore_label must differ")
     raw = _read_pgm(path)
@@ -827,8 +808,8 @@ def _distinct_ids(samples):
 
 
 def save_samples(samples, out_dir) -> None:
-    """Write `samples`, any iterable of `Sample`s such as a `SampleSet`
-    or the scenes of `synth.generate`, as `<id>.rast` + `<id>.pgm` pairs
+    """Write `samples`, any iterable of `Sample`s such as a list or the
+    scenes of `synth.generate`, as `<id>.rast` + `<id>.pgm` pairs
     under `out_dir`, in order.  Each sample is dropped before the next is
     drawn, so samples built as they are drawn are held one at a time.  A
     repeated id is refused before its files are written; the files
@@ -899,31 +880,3 @@ def iter_sample_files(
         yield SampleFile(rast.stem, rast, dims, mask)
     if classes is None:
         raise RasterFormatError(f"{root}: no sample pairs found")
-
-
-def _load_sample(sample: SampleFile) -> Sample:
-    return Sample(sample.id, load_probability_map(sample.path), sample.mask)
-
-
-def iter_samples(
-    in_dir,
-    ood_label: int = OOD_LABEL,
-    ignore_label: int = IGNORE_LABEL,
-):
-    """Every sample of `iter_sample_files` with its probability map
-    loaded, one at a time, in id order.
-
-    The iterator keeps no reference to a sample it has yielded, so a
-    consumer that drops each sample before asking for the next holds one
-    probability map at a time.
-    """
-    return map(_load_sample, iter_sample_files(in_dir, ood_label, ignore_label))
-
-
-def load_samples(
-    in_dir,
-    ood_label: int = OOD_LABEL,
-    ignore_label: int = IGNORE_LABEL,
-) -> SampleSet:
-    """Every sample of `iter_samples`, loaded at once into a `SampleSet`."""
-    return SampleSet(tuple(iter_samples(in_dir, ood_label, ignore_label)))

@@ -35,7 +35,6 @@ from .raster import (
     PROB_SUM_TOL,
     LabelMask,
     ProbabilityMap,
-    SampleSet,
     ScoreMap,
     _array_blocks,
     _Unshared,
@@ -167,15 +166,14 @@ def loss_out(pmap: ProbabilityMap, mask: LabelMask) -> float:
     return float(-logs.sum() / pmap.num_classes)
 
 
-def combined_objective(
-    in_batch: SampleSet, out_batch: SampleSet, lam: float
-) -> LossBreakdown:
+def combined_objective(in_batch, out_batch, lam: float) -> LossBreakdown:
     """Weighted training objective (1 - lam) * l_in + lam * l_out.
 
-    Each side is averaged per entry: l_in is the mean of the per-sample
-    in-losses over `in_batch`, l_out the mean of the per-sample out-losses
-    over `out_batch`.  A side with zero weight may be empty and
-    contributes 0.
+    `in_batch` and `out_batch` are sized iterables of `Sample`s, such as
+    lists.  Each side is averaged per entry: l_in is the mean of the
+    per-sample in-losses over `in_batch`, l_out the mean of the
+    per-sample out-losses over `out_batch`.  A side with zero weight may
+    be empty and contributes 0.
     """
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:

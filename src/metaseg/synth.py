@@ -255,13 +255,13 @@ def _layout(spec: SceneSpec, index: int):
 class Scenes:
     """The `count` scenes of `spec`, each built when it is asked for.
 
-    A sequence of `Sample`s with `len`, `ids`, iteration and indexing
-    that keeps no scene it has built: iterating holds none it has
-    yielded, and indexing a scene again builds it again, with the same
-    bits.  Scene i derives its stream from spec.seed + i, so the scenes
-    are reproducible and order-stable; the bisection solves a pair entry
-    by entry, so no scene's bits depend on the order the scenes are
-    built in.  `SampleSet(tuple(scenes))` keeps them all.
+    A sequence of `Sample`s with `len`, iteration and indexing that
+    keeps no scene it has built: iterating holds none it has yielded,
+    and indexing a scene again builds it again, with the same bits.
+    Scene i derives its stream from spec.seed + i, so the scenes are
+    reproducible and order-stable; the bisection solves a pair entry by
+    entry, so no scene's bits depend on the order the scenes are built
+    in.  `tuple(scenes)` keeps them all.
     """
 
     def __init__(self, spec: SceneSpec, count: int) -> None:
@@ -282,10 +282,6 @@ class Scenes:
     def __getitem__(self, i) -> Sample:
         i = operator.index(i)
         return self.scene(i + self._count if i < 0 else i)
-
-    @property
-    def ids(self) -> tuple:
-        return tuple(_scene_id(i) for i in range(self._count))
 
     def scene(self, index: int) -> Sample:
         """Build scene `index`, 0 <= index < len(self)."""

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from metaseg import analysis
+from metaseg import analysis, raster
 from metaseg.analysis import (
     EvalReport,
     auprc,
@@ -506,6 +506,17 @@ class TestEvaluatePixels:
         mask = LabelMask(np.zeros((3, 3), dtype=np.uint8))
         with pytest.raises(ValueError, match="does not match"):
             evaluate_pixels([ScoreMap(np.zeros((2, 2)))], [mask])
+
+    def test_file_label_outside_a_byte_rejected(self, tmp_path):
+        # Raw 254 pixels would still count as OOD: the label is refused,
+        # not ignored.
+        labels = np.zeros((2, 2), dtype=np.uint8)
+        labels[0, 0] = OOD_LABEL
+        raster.save_score_map(ScoreMap(np.full((2, 2), 0.5)), tmp_path / "a.score.rast")
+        raster.save_mask(LabelMask(labels), tmp_path / "a.pgm")
+        pairs = [(tmp_path / "a.score.rast", tmp_path / "a.pgm")]
+        with pytest.raises(ValueError, match="^ood_label must fit in a byte, got 300$"):
+            analysis.evaluate_pixel_files(pairs, ood_label=300)
 
     def test_peak_memory_per_kept_pixel(self):
         # On nearly distinct scores, as the 890,880 kept pixels of the

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from pixel_sets import pixel_sets
+from sample_dirs import loaded_samples
 
 import metaseg
 from metaseg import analysis, cli, features, metaclf, raster
@@ -153,6 +154,38 @@ class TestDataErrors:
             "--out", str(tmp_path / "out.csv"),
         ]
         assert cli.run(args) == 2
+
+    @pytest.mark.parametrize("command, source", [
+        ("segments", "--in"), ("metrics", "--in"), ("train-meta", "--mu"),
+    ])
+    def test_threshold_refused_before_any_file(self, tmp_path, capsys, command, source):
+        # The input does not exist: the threshold is refused first.
+        out = tmp_path / "out"
+        args = [command, source, str(tmp_path / "nope"), "--t", "1.5", "--out", str(out)]
+        assert cli.run(args) == 2
+        err = capsys.readouterr().err
+        assert err == "metaseg: error: threshold must be in [0, 1], got 1.5\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["filter-proxy", "eval-pixel"])
+    @pytest.mark.parametrize("flag, name, value", [
+        ("--ood-label", "ood_label", "300"), ("--ignore-label", "ignore_label", "-1"),
+    ])
+    def test_mask_label_out_of_byte_range_on_masks(
+        self, scene_dir, tmp_path, capsys, command, flag, name, value
+    ):
+        if command == "eval-pixel":
+            scored = tmp_path / "scored"
+            assert cli.run(["score", "--in", str(scene_dir), "--out", str(scored)]) == 0
+            capsys.readouterr()
+            inputs = ["--scores", str(scored), "--masks", str(scene_dir)]
+        else:
+            inputs = ["--in", str(scene_dir)]
+        out = tmp_path / "out.csv"
+        assert cli.run([command, *inputs, flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"metaseg: error: {name} must fit in a byte, got {value}\n"
+        assert not out.exists()
 
     def test_missing_model_file(self, toy_mu, tmp_path, capsys):
         args = [
@@ -405,7 +438,7 @@ class TestSegments:
         args = ["segments", "--in", str(scene_dir), "--min-size", "2", "--out", str(out)]
         assert cli.run(args) == 0
         want = []
-        for sample in raster.load_samples(scene_dir):
+        for sample in loaded_samples(scene_dir):
             hot, ood = anomaly_score_map(sample.pmap).scores >= 0.7, sample.mask.is_ood()
             image = label_image(hot, 2, ood)
             for k, (pixels, boundary, interior) in enumerate(pixel_sets(image)):
@@ -468,7 +501,7 @@ class TestStreamedSamples:
             # The same bytes as the metrics of the loaded samples.
             want = tmp_path / "want.csv"
             features.save_metrics_csv(features.build_metrics_dataset(
-                raster.load_samples(scene_dir), ThresholdConfig(0.7)), want)
+                list(loaded_samples(scene_dir)), ThresholdConfig(0.7)), want)
             assert out.read_bytes() == want.read_bytes()
 
     def test_metrics_memory_follows_the_anomaly_area(self, tmp_path):
@@ -486,10 +519,10 @@ class TestStreamedSamples:
         labels = np.where(hot, raster.OOD_LABEL, 0).astype(np.uint8)
         labels[:40] = 1
         d = tmp_path / "scenes"
-        raster.save_samples(raster.SampleSet([raster.Sample(
+        raster.save_samples([raster.Sample(
             "big", raster.ProbabilityMap(raw / raw.sum(axis=2, keepdims=True)),
             raster.LabelMask(labels),
-        )]), d)
+        )], d)
         nbytes = raw.nbytes
         del raw
         out = tmp_path / "mu.csv"
@@ -555,7 +588,7 @@ class TestStreamedSamples:
             more = np.concatenate([values, np.zeros(values.shape[:2] + (1,))], axis=2)
             raster.save_probability_map(raster.ProbabilityMap(more), second)
             with pytest.raises(raster.RasterFormatError) as exc:
-                raster.load_samples(d)
+                list(loaded_samples(d))
             text, named = str(exc.value), second.name
         out = tmp_path / "out" / "result.csv"
         out.parent.mkdir()

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from pixel_sets import pixel_sets
+from sample_dirs import loaded_samples
 
 from metaseg import raster
 from metaseg.features import (
@@ -32,8 +33,7 @@ from metaseg.features import (
     standardize,
 )
 from metaseg.raster import (
-    OOD_LABEL, LabelMask, ProbabilityMap, Sample, SampleSet, iter_sample_files,
-    iter_samples, load_samples, save_samples,
+    OOD_LABEL, LabelMask, ProbabilityMap, Sample, iter_sample_files, save_samples,
 )
 from metaseg.scoring import anomaly_score_map
 from metaseg.segments import LabelImage, ThresholdConfig, label_image
@@ -190,7 +190,7 @@ class TestMatchesReferenceRow:
 
     def test_iid_scene_with_a_thousand_components(self):
         sample = iid_sample(128, 176, 6, 0.3, seed=211)
-        ds = assert_rows_match_reference(SampleSet([sample]))
+        ds = assert_rows_match_reference([sample])
         named = dict(zip(ds.names, ds.rows.T))
         assert len(ds) >= 1000
         # Single-pixel components, whose interior falls back to the whole
@@ -202,20 +202,20 @@ class TestMatchesReferenceRow:
         assert (named["center_col"] < 1 / 176).any()
 
     def test_large_blobs(self):
-        samples = SampleSet([iid_sample(40, 50, 4, 0.62, seed=s, sample_id=f"b{s}")
-                             for s in (3, 5)])
+        samples = [iid_sample(40, 50, 4, 0.62, seed=s, sample_id=f"b{s}")
+                   for s in (3, 5)]
         ds = assert_rows_match_reference(samples)
         assert ds.rows[:, ds.names.index("size")].max() > 128
 
     def test_component_covering_the_whole_image(self):
         sample = iid_sample(6, 7, 5, 1.0, seed=223)
-        ds = assert_rows_match_reference(SampleSet([sample]))
+        ds = assert_rows_match_reference([sample])
         assert len(ds) == 1
         assert ds.rows[0, -5:].tolist() == [0.0] * 5
 
     def test_min_size_above_one(self):
-        samples = SampleSet([iid_sample(50, 60, 3, 0.35, seed=s, sample_id=f"m{s}")
-                             for s in (227, 229)])
+        samples = [iid_sample(50, 60, 3, 0.35, seed=s, sample_id=f"m{s}")
+                   for s in (227, 229)]
         for min_size in (2, 4):
             ds = assert_rows_match_reference(samples, min_size=min_size)
             assert ds.rows[:, ds.names.index("size")].min() >= min_size
@@ -226,7 +226,7 @@ class TestMatchesReferenceRow:
         probs[[0, -1], :, :] = 1.0 / 3
         probs[:, [0, -1], :] = 1.0 / 3
         edge = Sample("edge", ProbabilityMap(probs), sample.mask)
-        ds = assert_rows_match_reference(SampleSet([edge]))
+        ds = assert_rows_match_reference([edge])
         assert ds.rows[0, ds.names.index("size")] >= 2 * (12 + 14) - 4
 
     def test_extract_metrics_matches_reference(self):
@@ -315,7 +315,7 @@ class TestNeighborHotFraction:
     def test_zero_for_thresholded_components(self):
         # The ring of a maximal 8-connected component never reaches the
         # threshold: such a pixel would belong to the component.
-        samples = SampleSet([iid_sample(40, 60, 5, 0.45, seed=251)])
+        samples = [iid_sample(40, 60, 5, 0.45, seed=251)]
         for t, spec_samples in ((0.7, samples), (0.5, small_scene_set())):
             names = metric_names(spec_samples[0].pmap.num_classes)
             ds = build_metrics_dataset(spec_samples, ThresholdConfig(t))
@@ -502,7 +502,7 @@ class TestExtractMetrics:
         save_samples(small_scene_set(count=3, seed=263), tmp_path)
         cfg = ThresholdConfig(t)
         images, want = [], []
-        for sample in load_samples(tmp_path):
+        for sample in loaded_samples(tmp_path):
             score = anomaly_score_map(sample.pmap).scores
             images.append(label_image(score >= t))
             want.append(extract_metrics(images[-1], sample, cfg))
@@ -515,9 +515,9 @@ class TestExtractMetrics:
 
     @pytest.mark.parametrize("min_size", [1, 3])
     def test_rows_concatenate_to_the_dataset(self, min_size):
-        samples = SampleSet(list(small_scene_set(count=3, seed=269)) + [
+        samples = list(small_scene_set(count=3, seed=269)) + [
             iid_sample(40, 50, 5, 0.3, seed=271, sample_id="iid")
-        ])
+        ]
         cfg = ThresholdConfig(0.7)
         ds = build_metrics_dataset(samples, cfg, min_size=min_size)
         rows = []
@@ -669,7 +669,7 @@ class TestBuildDataset:
         for g in ds.group_ids:
             if not seen or seen[-1] != g:
                 seen.append(g)
-        assert seen == [i for i in samples.ids if i in seen]
+        assert seen == [s.id for s in samples if s.id in seen]
 
     def test_deterministic_rebuild(self):
         samples = small_scene_set()
@@ -686,16 +686,14 @@ class TestBuildDataset:
         twin = Sample(first.id, second.pmap, second.mask)
         with pytest.raises(ValueError, match="'scene_0000' is repeated"):
             build_metrics_dataset([first, twin], ThresholdConfig(0.7))
-        with pytest.raises(ValueError, match="'scene_0000' is repeated"):
-            SampleSet([first, twin])
 
     def test_class_mismatch_rejected(self):
         # The first sample sets C; a later one with another C is refused
         # before its first block is read.
-        mixed = SampleSet([
+        mixed = [
             iid_sample(12, 16, 5, 0.3, seed=277, sample_id="c5"),
             iid_sample(12, 16, 7, 0.3, seed=281, sample_id="c7"),
-        ])
+        ]
         with pytest.raises(ValueError, match="sample 'c7' has C=7, the first sample has C=5"):
             build_metrics_dataset(mixed, ThresholdConfig(0.7))
 
@@ -704,10 +702,10 @@ class TestBuildDataset:
         # a thread, so no timing lets the C=7 sample through.
         monkeypatch.setattr(raster, "_THREAD_MIN_VALUES", 0)
         monkeypatch.setenv("METASEG_THREADS", "2")
-        mixed = SampleSet([
+        mixed = [
             iid_sample(12, 16, 5, 0.3, seed=277, sample_id="c5"),
             iid_sample(12, 16, 7, 0.3, seed=281, sample_id="c7"),
-        ])
+        ]
         for _ in range(20):
             with pytest.raises(ValueError, match="sample 'c7' has C=7, the first sample has C=5"):
                 build_metrics_dataset(mixed, ThresholdConfig(0.7))
@@ -739,9 +737,9 @@ class TestStreamedBuild:
     def test_holds_one_map_at_a_time(self, tmp_path, monkeypatch):
         save_samples(small_scene_set(), tmp_path)
         cfg = ThresholdConfig(0.7)
-        want = build_metrics_dataset(load_samples(tmp_path), cfg)
+        want = build_metrics_dataset(list(loaded_samples(tmp_path)), cfg)
         refs, alive = self.watch_loads(monkeypatch)
-        got = build_metrics_dataset(iter_samples(tmp_path), cfg)
+        got = build_metrics_dataset(loaded_samples(tmp_path), cfg)
         assert alive == [0, 0, 0, 0]
         assert all(ref() is None for ref in refs)
         assert len(got) > 0 and got.names == want.names
@@ -756,9 +754,9 @@ class TestStreamedBuild:
         monkeypatch.setenv("METASEG_THREADS", "2")
         save_samples(small_scene_set(), tmp_path)
         cfg = ThresholdConfig(0.7)
-        want = build_metrics_dataset(load_samples(tmp_path), cfg)
+        want = build_metrics_dataset(list(loaded_samples(tmp_path)), cfg)
         refs, alive = self.watch_loads(monkeypatch)
-        got = build_metrics_dataset(iter_samples(tmp_path), cfg)
+        got = build_metrics_dataset(loaded_samples(tmp_path), cfg)
         assert len(alive) == 4 and max(alive) <= raster.worker_count() - 1
         assert all(ref() is None for ref in refs)
         assert len(got) > 0 and got.names == want.names
@@ -771,11 +769,11 @@ class TestStreamedBuild:
         # Walked from their files, in blocks that split the images
         # anywhere, the samples give the rows of their loaded maps, walked
         # in blocks of the default size.
-        save_samples(SampleSet([
+        save_samples([
             iid_sample(70, 90, 6, 0.3, seed=s, sample_id=f"f{s}") for s in (241, 243)
-        ]), tmp_path)
+        ], tmp_path)
         cfg = ThresholdConfig(0.7)
-        want = build_metrics_dataset(load_samples(tmp_path), cfg, min_size=min_size)
+        want = build_metrics_dataset(list(loaded_samples(tmp_path)), cfg, min_size=min_size)
         monkeypatch.setattr(raster, "_BLOCK_VALUES", 4099)
         got = build_metrics_dataset(iter_sample_files(tmp_path), cfg, min_size=min_size)
         assert len(got) > 100 and got.names == want.names

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from sample_dirs import loaded_samples
 
 from metaseg import raster
 from metaseg.raster import (
@@ -20,12 +21,11 @@ from metaseg.raster import (
     ProbabilityMap,
     RasterFormatError,
     Sample,
-    SampleSet,
     ScoreMap,
     atomic_write_bytes,
+    iter_sample_files,
     load_mask,
     load_probability_map,
-    load_samples,
     load_score_map,
     save_mask,
     save_probability_map,
@@ -194,27 +194,12 @@ class TestCallerArraysStayWriteable:
         assert not sm.scores.flags.writeable
 
 
-class TestSampleSet:
+class TestSample:
     def test_dim_mismatch_rejected(self):
         pm = ProbabilityMap(np.full((2, 2, 2), 0.5))
         mask = LabelMask(np.zeros((3, 2), dtype=np.uint8))
         with pytest.raises(ValueError, match="2x2"):
             Sample("a", pm, mask)
-
-    def test_duplicate_ids_rejected(self):
-        pm = ProbabilityMap(np.full((1, 1, 2), 0.5))
-        mask = LabelMask(np.zeros((1, 1), dtype=np.uint8))
-        s = Sample("a", pm, mask)
-        with pytest.raises(ValueError, match="unique: 'a' is repeated"):
-            SampleSet((s, s))
-
-    def test_iteration_preserves_order(self):
-        pm = ProbabilityMap(np.full((1, 1, 2), 0.5))
-        mask = LabelMask(np.zeros((1, 1), dtype=np.uint8))
-        ss = SampleSet(tuple(Sample(f"s{i}", pm, mask) for i in range(4)))
-        assert ss.ids == ("s0", "s1", "s2", "s3")
-        assert len(ss) == 4
-        assert ss[2].id == "s2"
 
 
 class TestRastRoundTrip:
@@ -612,6 +597,17 @@ class TestPgmMasks:
         with pytest.raises(ValueError, match="differ"):
             load_mask(path, ood_label=7, ignore_label=7)
 
+    @pytest.mark.parametrize("labels, message", [
+        ({"ood_label": 300}, "ood_label must fit in a byte, got 300"),
+        ({"ignore_label": -1}, "ignore_label must fit in a byte, got -1"),
+        ({"ood_label": 256, "ignore_label": 256}, "ood_label must fit in a byte, got 256"),
+    ])
+    def test_label_outside_a_byte_rejected(self, tmp_path, labels, message):
+        # Refused before the file is read: this one does not exist.
+        with pytest.raises(ValueError) as exc:
+            load_mask(tmp_path / "nope.pgm", **labels)
+        assert str(exc.value) == message
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "p2.pgm"
         path.write_bytes(b"P2\n1 1\n255\n0\n")
@@ -697,13 +693,13 @@ class TestSampleDirectories:
         return Sample(f"img_{i:03d}", pm, LabelMask(labels))
 
     def build_set(self, rng, n=3):
-        return SampleSet(tuple(self.build_sample(rng, i) for i in range(n)))
+        return [self.build_sample(rng, i) for i in range(n)]
 
     def test_round_trip(self, tmp_path):
         ss = self.build_set(np.random.default_rng(5))
         save_samples(ss, tmp_path / "d")
-        back = load_samples(tmp_path / "d")
-        assert back.ids == ss.ids
+        back = list(loaded_samples(tmp_path / "d"))
+        assert [s.id for s in back] == [s.id for s in ss]
         for a, b in zip(ss, back):
             np.testing.assert_allclose(a.pmap.values, b.pmap.values, atol=2e-6)
             np.testing.assert_array_equal(a.mask.labels, b.mask.labels)
@@ -714,24 +710,24 @@ class TestSampleDirectories:
         save_score_map(
             ScoreMap(np.zeros((2, 2))), tmp_path / "d" / "img_000.score.rast"
         )
-        back = load_samples(tmp_path / "d")
-        assert back.ids == ss.ids
+        back = iter_sample_files(tmp_path / "d")
+        assert [s.id for s in back] == [s.id for s in ss]
 
     def test_missing_mask_rejected(self, tmp_path):
         ss = self.build_set(np.random.default_rng(7), n=1)
         save_samples(ss, tmp_path / "d")
         (tmp_path / "d" / "img_000.pgm").unlink()
         with pytest.raises(RasterFormatError, match="no matching mask"):
-            load_samples(tmp_path / "d")
+            list(iter_sample_files(tmp_path / "d"))
 
     def test_empty_directory_rejected(self, tmp_path):
         (tmp_path / "d").mkdir()
         with pytest.raises(RasterFormatError, match="no sample pairs"):
-            load_samples(tmp_path / "d")
+            list(iter_sample_files(tmp_path / "d"))
 
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_samples(tmp_path / "nope")
+            list(iter_sample_files(tmp_path / "nope"))
 
     def test_each_sample_released_before_the_next_is_drawn(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -745,7 +741,8 @@ class TestSampleDirectories:
 
         save_samples(map(draw, range(3)), tmp_path / "d")
         assert alive_at_draw == [[], [False], [False, False]]
-        assert load_samples(tmp_path / "d").ids == ("img_000", "img_001", "img_002")
+        assert [s.id for s in iter_sample_files(tmp_path / "d")] == [
+            "img_000", "img_001", "img_002"]
 
     def test_repeated_id_refused_before_its_files(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -754,7 +751,7 @@ class TestSampleDirectories:
         with pytest.raises(ValueError, match="'img_000' is repeated"):
             save_samples([first, twin], tmp_path / "d")
         assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["img_000.pgm", "img_000.rast"]
-        back = load_samples(tmp_path / "d")[0]
+        back, = loaded_samples(tmp_path / "d")
         np.testing.assert_allclose(back.pmap.values, first.pmap.values, atol=2e-6)
 
 

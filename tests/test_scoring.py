@@ -18,7 +18,6 @@ from metaseg.raster import (
     ProbabilityMap,
     RasterFormatError,
     Sample,
-    SampleSet,
     load_probability_map,
     save_probability_map,
 )
@@ -518,8 +517,8 @@ class TestCombinedObjective:
     def make_sets(self):
         pm_in, mask_in = self.sample_with([0.5, 0.5], 0)
         pm_out, mask_out = self.sample_with([0.5, 0.5], OOD_LABEL)
-        in_batch = SampleSet((Sample("i0", pm_in, mask_in),))
-        out_batch = SampleSet((Sample("o0", pm_out, mask_out),))
+        in_batch = [Sample("i0", pm_in, mask_in)]
+        out_batch = [Sample("o0", pm_out, mask_out)]
         return in_batch, out_batch
 
     def test_weighting_identity(self):
@@ -540,9 +539,7 @@ class TestCombinedObjective:
     def test_sides_average_per_sample(self):
         pm_a, mask_a = self.sample_with([0.5, 0.5], 0)
         pm_b, mask_b = self.sample_with([0.25, 0.75], 1)
-        in_batch = SampleSet(
-            (Sample("a", pm_a, mask_a), Sample("b", pm_b, mask_b))
-        )
+        in_batch = [Sample("a", pm_a, mask_a), Sample("b", pm_b, mask_b)]
         _, out_batch = self.make_sets()
         br = combined_objective(in_batch, out_batch, 0.5)
         expected = 0.5 * (-math.log(0.5) - math.log(0.75))
@@ -550,13 +547,13 @@ class TestCombinedObjective:
 
     def test_zero_weight_side_may_be_empty(self):
         in_batch, out_batch = self.make_sets()
-        empty = SampleSet(())
+        empty = []
         assert combined_objective(in_batch, empty, 0.0).l_out == 0.0
         assert combined_objective(empty, out_batch, 1.0).l_in == 0.0
 
     def test_nonzero_weight_requires_samples(self):
         in_batch, out_batch = self.make_sets()
-        empty = SampleSet(())
+        empty = []
         with pytest.raises(ValueError, match="out_batch is empty"):
             combined_objective(in_batch, empty, 0.5)
         with pytest.raises(ValueError, match="in_batch is empty"):

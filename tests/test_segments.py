@@ -12,7 +12,7 @@ from pixel_sets import pixel_sets
 
 from metaseg.features import build_metrics_dataset
 from metaseg.raster import (
-    IGNORE_LABEL, OOD_LABEL, LabelMask, ProbabilityMap, Sample, SampleSet,
+    IGNORE_LABEL, OOD_LABEL, LabelMask, ProbabilityMap, Sample,
 )
 from metaseg.scoring import anomaly_score_map
 from metaseg.segments import (
@@ -74,7 +74,7 @@ def scored_sample():
 def component_sizes(sample, t):
     """The `size` column of the metric rows `build_metrics_dataset`
     extracts from `sample` at threshold `t`."""
-    ds = build_metrics_dataset(SampleSet([sample]), ThresholdConfig(t))
+    ds = build_metrics_dataset([sample], ThresholdConfig(t))
     return ds.rows[:, ds.names.index("size")].tolist()
 
 

@@ -125,7 +125,7 @@ class TestGeneration:
     def test_deterministic(self):
         a = generate(base_spec(), 4)
         b = generate(base_spec(), 4)
-        assert a.ids == b.ids
+        assert [s.id for s in a] == [s.id for s in b]
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.pmap.values, sb.pmap.values)
             np.testing.assert_array_equal(sa.mask.labels, sb.mask.labels)
@@ -145,7 +145,7 @@ class TestGeneration:
 
     def test_ids_and_dims(self):
         ss = generate(base_spec(), 3)
-        assert ss.ids == ("scene_0000", "scene_0001", "scene_0002")
+        assert [s.id for s in ss] == ["scene_0000", "scene_0001", "scene_0002"]
         for s in ss:
             assert (s.pmap.height, s.pmap.width) == (48, 48)
             assert s.pmap.num_classes == 7
@@ -265,8 +265,8 @@ class TestLazyScenes:
     def test_sequence_protocol(self):
         scenes = generate(self.spec(), 3)
         assert len(scenes) == 3
-        assert scenes.ids == ("scene_0000", "scene_0001", "scene_0002")
-        assert [s.id for s in scenes] == list(scenes.ids)
+        assert [s.id for s in scenes] == ["scene_0000", "scene_0001", "scene_0002"]
+        assert [scenes[i].id for i in range(-3, 3)] == [s.id for s in scenes] * 2
         for i in (3, -4):
             with pytest.raises(IndexError):
                 scenes[i]
