@@ -31,7 +31,6 @@ from .features import (
     MetricsDataset,
     StandardizationStats,
     build_metrics_dataset,
-    extract_metrics,
     load_metrics_csv,
     metric_names,
     save_metrics_csv,
@@ -86,8 +85,7 @@ __all__ = [
     "fpr_at_95_tpr", "incremental_evaluation", "lars_order", "loo_scores",
     "ood_fraction", "split_by_ood_fraction",
     "MetricsDataset", "StandardizationStats", "build_metrics_dataset",
-    "extract_metrics", "load_metrics_csv", "metric_names", "save_metrics_csv",
-    "standardize",
+    "load_metrics_csv", "metric_names", "save_metrics_csv", "standardize",
     "MetaModel", "MlpModel", "TrainConfig", "bce_loss", "count_parameters",
     "gradient", "load_model", "parameter_breakdown", "predict_batch",
     "remove_false_positives", "save_model", "train",

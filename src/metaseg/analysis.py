@@ -51,6 +51,7 @@ from .raster import (
     RasterFormatError,
     _open_score_map,
     atomic_write_text,
+    csv_text,
     load_mask,
     worker_count,
 )
@@ -364,15 +365,15 @@ def _training_work(rows: int, num_metrics: int, cfg: TrainConfig, hidden_dims) -
     return steps * sum(_LAYER_STEP_WORK + batch * a * b for a, b in zip(dims, dims[1:]))
 
 
-def _fold(dataset: MetricsDataset, cfg: TrainConfig, hidden_dims, group: str,
+def _fold(dataset: MetricsDataset, cfg: TrainConfig, hidden_dims, held: list,
           cols=None) -> np.ndarray:
-    """Predictions for the rows of `group` by a model trained on every
-    other row; with `cols`, on those metric columns only."""
+    """Predictions for the `held` rows by a model trained on every other
+    row, in ascending order; with `cols`, on those metric columns only."""
     if cols is not None:
         dataset = dataset.select_metrics(cols)
-    train_ix, held_ix = dataset.split_by_group(group)
+    train_ix = np.delete(np.arange(len(dataset)), held)
     fold = train(dataset.subset(train_ix), cfg, hidden_dims=hidden_dims)[0]
-    return fold.predict_raw_batch(dataset.rows[held_ix])
+    return fold.predict_raw_batch(dataset.rows[held])
 
 
 # (dataset, cfg, hidden_dims) of the pool a worker process serves; set
@@ -387,7 +388,7 @@ def _init_worker(path: str) -> None:
 
 
 def _worker_fold(task):
-    """`_fold` of one (group, cols) task in a worker process: its scores or
+    """`_fold` of one (held rows, cols) task in a worker process: its scores or
     its error, plus the warnings it issued as `warn_explicit` arguments."""
     scores = error = None
     with warnings.catch_warnings(record=True) as caught:
@@ -401,7 +402,7 @@ def _worker_fold(task):
 
 def _fold_scores(dataset: MetricsDataset, cfg: TrainConfig, hidden_dims, tasks,
                  work: float) -> list:
-    """`_fold` of each (group, cols) task, in task order.
+    """`_fold` of each (held rows, cols) task, in task order.
 
     The tasks run in-process unless `worker_count()` allows two workers or
     more and the estimated training `work` exceeds `_POOL_MIN_WORK`; then
@@ -480,7 +481,7 @@ def loo_scores(
     held = _held_rows(dataset)
     work = len(held) * _training_work(len(dataset), dataset.num_metrics, cfg,
                                       hidden_dims)
-    tasks = [(group,) for group in held]
+    tasks = [(rows,) for rows in held.values()]
     return _pooled(len(dataset), held,
                    _fold_scores(dataset, cfg, hidden_dims, tasks, work))
 
@@ -601,7 +602,7 @@ def incremental_evaluation(
                for i in range(1, dataset.num_metrics + 1)]
     work = len(held) * sum(
         _training_work(len(dataset), len(cols), cfg, hidden_dims) for cols in subsets)
-    tasks = [(group, cols) for cols in subsets for group in held]
+    tasks = [(rows, cols) for cols in subsets for rows in held.values()]
     scores = _fold_scores(dataset, cfg, hidden_dims, tasks, work)
     aurocs = []
     auprcs = []
@@ -659,8 +660,7 @@ def save_report_csv(report: EvalReport, path) -> None:
         ("negatives", str(report.negatives)),
         ("prevalence", f"{report.prevalence:.9g}"),
     ]
-    lines = ["metric,value"] + [f"{k},{v}" for k, v in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, csv_text([("metric", "value"), *rows]))
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
@@ -788,7 +788,5 @@ def save_curve_csv(columns, path) -> None:
     arrays = [np.asarray(vals, dtype=np.float64).reshape(-1) for _, vals in columns]
     if not arrays or any(a.shape != arrays[0].shape for a in arrays):
         raise ValueError("columns must be nonempty and equal-length")
-    lines = [",".join(names)]
-    for i in range(arrays[0].shape[0]):
-        lines.append(",".join(f"{a[i]:.9g}" for a in arrays))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    records = [[f"{v:.9g}" for v in row] for row in zip(*arrays)]
+    atomic_write_text(path, csv_text([names, *records]))

@@ -101,7 +101,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu", required=True, help="metrics dataset CSV")
     p.add_argument("--out", dest="out_model", required=True, help="model file")
     p.add_argument("--t", type=float, default=0.7,
-                   help="threshold recorded with the model")
+                   help="the threshold mu.csv was built at; "
+                        "remove_false_positives applies it")
     _add_train_flags(p)
 
     p = sub.add_parser("eval-meta", help="evaluate a trained meta classifier")

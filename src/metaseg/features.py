@@ -29,14 +29,14 @@ back to whole-component statistics, which keeps single-pixel components
 finite.  Population (not sample) variance is used throughout for the same
 reason.
 
-`build_metrics_dataset` labels every sample by thresholding its score;
-`extract_metrics` takes the label image of one sample from the caller.
+`build_metrics_dataset` labels every sample by thresholding its score,
+and `metaclf.remove_false_positives` labels one sample the same way.
 Both run the same two steps.  First, the sample's map is walked once, in
 the blocks of `raster._BLOCK_VALUES` values that every pass over a map
 walks, through the same code whether the map is loaded or on disk
 (`probability_blocks`); the walk keeps the H x W fields and the class
-probabilities of the pixels at or above the threshold only, so a label
-image must hold no pixel below it.  Second, the rows of all components
+probabilities of the pixels at or above the threshold only, which are
+all the pixels of the components.  Second, the rows of all components
 of the image are computed at once: pixel values are gathered in
 (component, raster) order and components of equal pixel count are
 reduced together as one block, which reproduces `ndarray.mean`/`var` of
@@ -143,12 +143,6 @@ class MetricsDataset:
             group_ids=tuple(self.group_ids[i] for i in idx),
             names=self.names,
         )
-
-    def split_by_group(self, held_out: str):
-        """Indices of rows outside/inside one group."""
-        out = [i for i, g in enumerate(self.group_ids) if g != held_out]
-        held = [i for i, g in enumerate(self.group_ids) if g == held_out]
-        return out, held
 
     def select_metrics(self, metric_indices) -> "MetricsDataset":
         """Column subset, keeping the given metric order."""
@@ -300,22 +294,11 @@ def _component_rows(
     image: LabelImage, fields: dict, hot_pixels: np.ndarray, hot_probs: np.ndarray
 ) -> np.ndarray:
     """Metric rows of every component of `image`, in id order, from
-    `_streamed_fields` of its sample.  Only the class probabilities of the
-    hot pixels were kept, so an image that holds a pixel scored below the
-    threshold is refused."""
+    `_streamed_fields` of its sample at the threshold `image` was
+    labeled at."""
     h, w = fields["ent"].shape
-    if image.shape != (h, w):
-        raise ValueError(f"label image is {image.shape}, sample is {(h, w)}")
     order, sizes = image.order, image.sizes
     flat = {name: fields[name].reshape(-1) for name in ("ent", "maxprob", "margin")}
-    ent, t = flat["ent"][order], fields["threshold"]
-    low = np.flatnonzero(ent < t)
-    if low.size:
-        r, c = divmod(int(order[low[0]]), w)
-        raise ValueError(
-            f"label image pixel ({r}, {c}) scores {ent[low[0]]:.6g}, below the "
-            f"threshold {t}, so its class probabilities were not kept"
-        )
     n_cls = hot_probs.shape[0]
     k = image.count
     out = np.empty((k, len(metric_names(n_cls))))
@@ -325,7 +308,9 @@ def _component_rows(
     # Dispersion and class probabilities: pixel values in (component,
     # raster) order, then split into boundary and interior.  The variation
     # ratio is 1 - the largest probability.
-    disp = np.stack([ent, 1.0 - flat["maxprob"][order], flat["margin"][order]])
+    disp = np.stack([
+        flat["ent"][order], 1.0 - flat["maxprob"][order], flat["margin"][order],
+    ])
     mean_all, var_all = _grouped_moments(disp, sizes)
     # The column of every component pixel among the hot pixels.
     cls_mean, cls_var = _grouped_moments(
@@ -393,28 +378,16 @@ def _component_rows(
     return out
 
 
-def extract_metrics(
-    image: LabelImage,
-    sample,
-    cfg: ThresholdConfig,
-) -> np.ndarray:
-    """Metric rows of every component of `image`, K x N in id order, laid
-    out as `metric_names` of the sample's class count.
-
-    `sample` is an in-memory `Sample` or a `raster.SampleFile`; its map is
-    walked once, as `build_metrics_dataset` walks it, and scored at
-    `cfg.t`.  Every pixel of `image` must score at least `cfg.t`, as those
-    of `segments.label_image(score >= cfg.t, ...)` do; for such an image
-    the rows are those `build_metrics_dataset` gives, bit for bit.
-    """
-    return _component_rows(image, *_sample_fields(sample, None, cfg.t))
+def _labeled_rows(sample, num_classes: int | None, threshold: float) -> tuple:
+    """The label image of `sample` thresholded at `threshold` (with the
+    false-positive flags of its mask), its `_streamed_fields` fields and
+    the metric rows of its components, from one walk of its map."""
+    fields, hot_pixels, probs = _sample_fields(sample, num_classes, threshold)
+    image = label_image(fields["ent"] >= threshold, ood=sample.mask.is_ood())
+    return image, fields, _component_rows(image, fields, hot_pixels, probs)
 
 
-def build_metrics_dataset(
-    samples,
-    cfg: ThresholdConfig,
-    min_size: int = 1,
-) -> MetricsDataset:
+def build_metrics_dataset(samples, cfg: ThresholdConfig) -> MetricsDataset:
     """Score, threshold, segment, and label every sample, emitting one
     metric row per component.
 
@@ -449,11 +422,9 @@ def build_metrics_dataset(
         yield from samples
 
     def sample_rows(sample):
-        fields, hot_pixels, probs = _sample_fields(sample, num_classes, cfg.t)
-        image = label_image(fields["ent"] >= cfg.t, min_size, sample.mask.is_ood())
+        image, _, rows = _labeled_rows(sample, num_classes, cfg.t)
         if not image.count:
             return None
-        rows = _component_rows(image, fields, hot_pixels, probs)
         return rows, image.is_false_positive, (sample.id,) * image.count
 
     parts = [

@@ -27,8 +27,10 @@ second thread, which only spins between calls.  OpenBLAS keeps one
 thread count for the whole process, so `train` restores the previous
 count as soon as its optimizer loop ends or raises.
 
-`remove_false_positives` scores every component of a `LabelImage` in one
-batch and zeroes the flagged ones in one indexed assignment.
+`remove_false_positives` labels one sample and computes its metric rows
+as `features.build_metrics_dataset` does, at the threshold the model
+records, scores every component in one batch and zeroes the flagged ones
+in one indexed assignment.
 """
 
 from __future__ import annotations
@@ -44,12 +46,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import MetricsDataset, StandardizationStats, standardize
+from .features import (
+    MetricsDataset, StandardizationStats, _labeled_rows, metric_names, standardize,
+)
 from .raster import (
     ScoreMap, _Unshared, _atomic_file, _frozen, _parse_rast, _write_rast,
     csv_text,
 )
-from .segments import LabelImage, ThresholdConfig
+from .segments import ThresholdConfig
 
 _CLAMP = 1e-12
 _MODEL_MAGIC = "metaseg-model v1"
@@ -263,8 +267,9 @@ class TrainConfig:
 class MetaModel:
     """A trained meta classifier: core parameters, the standardization
     statistics its inputs expect, the training configuration, and
-    optionally the score threshold its dataset was built at and the
-    names of the metrics it was trained on, in column order."""
+    optionally the score threshold its dataset was built at, which
+    `remove_false_positives` labels at, and the names of the metrics it
+    was trained on, in column order."""
 
     core: MlpModel
     stats: StandardizationStats
@@ -506,36 +511,32 @@ def train(
     return meta, tuple(trace)
 
 
-def remove_false_positives(
-    score: ScoreMap,
-    image: LabelImage,
-    rows,
-    model: MetaModel,
-    decision_threshold: float = 0.5,
-):
-    """Zero out the components of `image` that the model calls false
+def remove_false_positives(sample, model: MetaModel, decision_threshold: float = 0.5):
+    """Zero out the components of `sample` that the model calls false
     positives.
 
-    `rows` are the un-standardized metric rows of the image's components
-    in id order, as `features.extract_metrics(image, sample, cfg)`
-    returns them for the sample `score` was computed from.
-    All rows are scored in one batch, and every component with predicted
-    FP probability >= decision_threshold is zeroed in a copy of the score
-    map.  Returns (cleaned score map, ids of the kept components).
+    `sample` is an in-memory `Sample` or a `raster.SampleFile`.  Its map
+    is walked once, as `features.build_metrics_dataset` walks it, at the
+    score threshold `model.threshold`: the scores are thresholded, the
+    components labeled and their metric rows computed.  A model that
+    records no threshold, or whose metric names are not those of the
+    sample's class count, is refused before the map is read.  All rows
+    are scored in one batch, and every component with predicted FP
+    probability >= decision_threshold is zeroed in the score map.
+    Returns (cleaned score map, ids of the kept components), ids in the
+    order of `segments.label_image`.
     """
     if not 0.0 <= decision_threshold <= 1.0:
         raise ValueError("decision_threshold must be in [0, 1]")
-    if image.shape != score.scores.shape:
-        raise ValueError(
-            f"label image is {image.shape}, score map is {score.scores.shape}"
-        )
-    if len(rows) != image.count:
-        raise ValueError(f"{len(rows)} metric rows for {image.count} components")
+    if model.threshold is None:
+        raise ValueError("model records no score threshold to label components at")
+    model.check_metrics(metric_names(sample.dims[2]))
+    image, fields, rows = _labeled_rows(sample, None, model.threshold)
     flag = model.predict_raw_batch(rows) >= decision_threshold
-    out = score.scores.copy()
+    scores = fields["ent"]
     # Label -1 (no component) reads the appended False.
-    out[np.append(flag, False)[image.labels]] = 0.0
-    return ScoreMap(_Unshared(out)), np.flatnonzero(~flag)
+    scores[np.append(flag, False)[image.labels]] = 0.0
+    return ScoreMap(_Unshared(scores)), np.flatnonzero(~flag)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ holds, so the fields are bit-identical to the whole-array expressions.
 `anomaly_score_map` and `anomaly_score_file` fill the scores through one
 function from a block stream: the blocks of the loaded map, or those
 read from the file, so scoring a file holds the H x W scores but never
-the H x W x C map.  The metric rows (`features.extract_metrics` and
-`features.build_metrics_dataset`) take every per-pixel field, the
-largest probability and margin too, from the same kernels on the same
-streams; no whole-map field function exists besides the scores.
+the H x W x C map.  The metric rows (`features.build_metrics_dataset`
+and `metaclf.remove_false_positives`) take every per-pixel field, the
+scores, the largest probability and margin, from the same kernels on the
+same streams; no whole-map field function exists besides the scores.
 """
 
 from __future__ import annotations

@@ -20,10 +20,10 @@ jumping, so no Python loop visits a pixel or a component.  Because the
 components are maximal, the boundary of the whole hot mask is exactly the
 union of the per-component boundaries.  `label_image` is the one way to
 get components and `LabelImage.is_false_positive` the one false-positive
-rule; the `segments` step, the metric rows (`features.extract_metrics`,
-which needs every pixel of the image to score at least the threshold)
-and the false-positive removal (`metaclf.remove_false_positives`) all
-take the label image itself.
+rule: the `segments` step labels through it, and so do the metric rows
+(`features.build_metrics_dataset`) and the false-positive removal
+(`metaclf.remove_false_positives`), which label every sample at one
+threshold with no size filter.
 """
 
 from __future__ import annotations

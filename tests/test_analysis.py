@@ -8,6 +8,7 @@ correlation-sort oracle on orthogonalized designs, where the two must
 agree exactly.
 """
 
+import csv
 import dataclasses
 import math
 import multiprocessing
@@ -722,14 +723,14 @@ class TestIncrementalEvaluation:
 
 
 def fold_spy(monkeypatch):
-    """Groups of the folds `analysis._fold` trains in this process; folds
-    run by worker processes never reach it."""
+    """Held-out rows of the folds `analysis._fold` trains in this process;
+    folds run by worker processes never reach it."""
     seen = []
     fold = analysis._fold
 
-    def spy(dataset, cfg, hidden_dims, group, cols=None):
-        seen.append(group)
-        return fold(dataset, cfg, hidden_dims, group, cols)
+    def spy(dataset, cfg, hidden_dims, held, cols=None):
+        seen.append(held)
+        return fold(dataset, cfg, hidden_dims, held, cols)
 
     monkeypatch.setattr(analysis, "_fold", spy)
     return seen
@@ -785,7 +786,10 @@ class TestFoldPool:
         seen = fold_spy(monkeypatch)
         ds = TestIncrementalEvaluation().small_dataset()
         loo_scores(ds, self.CFG, hidden_dims=())
-        assert seen == list(dict.fromkeys(ds.group_ids))
+        # One fold per group, in order of first appearance, holding out
+        # exactly that group's rows.
+        assert seen == [[i for i, g in enumerate(ds.group_ids) if g == group]
+                        for group in dict.fromkeys(ds.group_ids)]
 
     def test_cut_off_splits_the_walkthrough_loo_runs(self):
         # The README walkthrough's mu.csv: 246 rows of 75 metrics from 50
@@ -895,6 +899,17 @@ class TestSerialization:
         path = tmp_path / "curve.csv"
         save_curve_csv([("x", [0.0, 0.5]), ("y", [1.0, 0.25])], path)
         assert path.read_text() == "x,y\n0,1\n0.5,0.25\n"
+
+    def test_names_with_commas_read_back(self, tmp_path):
+        curve, report = tmp_path / "curve.csv", tmp_path / "report.csv"
+        save_curve_csv([("a,b", [1, 2]), ('q"x', [3, 4])], curve)
+        with open(curve, newline="") as fh:
+            assert list(csv.reader(fh)) == [["a,b", 'q"x'], ["1", "3"], ["2", "4"]]
+        save_report_csv(self.report(), report)
+        with open(report, newline="") as fh:
+            records = list(csv.reader(fh))
+        assert records[0] == ["metric", "value"]
+        assert all(len(rec) == 2 for rec in records) and len(records) == 7
 
     def test_curve_csv_validation(self, tmp_path):
         with pytest.raises(ValueError, match="equal-length"):

@@ -18,25 +18,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from pixel_sets import pixel_sets
-from sample_dirs import loaded_samples
+from sample_dirs import iid_sample, loaded_samples
 
 from metaseg import raster
 from metaseg.features import (
     MetricsDataset,
     StandardizationStats,
+    _labeled_rows,
     _streamed_fields,
     build_metrics_dataset,
-    extract_metrics,
     load_metrics_csv,
     metric_names,
     save_metrics_csv,
     standardize,
 )
 from metaseg.raster import (
-    OOD_LABEL, LabelMask, ProbabilityMap, Sample, iter_sample_files, save_samples,
+    LabelMask, ProbabilityMap, Sample, iter_sample_files, save_samples,
 )
 from metaseg.scoring import anomaly_score_map
-from metaseg.segments import LabelImage, ThresholdConfig, label_image
+from metaseg.segments import ThresholdConfig, label_image
 from metaseg.synth import SceneSpec, generate
 
 
@@ -45,18 +45,16 @@ def sample_of(pmap, sample_id="s"):
     return Sample(sample_id, pmap, LabelMask(np.zeros(pmap.values.shape[:2], np.uint8)))
 
 
-def uniform_sample(h, w, c):
-    """Uniform probabilities everywhere: score 1.0 at every pixel."""
-    return sample_of(ProbabilityMap(np.full((h, w, c), 1.0 / c)))
-
-
-def block_image(rmin, rmax, cmin, cmax, dims):
-    """The label image of one filled rectangle."""
-    grid = np.zeros(dims, dtype=bool)
-    grid[rmin:rmax + 1, cmin:cmax + 1] = True
-    image = label_image(grid)
-    assert image.count == 1
-    return image
+def block_sample(dims, c, *blocks):
+    """Uniform probabilities (score 1.0) inside each filled rectangle
+    (rmin, rmax, cmin, cmax), one-hot on class 0 (score 0.0) outside, so
+    that each rectangle apart from the others is one hot component with a
+    cold ring."""
+    probs = np.zeros((*dims, c))
+    probs[..., 0] = 1.0
+    for rmin, rmax, cmin, cmax in blocks:
+        probs[rmin:rmax + 1, cmin:cmax + 1] = 1.0 / c
+    return sample_of(ProbabilityMap(probs))
 
 
 def whole_array_margin(values):
@@ -153,29 +151,14 @@ def reference_row(sets, fields):
     return np.array(out, dtype=np.float64)
 
 
-def iid_sample(h, w, c, hot_frac, seed, sample_id="iid"):
-    """Pixels independently hot (near-uniform probabilities, normalized
-    entropy well above 0.7) with probability `hot_frac`, else peaked on
-    one class; probabilities vary from pixel to pixel."""
-    rng = np.random.default_rng(seed)
-    hot = rng.random((h, w)) < hot_frac
-    flat = rng.dirichlet(np.full(c, 30.0), size=(h, w))
-    peak = np.zeros((h, w, c))
-    peak[np.arange(h)[:, None], np.arange(w), rng.integers(0, c, (h, w))] = 1.0
-    mix = rng.uniform(0.8, 0.95, (h, w, 1))
-    probs = np.where(hot[..., None], flat, mix * peak + (1.0 - mix) * flat)
-    labels = np.where(rng.random((h, w)) < 0.2, OOD_LABEL, 0).astype(np.uint8)
-    return Sample(sample_id, ProbabilityMap(probs), LabelMask(labels))
-
-
-def assert_rows_match_reference(samples, t=0.7, min_size=1):
+def assert_rows_match_reference(samples, t=0.7):
     names = metric_names(samples[0].pmap.num_classes)
-    ds = build_metrics_dataset(samples, ThresholdConfig(t), min_size=min_size)
+    ds = build_metrics_dataset(samples, ThresholdConfig(t))
     want, labels = [], []
     for sample in samples:
         score = anomaly_score_map(sample.pmap)
         fields = reference_fields(sample.pmap, score, t)
-        image = label_image(score.scores >= t, min_size, sample.mask.is_ood())
+        image = label_image(score.scores >= t, ood=sample.mask.is_ood())
         for sets, fp in zip(pixel_sets(image), image.is_false_positive.tolist()):
             want.append(reference_row(sets, fields))
             labels.append(fp)
@@ -213,13 +196,6 @@ class TestMatchesReferenceRow:
         assert len(ds) == 1
         assert ds.rows[0, -5:].tolist() == [0.0] * 5
 
-    def test_min_size_above_one(self):
-        samples = [iid_sample(50, 60, 3, 0.35, seed=s, sample_id=f"m{s}")
-                   for s in (227, 229)]
-        for min_size in (2, 4):
-            ds = assert_rows_match_reference(samples, min_size=min_size)
-            assert ds.rows[:, ds.names.index("size")].min() >= min_size
-
     def test_edge_touching_components(self):
         sample = iid_sample(12, 14, 3, 0.3, seed=233)
         probs = sample.pmap.values.copy()
@@ -230,33 +206,18 @@ class TestMatchesReferenceRow:
         assert ds.rows[0, ds.names.index("size")] >= 2 * (12 + 14) - 4
 
     def test_extract_metrics_matches_reference(self):
+        # The per-sample step that the dataset and the false-positive
+        # removal share: its label image, its score field (which the
+        # removal zeroes and returns) and its rows.
         sample = iid_sample(30, 40, 4, 0.4, seed=239)
         score = anomaly_score_map(sample.pmap)
         fields = reference_fields(sample.pmap, score, 0.7)
-        names = metric_names(4)
-        image = label_image(score.scores >= 0.7)
-        rows = extract_metrics(image, sample, ThresholdConfig(0.7))
-        assert rows.shape == (image.count, len(names)) and image.count > 7
+        image, got_fields, rows = _labeled_rows(sample, None, 0.7)
+        assert got_fields["ent"].tobytes() == score.scores.tobytes()
+        assert np.array_equal(image.labels, label_image(score.scores >= 0.7).labels)
+        assert rows.shape == (image.count, len(metric_names(4))) and image.count > 7
         for k, sets in enumerate(pixel_sets(image)):
             assert np.array_equal(rows[k], reference_row(sets, fields))
-
-    def test_hand_built_record_matches_reference(self):
-        # Not a maximal component, and split by hand: the ring may hold hot
-        # pixels and the boundary is whatever the label image says.
-        sample = iid_sample(8, 8, 3, 1.0, seed=241)
-        score = anomaly_score_map(sample.pmap)
-        labels = np.full((8, 8), -1)
-        labels[[2, 2, 3, 4], [2, 3, 3, 4]] = 0
-        boundary = np.zeros((8, 8), dtype=bool)
-        boundary[[2, 4], [2, 4]] = True
-        image = LabelImage(labels, boundary)
-        sets, = pixel_sets(image)
-        assert sets[2] == {(2, 3), (3, 3)}
-        names = metric_names(3)
-        got, = extract_metrics(image, sample, ThresholdConfig(0.7))
-        assert np.array_equal(got, reference_row(sets, reference_fields(
-            sample.pmap, score, 0.7)))
-        assert dict(zip(names, got))["nb_hot_frac"] == 1.0
 
 
 class TestSampleFields:
@@ -357,17 +318,18 @@ class TestMetricNames:
 
 
 class TestExtractMetrics:
-    def block_row(self, block, sample, cfg=ThresholdConfig()):
-        """The named metrics of one filled rectangle, (rmin, rmax, cmin,
-        cmax, dims), the only component of its label image."""
-        rows = extract_metrics(block_image(*block), sample, cfg)
-        names = metric_names(sample.pmap.num_classes)
-        assert rows.shape == (1, len(names))
-        return dict(zip(names, rows[0]))
+    """The rows of filled rectangles, each the only hot component of its
+    part of the image, as `build_metrics_dataset` gives them; every row is
+    also judged by the per-component oracle."""
+
+    def block_row(self, sample, t=0.7):
+        """The named metrics of the one component of `sample`."""
+        ds = assert_rows_match_reference([sample], t)
+        assert len(ds) == 1
+        return dict(zip(ds.names, ds.rows[0]))
 
     def test_uniform_block_dispersion_and_geometry(self):
-        sample = uniform_sample(10, 10, 4)
-        m = self.block_row((1, 3, 1, 3, (10, 10)), sample)
+        m = self.block_row(block_sample((10, 10), 4, (1, 3, 1, 3)))
 
         assert m["ent_mean"] == pytest.approx(1.0, abs=1e-12)
         assert m["ent_var"] == pytest.approx(0.0, abs=1e-15)
@@ -389,18 +351,16 @@ class TestExtractMetrics:
             assert m[f"cls{c}_var"] == pytest.approx(0.0, abs=1e-15)
 
     def test_uniform_block_neighborhood(self):
-        sample = uniform_sample(10, 10, 4)
-        m = self.block_row((1, 3, 1, 3, (10, 10)), sample, ThresholdConfig(0.7))
-        # Ring is the 5x5 dilation minus the 3x3 block: 16 pixels.
+        m = self.block_row(block_sample((10, 10), 4, (1, 3, 1, 3)), 0.7)
+        # Ring is the 5x5 dilation minus the 3x3 block: 16 one-hot pixels.
         assert m["nb_ring_bd_ratio"] == pytest.approx(2.0, abs=1e-12)
-        assert m["nb_ent_mean"] == pytest.approx(1.0, abs=1e-12)
-        assert m["nb_maxprob_mean"] == pytest.approx(0.25, abs=1e-12)
-        assert m["nb_hot_frac"] == 1.0
-        assert m["nb_margin_mean"] == pytest.approx(0.0, abs=1e-12)
+        assert m["nb_ent_mean"] == 0.0
+        assert m["nb_maxprob_mean"] == 1.0
+        assert m["nb_hot_frac"] == 0.0
+        assert m["nb_margin_mean"] == 1.0
 
     def test_full_image_component_has_empty_ring(self):
-        sample = uniform_sample(3, 3, 4)
-        m = self.block_row((0, 2, 0, 2, (3, 3)), sample)
+        m = self.block_row(block_sample((3, 3), 4, (0, 2, 0, 2)))
         for name in (
             "nb_ent_mean", "nb_maxprob_mean", "nb_hot_frac",
             "nb_ring_bd_ratio", "nb_margin_mean",
@@ -408,8 +368,7 @@ class TestExtractMetrics:
             assert m[name] == 0.0
 
     def test_single_pixel_interior_fallback(self):
-        sample = uniform_sample(5, 5, 4)
-        m = self.block_row((2, 2, 2, 2, (5, 5)), sample)
+        m = self.block_row(block_sample((5, 5), 4, (2, 2, 2, 2)))
         assert m["size"] == 1.0
         assert m["size_in"] == 0.0
         assert m["size_bd"] == 1.0
@@ -419,10 +378,9 @@ class TestExtractMetrics:
         assert np.isfinite(list(m.values())).all()
 
     def test_translation_moves_only_centroid(self):
-        sample = uniform_sample(12, 12, 3)
         names = metric_names(3)
-        ma = self.block_row((1, 3, 1, 3, (12, 12)), sample)
-        mb = self.block_row((5, 7, 7, 9, (12, 12)), sample)
+        ma = self.block_row(block_sample((12, 12), 3, (1, 3, 1, 3)))
+        mb = self.block_row(block_sample((12, 12), 3, (5, 7, 7, 9)))
         for name in names:
             if name in ("center_row", "center_col"):
                 continue
@@ -434,36 +392,27 @@ class TestExtractMetrics:
     def test_rows_follow_component_ids(self):
         # Two separate rectangles in one image give, in id (raster) order,
         # the rows each gets as the only component of its own image.
-        sample = uniform_sample(12, 12, 3)
-        blocks = [(1, 3, 1, 3, (12, 12)), (5, 7, 7, 9, (12, 12))]
-        hot = (block_image(*blocks[0]).labels >= 0) | (block_image(*blocks[1]).labels >= 0)
+        blocks = [(1, 3, 1, 3), (5, 7, 7, 9)]
         cfg = ThresholdConfig()
-        rows = extract_metrics(label_image(hot), sample, cfg)
+        rows = build_metrics_dataset([block_sample((12, 12), 3, *blocks)], cfg).rows
         for row, block in zip(rows, blocks, strict=True):
-            one = extract_metrics(block_image(*block), sample, cfg)[0]
-            assert np.array_equal(row, one)
+            one = build_metrics_dataset([block_sample((12, 12), 3, block)], cfg).rows
+            assert np.array_equal(row, one[0])
 
     def test_image_without_components(self):
-        sample = uniform_sample(4, 5, 3)
-        image = label_image(np.zeros((4, 5), dtype=bool))
-        rows = extract_metrics(image, sample, ThresholdConfig())
-        assert rows.shape == (0, len(metric_names(3)))
+        ds = build_metrics_dataset([block_sample((4, 5), 3)], ThresholdConfig())
+        assert ds.rows.shape == (0, len(metric_names(3)))
 
     @pytest.mark.parametrize("c", [2, 5, 19])
     def test_rows_as_wide_as_the_names(self, c):
         sample = iid_sample(20, 24, c, 0.4, seed=c)
         score = anomaly_score_map(sample.pmap).scores
         cfg, width = ThresholdConfig(0.7), len(metric_names(c))
-        image = label_image(score >= cfg.t)
-        assert image.count > 0
-        assert extract_metrics(image, sample, cfg).shape == (image.count, width)
-        empty = label_image(np.zeros_like(score, dtype=bool))
-        assert extract_metrics(empty, sample, cfg).shape == (0, width)
-
-    def test_image_shape_mismatch_rejected(self):
-        sample = uniform_sample(4, 4, 3)
-        with pytest.raises(ValueError, match="label image is"):
-            self.block_row((0, 0, 0, 0, (4, 5)), sample)
+        count = label_image(score >= cfg.t).count
+        assert count > 0
+        assert build_metrics_dataset([sample], cfg).rows.shape == (count, width)
+        empty = build_metrics_dataset([block_sample((20, 24), c)], cfg)
+        assert empty.rows.shape == (0, width)
 
     def test_nonuniform_field_statistics(self):
         # Two-pixel component with distinct scores: check mean/var by hand.
@@ -473,7 +422,7 @@ class TestExtractMetrics:
         arr[0, 1] = [0.6, 0.4]
         pmap = ProbabilityMap(arr)
         score = anomaly_score_map(pmap)
-        m = self.block_row((0, 0, 0, 1, (1, 2)), sample_of(pmap), ThresholdConfig(0.4))
+        m = self.block_row(sample_of(pmap), 0.4)
         s = score.scores[0]
         assert m["ent_mean"] == pytest.approx(s.mean(), abs=1e-12)
         assert m["ent_var"] == pytest.approx(s.var(), abs=1e-12)
@@ -482,49 +431,28 @@ class TestExtractMetrics:
         assert m["cls0_mean"] == pytest.approx(0.75, abs=1e-12)
         assert m["cls0_var"] == pytest.approx(0.0225, abs=1e-12)
 
-
-    def test_below_threshold_pixel_rejected(self):
-        # The map's class probabilities are kept for hot pixels only.
-        arr = np.zeros((1, 2, 2))
-        arr[0, 0] = [0.9, 0.1]
-        arr[0, 1] = [0.6, 0.4]
-        sample = sample_of(ProbabilityMap(arr))
-        with pytest.raises(ValueError, match=r"pixel \(0, 0\) scores 0.468996, below"):
-            self.block_row((0, 0, 0, 1, (1, 2)), sample)
-        with pytest.raises(ValueError, match="below the threshold 0.5"):
-            self.block_row((0, 0, 0, 0, (1, 2)), sample, ThresholdConfig(0.5))
-        assert self.block_row((0, 0, 0, 1, (1, 2)), sample, ThresholdConfig(0.46))
-
     @pytest.mark.parametrize("t", [0.5, 0.7])
     def test_sample_file_gives_the_same_bytes(self, tmp_path, monkeypatch, t):
         # A loaded sample, walked in blocks of the default size, and its
         # file, walked in blocks that split the image anywhere.
         save_samples(small_scene_set(count=3, seed=263), tmp_path)
         cfg = ThresholdConfig(t)
-        images, want = [], []
-        for sample in loaded_samples(tmp_path):
-            score = anomaly_score_map(sample.pmap).scores
-            images.append(label_image(score >= t))
-            want.append(extract_metrics(images[-1], sample, cfg))
+        want = [build_metrics_dataset([sample], cfg).rows
+                for sample in loaded_samples(tmp_path)]
         monkeypatch.setattr(raster, "_BLOCK_VALUES", 4099)
         files = list(iter_sample_files(tmp_path))
-        for image, sample_file, rows in zip(images, files, want, strict=True):
-            got = extract_metrics(image, sample_file, cfg)
+        for sample_file, rows in zip(files, want, strict=True):
+            got = build_metrics_dataset([sample_file], cfg).rows
             assert got.tobytes() == rows.tobytes()
         assert sum(len(rows) for rows in want) > 3
 
-    @pytest.mark.parametrize("min_size", [1, 3])
-    def test_rows_concatenate_to_the_dataset(self, min_size):
+    def test_rows_concatenate_to_the_dataset(self):
         samples = list(small_scene_set(count=3, seed=269)) + [
             iid_sample(40, 50, 5, 0.3, seed=271, sample_id="iid")
         ]
         cfg = ThresholdConfig(0.7)
-        ds = build_metrics_dataset(samples, cfg, min_size=min_size)
-        rows = []
-        for sample in samples:
-            score = anomaly_score_map(sample.pmap).scores
-            image = label_image(score >= cfg.t, min_size, sample.mask.is_ood())
-            rows.append(extract_metrics(image, sample, cfg))
+        ds = build_metrics_dataset(samples, cfg)
+        rows = [build_metrics_dataset([sample], cfg).rows for sample in samples]
         assert len(ds) > 20
         assert np.concatenate(rows).tobytes() == ds.rows.tobytes()
 
@@ -543,12 +471,6 @@ class TestMetricsDataset:
         np.testing.assert_array_equal(sub.rows[0], ds.rows[2])
         assert sub.group_ids == ("b", "a")
         assert list(sub.labels) == [True, True]
-
-    def test_split_by_group(self):
-        ds = self.toy()
-        out, held = ds.split_by_group("a")
-        assert out == [2, 3]
-        assert held == [0, 1]
 
     def test_select_metrics(self):
         ds = self.toy()
@@ -764,8 +686,7 @@ class TestStreamedBuild:
         assert np.array_equal(got.labels, want.labels)
         assert got.group_ids == want.group_ids
 
-    @pytest.mark.parametrize("min_size", [1, 3])
-    def test_files_match_loaded_samples(self, tmp_path, monkeypatch, min_size):
+    def test_files_match_loaded_samples(self, tmp_path, monkeypatch):
         # Walked from their files, in blocks that split the images
         # anywhere, the samples give the rows of their loaded maps, walked
         # in blocks of the default size.
@@ -773,9 +694,9 @@ class TestStreamedBuild:
             iid_sample(70, 90, 6, 0.3, seed=s, sample_id=f"f{s}") for s in (241, 243)
         ], tmp_path)
         cfg = ThresholdConfig(0.7)
-        want = build_metrics_dataset(list(loaded_samples(tmp_path)), cfg, min_size=min_size)
+        want = build_metrics_dataset(list(loaded_samples(tmp_path)), cfg)
         monkeypatch.setattr(raster, "_BLOCK_VALUES", 4099)
-        got = build_metrics_dataset(iter_sample_files(tmp_path), cfg, min_size=min_size)
+        got = build_metrics_dataset(iter_sample_files(tmp_path), cfg)
         assert len(got) > 100 and got.names == want.names
         assert got.rows.tobytes() == want.rows.tobytes()
         assert np.array_equal(got.labels, want.labels)

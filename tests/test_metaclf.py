@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pixel_sets import pixel_sets
+from sample_dirs import iid_sample, loaded_samples
 
-from metaseg import features, metaclf, scoring, segments, synth
+from metaseg import features, metaclf, raster, scoring, synth
 from metaseg.features import (
     MetricsDataset, StandardizationStats, build_metrics_dataset,
 )
@@ -40,7 +41,7 @@ from metaseg.metaclf import (
     sigmoid,
     train,
 )
-from metaseg.raster import ScoreMap
+from metaseg.raster import LabelMask, ProbabilityMap, Sample
 from metaseg.segments import ThresholdConfig, label_image
 
 
@@ -487,113 +488,156 @@ class TestBlasPin:
         assert get() == before
 
 
+def two_block_sample(c=2, sample_id="s"):
+    """A 6 x 6 sample, one-hot on class 0 (score 0) but for two 2 x 2
+    blocks of uniform probabilities (score 1): the components of ids 0
+    (top left) and 1 (bottom right)."""
+    probs = np.zeros((6, 6, c))
+    probs[..., 0] = 1.0
+    probs[0:2, 0:2] = probs[4:6, 4:6] = 1.0 / c
+    return Sample(sample_id, ProbabilityMap(probs), LabelMask(np.zeros((6, 6), np.uint8)))
+
+
+def four_step_removal(sample, model, decision_threshold=0.5):
+    """The removal composed by hand: score the map, label it at the
+    model's threshold, take the rows `build_metrics_dataset` gives the
+    sample, predict them, and zero each flagged component pixel by pixel.
+    Returns (cleaned scores, kept ids)."""
+    score = scoring.anomaly_score_map(sample.pmap)
+    image = label_image(score.scores >= model.threshold)
+    rows = build_metrics_dataset([sample], ThresholdConfig(model.threshold)).rows
+    flagged = model.predict_raw_batch(rows) >= decision_threshold
+    cleaned = score.scores.copy()
+    kept = []
+    for k, (pixels, _, _) in enumerate(pixel_sets(image)):
+        if flagged[k]:
+            for r, c in pixels:
+                cleaned[r, c] = 0.0
+        else:
+            kept.append(k)
+    return cleaned, kept
+
+
 class TestRemoveFalsePositives:
-    def setup_scene(self):
-        scores = np.zeros((6, 6))
-        scores[0:2, 0:2] = 0.9
-        scores[4:6, 4:6] = 0.8
-        sm = ScoreMap(scores)
-        return sm, label_image(scores >= 0.7)
+    NAMES = features.metric_names(2)
 
-    def logistic_model(self, weights, bias, n=2):
+    def logistic_model(self, weights, bias, names=NAMES, threshold=0.7):
+        n = len(names)
         stats = StandardizationStats(np.zeros(n), np.ones(n))
-        return MetaModel(core=logistic(weights, bias), stats=stats, config=TrainConfig())
+        return MetaModel(core=logistic(weights, bias), stats=stats, config=TrainConfig(),
+                         threshold=threshold, feature_names=names)
 
-    def constant_model(self, p_out):
+    def constant_model(self, p_out, **kwargs):
         # Logistic with zero weights: output sigmoid(bias) everywhere.
-        return self.logistic_model(np.zeros(2), math.log(p_out / (1.0 - p_out)))
+        n = len(kwargs.get("names", self.NAMES))
+        return self.logistic_model(np.zeros(n), math.log(p_out / (1.0 - p_out)), **kwargs)
 
     def test_row_dependent_model_removes_one_keeps_other(self):
-        sm, image = self.setup_scene()
-        model = self.logistic_model([10.0, 0.0], 0.0)
-        # The top-left component (id 0) gets p = sigmoid(10), the other
-        # sigmoid(-10).
-        rows = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        out, kept = remove_false_positives(sm, image, rows, model)
+        sample = two_block_sample()
+        # The top-left component (id 0, center_row 1/12) gets
+        # p = sigmoid(10 - 40 / 12), the other (center_row 3/4) sigmoid(-20).
+        weights = np.zeros(len(self.NAMES))
+        weights[self.NAMES.index("center_row")] = -40.0
+        out, kept = remove_false_positives(sample, self.logistic_model(weights, 10.0))
         assert kept.tolist() == [1]
-        expected = sm.scores.copy()
+        expected = scoring.anomaly_score_map(sample.pmap).scores.copy()
         expected[0:2, 0:2] = 0.0
+        assert expected[4:6, 4:6].tolist() == [[1.0, 1.0], [1.0, 1.0]]
         np.testing.assert_array_equal(out.scores, expected)
 
     def test_confident_model_zeroes_components(self):
-        sm, image = self.setup_scene()
-        model = self.constant_model(0.9)
-        out, kept = remove_false_positives(sm, image, np.zeros((2, 2)), model)
+        out, kept = remove_false_positives(two_block_sample(), self.constant_model(0.9))
         assert kept.tolist() == []
         np.testing.assert_array_equal(out.scores, 0.0)
 
     def test_unconfident_model_keeps_everything(self):
-        sm, image = self.setup_scene()
-        model = self.constant_model(0.1)
-        out, kept = remove_false_positives(sm, image, np.zeros((2, 2)), model)
-        assert kept.tolist() == list(range(image.count))
-        np.testing.assert_array_equal(out.scores, sm.scores)
+        sample = two_block_sample()
+        out, kept = remove_false_positives(sample, self.constant_model(0.1))
+        assert kept.tolist() == [0, 1]
+        np.testing.assert_array_equal(
+            out.scores, scoring.anomaly_score_map(sample.pmap).scores)
 
     def test_original_map_untouched(self):
-        sm, image = self.setup_scene()
-        before = sm.scores.copy()
+        # Each call scores the map afresh: the sample keeps its map, and a
+        # second call gives the same bits in an array of its own.
+        sample = two_block_sample()
+        before = sample.pmap.values.copy()
         model = self.constant_model(0.9)
-        remove_false_positives(sm, image, np.zeros((2, 2)), model)
-        np.testing.assert_array_equal(sm.scores, before)
+        first, _ = remove_false_positives(sample, model)
+        second, _ = remove_false_positives(sample, model)
+        np.testing.assert_array_equal(sample.pmap.values, before)
+        assert first.scores.tobytes() == second.scores.tobytes()
+        assert not np.shares_memory(first.scores, second.scores)
 
     def test_image_without_components(self):
-        sm, _ = self.setup_scene()
-        image = label_image(np.zeros((6, 6), dtype=bool))
-        out, kept = remove_false_positives(
-            sm, image, np.zeros((0, 2)), self.constant_model(0.9)
-        )
+        probs = np.zeros((6, 6, 2))
+        probs[..., 0] = 1.0
+        sample = Sample("cold", ProbabilityMap(probs), LabelMask(np.zeros((6, 6), np.uint8)))
+        out, kept = remove_false_positives(sample, self.constant_model(0.9))
         assert kept.tolist() == []
-        np.testing.assert_array_equal(out.scores, sm.scores)
-
-    def test_bbox_outside_score_map_rejected(self):
-        # A label image of another shape is refused whole, whether or not
-        # its components would fit inside the score map.
-        sm, _ = self.setup_scene()
-        for dims, hot in (((8, 8), (6, 7)), ((5, 6), (0, 1))):
-            grid = np.zeros(dims, dtype=bool)
-            grid[hot, hot] = True
-            with pytest.raises(ValueError, match="label image is"):
-                remove_false_positives(
-                    sm, label_image(grid), np.zeros((1, 2)), self.constant_model(0.9)
-                )
-
-    def test_row_count_mismatch_rejected(self):
-        sm, image = self.setup_scene()
-        with pytest.raises(ValueError, match="3 metric rows for 2 components"):
-            remove_false_positives(sm, image, np.zeros((3, 2)), self.constant_model(0.9))
+        np.testing.assert_array_equal(out.scores, 0.0)
 
     def test_decision_threshold_validated(self):
-        sm, image = self.setup_scene()
-        model = self.constant_model(0.9)
         with pytest.raises(ValueError, match="decision_threshold"):
             remove_false_positives(
-                sm, image, np.zeros((2, 2)), model, decision_threshold=1.5
+                two_block_sample(), self.constant_model(0.9), decision_threshold=1.5
             )
 
-    def test_matches_per_record_loop_on_iid_scene(self, monkeypatch):
-        rng = np.random.default_rng(307)
-        sm = ScoreMap(rng.random((128, 176)))
-        image = label_image(sm.scores >= 0.7)
-        rows = rng.normal(0.0, 1.0, (image.count, 3))
-        model = self.logistic_model([1.5, -1.0, 0.5], 0.2, n=3)
-        t = 0.6
-        want = sm.scores.copy()
-        want_kept = []
-        for k, (pixels, _, _) in enumerate(pixel_sets(image)):
-            if model.predict_raw_batch(rows[k : k + 1])[0] >= t:
-                for r, c in pixels:
-                    want[r, c] = 0.0
-            else:
-                want_kept.append(k)
+    def test_other_metric_names_refused(self, monkeypatch):
+        # The model's metrics must be the sample's, in order; the map is
+        # not read before they are checked.
+        reads = []
+        monkeypatch.setattr(Sample, "probability_blocks",
+                            lambda self: reads.append(self.id) or iter(()))
+        sample = two_block_sample()
+        with pytest.raises(ValueError, match="dataset has 41 metrics, "
+                                             "model was trained on 43"):
+            remove_false_positives(
+                sample, self.constant_model(0.9, names=features.metric_names(3)))
+        swapped = (self.NAMES[1], self.NAMES[0], *self.NAMES[2:])
+        with pytest.raises(ValueError, match="dataset metric 0 is 'ent_mean', "
+                                             "model was trained on 'ent_mean_in'"):
+            remove_false_positives(sample, self.constant_model(0.9, names=swapped))
+        assert reads == []
+
+    def test_model_without_threshold_refused(self):
+        with pytest.raises(ValueError, match="no score threshold"):
+            remove_false_positives(two_block_sample(),
+                                   self.constant_model(0.9, threshold=None))
+
+    def test_sample_file_map_read_once(self, tmp_path, monkeypatch):
+        raster.save_samples([two_block_sample(c=3)], tmp_path)
+        sample_file, = raster.iter_sample_files(tmp_path)
+        opened = []
+        walk = raster.iter_probability_blocks
+        monkeypatch.setattr(raster, "iter_probability_blocks",
+                            lambda path: opened.append(path) or walk(path))
+        model = self.constant_model(0.1, names=features.metric_names(3))
+        _, kept = remove_false_positives(sample_file, model)
+        assert opened == [sample_file.path]
+        assert kept.tolist() == [0, 1]
+
+    def test_matches_per_record_loop_on_iid_scene(self, tmp_path, monkeypatch):
+        # The loaded map of a file, and the file itself, against the
+        # four-step composition, bit for bit.
+        raster.save_samples([iid_sample(128, 176, 6, 0.3, seed=307)], tmp_path)
+        sample, = loaded_samples(tmp_path)
+        sample_file, = raster.iter_sample_files(tmp_path)
+        dataset = build_metrics_dataset([sample], ThresholdConfig(0.7))
+        model, _ = train(dataset, TrainConfig(epochs=3, seed=0), threshold=0.7,
+                         hidden_dims=())
+        t = float(np.median(model.predict_raw_batch(dataset.rows)))
+        want, want_kept = four_step_removal(sample, model, t)
         calls = []
         batch = MetaModel.predict_raw_batch
         monkeypatch.setattr(MetaModel, "predict_raw_batch",
                             lambda self, x: calls.append(len(x)) or batch(self, x))
-        out, kept = remove_false_positives(sm, image, rows, model, t)
-        assert calls == [image.count] and image.count >= 1000
-        assert 0 < len(want_kept) < image.count
-        assert kept.tolist() == want_kept
-        assert out.scores.tobytes() == want.tobytes()
+        for given in (sample, sample_file):
+            out, kept = remove_false_positives(given, model, t)
+            assert kept.tolist() == want_kept
+            assert out.scores.tobytes() == want.tobytes()
+        assert calls == [len(dataset)] * 2 and len(dataset) >= 1000
+        assert 0 < len(want_kept) < len(dataset)
 
     def test_readme_snippet(self):
         # The README's removal snippet, run on a small trained model.
@@ -602,15 +646,13 @@ class TestRemoveFalsePositives:
         snippet, = [b for b in blocks if "remove_false_positives(" in b]
         samples = synth.generate(synth.SceneSpec(dims=(32, 32), num_classes=4, seed=3), 4)
         dataset = build_metrics_dataset(samples, ThresholdConfig(0.7))
-        model, _ = train(dataset, TrainConfig(epochs=5, seed=0), hidden_dims=())
-        env = {"features": features, "metaclf": metaclf, "scoring": scoring,
-               "segments": segments, "samples": samples, "model": model}
+        model, _ = train(dataset, TrainConfig(epochs=5, seed=0), threshold=0.7,
+                         hidden_dims=())
+        env = {"metaclf": metaclf, "samples": samples, "model": model}
         exec(snippet, env)
-        score, image, cleaned, kept = (env[k] for k in ("score", "image", "cleaned", "kept"))
-        flagged = model.predict_raw_batch(env["rows"]) >= 0.5
-        assert image.count > 0 and kept.tolist() == np.flatnonzero(~flagged).tolist()
-        want = np.where(np.isin(image.labels, np.flatnonzero(flagged)), 0.0, score.scores)
-        assert cleaned.scores.tobytes() == want.tobytes()
+        want, want_kept = four_step_removal(samples[0], model)
+        assert want_kept and env["kept"].tolist() == want_kept
+        assert env["cleaned"].scores.tobytes() == want.tobytes()
 
 
 class TestModelFiles:
