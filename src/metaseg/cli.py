@@ -14,10 +14,10 @@ Exit codes: 0 success, 1 usage error, 2 data error.  The environment
 variable METASEG_THREADS caps the workers a step runs at once: the
 threads of `score`, `segments` and `metrics` (`raster.thread_map`) and
 the worker processes of `loo` and `incremental`; 1 keeps every step in
-one thread.  `score` gives every map to a thread; `segments` and
-`metrics` only maps of at least `raster._THREAD_MIN_VALUES` values, and
-work on smaller ones in the main thread.  Outputs and errors do not
-depend on the number of workers.
+one thread.  Those three steps give a map to a thread only if it holds
+at least `raster._THREAD_MIN_VALUES` values, and work on smaller ones in
+the main thread.  Outputs and errors do not depend on the number of
+workers.
 """
 
 from __future__ import annotations
@@ -101,8 +101,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu", required=True, help="metrics dataset CSV")
     p.add_argument("--out", dest="out_model", required=True, help="model file")
     p.add_argument("--t", type=float, default=0.7,
-                   help="the threshold mu.csv was built at; "
-                        "remove_false_positives applies it")
+                   help="the threshold mu.csv was built at, refused above "
+                        "its smallest ent_mean; remove_false_positives "
+                        "applies it")
     _add_train_flags(p)
 
     p = sub.add_parser("eval-meta", help="evaluate a trained meta classifier")
@@ -185,7 +186,12 @@ def _cmd_score(o: dict) -> None:
         smap = scoring.anomaly_score_file(path)
         raster.save_score_map(smap, out_dir / f"{path.stem}.score.rast")
 
-    for _ in raster.thread_map(work, paths):
+    def values(path: Path) -> int:
+        # From the file's length, 4 bytes a value: a parsed header would
+        # refuse a bad map as it is drawn, ahead of the maps before it.
+        return (path.stat().st_size - raster._HEADER_LEN) // 4
+
+    for _ in raster.thread_map(work, paths, values):
         pass
     print(f"wrote {len(paths)} score maps to {out_dir}")
 
@@ -239,6 +245,15 @@ def _cmd_metrics(o: dict) -> None:
 def _cmd_train_meta(o: dict) -> None:
     t = segments.ThresholdConfig(o["t"]).t
     dataset = features.load_metrics_csv(o["mu"])
+    # Every pixel of a component built at a threshold is at or above it,
+    # and so is its ent_mean; the margin covers the %.9g rounding of mu.csv.
+    if "ent_mean" in dataset.names:
+        low = dataset.rows[:, dataset.names.index("ent_mean")].min(initial=np.inf)
+        if t > low + 1e-8:
+            raise ValueError(
+                f"{o['mu']}: --t {t} is above its smallest ent_mean, {low:.9g}: "
+                "the table was built at a lower threshold"
+            )
     model, trace = metaclf.train(
         dataset, _train_config(o), threshold=t,
         hidden_dims=metaclf.HIDDEN_DIMS[o["kind"]],

@@ -17,11 +17,10 @@ vector combining four families:
   mean max-probability, fraction of ring pixels at or above the score
   threshold, ring-size-to-boundary-size ratio, mean probability margin.
   An empty ring (component covers the whole image) yields five zeros.
-  For components built by thresholding (`build_metrics_dataset`), the
-  hot fraction is 0 by construction: the ring of a maximal 8-connected
-  component holds no pixel at or above the threshold, since such a pixel
-  would belong to the component.  The column is kept so the layout stays
-  at 24 + 8 + 2C + 5.
+  The hot fraction is written as 0, which it is by construction: every
+  component is a maximal 8-connected set of pixels at or above the
+  threshold, so a ring pixel at or above it would belong to the
+  component.  The column is kept so the layout stays at 24 + 8 + 2C + 5.
 
 That totals 24 + 8 + 2C + 5 metrics, 75 at C = 19, named in row order by
 `metric_names`.  Interior statistics of a component with no interior fall
@@ -43,11 +42,11 @@ reduced together as one block, which reproduces `ndarray.mean`/`var` of
 each component bit for bit.  Python loops only over the distinct
 component sizes.
 
-`build_metrics_dataset` works the samples whose maps hold at least
-`raster._THREAD_MIN_VALUES` values on `raster.thread_map`'s threads, up
-to `raster.worker_count()` at once, and smaller ones one at a time in the
-calling thread.  A sample's rows do not depend on the thread that
-computes them, and they come out in sample order.
+`build_metrics_dataset` works a sample on a `raster.thread_map` thread,
+up to `raster.worker_count()` at once, only if its map holds at least
+`raster._THREAD_MIN_VALUES` values, the rule of every map step, and a
+smaller one in the calling thread.  A sample's rows do not depend on the
+thread that computes them, and they come out in sample order.
 """
 
 from __future__ import annotations
@@ -235,7 +234,6 @@ def _streamed_fields(blocks, dims: tuple, threshold: float) -> tuple:
         "ent": ent.reshape(h, w),
         "maxprob": maxprob.reshape(h, w),
         "margin": margin.reshape(h, w),
-        "threshold": float(threshold),
     }
     hot_pixels = np.concatenate(hot_pixels)
     probs = np.empty((dims[2], hot_pixels.size))
@@ -295,7 +293,8 @@ def _component_rows(
 ) -> np.ndarray:
     """Metric rows of every component of `image`, in id order, from
     `_streamed_fields` of its sample at the threshold `image` was
-    labeled at."""
+    labeled at.  `nb_hot_frac` is 0: a ring pixel at or above that
+    threshold would be 8-adjacent to the component, so inside it."""
     h, w = fields["ent"].shape
     order, sizes = image.order, image.sizes
     flat = {name: fields[name].reshape(-1) for name in ("ent", "maxprob", "margin")}
@@ -347,9 +346,6 @@ def _component_rows(
         np.stack([flat[name][ring_pix] for name in ("ent", "maxprob", "margin")]),
         ring_sizes,
     )
-    ring_hot = np.bincount(
-        ring_owner, weights=flat["ent"][ring_pix] >= fields["threshold"], minlength=k
-    )
 
     s = sizes.astype(np.float64)
     bbox = image.bboxes
@@ -368,7 +364,7 @@ def _component_rows(
         out[:, 32:32 + 2 * n_cls:2] = cls_mean.T
         out[:, 33:32 + 2 * n_cls:2] = cls_var.T
         ring = np.stack([
-            ring_mean[0], ring_mean[1], ring_hot / ring_sizes,
+            ring_mean[0], ring_mean[1], np.zeros(k),
             ring_sizes / s_bd, ring_mean[2],
         ], axis=1)
     ring[ring_sizes == 0] = 0.0
@@ -398,16 +394,17 @@ def build_metrics_dataset(samples, cfg: ThresholdConfig) -> MetricsDataset:
     the pixels and the class probabilities of the pixels at or above the
     threshold are kept; a file is read and checked as it is walked, so
     no H x W x C array is ever built for it, and nothing computed from
-    it counts until its last block has passed the check.  Samples whose maps hold at least
-    `raster._THREAD_MIN_VALUES` values are worked on `raster.thread_map`'s
-    threads, up to `worker_count()` at once; smaller ones in this thread,
-    one at a time.  Columns follow `metric_names` of the first sample's
-    class count, read from its `dims` before any work starts; a later
-    sample with another class count is refused, and so is a repeated
-    sample id, which would merge two samples into one group of
-    `group_ids` (one leave-one-out fold).  Rows follow the sample
-    order, then component id within a sample, and do not depend on the
-    thread that computed them.
+    it counts until its last block has passed the check.  As in every
+    map step, a sample whose map holds at least
+    `raster._THREAD_MIN_VALUES` values is worked on one of
+    `raster.thread_map`'s threads, up to `worker_count()` at once, and a
+    smaller one in this thread.  Columns follow `metric_names` of the
+    first sample's class count, read from its `dims` before any work
+    starts; a later sample with another class count is refused, and so
+    is a repeated sample id, which would merge two samples into one
+    group of `group_ids` (one leave-one-out fold).  Rows follow the
+    sample order, then component id within a sample, and do not depend
+    on the thread that computed them.
     """
     samples = iter(samples)
     head = list(itertools.islice(samples, 1))

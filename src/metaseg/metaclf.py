@@ -16,10 +16,10 @@ Parameters live in a flat vector (per layer: weight matrix row-major,
 then biases), which keeps the optimizer, the gradient check, and the
 model file format aligned on a single layout.  A model file also records
 the names of the metrics the model was trained on, and `check_metrics`
-refuses a dataset whose metrics differ.  A training step works in
-place on buffers built once per `train` call: per-layer views of the
-parameter and gradient vectors, the Adam moments, and the activations of
-one batch.
+refuses a dataset or a sample whose metrics differ, naming it.  A
+training step works in place on buffers built once per `train` call:
+per-layer views of the parameter and gradient vectors, the Adam
+moments, and the activations of one batch.
 
 Training runs its BLAS calls on one OpenBLAS thread.  Its gemms (at most
 batch size x 75 x 75 on the reference shape) are too small to gain from a
@@ -287,18 +287,19 @@ class MetaModel:
             if len(self.feature_names) != self.core.n_features:
                 raise ValueError("feature names do not match the model")
 
-    def check_metrics(self, names) -> None:
-        """Raise ValueError unless `names` are the metrics the model was
-        trained on, in that order; a model without recorded names (a file
-        written before they were) accepts any."""
+    def check_metrics(self, names, of: str = "dataset") -> None:
+        """Raise ValueError, naming `of` as the owner of `names`, unless
+        `names` are the metrics the model was trained on, in that order; a
+        model without recorded names (a file written before they were)
+        accepts any."""
         names, ours = tuple(names), self.feature_names
         if ours is None or names == ours:
             return
         if len(names) != len(ours):
-            msg = f"dataset has {len(names)} metrics, model was trained on {len(ours)}"
+            msg = f"{of} has {len(names)} metrics, model was trained on {len(ours)}"
         else:
             i = next(i for i, (a, b) in enumerate(zip(names, ours)) if a != b)
-            msg = f"dataset metric {i} is {names[i]!r}, model was trained on {ours[i]!r}"
+            msg = f"{of} metric {i} is {names[i]!r}, model was trained on {ours[i]!r}"
         raise ValueError(msg)
 
     @property
@@ -530,7 +531,8 @@ def remove_false_positives(sample, model: MetaModel, decision_threshold: float =
         raise ValueError("decision_threshold must be in [0, 1]")
     if model.threshold is None:
         raise ValueError("model records no score threshold to label components at")
-    model.check_metrics(metric_names(sample.dims[2]))
+    c = sample.dims[2]
+    model.check_metrics(metric_names(c), of=f"sample {sample.id!r} (C={c})")
     image, fields, rows = _labeled_rows(sample, None, model.threshold)
     flag = model.predict_raw_batch(rows) >= decision_threshold
     scores = fields["ent"]

@@ -41,8 +41,8 @@ All container types are immutable after construction (their arrays are
 marked read-only, and an array the caller still holds is copied rather
 than frozen) and safe to share across threads.  `thread_map` is the one
 way the package starts threads: an ordered map over at most
-`worker_count()` threads, which the `score`, `segments` and `metrics`
-steps run their maps on.
+`worker_count()` threads, on which the `score`, `segments` and
+`metrics` steps work their maps of at least `_THREAD_MIN_VALUES` values.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ _PROB_SUM_EXACT = 1e-7
 # whole pixels and at least one pixel: 512 KiB as float64.
 _BLOCK_VALUES = 1 << 16
 # Values (H*W*C) a map must hold for `thread_map` to give its work to a
-# thread when the caller sizes its items.  `metrics` at 2 threads against
+# thread.  `metrics` at 2 threads against
 # one, wall (CPU) seconds, medians of 9 runs on a 2-CPU host: 50 maps of
 # 64x64x19, 0.29 -> 0.30 (0.29 -> 0.39); two 128x256x19 maps of 1.6k
 # components each (0.62 Mi values), 0.22 -> 0.23 (0.22 -> 0.28); two
@@ -532,15 +532,15 @@ def worker_count() -> int:
     return n
 
 
-def thread_map(fn, items, values=None):
+def thread_map(fn, items, values):
     """`fn(item)` of each of `items`, yielded in item order, computed on
     up to `worker_count()` threads.
 
     At most `worker_count()` items are drawn ahead of the result being
-    consumed, so at most that many are in work or waiting at once.  With
-    `values`, an item goes to a thread only if `values(item)`, the number
-    of map values its work walks, is at least `_THREAD_MIN_VALUES`; any
-    other item runs in the calling thread when it is drawn.  A result
+    consumed, so at most that many are in work or waiting at once.  An
+    item goes to a thread only if `values(item)`, the number of map
+    values its work walks, is at least `_THREAD_MIN_VALUES`; any other
+    item runs in the calling thread when it is drawn.  A result
     does not depend on the thread that computes it.  Errors come out as
     from `map(fn, items)`: the first failing item's, or the one raised
     while drawing an item, held until every item drawn before it has
@@ -567,10 +567,8 @@ def thread_map(fn, items, values=None):
                 except Exception as exc:
                     draw_error, items = exc, None
                     break
-                if values is None or values(item) >= _THREAD_MIN_VALUES:
-                    # The item goes in a list the call empties, so that the
-                    # pool's record of the call does not keep it alive.
-                    pending.append(pool.submit(lambda box: fn(box.pop()), [item]))
+                if values(item) >= _THREAD_MIN_VALUES:
+                    pending.append(pool.submit(fn, item))
                 else:
                     done = Future()
                     try:

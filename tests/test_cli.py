@@ -25,7 +25,7 @@ from pixel_sets import pixel_sets
 from sample_dirs import loaded_samples
 
 import metaseg
-from metaseg import analysis, cli, features, metaclf, raster
+from metaseg import analysis, cli, features, metaclf, raster, scoring
 from metaseg.scoring import anomaly_score_map
 from metaseg.segments import ThresholdConfig, label_image
 
@@ -394,6 +394,40 @@ class TestScore:
         for pa in sorted(base.iterdir()):
             assert pa.read_bytes() == (capped / pa.name).read_bytes()
 
+    def test_maps_below_the_cut_off_scored_in_the_calling_thread(
+        self, scene_dir, tmp_path, monkeypatch
+    ):
+        # Two 24x24x4 maps and one 32x24x4 map, with the cut-off at the
+        # larger one's 3,072 values: only that map goes to the pool.
+        d = tmp_path / "maps"
+        d.mkdir()
+        shutil.copy(scene_dir / "scene_0000.rast", d / "a.rast")
+        shutil.copy(scene_dir / "scene_0001.rast", d / "c.rast")
+        big = tmp_path / "big"
+        synth = ["synth", "--out", str(big)] + SYNTH_FLAGS + ["--height", "32"]
+        assert cli.run(synth) == 0
+        shutil.copy(big / "scene_0000.rast", d / "b.rast")
+        assert raster.load_probability_map(d / "b.rast").values.size == 3072
+        monkeypatch.setattr(raster, "_THREAD_MIN_VALUES", 3072)
+        caller = threading.get_ident()
+        score_file = scoring.anomaly_score_file
+        on_caller = {}
+
+        def recording(path):
+            on_caller[path.name] = threading.get_ident() == caller
+            return score_file(path)
+
+        monkeypatch.setattr(scoring, "anomaly_score_file", recording)
+        outputs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("METASEG_THREADS", threads)
+            out = tmp_path / threads
+            assert cli.run(["score", "--in", str(d), "--out", str(out)]) == 0
+            assert on_caller == {"a.rast": True, "b.rast": threads == "1",
+                                 "c.rast": True}
+            outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(outputs["1"]) == 3 and outputs["1"] == outputs["2"]
+
     def test_invalid_thread_env(self, scene_dir, tmp_path, monkeypatch):
         for bad in ("abc", "0"):
             monkeypatch.setenv("METASEG_THREADS", bad)
@@ -708,6 +742,24 @@ class TestTrainEval:
         assert all(body.startswith(b"<svg") for body in first)
         assert cli.run(args) == 0
         assert [p.read_bytes() for p in svgs] == first
+
+    def test_threshold_above_the_rows_refused(self, tmp_path, capsys):
+        # Components built at 0.5 of blobs at entropy 0.6: every ent_mean
+        # is below the default --t 0.7, which the rows contradict.
+        scenes, mu = tmp_path / "scenes", tmp_path / "mu.csv"
+        synth = ["synth", "--out", str(scenes), "--anomaly-entropy", "0.6"]
+        assert cli.run(synth + SYNTH_FLAGS) == 0
+        assert cli.run(["metrics", "--in", str(scenes), "--t", "0.5",
+                        "--out", str(mu)]) == 0
+        capsys.readouterr()
+        model = tmp_path / "m.model"
+        args = ["train-meta", "--mu", str(mu), "--out", str(model)]
+        assert cli.run(args) == 2
+        err = assert_one_error_line(capsys, "--t 0.7 is above its smallest ent_mean")
+        assert str(mu) in err
+        assert not model.exists()
+        assert cli.run(args + ["--t", "0.5"]) == 0
+        assert metaclf.load_model(model).threshold == 0.5
 
     def test_mlp_kind_trains(self, toy_mu, tmp_path):
         out = tmp_path / "m.model"

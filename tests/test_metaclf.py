@@ -590,13 +590,14 @@ class TestRemoveFalsePositives:
         monkeypatch.setattr(Sample, "probability_blocks",
                             lambda self: reads.append(self.id) or iter(()))
         sample = two_block_sample()
-        with pytest.raises(ValueError, match="dataset has 41 metrics, "
-                                             "model was trained on 43"):
+        with pytest.raises(ValueError, match=r"^sample 's' \(C=2\) has 41 metrics, "
+                                             "model was trained on 43$"):
             remove_false_positives(
                 sample, self.constant_model(0.9, names=features.metric_names(3)))
         swapped = (self.NAMES[1], self.NAMES[0], *self.NAMES[2:])
-        with pytest.raises(ValueError, match="dataset metric 0 is 'ent_mean', "
-                                             "model was trained on 'ent_mean_in'"):
+        with pytest.raises(ValueError, match=r"^sample 's' \(C=2\) metric 0 is "
+                                             "'ent_mean', model was trained on "
+                                             "'ent_mean_in'$"):
             remove_false_positives(sample, self.constant_model(0.9, names=swapped))
         assert reads == []
 

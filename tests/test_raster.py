@@ -755,6 +755,12 @@ class TestSampleDirectories:
         np.testing.assert_allclose(back.pmap.values, first.pmap.values, atol=2e-6)
 
 
+def threaded(item):
+    """A `thread_map` size that gives every item to a thread when there
+    are workers."""
+    return raster._THREAD_MIN_VALUES
+
+
 class TestThreadMap:
     """`thread_map`: ordered, bounded and erring as `map` does."""
 
@@ -769,7 +775,8 @@ class TestThreadMap:
             time.sleep(0.002 * (7 - i))
             return i * i
 
-        assert list(raster.thread_map(slow_square, range(8))) == [i * i for i in range(8)]
+        got = list(raster.thread_map(slow_square, range(8), threaded))
+        assert got == [i * i for i in range(8)]
 
     def test_draws_at_most_the_worker_count_ahead(self, workers):
         drawn = []
@@ -779,7 +786,7 @@ class TestThreadMap:
                 drawn.append(i)
                 yield i
 
-        for i, got in enumerate(raster.thread_map(lambda x: x, items())):
+        for i, got in enumerate(raster.thread_map(lambda x: x, items(), threaded)):
             assert got == i and len(drawn) <= i + workers
 
     def test_small_items_run_in_the_calling_thread(self, workers):
@@ -816,7 +823,7 @@ class TestThreadMap:
 
         got = []
         with pytest.raises(ValueError, match="cannot draw item 3"):
-            for r in raster.thread_map(lambda i: i, items()):
+            for r in raster.thread_map(lambda i: i, items(), threaded):
                 got.append(r)
         assert got == [0, 1, 2]
 
@@ -840,7 +847,8 @@ class TestThreadMap:
 
     def test_threads_are_joined_when_the_consumer_stops(self, workers):
         before = threading.active_count()
-        results = raster.thread_map(lambda i: time.sleep(0.01) or i, range(20))
+        results = raster.thread_map(lambda i: time.sleep(0.01) or i, range(20),
+                                    threaded)
         assert next(results) == 0
         results.close()
         assert threading.active_count() == before
