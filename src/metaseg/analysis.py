@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import MetricsDataset
-from .metaclf import HIDDEN_DIMS, TrainConfig, train
+from .metaclf import HIDDEN_DIMS, TrainConfig, _one_blas_thread, train
 from .raster import (
     IGNORE_LABEL,
     OOD_LABEL,
@@ -491,6 +491,7 @@ def loo_scores(
 # ---------------------------------------------------------------------------
 
 
+@_one_blas_thread()
 def lars_order(dataset: MetricsDataset) -> LarsOrdering:
     """Classical least-angle-regression entry order of the metrics.
 
@@ -501,7 +502,8 @@ def lars_order(dataset: MetricsDataset) -> LarsOrdering:
     the next tie.  Zero-variance metrics cannot correlate and are
     appended at the end in ascending index order with correlation 0; the
     same happens for metrics left over once the residual correlation
-    vanishes.
+    vanishes.  Its products and solves run on one OpenBLAS thread, as
+    `metaclf` runs its own.
     """
     n = len(dataset)
     if n < 2:

@@ -21,11 +21,16 @@ training step works in place on buffers built once per `train` call:
 per-layer views of the parameter and gradient vectors, the Adam
 moments, and the activations of one batch.
 
-Training runs its BLAS calls on one OpenBLAS thread.  Its gemms (at most
-batch size x 75 x 75 on the reference shape) are too small to gain from a
-second thread, which only spins between calls.  OpenBLAS keeps one
-thread count for the whole process, so `train` restores the previous
-count as soon as its optimizer loop ends or raises.
+Every BLAS call runs on one OpenBLAS thread: the `_one_blas_thread`
+decorator pins `train`, `gradient` and `predict_batch`, the one
+prediction path, which `MetaModel.predict_raw_batch`,
+`remove_false_positives` and `analysis.evaluate_components` take
+(`analysis.lars_order` is pinned the same way).  Their gemms (rows x 75 x
+75 on the reference shape) are too small to gain from a second thread,
+which after a threaded call busy-waits for about 2^28 cycles, charging
+the CPU to whatever runs next.  OpenBLAS keeps one thread count for the
+whole process, so each pinned call restores the previous count as soon
+as it returns or raises.
 
 `remove_false_positives` labels one sample and computes its metric rows
 as `features.build_metrics_dataset` does, at the threshold the model
@@ -66,14 +71,12 @@ HIDDEN_DIMS = {"logistic": (), "mlp": (75, 75, 75)}
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: 1 / (1 + e^-z) where z >= 0,
+    e^z / (1 + e^z) elsewhere, so no exponential overflows."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e^-|z|; `minimum` returns a nan z itself, sign bit and all.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _check_dims(layer_dims) -> tuple:
@@ -142,15 +145,16 @@ def _backward(layers, grads, acts, deltas, x, y) -> float:
     `acts` and `deltas` are `_buffers` for at least x's rows."""
     n = x.shape[0]
     p, hidden = _forward(layers, x, acts)
-    pc = np.clip(p, _CLAMP, 1.0 - _CLAMP)
-    loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
+    # The ufuncs np.clip and np.mean reduce to, without their dispatch cost.
+    pc = np.minimum(np.maximum(p, _CLAMP), 1.0 - _CLAMP)
+    loss = float(-(np.add.reduce(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)) / n))
     # Sigmoid + BCE collapse to (p - y) at the output pre-activation.
     delta = ((p - y) / n)[:, None]
     inputs = [x, *hidden]
     for li in range(len(layers) - 1, -1, -1):
         gw, gb = grads[li]
         np.matmul(inputs[li].T, delta, out=gw)
-        np.sum(delta, axis=0, out=gb)
+        np.add.reduce(delta, axis=0, out=gb)
         if li > 0:
             d = deltas[li - 1][:n]
             np.matmul(delta, layers[li][0].T, out=d)
@@ -311,59 +315,6 @@ class MetaModel:
         return predict_batch(self.core, self.stats.apply(rows))
 
 
-def predict_batch(core: MlpModel, rows: np.ndarray) -> np.ndarray:
-    """Sigmoid outputs for already-standardized metric rows."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != core.n_features:
-        raise ValueError(
-            f"model expects {core.n_features} features per row, "
-            f"got rows of shape {rows.shape}"
-        )
-    p, _ = _forward(core.layers, rows, _buffers(core.layer_dims, rows.shape[0]))
-    return p
-
-
-def bce_loss(predictions, labels) -> float:
-    """Binary cross entropy summed over the batch (not averaged),
-    probabilities clamped to [1e-12, 1 - 1e-12]."""
-    p = np.asarray(predictions, dtype=np.float64).reshape(-1)
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if p.shape != y.shape:
-        raise ValueError(f"length mismatch: {p.shape[0]} vs {y.shape[0]}")
-    if p.size == 0:
-        raise ValueError("empty batch")
-    pc = np.clip(p, _CLAMP, 1.0 - _CLAMP)
-    return float(-np.sum(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
-
-
-def gradient(core: MlpModel, rows, labels) -> np.ndarray:
-    """Analytic gradient of the batch-mean BCE (the loss the optimizer
-    follows) with respect to every parameter, in the flat-vector layout."""
-    x = np.asarray(rows, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("rows and labels must have equal length")
-    dims = core.layer_dims
-    flat = np.empty(_vector_size(dims))
-    n = x.shape[0]
-    _backward(core.layers, _unpack(dims, flat), _buffers(dims, n), _buffers(dims, n), x, y)
-    return flat
-
-
-def count_parameters(core: MlpModel) -> int:
-    return _vector_size(core.layer_dims)
-
-
-def parameter_breakdown(core: MlpModel) -> list:
-    """Per-layer parameter counts (weights plus biases)."""
-    dims = core.layer_dims
-    return [fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:])]
-
-
 @functools.cache
 def _blas_setter():
     """OpenBLAS's `openblas_set_num_threads_local`, looked up once through
@@ -392,10 +343,11 @@ _pin_saved = 0
 
 @contextmanager
 def _one_blas_thread():
-    """Run the body with OpenBLAS on one thread and restore the previous
-    thread count on exit, also when the body raises; a no-op without the
-    setter.  The count is the whole process's, so BLAS calls made by other
-    threads meanwhile also run on one thread."""
+    """Run the body, or as `@_one_blas_thread()` each call of the function,
+    with OpenBLAS on one thread and restore the previous thread count on
+    exit, also when the body raises; a no-op without the setter.  The
+    count is the whole process's, so BLAS calls made by other threads
+    meanwhile also run on one thread."""
     global _pin_depth, _pin_saved
     setter = _blas_setter()
     if setter is None:
@@ -414,10 +366,67 @@ def _one_blas_thread():
                 setter(_pin_saved)
 
 
+@_one_blas_thread()
+def predict_batch(core: MlpModel, rows: np.ndarray) -> np.ndarray:
+    """Sigmoid outputs for already-standardized metric rows, computed on
+    one OpenBLAS thread (see `_one_blas_thread`)."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != core.n_features:
+        raise ValueError(
+            f"model expects {core.n_features} features per row, "
+            f"got rows of shape {rows.shape}"
+        )
+    p, _ = _forward(core.layers, rows, _buffers(core.layer_dims, rows.shape[0]))
+    return p
+
+
+def bce_loss(predictions, labels) -> float:
+    """Binary cross entropy summed over the batch (not averaged),
+    probabilities clamped to [1e-12, 1 - 1e-12]."""
+    p = np.asarray(predictions, dtype=np.float64).reshape(-1)
+    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    if p.shape != y.shape:
+        raise ValueError(f"length mismatch: {p.shape[0]} vs {y.shape[0]}")
+    if p.size == 0:
+        raise ValueError("empty batch")
+    pc = np.clip(p, _CLAMP, 1.0 - _CLAMP)
+    return float(-np.sum(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
+
+
+@_one_blas_thread()
+def gradient(core: MlpModel, rows, labels) -> np.ndarray:
+    """Analytic gradient of the batch-mean BCE (the loss the optimizer
+    follows) with respect to every parameter, in the flat-vector layout."""
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim == 1:
+        x = x.reshape(1, -1)
+    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
+    if x.shape[0] != y.shape[0]:
+        raise ValueError("rows and labels must have equal length")
+    dims = core.layer_dims
+    flat = np.empty(_vector_size(dims))
+    n = x.shape[0]
+    _backward(core.layers, _unpack(dims, flat), _buffers(dims, n), _buffers(dims, n), x, y)
+    return flat
+
+
+def count_parameters(core: MlpModel) -> int:
+    return _vector_size(core.layer_dims)
+
+
+def parameter_breakdown(core: MlpModel) -> list:
+    """Per-layer parameter counts (weights plus biases)."""
+    dims = core.layer_dims
+    return [fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:])]
+
+
 def _identity_stats(n: int) -> StandardizationStats:
     return StandardizationStats(mean=np.zeros(n), sigma=np.ones(n))
 
 
+@_one_blas_thread()
 def train(
     dataset: MetricsDataset,
     cfg: TrainConfig,
@@ -435,16 +444,17 @@ def train(
     share one generator seeded from cfg.seed, so identical inputs give
     bit-identical parameters.  The final incomplete batch is kept.
 
-    The optimizer loop runs OpenBLAS on one thread (see `_one_blas_thread`):
-    its gemms are too small for a second thread to save wall time.  The
-    previous thread count is restored when the loop ends or raises.
+    Training runs OpenBLAS on one thread (see `_one_blas_thread`): its
+    gemms are too small for a second thread to save wall time.  The
+    previous thread count is restored when it returns or raises.
     """
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
     if len(set(dataset.labels.tolist())) < 2:
+        # Level 3 skips the frame of the `_one_blas_thread` decorator.
         warnings.warn("training labels are single-class; the model will saturate",
-                      stacklevel=2)
+                      stacklevel=3)
     if n >= 2:
         std, stats = standardize(dataset)
         x = std.rows
@@ -470,37 +480,36 @@ def train(
     s2 = np.empty_like(theta)
     step = 0
     trace = []
-    with _one_blas_thread():
-        for _ in range(cfg.epochs):
-            order = rng.permutation(n)
-            epoch_sum = 0.0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                xb = np.take(x, idx, axis=0, out=batch[: idx.shape[0]])
-                loss = _backward(layers, grads, acts, deltas, xb, y[idx])
-                epoch_sum += loss * idx.shape[0]
-                step += 1
-                # Adam in place, keeping the float operations of
-                #   m = b1*m + (1-b1)*grad;  v = b2*v + ((1-b2)*grad)*grad
-                #   theta = (theta - (lr*m_hat) / (sqrt(v_hat) + eps)) - decay*theta
-                # in this order: a reordering can change the trained bits.
-                m *= b1
-                np.multiply(grad, 1.0 - b1, out=s1)
-                m += s1
-                v *= b2
-                np.multiply(grad, 1.0 - b2, out=s1)
-                s1 *= grad
-                v += s1
-                np.divide(m, 1.0 - b1 ** step, out=s1)
-                s1 *= lr
-                np.divide(v, 1.0 - b2 ** step, out=s2)
-                np.sqrt(s2, out=s2)
-                s2 += cfg.adam_eps
-                s1 /= s2
-                np.multiply(decay, theta, out=s2)
-                theta -= s1
-                theta -= s2
-            trace.append(epoch_sum / n)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xb = np.take(x, idx, axis=0, out=batch[: idx.shape[0]])
+            loss = _backward(layers, grads, acts, deltas, xb, y[idx])
+            epoch_sum += loss * idx.shape[0]
+            step += 1
+            # Adam in place, keeping the float operations of
+            #   m = b1*m + (1-b1)*grad;  v = b2*v + ((1-b2)*grad)*grad
+            #   theta = (theta - (lr*m_hat) / (sqrt(v_hat) + eps)) - decay*theta
+            # in this order: a reordering can change the trained bits.
+            m *= b1
+            np.multiply(grad, 1.0 - b1, out=s1)
+            m += s1
+            v *= b2
+            np.multiply(grad, 1.0 - b2, out=s1)
+            s1 *= grad
+            v += s1
+            np.divide(m, 1.0 - b1 ** step, out=s1)
+            s1 *= lr
+            np.divide(v, 1.0 - b2 ** step, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += cfg.adam_eps
+            s1 /= s2
+            np.multiply(decay, theta, out=s2)
+            theta -= s1
+            theta -= s2
+        trace.append(epoch_sum / n)
 
     meta = MetaModel(
         core=_core(dims, theta),

@@ -543,10 +543,11 @@ def thread_map(fn, items, values):
     item runs in the calling thread when it is drawn.  A result
     does not depend on the thread that computes it.  Errors come out as
     from `map(fn, items)`: the first failing item's, or the one raised
-    while drawing an item, held until every item drawn before it has
-    been consumed.  Once an error is raised, or the consumer stops early,
-    no item is drawn, the queued ones are cancelled, and the threads are
-    joined (so the running ones close their files) before it returns.
+    while drawing or sizing an item, held until every item drawn before
+    it has been consumed.  Once an error is raised, or the consumer stops
+    early, no item is drawn, the queued ones are cancelled, and the
+    threads are joined (so the running ones close their files) before it
+    returns.
     """
     workers = worker_count()
     items = iter(items)
@@ -561,13 +562,14 @@ def thread_map(fn, items, values):
             while items is not None and len(pending) < workers:
                 try:
                     item = next(items)
+                    threaded = values(item) >= _THREAD_MIN_VALUES
                 except StopIteration:
                     items = None
                     break
                 except Exception as exc:
                     draw_error, items = exc, None
                     break
-                if values(item) >= _THREAD_MIN_VALUES:
+                if threaded:
                     pending.append(pool.submit(fn, item))
                 else:
                     done = Future()

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from blas_pin import count_spy, record_setter
 from pixel_sets import pixel_sets
 from sample_dirs import iid_sample, loaded_samples
 
@@ -153,6 +154,25 @@ class TestPrediction:
             predict_batch(lg, np.ones((1, 4)))
         with pytest.raises(ValueError, match="rows"):
             predict_batch(lg, np.ones((2, 4)))
+
+    def test_sigmoid_bits_match_masked_formula(self):
+        # The formula `sigmoid` replaced: each branch computed on the
+        # elements of its sign only, through boolean masks.
+        def masked(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        rng = np.random.default_rng(91)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+                    745.0, -745.0, 1e-300, -1e-300]
+        z = np.concatenate([specials, rng.normal(0, 20, 10_000),
+                            rng.uniform(-800, 800, 1_000)])
+        np.testing.assert_array_equal(sigmoid(z).view(np.uint64),
+                                      masked(z).view(np.uint64))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(89)
@@ -486,6 +506,42 @@ class TestBlasPin:
         for meta in results:
             np.testing.assert_array_equal(meta.core.to_vector(), expected)
         assert get() == before
+
+
+class TestBlasPinEntryPoints:
+    """Each entry point that makes BLAS calls runs them on one thread and
+    then restores the count it found, also when it raises.  A recording
+    setter stands in for OpenBLAS's, so this runs on any BLAS."""
+
+    NAMES = features.metric_names(2)
+
+    def model(self):
+        n = len(self.NAMES)
+        return MetaModel(core=logistic(np.zeros(n), 0.0),
+                         stats=StandardizationStats(np.zeros(n), np.ones(n)),
+                         config=TrainConfig(), threshold=0.7, feature_names=self.NAMES)
+
+    @pytest.mark.parametrize("fail", [False, True])
+    @pytest.mark.parametrize("entry", ["predict_batch", "gradient",
+                                       "remove_false_positives"])
+    def test_one_thread_then_count_restored(self, monkeypatch, entry, fail):
+        setter = record_setter(monkeypatch)
+        seen = count_spy(monkeypatch, metaclf, "_forward", setter, fail)
+        model = self.model()
+        rows = np.zeros((3, len(self.NAMES)))
+        call = {
+            "predict_batch": lambda: predict_batch(model.core, rows),
+            "gradient": lambda: gradient(model.core, rows, [1, 0, 1]),
+            "remove_false_positives": lambda: remove_false_positives(
+                two_block_sample(), model),
+        }[entry]
+        if fail:
+            with pytest.raises(RuntimeError, match="_forward"):
+                call()
+        else:
+            call()
+        assert seen == [1]
+        assert setter.calls == [1, 4]
 
 
 def two_block_sample(c=2, sample_id="s"):

@@ -827,6 +827,20 @@ class TestThreadMap:
                 got.append(r)
         assert got == [0, 1, 2]
 
+    def test_sizing_error_waits_for_the_items_before_it(self, workers):
+        # Item 0 goes to a thread and fails there; sizing item 1 fails
+        # while item 0 is in work.  As from `map`, item 0's error wins.
+        def fail(i):
+            raise ValueError(f"item {i}")
+
+        def size(i):
+            if i == 1:
+                raise OSError("cannot size item 1")
+            return raster._THREAD_MIN_VALUES
+
+        with pytest.raises(ValueError, match="^item 0$"):
+            list(raster.thread_map(fail, range(3), size))
+
     @pytest.mark.parametrize("threaded", [False, True])
     def test_item_released_once_its_result_is_consumed(self, workers, threaded):
         class Item:
