@@ -9,7 +9,22 @@ covers component- and pixel-level ranking metrics, leave-one-out cross
 validation, least-angle-regression feature ordering with incremental
 curves, and an OOD-fraction proxy split, plus a deterministic synthetic
 scene generator for desk-scale experiments.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` in the environment
+unless one of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``OMP_NUM_THREADS`` is already set; setting any of them opts out.  Every
+BLAS call the package makes runs on one thread (see `metaclf`), so
+OpenBLAS then starts without the worker thread whose start-up busy-wait
+would only burn CPU.  It takes effect only where numpy is loaded after
+the package; processes spawned afterwards, such as the leave-one-out
+fold workers, inherit it either way.
 """
+
+import os
+
+if not any(name in os.environ for name in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .analysis import (
     EvalReport,

@@ -408,12 +408,15 @@ def _fold_scores(dataset: MetricsDataset, cfg: TrainConfig, hidden_dims, tasks,
     more and the estimated training `work` exceeds `_POOL_MIN_WORK`; then
     they run on a pool of spawned processes (forking a process that holds
     OpenBLAS threads is unsafe), each of which reads the dataset once from
-    a private temporary file.  Handed over in the spawn payload instead, a
-    dataset larger than a pipe buffer would make each worker's start wait
-    until the one before had imported this package, and a worker that
-    failed on start would leave this process blocked forever in that
-    write.  A fold's bits do not depend on the process that trains it.
-    Warnings and errors reach the caller as from the in-process run: task
+    a private temporary file.  The workers inherit the environment, with
+    the ``OPENBLAS_NUM_THREADS=1`` that importing the package sets when no
+    thread variable is set, so their OpenBLAS starts on one thread even
+    where the caller loaded numpy first.  Handed over in the spawn payload
+    instead, a dataset larger than a pipe buffer would make each worker's
+    start wait until the one before had imported this package, and a
+    worker that failed on start would leave this process blocked forever
+    in that write.  A fold's bits do not depend on the process that trains
+    it.  Warnings and errors reach the caller as from the in-process run: task
     by task, each fold's warnings are issued again here, at the place the
     fold issued them, and the first error is raised after them (its
     traceback ends here; METASEG_THREADS=1 shows the fold's own).

@@ -30,7 +30,9 @@ prediction path, which `MetaModel.predict_raw_batch`,
 which after a threaded call busy-waits for about 2^28 cycles, charging
 the CPU to whatever runs next.  OpenBLAS keeps one thread count for the
 whole process, so each pinned call restores the previous count as soon
-as it returns or raises.
+as it returns or raises.  Where the package loads before numpy, OpenBLAS
+already starts on one thread (the package sets ``OPENBLAS_NUM_THREADS``
+when no thread variable is set) and the pins change nothing.
 
 `remove_false_positives` labels one sample and computes its metric rows
 as `features.build_metrics_dataset` does, at the threshold the model
@@ -347,7 +349,9 @@ def _one_blas_thread():
     with OpenBLAS on one thread and restore the previous thread count on
     exit, also when the body raises; a no-op without the setter.  The
     count is the whole process's, so BLAS calls made by other threads
-    meanwhile also run on one thread."""
+    meanwhile also run on one thread.  It matters only where numpy was
+    loaded before this package, or with a thread variable set: otherwise
+    OpenBLAS started on one thread (see the package docstring)."""
     global _pin_depth, _pin_saved
     setter = _blas_setter()
     if setter is None:
@@ -599,7 +603,9 @@ def load_model(path) -> MetaModel:
     cut = data.find(marker)
     if not data.startswith(_MODEL_MAGIC.encode("ascii")) or cut < 0:
         raise ValueError(f"{path}: not a model file")
-    newline = data.index(b"\n", cut + 1)
+    newline = data.find(b"\n", cut + 1)
+    if newline < 0:
+        raise ValueError(f"{path}: no parameter block after the params line")
     header = data[:newline].decode("utf-8")
     block = data[newline + 1 :]
 

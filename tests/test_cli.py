@@ -195,6 +195,15 @@ class TestDataErrors:
         assert cli.run(args) == 2
         assert "metaseg: error:" in capsys.readouterr().err
 
+    def test_model_file_ending_after_params_value(self, toy_mu, tmp_path, capsys):
+        model = tmp_path / "m.model"
+        model.write_bytes(b"metaseg-model v1\nkind logistic\nparams 5")
+        args = ["eval-meta", "--model", str(model),
+                "--mu", str(toy_mu), "--out", str(tmp_path / "r.csv")]
+        assert cli.run(args) == 2
+        assert capsys.readouterr().err == (
+            f"metaseg: error: {model}: no parameter block after the params line\n")
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag, field", [("--lr", "learning_rate"),
                                              ("--weight-decay", "weight_decay")])

@@ -433,6 +433,22 @@ class TestBlasPin:
     OpenBLAS thread count back, whatever happens in the loop."""
 
     CFG = TrainConfig(epochs=3, batch_size=8, seed=2)
+    START = 2
+
+    @pytest.fixture(autouse=True)
+    def start_above_one(self):
+        # Each case starts at START threads, so that a pin which never sets
+        # one thread, or never restores, shows whatever count the process
+        # had (one where the package loaded before numpy); the count found
+        # is put back afterwards.
+        setter = metaclf._blas_setter()
+        found = setter(self.START)
+        try:
+            if _blas_getter()() != self.START:
+                pytest.skip(f"OpenBLAS did not take a count of {self.START}")
+            yield
+        finally:
+            setter(found)
 
     def test_one_thread_inside_and_count_restored(self, monkeypatch):
         get = _blas_getter()
@@ -444,9 +460,8 @@ class TestBlasPin:
             return backward(*args)
 
         monkeypatch.setattr(metaclf, "_backward", spy)
-        before = get()
         train(separable_dataset(), self.CFG, hidden_dims=(4,))
-        assert get() == before
+        assert get() == self.START
         assert seen and set(seen) == {1}
 
     def test_count_restored_when_loop_raises(self, monkeypatch):
@@ -461,11 +476,10 @@ class TestBlasPin:
             return backward(*args)
 
         monkeypatch.setattr(metaclf, "_backward", fail_third)
-        before = get()
         with pytest.raises(RuntimeError, match="third step"):
             train(separable_dataset(), self.CFG, hidden_dims=(4,))
         assert calls == [1, 1, 1]
-        assert get() == before
+        assert get() == self.START
 
     def test_noop_setter_gives_same_bits(self, monkeypatch):
         ds = separable_dataset()
@@ -484,7 +498,6 @@ class TestBlasPin:
         get = _blas_getter()
         ds = separable_dataset()
         expected = train(ds, self.CFG, hidden_dims=(4,))[0].core.to_vector()
-        before = get()
         results = []
 
         def work():
@@ -505,7 +518,7 @@ class TestBlasPin:
         assert len(results) == 30
         for meta in results:
             np.testing.assert_array_equal(meta.core.to_vector(), expected)
-        assert get() == before
+        assert get() == self.START
 
 
 class TestBlasPinEntryPoints:
