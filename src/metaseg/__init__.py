@@ -10,21 +10,51 @@ validation, least-angle-regression feature ordering with incremental
 curves, and an OOD-fraction proxy split, plus a deterministic synthetic
 scene generator for desk-scale experiments.
 
-Importing the package sets ``OPENBLAS_NUM_THREADS=1`` in the environment
+Importing the package decides how many threads OpenBLAS runs on: one,
 unless one of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
-``OMP_NUM_THREADS`` is already set; setting any of them opts out.  Every
-BLAS call the package makes runs on one thread (see `metaclf`), so
-OpenBLAS then starts without the worker thread whose start-up busy-wait
-would only burn CPU.  It takes effect only where numpy is loaded after
-the package; processes spawned afterwards, such as the leave-one-out
-fold workers, inherit it either way.
+``OMP_NUM_THREADS`` is set, in which case that count holds for the
+package's own calls too.  The meta classifiers' products are too small
+to gain from a second thread, and an idle OpenBLAS worker busy-waits
+after each threaded call, charging the CPU to whatever runs next.  With
+no variable set the package sets ``OPENBLAS_NUM_THREADS=1`` before any
+submodule loads numpy, so OpenBLAS starts without a worker thread, and
+processes spawned afterwards, such as the leave-one-out fold workers,
+inherit it.  Where numpy was loaded first the variable comes too late,
+so the package also sets OpenBLAS's count to one through its own setter,
+once; the process stays on one thread afterwards.
 """
 
 import os
+import sys
+
+
+def _blas_setter():
+    """OpenBLAS's `openblas_set_num_threads_local`, looked up through
+    numpy's own extension module, which links the BLAS numpy uses; None for
+    another BLAS or an OpenBLAS older than 0.3.27.  Despite its name it
+    sets the whole process's thread count."""
+    import ctypes
+
+    import numpy as np
+
+    core = getattr(np, "_core", None) or np.core  # numpy 2.x, else 1.x
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+        setter = lib.openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
+
 
 if not any(name in os.environ for name in
            ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    if "numpy" in sys.modules:
+        _setter = _blas_setter()
+        if _setter is not None:
+            _setter(1)
 
 from .analysis import (
     EvalReport,

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import MetricsDataset
-from .metaclf import HIDDEN_DIMS, TrainConfig, _one_blas_thread, train
+from .metaclf import HIDDEN_DIMS, TrainConfig, train
 from .raster import (
     IGNORE_LABEL,
     OOD_LABEL,
@@ -410,8 +410,8 @@ def _fold_scores(dataset: MetricsDataset, cfg: TrainConfig, hidden_dims, tasks,
     OpenBLAS threads is unsafe), each of which reads the dataset once from
     a private temporary file.  The workers inherit the environment, with
     the ``OPENBLAS_NUM_THREADS=1`` that importing the package sets when no
-    thread variable is set, so their OpenBLAS starts on one thread even
-    where the caller loaded numpy first.  Handed over in the spawn payload
+    thread variable is set, so their OpenBLAS starts on one thread, and on
+    the user's count when one is set.  Handed over in the spawn payload
     instead, a dataset larger than a pipe buffer would make each worker's
     start wait until the one before had imported this package, and a
     worker that failed on start would leave this process blocked forever
@@ -494,7 +494,6 @@ def loo_scores(
 # ---------------------------------------------------------------------------
 
 
-@_one_blas_thread()
 def lars_order(dataset: MetricsDataset) -> LarsOrdering:
     """Classical least-angle-regression entry order of the metrics.
 
@@ -505,8 +504,8 @@ def lars_order(dataset: MetricsDataset) -> LarsOrdering:
     the next tie.  Zero-variance metrics cannot correlate and are
     appended at the end in ascending index order with correlation 0; the
     same happens for metrics left over once the residual correlation
-    vanishes.  Its products and solves run on one OpenBLAS thread, as
-    `metaclf` runs its own.
+    vanishes.  Its products and solves run on the OpenBLAS thread count
+    the package import set, as `metaclf`'s do.
     """
     n = len(dataset)
     if n < 2:

@@ -21,18 +21,10 @@ training step works in place on buffers built once per `train` call:
 per-layer views of the parameter and gradient vectors, the Adam
 moments, and the activations of one batch.
 
-Every BLAS call runs on one OpenBLAS thread: the `_one_blas_thread`
-decorator pins `train`, `gradient` and `predict_batch`, the one
-prediction path, which `MetaModel.predict_raw_batch`,
-`remove_false_positives` and `analysis.evaluate_components` take
-(`analysis.lars_order` is pinned the same way).  Their gemms (rows x 75 x
-75 on the reference shape) are too small to gain from a second thread,
-which after a threaded call busy-waits for about 2^28 cycles, charging
-the CPU to whatever runs next.  OpenBLAS keeps one thread count for the
-whole process, so each pinned call restores the previous count as soon
-as it returns or raises.  Where the package loads before numpy, OpenBLAS
-already starts on one thread (the package sets ``OPENBLAS_NUM_THREADS``
-when no thread variable is set) and the pins change nothing.
+Every BLAS call runs on the thread count that importing the package
+set, one unless the user chose a count (see the package docstring).
+Their gemms (rows x 75 x 75 on the reference shape) are too small to
+gain from a second thread.
 
 `remove_false_positives` labels one sample and computes its metric rows
 as `features.build_metrics_dataset` does, at the threshold the model
@@ -43,11 +35,7 @@ in one indexed assignment.
 from __future__ import annotations
 
 import csv
-import ctypes
-import functools
-import threading
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -317,63 +305,8 @@ class MetaModel:
         return predict_batch(self.core, self.stats.apply(rows))
 
 
-@functools.cache
-def _blas_setter():
-    """OpenBLAS's `openblas_set_num_threads_local`, looked up once through
-    numpy's own extension module, which links the BLAS numpy uses; None for
-    another BLAS or an OpenBLAS older than 0.3.27."""
-    try:
-        umath = np._core._multiarray_umath
-    except AttributeError:  # numpy 1.x
-        umath = np.core._multiarray_umath
-    try:
-        setter = ctypes.CDLL(umath.__file__).openblas_set_num_threads_local
-    except (OSError, AttributeError):
-        return None
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = ctypes.c_int
-    return setter
-
-
-# Despite its name, the setter changes OpenBLAS's process-wide thread count
-# (it only also returns the previous one), so overlapping pins share one
-# count: the first sets one thread and the last restores what it found.
-_pin_lock = threading.Lock()
-_pin_depth = 0
-_pin_saved = 0
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body, or as `@_one_blas_thread()` each call of the function,
-    with OpenBLAS on one thread and restore the previous thread count on
-    exit, also when the body raises; a no-op without the setter.  The
-    count is the whole process's, so BLAS calls made by other threads
-    meanwhile also run on one thread.  It matters only where numpy was
-    loaded before this package, or with a thread variable set: otherwise
-    OpenBLAS started on one thread (see the package docstring)."""
-    global _pin_depth, _pin_saved
-    setter = _blas_setter()
-    if setter is None:
-        yield
-        return
-    with _pin_lock:
-        if _pin_depth == 0:
-            _pin_saved = setter(1)
-        _pin_depth += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin_depth -= 1
-            if _pin_depth == 0:
-                setter(_pin_saved)
-
-
-@_one_blas_thread()
 def predict_batch(core: MlpModel, rows: np.ndarray) -> np.ndarray:
-    """Sigmoid outputs for already-standardized metric rows, computed on
-    one OpenBLAS thread (see `_one_blas_thread`)."""
+    """Sigmoid outputs for already-standardized metric rows."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != core.n_features:
         raise ValueError(
@@ -397,7 +330,6 @@ def bce_loss(predictions, labels) -> float:
     return float(-np.sum(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
 
 
-@_one_blas_thread()
 def gradient(core: MlpModel, rows, labels) -> np.ndarray:
     """Analytic gradient of the batch-mean BCE (the loss the optimizer
     follows) with respect to every parameter, in the flat-vector layout."""
@@ -430,7 +362,6 @@ def _identity_stats(n: int) -> StandardizationStats:
     return StandardizationStats(mean=np.zeros(n), sigma=np.ones(n))
 
 
-@_one_blas_thread()
 def train(
     dataset: MetricsDataset,
     cfg: TrainConfig,
@@ -447,18 +378,14 @@ def train(
     per-epoch shuffle and the weight init
     share one generator seeded from cfg.seed, so identical inputs give
     bit-identical parameters.  The final incomplete batch is kept.
-
-    Training runs OpenBLAS on one thread (see `_one_blas_thread`): its
-    gemms are too small for a second thread to save wall time.  The
-    previous thread count is restored when it returns or raises.
+    Its products run on the OpenBLAS thread count the package import set.
     """
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
     if len(set(dataset.labels.tolist())) < 2:
-        # Level 3 skips the frame of the `_one_blas_thread` decorator.
         warnings.warn("training labels are single-class; the model will saturate",
-                      stacklevel=3)
+                      stacklevel=2)
     if n >= 2:
         std, stats = standardize(dataset)
         x = std.rows

@@ -484,7 +484,12 @@ def _write_rast(fh, arr: np.ndarray) -> None:
     """Write the H x W x C array `arr` to the binary file `fh` as RAST:
     the header, then the blocks of `_array_blocks` converted to float32
     one at a time, so no copy of the array or of the file's bytes is ever
-    held."""
+    held.  An array that no reader would accept is refused before the
+    header is written."""
+    if arr.size > _MAX_VALUES:
+        h, w, c = arr.shape
+        raise ValueError(f"a {h}x{w}x{c} map has {arr.size} values, "
+                         f"above the RAST limit of {_MAX_VALUES}")
     fh.write(_MAGIC + struct.pack("<III", *arr.shape))
     for block in _array_blocks(arr):
         fh.write(block.astype("<f4"))
@@ -743,7 +748,14 @@ def _read_pgm(path) -> np.ndarray:
         raise RasterFormatError(
             f"{path}: PGM payload is {len(data) - offset} bytes, expected {w * h}"
         )
-    return np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(h, w)
+    pixels = np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(h, w)
+    over = pixels > maxval
+    if over.any():
+        r, c = np.argwhere(over)[0]
+        raise RasterFormatError(
+            f"{path}: pixel {pixels[r, c]} at ({r}, {c}) above PGM maxval {maxval}"
+        )
+    return pixels
 
 
 def load_mask(

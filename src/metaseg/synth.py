@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import raster
 from .raster import OOD_LABEL, LabelMask, ProbabilityMap, Sample, _Unshared
 
 _ALPHA_HIGH = 1.0
@@ -67,6 +68,9 @@ class SceneSpec:
             raise ValueError(f"scene dims {self.dims} too small")
         if not 2 <= self.num_classes <= 253:
             raise ValueError(f"num_classes {self.num_classes} out of range")
+        if (size := h * w * self.num_classes) > raster._MAX_VALUES:
+            raise ValueError(f"a {h}x{w}x{self.num_classes} map has {size} values, "
+                             f"above the RAST limit of {raster._MAX_VALUES}")
         lo, hi = self.blob_count
         if not 0 <= lo <= hi:
             raise ValueError(f"empty blob_count range {self.blob_count}")

@@ -22,9 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from blas_pin import count_spy, record_setter
 
-from metaseg import analysis, metaclf, raster
+from metaseg import analysis, raster
 from metaseg.analysis import (
     EvalReport,
     auprc,
@@ -455,19 +454,6 @@ class TestEvaluateComponents:
         with pytest.raises(ValueError, match="empty"):
             evaluate_components(identity_meta([1.0]), ds)
 
-    @pytest.mark.parametrize("fail", [False, True])
-    def test_prediction_on_one_blas_thread(self, monkeypatch, fail):
-        setter = record_setter(monkeypatch)
-        seen = count_spy(monkeypatch, metaclf, "_forward", setter, fail)
-        ds = toy_dataset([[1.0, 0.3], [0.0, 0.9]], [True, False])
-        if fail:
-            with pytest.raises(RuntimeError, match="_forward"):
-                evaluate_components(identity_meta([1.0, 0.0]), ds)
-        else:
-            evaluate_components(identity_meta([1.0, 0.0]), ds)
-        assert seen == [1]
-        assert setter.calls == [1, 4]
-
 
 class TestEvaluatePixels:
     def test_perfect_scores(self):
@@ -702,23 +688,6 @@ class TestLarsOrder:
         ds = toy_dataset(np.random.default_rng(0).normal(0, 1, (5, 2)), [1] * 5)
         with pytest.raises(ValueError, match="zero variance"):
             lars_order(ds)
-
-    @pytest.mark.parametrize("fail", [False, True])
-    def test_on_one_blas_thread(self, monkeypatch, fail):
-        setter = record_setter(monkeypatch)
-        seen = count_spy(monkeypatch, np.linalg, "solve", setter, fail)
-        rng = np.random.default_rng(179)
-        x = rng.normal(0, 1, (25, 4))
-        y = rng.random(25) < 0.5
-        y[0], y[1] = True, False
-        if fail:
-            with pytest.raises(RuntimeError, match="solve"):
-                lars_order(toy_dataset(x, y))
-            assert seen == [1]
-        else:
-            lars_order(toy_dataset(x, y))
-            assert seen and set(seen) == {1}
-        assert setter.calls == [1, 4]
 
 
 class TestIncrementalEvaluation:

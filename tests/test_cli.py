@@ -1008,6 +1008,21 @@ class TestEvalPixel:
         ]
         assert cli.run(args) == 2
         assert_one_error_line(capsys, "scene_0002.score.rast")
+
+    def test_mask_pixel_above_maxval_is_data_error(self, scene_dir, tmp_path, capsys):
+        scored = tmp_path / "scored"
+        assert cli.run(["score", "--in", str(scene_dir), "--out", str(scored)]) == 0
+        masks = tmp_path / "masks"
+        shutil.copytree(scene_dir, masks)
+        bad = masks / "scene_0001.pgm"
+        pixels = bytearray(24 * 24)
+        pixels[5] = raster.OOD_LABEL
+        bad.write_bytes(b"P5\n24 24\n1\n" + bytes(pixels))
+        args = ["eval-pixel", "--scores", str(scored), "--masks", str(masks),
+                "--out", str(tmp_path / "r.csv")]
+        assert cli.run(args) == 2
+        assert_one_error_line(capsys, f"{bad}: pixel 254 at (0, 5) above PGM maxval 1")
+        assert not (tmp_path / "r.csv").exists()
         assert not (tmp_path / "r.csv").exists()
 
     @staticmethod
@@ -1172,6 +1187,15 @@ class TestSynth:
         map_bytes = 128 * 128 * 19 * 8
         assert peak <= 2 * map_bytes, peak / map_bytes
         assert len(list(out.glob("*.rast"))) == 8
+
+    def test_scene_above_rast_limit_refused(self, tmp_path, capsys, monkeypatch):
+        # No reader takes a map above the limit, so none is built.
+        monkeypatch.setattr(raster, "_MAX_VALUES", 1000)
+        out = tmp_path / "scenes"
+        args = ["synth", "--out", str(out), "--height", "16", "--width", "16"]
+        assert cli.run(args) == 2
+        assert_one_error_line(capsys, "16x16x19 map has 4864 values, above the RAST limit")
+        assert not out.exists()
 
     def test_scene_error_is_one_line(self, tmp_path):
         # At 19 classes the low-margin pair cannot reach an anomaly

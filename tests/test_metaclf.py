@@ -4,7 +4,6 @@ Analytic gradients are cross-checked against central finite differences
 computed directly from the loss, sharing no code with backpropagation.
 """
 
-import ctypes
 import dataclasses
 import hashlib
 import math
@@ -17,10 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from blas_pin import count_spy, record_setter
 from pixel_sets import pixel_sets
 from sample_dirs import iid_sample, loaded_samples
+from test_blas_default import _blas_getter, needs_openblas
 
+import metaseg
 from metaseg import features, metaclf, raster, scoring, synth
 from metaseg.features import (
     MetricsDataset, StandardizationStats, build_metrics_dataset,
@@ -411,150 +411,52 @@ class TestTraining:
                     TrainConfig(**{field: value})
 
 
-def _blas_getter():
-    """OpenBLAS's thread-count getter, found like the setter in `metaclf`,
-    or None."""
-    core = getattr(np, "_core", None) or np.core  # numpy 2.x, else 1.x
-    lib = ctypes.CDLL(core._multiarray_umath.__file__)
-    for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_",
-                 "scipy_openblas_get_num_threads"):
-        getter = getattr(lib, name, None)
-        if getter is not None:
-            getter.argtypes = []
-            getter.restype = ctypes.c_int
-            return getter
-    return None
+@needs_openblas
+def test_trained_bits_same_at_two_and_one_blas_threads():
+    # The count is set here directly: OpenBLAS splits a product across
+    # threads, and the split must not change the bits.
+    setter, get = metaseg._blas_setter(), _blas_getter()
+    ds = separable_dataset()
+    cfg = TrainConfig(epochs=3, batch_size=8, seed=2)
+    found = setter(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS did not take a count of 2")
+        two = train(ds, cfg, hidden_dims=(6, 6))
+        setter(1)
+        one = train(ds, cfg, hidden_dims=(6, 6))
+    finally:
+        setter(found)
+    np.testing.assert_array_equal(two[0].core.to_vector(), one[0].core.to_vector())
+    assert two[1] == one[1]
 
 
-@pytest.mark.skipif(metaclf._blas_setter() is None or _blas_getter() is None,
-                    reason="numpy's BLAS has no OpenBLAS thread-count setter or getter")
-class TestBlasPin:
-    """Training runs its BLAS calls on one thread and puts the previous
-    OpenBLAS thread count back, whatever happens in the loop."""
+def test_concurrent_trains_give_same_bits():
+    # More threads than cores and a short switch interval make the trains
+    # overlap; each keeps its buffers to itself.
+    ds = separable_dataset()
+    cfg = TrainConfig(epochs=3, batch_size=8, seed=2)
+    expected = train(ds, cfg, hidden_dims=(4,))[0].core.to_vector()
+    results = []
 
-    CFG = TrainConfig(epochs=3, batch_size=8, seed=2)
-    START = 2
+    def work():
+        for _ in range(5):
+            results.append(train(ds, cfg, hidden_dims=(4,))[0])
 
-    @pytest.fixture(autouse=True)
-    def start_above_one(self):
-        # Each case starts at START threads, so that a pin which never sets
-        # one thread, or never restores, shows whatever count the process
-        # had (one where the package loaded before numpy); the count found
-        # is put back afterwards.
-        setter = metaclf._blas_setter()
-        found = setter(self.START)
-        try:
-            if _blas_getter()() != self.START:
-                pytest.skip(f"OpenBLAS did not take a count of {self.START}")
-            yield
-        finally:
-            setter(found)
-
-    def test_one_thread_inside_and_count_restored(self, monkeypatch):
-        get = _blas_getter()
-        seen = []
-        backward = metaclf._backward
-
-        def spy(*args):
-            seen.append(get())
-            return backward(*args)
-
-        monkeypatch.setattr(metaclf, "_backward", spy)
-        train(separable_dataset(), self.CFG, hidden_dims=(4,))
-        assert get() == self.START
-        assert seen and set(seen) == {1}
-
-    def test_count_restored_when_loop_raises(self, monkeypatch):
-        get = _blas_getter()
-        backward = metaclf._backward
-        calls = []
-
-        def fail_third(*args):
-            calls.append(get())
-            if len(calls) == 3:
-                raise RuntimeError("third step")
-            return backward(*args)
-
-        monkeypatch.setattr(metaclf, "_backward", fail_third)
-        with pytest.raises(RuntimeError, match="third step"):
-            train(separable_dataset(), self.CFG, hidden_dims=(4,))
-        assert calls == [1, 1, 1]
-        assert get() == self.START
-
-    def test_noop_setter_gives_same_bits(self, monkeypatch):
-        ds = separable_dataset()
-        pinned = train(ds, self.CFG, hidden_dims=(6, 6))
-        monkeypatch.setattr(metaclf, "_blas_setter", lambda: None)
-        free = train(ds, self.CFG, hidden_dims=(6, 6))
-        np.testing.assert_array_equal(pinned[0].core.to_vector(),
-                                      free[0].core.to_vector())
-        assert pinned[1] == free[1]
-
-    def test_overlapping_trains_restore_count(self):
-        # The count is process-wide: with a plain save/restore per call, a
-        # train that starts while another is pinned saves 1 and can restore
-        # 1 last.  More threads than cores and a short switch interval make
-        # the calls overlap.
-        get = _blas_getter()
-        ds = separable_dataset()
-        expected = train(ds, self.CFG, hidden_dims=(4,))[0].core.to_vector()
-        results = []
-
-        def work():
-            for _ in range(5):
-                results.append(train(ds, self.CFG, hidden_dims=(4,))[0])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work) for _ in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(results) == 30
-        for meta in results:
-            np.testing.assert_array_equal(meta.core.to_vector(), expected)
-        assert get() == self.START
-
-
-class TestBlasPinEntryPoints:
-    """Each entry point that makes BLAS calls runs them on one thread and
-    then restores the count it found, also when it raises.  A recording
-    setter stands in for OpenBLAS's, so this runs on any BLAS."""
-
-    NAMES = features.metric_names(2)
-
-    def model(self):
-        n = len(self.NAMES)
-        return MetaModel(core=logistic(np.zeros(n), 0.0),
-                         stats=StandardizationStats(np.zeros(n), np.ones(n)),
-                         config=TrainConfig(), threshold=0.7, feature_names=self.NAMES)
-
-    @pytest.mark.parametrize("fail", [False, True])
-    @pytest.mark.parametrize("entry", ["predict_batch", "gradient",
-                                       "remove_false_positives"])
-    def test_one_thread_then_count_restored(self, monkeypatch, entry, fail):
-        setter = record_setter(monkeypatch)
-        seen = count_spy(monkeypatch, metaclf, "_forward", setter, fail)
-        model = self.model()
-        rows = np.zeros((3, len(self.NAMES)))
-        call = {
-            "predict_batch": lambda: predict_batch(model.core, rows),
-            "gradient": lambda: gradient(model.core, rows, [1, 0, 1]),
-            "remove_false_positives": lambda: remove_false_positives(
-                two_block_sample(), model),
-        }[entry]
-        if fail:
-            with pytest.raises(RuntimeError, match="_forward"):
-                call()
-        else:
-            call()
-        assert seen == [1]
-        assert setter.calls == [1, 4]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 30
+    for meta in results:
+        np.testing.assert_array_equal(meta.core.to_vector(), expected)
 
 
 def two_block_sample(c=2, sample_id="s"):

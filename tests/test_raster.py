@@ -334,6 +334,20 @@ class TestRastValidation:
         with pytest.raises(RasterFormatError, match="dimension overflow"):
             load_probability_map(path)
 
+    def test_save_above_value_limit_leaves_no_file(self, tmp_path, monkeypatch):
+        # Every reader refuses a payload above the limit, so no writer
+        # makes one; a map at the limit still round-trips.
+        monkeypatch.setattr(raster, "_MAX_VALUES", 1000)
+        pm = ProbabilityMap(np.full((16, 16, 19), 1 / 19))
+        with pytest.raises(ValueError, match="16x16x19 map has 4864 values, above "
+                                             "the RAST limit of 1000"):
+            save_probability_map(pm, tmp_path / "big.rast")
+        assert list(tmp_path.iterdir()) == []
+        at_limit = ProbabilityMap(np.full((10, 25, 4), 0.25))
+        save_probability_map(at_limit, tmp_path / "ok.rast")
+        np.testing.assert_array_equal(load_probability_map(tmp_path / "ok.rast").values,
+                                      at_limit.values)
+
     def test_zero_dimension(self, tmp_path):
         path = tmp_path / "zero.rast"
         path.write_bytes(MAGIC + struct.pack("<III", 0, 2, 2))
@@ -619,6 +633,14 @@ class TestPgmMasks:
         path.write_bytes(b"P5\n3 3\n255\n" + b"\x00" * 5)
         with pytest.raises(RasterFormatError, match="payload"):
             load_mask(path)
+
+    def test_pixel_above_maxval_rejected(self, tmp_path):
+        # Read as they stand, 254 would be an OOD pixel and 200 a class.
+        path = tmp_path / "mv.pgm"
+        path.write_bytes(b"P5\n2 2\n1\n" + bytes([0, 1, 254, 200]))
+        with pytest.raises(RasterFormatError) as exc:
+            load_mask(path)
+        assert str(exc.value) == f"{path}: pixel 254 at (1, 0) above PGM maxval 1"
 
 
 def rast_bytes_strategy():
