@@ -21,7 +21,10 @@ submodule loads numpy, so OpenBLAS starts without a worker thread, and
 processes spawned afterwards, such as the leave-one-out fold workers,
 inherit it.  Where numpy was loaded first the variable comes too late,
 so the package also sets OpenBLAS's count to one through its own setter,
-once; the process stays on one thread afterwards.
+once; the process stays on one thread afterwards.  That call also
+replaces any count set at run time before the import, for example with
+``openblas_set_num_threads`` or threadpoolctl: only the three
+environment variables keep another count.
 """
 
 import os

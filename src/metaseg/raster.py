@@ -480,16 +480,21 @@ def atomic_write_bytes(path, data: bytes) -> None:
         fh.write(data)
 
 
+def check_rast_size(h: int, w: int, c: int) -> None:
+    """Raise ValueError if an H x W x C map holds more values than a RAST
+    file may (`_MAX_VALUES`, read at call time)."""
+    if h * w * c > _MAX_VALUES:
+        raise ValueError(f"a {h}x{w}x{c} map has {h * w * c} values, "
+                         f"above the RAST limit of {_MAX_VALUES}")
+
+
 def _write_rast(fh, arr: np.ndarray) -> None:
     """Write the H x W x C array `arr` to the binary file `fh` as RAST:
     the header, then the blocks of `_array_blocks` converted to float32
     one at a time, so no copy of the array or of the file's bytes is ever
     held.  An array that no reader would accept is refused before the
     header is written."""
-    if arr.size > _MAX_VALUES:
-        h, w, c = arr.shape
-        raise ValueError(f"a {h}x{w}x{c} map has {arr.size} values, "
-                         f"above the RAST limit of {_MAX_VALUES}")
+    check_rast_size(*arr.shape)
     fh.write(_MAGIC + struct.pack("<III", *arr.shape))
     for block in _array_blocks(arr):
         fh.write(block.astype("<f4"))
@@ -749,9 +754,8 @@ def _read_pgm(path) -> np.ndarray:
             f"{path}: PGM payload is {len(data) - offset} bytes, expected {w * h}"
         )
     pixels = np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(h, w)
-    over = pixels > maxval
-    if over.any():
-        r, c = np.argwhere(over)[0]
+    if maxval < 255 and pixels.max() > maxval:
+        r, c = np.argwhere(pixels > maxval)[0]
         raise RasterFormatError(
             f"{path}: pixel {pixels[r, c]} at ({r}, {c}) above PGM maxval {maxval}"
         )

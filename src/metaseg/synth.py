@@ -68,9 +68,7 @@ class SceneSpec:
             raise ValueError(f"scene dims {self.dims} too small")
         if not 2 <= self.num_classes <= 253:
             raise ValueError(f"num_classes {self.num_classes} out of range")
-        if (size := h * w * self.num_classes) > raster._MAX_VALUES:
-            raise ValueError(f"a {h}x{w}x{self.num_classes} map has {size} values, "
-                             f"above the RAST limit of {raster._MAX_VALUES}")
+        raster.check_rast_size(h, w, self.num_classes)
         lo, hi = self.blob_count
         if not 0 <= lo <= hi:
             raise ValueError(f"empty blob_count range {self.blob_count}")

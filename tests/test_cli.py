@@ -1008,6 +1008,7 @@ class TestEvalPixel:
         ]
         assert cli.run(args) == 2
         assert_one_error_line(capsys, "scene_0002.score.rast")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_mask_pixel_above_maxval_is_data_error(self, scene_dir, tmp_path, capsys):
         scored = tmp_path / "scored"
@@ -1022,7 +1023,6 @@ class TestEvalPixel:
                 "--out", str(tmp_path / "r.csv")]
         assert cli.run(args) == 2
         assert_one_error_line(capsys, f"{bad}: pixel 254 at (0, 5) above PGM maxval 1")
-        assert not (tmp_path / "r.csv").exists()
         assert not (tmp_path / "r.csv").exists()
 
     @staticmethod
