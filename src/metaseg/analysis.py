@@ -633,20 +633,19 @@ def ood_fraction(mask: LabelMask) -> float:
     return int(mask.is_ood().sum()) / total
 
 
-def split_by_ood_fraction(masks, low: float, high: float):
-    """Partition mask indices by OOD fraction: f <= low, f >= high, rest."""
+def _ood_buckets(fractions, low: float, high: float) -> list:
+    """The bucket of each OOD fraction f: "low" (f <= low), "high"
+    (f >= high) or "rest"."""
     if not 0.0 <= low <= high <= 1.0:
         raise ValueError(f"need 0 <= low <= high <= 1, got {low}, {high}")
-    low_set, high_set, rest = [], [], []
-    for i, mask in enumerate(masks):
-        f = ood_fraction(mask)
-        if f <= low:
-            low_set.append(i)
-        elif f >= high:
-            high_set.append(i)
-        else:
-            rest.append(i)
-    return low_set, high_set, rest
+    return ["low" if f <= low else "high" if f >= high else "rest" for f in fractions]
+
+
+def split_by_ood_fraction(masks, low: float, high: float):
+    """Partition mask indices by OOD fraction: f <= low, f >= high, rest."""
+    buckets = _ood_buckets(map(ood_fraction, masks), low, high)
+    return tuple([i for i, b in enumerate(buckets) if b == name]
+                 for name in ("low", "high", "rest"))
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +667,7 @@ def save_report_csv(report: EvalReport, path) -> None:
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+_SVG_SIZE = (640, 480)  # width, height
 
 
 def _xml_text(text) -> str:
@@ -684,10 +684,9 @@ def svg_line_plot(
     y_label: str = "",
     x_range=None,
     y_range=None,
-    width: int = 640,
-    height: int = 480,
 ) -> None:
-    """Standalone SVG line plot; `series` is a list of (name, xs, ys).
+    """Standalone SVG line plot of `_SVG_SIZE`; `series` is a list of
+    (name, xs, ys).
 
     Coordinates are emitted with 6 decimals, so identical inputs give
     identical files.  `&`, `<` and `>` in the title, the axis labels and
@@ -695,6 +694,7 @@ def svg_line_plot(
     """
     if not series:
         raise ValueError("need at least one series")
+    width, height = _SVG_SIZE
     margin = 56.0
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin

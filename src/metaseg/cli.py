@@ -349,28 +349,23 @@ def _cmd_filter_proxy(o: dict) -> None:
     paths = sorted(in_dir.glob("*.pgm"))
     if not paths:
         raise ValueError(f"{in_dir}: no masks found")
-    masks = [
-        raster.load_mask(p, ood_label=o["ood_label"], ignore_label=o["ignore_label"])
-        for p in paths
-    ]
-    low_ix, high_ix, rest_ix = analysis.split_by_ood_fraction(
-        masks, o["low"], o["high"]
-    )
-    bucket = {}
-    for i in low_ix:
-        bucket[i] = "low"
-    for i in high_ix:
-        bucket[i] = "high"
-    for i in rest_ix:
-        bucket[i] = "rest"
+    fractions = []
+    for path in paths:
+        mask = raster.load_mask(
+            path, ood_label=o["ood_label"], ignore_label=o["ignore_label"]
+        )
+        try:
+            fractions.append(analysis.ood_fraction(mask))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    buckets = analysis._ood_buckets(fractions, o["low"], o["high"])
     records = [["id", "ood_fraction", "bucket"]] + [
-        [path.stem, f"{analysis.ood_fraction(masks[i]):.9g}", bucket[i]]
-        for i, path in enumerate(paths)
+        [path.stem, f"{f:.9g}", b] for path, f, b in zip(paths, fractions, buckets)
     ]
     raster.atomic_write_text(o["out_csv"], raster.csv_text(records))
     print(
-        f"split {len(paths)} masks: {len(low_ix)} low / {len(high_ix)} high / "
-        f"{len(rest_ix)} rest"
+        f"split {len(paths)} masks: {buckets.count('low')} low / "
+        f"{buckets.count('high')} high / {buckets.count('rest')} rest"
     )
 
 

@@ -4,19 +4,21 @@ Both model kinds are one feed-forward model, `MlpModel`: a stack with
 rectifier hidden activations and a sigmoid output.  Logistic regression
 is the stack without a hidden layer, so the hidden layer widths are the
 only architecture setting; `HIDDEN_DIMS` names the paper's two models,
-and a model's kind is read from its depth.  A model file's `kind`,
-`n_features` and activation lines must agree with its parameters.
-The output is the probability that a predicted-OoD component is a false
-positive.  Training minimizes batch-mean binary cross entropy with Adam
+and a model's kind is read from its depth.  The output is the
+probability that a predicted-OoD component is a false positive.
+Training minimizes batch-mean binary cross entropy with Adam
 plus decoupled weight decay (applied to weights only, never biases) and
 is bit-deterministic for a fixed seed: weight init draws and the
 per-epoch index shuffle come from one seeded generator.
 
 Parameters live in a flat vector (per layer: weight matrix row-major,
 then biases), which keeps the optimizer, the gradient check, and the
-model file format aligned on a single layout.  A model file also records
-the names of the metrics the model was trained on, and `check_metrics`
-refuses a dataset or a sample whose metrics differ, naming it.  A
+model file format aligned on a single layout.  A model file states each
+fact once: a text header of `key value` lines (the layer dims, the
+training configuration, the threshold, the metric names and the
+standardization statistics), then the vector as one raw float32 block
+whose length the layer dims fix.  `check_metrics` refuses a dataset or
+a sample whose metrics differ from the recorded names, naming it.  A
 training step works in place on buffers built once per `train` call:
 per-layer views of the parameter and gradient vectors, the Adam
 moments, and the activations of one batch.
@@ -44,17 +46,12 @@ import numpy as np
 from .features import (
     MetricsDataset, StandardizationStats, _labeled_rows, metric_names, standardize,
 )
-from .raster import (
-    ScoreMap, _Unshared, _atomic_file, _frozen, _parse_rast, _write_rast,
-    csv_text,
-)
+from .raster import ScoreMap, _Unshared, _atomic_file, _frozen, csv_text
 from .segments import ThresholdConfig
 
 _CLAMP = 1e-12
-_MODEL_MAGIC = "metaseg-model v1"
-
-_HIDDEN_ACTIVATION = "relu"
-_OUTPUT_ACTIVATION = "sigmoid"
+_MODEL_MAGIC = "metaseg-model v2"
+_PARAMS_LINE = b"\nparams\n"
 
 # Hidden layer widths of the paper's two meta classifiers.
 HIDDEN_DIMS = {"logistic": (), "mlp": (75, 75, 75)}
@@ -284,8 +281,7 @@ class MetaModel:
     def check_metrics(self, names, of: str = "dataset") -> None:
         """Raise ValueError, naming `of` as the owner of `names`, unless
         `names` are the metrics the model was trained on, in that order; a
-        model without recorded names (a file written before they were)
-        accepts any."""
+        model built without names accepts any."""
         names, ours = tuple(names), self.feature_names
         if ours is None or names == ours:
             return
@@ -482,7 +478,7 @@ def remove_false_positives(sample, model: MetaModel, decision_threshold: float =
 
 
 # ---------------------------------------------------------------------------
-# Model file format: text descriptor + RAST f32 parameter block
+# Model file format: text header + raw float32 parameter block
 # ---------------------------------------------------------------------------
 
 
@@ -491,20 +487,16 @@ def _float_list(values) -> str:
 
 
 def save_model(meta: MetaModel, path) -> None:
-    """Write descriptor lines then the flat parameter vector as a
-    1 x 1 x P RAST block; the file round-trips bit-exactly.  The metric
-    names, when the model has them, are one CSV record on one line.  The
-    `kind`, `n_features` and activation lines restate what the parameters
-    fix, and `load_model` checks them against it."""
+    """Write the header, one `key value` line per fact, then a line that
+    is exactly `params` and the flat parameter vector as little-endian
+    float32; `layer_dims` fixes its length.  The metric names, when the
+    model has them, are one CSV record on one line.  Save-load-save is
+    byte-stable."""
     core = meta.core
     cfg = meta.config
     lines = [
         _MODEL_MAGIC,
-        f"kind {meta.kind}",
-        f"n_features {core.n_features}",
         f"layer_dims {','.join(str(d) for d in core.layer_dims)}",
-        f"hidden_activation {_HIDDEN_ACTIVATION}",
-        f"output_activation {_OUTPUT_ACTIVATION}",
         *(f"{f.name} {getattr(cfg, f.name)}" for f in fields(TrainConfig)),
     ]
     if meta.threshold is not None:
@@ -516,29 +508,35 @@ def save_model(meta: MetaModel, path) -> None:
         lines.append(f"feature_names {names}")
     lines.append(f"feature_mean {_float_list(meta.stats.mean)}")
     lines.append(f"feature_sigma {_float_list(meta.stats.sigma)}")
-    vec = core.to_vector()
-    lines.append(f"params {vec.shape[0]}")
-    header = "\n".join(lines) + "\n"
+    lines.append("params")
     with _atomic_file(path) as fh:
-        fh.write(header.encode("utf-8"))
-        _write_rast(fh, vec.reshape(1, 1, -1))
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+        fh.write(core.to_vector().astype("<f4"))
 
 
 def load_model(path) -> MetaModel:
+    """The model `save_model` wrote to `path`.  A field that is missing,
+    repeated, undefined or unparseable, a parameter block of another
+    length than `layer_dims` fixes, and any value the model classes
+    refuse raise ValueError naming the file."""
     data = Path(path).read_bytes()
-    marker = b"\nparams "
-    cut = data.find(marker)
-    if not data.startswith(_MODEL_MAGIC.encode("ascii")) or cut < 0:
-        raise ValueError(f"{path}: not a model file")
-    newline = data.find(b"\n", cut + 1)
-    if newline < 0:
-        raise ValueError(f"{path}: no parameter block after the params line")
-    header = data[:newline].decode("utf-8")
-    block = data[newline + 1 :]
+    cut = data.find(_PARAMS_LINE)
+    if not data.startswith(_MODEL_MAGIC.encode("ascii") + b"\n") or cut < 0:
+        raise ValueError(f"{path}: not a model file (expected {_MODEL_MAGIC})")
+    try:
+        lines = data[:cut].decode("utf-8").split("\n")[1:]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: model header is not UTF-8: {exc}") from None
 
+    defined = {"layer_dims", *(f.name for f in fields(TrainConfig)), "threshold",
+               "feature_names", "feature_mean", "feature_sigma"}
     values = {}
-    for line in header.split("\n")[1:]:
+    for line in lines:
         key, _, text = line.partition(" ")
+        if key not in defined:
+            raise ValueError(f"{path}: undefined model field {key!r}")
+        if key in values:
+            raise ValueError(f"{path}: model field {key!r} is repeated")
         values[key] = text
 
     def value(key, parse=str):
@@ -549,12 +547,11 @@ def load_model(path) -> MetaModel:
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}: model field {key!r}: {exc}") from None
 
-    value("kind")  # required; checked against the parameters below
     dims = value("layer_dims", lambda s: _check_dims(int(d) for d in s.split(",")))
-    n_params = value("params", int)
-    vec = _parse_rast(block, str(path)).reshape(-1)
-    if vec.shape[0] != n_params or n_params != _vector_size(dims):
-        raise ValueError(f"{path}: parameter block does not match layer_dims")
+    block, nbytes = data[cut + len(_PARAMS_LINE) :], 4 * _vector_size(dims)
+    if len(block) != nbytes:
+        raise ValueError(f"{path}: parameter block is {len(block)} bytes, "
+                         f"layer_dims {dims} need {nbytes}")
     # Every TrainConfig field has a default, whose type parses the value.
     config = {f.name: value(f.name, type(f.default)) for f in fields(TrainConfig)}
     mean, sigma = (
@@ -565,21 +562,14 @@ def load_model(path) -> MetaModel:
     # One CSV record; a lone empty name is an empty record.
     names = (value("feature_names", lambda s: tuple(next(csv.reader([s])) or [""]))
              if "feature_names" in values else None)
+    # A float32 signalling NaN warns in the cast; `MlpModel` refuses it.
+    with np.errstate(invalid="ignore"):
+        vec = np.frombuffer(block, dtype="<f4").astype(np.float64)
     try:
-        meta = MetaModel(
+        return MetaModel(
             core=_core(dims, vec),
             stats=StandardizationStats(mean=mean, sigma=sigma),
             config=TrainConfig(**config), threshold=threshold, feature_names=names,
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    # Lines that restate the parameters must agree with them; the
-    # optional ones may be missing.
-    restated = {"kind": meta.kind, "n_features": str(meta.core.n_features),
-                "hidden_activation": _HIDDEN_ACTIVATION,
-                "output_activation": _OUTPUT_ACTIVATION}
-    for key, want in restated.items():
-        if values.get(key, want) != want:
-            raise ValueError(f"{path}: model field {key!r} is {values[key]!r}, "
-                             f"expected {want!r}")
-    return meta

@@ -383,35 +383,13 @@ class SampleFile:
 # ---------------------------------------------------------------------------
 
 
-def _rast_dims(head: bytes, size: int, source: str) -> tuple:
-    """(H, W, C) of a RAST file of `size` bytes that begins with `head`,
-    after checking the magic, the dimensions and that the payload holds
-    exactly H*W*C float32 values."""
-    if len(head) < _HEADER_LEN:
-        raise RasterFormatError(f"{source}: truncated header")
-    if head[:8] != _MAGIC:
-        raise RasterFormatError(f"{source}: bad magic {head[:8]!r}")
-    h, w, c = struct.unpack("<III", head[8:_HEADER_LEN])
-    if h == 0 or w == 0 or c == 0 or h * w * c > _MAX_VALUES:
-        raise RasterFormatError(f"{source}: dimension overflow ({h}x{w}x{c})")
-    expected = _HEADER_LEN + 4 * h * w * c
-    if size != expected:
-        raise RasterFormatError(f"{source}: payload is {size} bytes, expected {expected}")
-    return h, w, c
-
-
-def _parse_rast(data: bytes, source: str) -> np.ndarray:
-    """The values of the RAST bytes `data` as a read-only float32 view."""
-    dims = _rast_dims(data, len(data), source)
-    return np.frombuffer(data, dtype="<f4", offset=_HEADER_LEN).reshape(dims)
-
-
 @contextmanager
 def _open_rast(path):
     """Open the RAST file at `path` for one pass over its values.
 
-    Yields its (H, W, C), checked together with the file size before any
-    value is read, and `blocks`, a generator function of the values in
+    Yields its (H, W, C), after checking the magic, the dimensions and
+    that the payload holds exactly H*W*C float32 values, before any value
+    is read, and `blocks`, a generator function of the values in
     raster order as float64 N x C blocks of whole pixels.  The payload is
     read in the blocks `_array_blocks` walks, so the file's bytes are
     never held whole.  `blocks(out)` converts each block into the
@@ -421,7 +399,16 @@ def _open_rast(path):
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_LEN)
-        h, w, c = dims = _rast_dims(head, os.fstat(fh.fileno()).st_size, str(path))
+        if len(head) < _HEADER_LEN:
+            raise RasterFormatError(f"{path}: truncated header")
+        if head[:8] != _MAGIC:
+            raise RasterFormatError(f"{path}: bad magic {head[:8]!r}")
+        h, w, c = dims = struct.unpack("<III", head[8:])
+        if h == 0 or w == 0 or c == 0 or h * w * c > _MAX_VALUES:
+            raise RasterFormatError(f"{path}: dimension overflow ({h}x{w}x{c})")
+        size, expected = os.fstat(fh.fileno()).st_size, _HEADER_LEN + 4 * h * w * c
+        if size != expected:
+            raise RasterFormatError(f"{path}: payload is {size} bytes, expected {expected}")
 
         def blocks(out=None):
             pixels = h * w

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from pixel_sets import pixel_sets
 from sample_dirs import loaded_samples
+from test_metaclf import v1_model_bytes
 
 import metaseg
 from metaseg import analysis, cli, features, metaclf, raster, scoring
@@ -196,13 +197,43 @@ class TestDataErrors:
         assert "metaseg: error:" in capsys.readouterr().err
 
     def test_model_file_ending_after_params_value(self, toy_mu, tmp_path, capsys):
+        # The params line is the file's last: no parameter follows it.
         model = tmp_path / "m.model"
-        model.write_bytes(b"metaseg-model v1\nkind logistic\nparams 5")
+        model.write_bytes(b"metaseg-model v2\nlayer_dims 3,1\nparams\n")
         args = ["eval-meta", "--model", str(model),
                 "--mu", str(toy_mu), "--out", str(tmp_path / "r.csv")]
         assert cli.run(args) == 2
         assert capsys.readouterr().err == (
-            f"metaseg: error: {model}: no parameter block after the params line\n")
+            f"metaseg: error: {model}: parameter block is 0 bytes, "
+            "layer_dims (3, 1) need 16\n")
+
+    @pytest.mark.parametrize("fault", ["v1", "repeated", "undefined", "non_utf8"])
+    def test_refused_model_file_is_one_named_error(self, toy_mu, tmp_path, capsys,
+                                                   fault):
+        model = tmp_path / "m.model"
+        args = ["train-meta", "--mu", str(toy_mu), "--out", str(model)]
+        assert cli.run(args + TRAIN_FLAGS) == 0
+        data = model.read_bytes()
+        if fault == "v1":
+            data = v1_model_bytes(metaclf.load_model(model), model)
+        elif fault == "repeated":
+            data = data.replace(b"\nthreshold 0.7\n",
+                                b"\nthreshold 0.7\nthreshold 0.2\n")
+        elif fault == "undefined":
+            data = data.replace(b"\nlayer_dims ", b"\nkind logistic\nlayer_dims ")
+        else:
+            data = data.replace(b"\nseed 0\n", b"\nseed \xff\n")
+        assert data != model.read_bytes()
+        model.write_bytes(data)
+        capsys.readouterr()
+        report = tmp_path / "r.csv"
+        args = ["eval-meta", "--model", str(model), "--mu", str(toy_mu),
+                "--out", str(report)]
+        assert cli.run(args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"metaseg: error: {model}: ")
+        assert not report.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag, field", [("--lr", "learning_rate"),
@@ -225,7 +256,7 @@ class TestDataErrors:
         args = ["train-meta", "--mu", str(toy_mu), "--out", str(model)]
         assert cli.run(args + TRAIN_FLAGS) == 0
         data = model.read_bytes()
-        start = data.index(b"\nkind ")
+        start = data.index(b"\nlayer_dims ")
         model.write_bytes(data[:start] + data[data.index(b"\n", start + 1):])
         capsys.readouterr()
         args = [
@@ -235,7 +266,7 @@ class TestDataErrors:
         assert cli.run(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("metaseg: error:")
-        assert "missing model field 'kind'" in err
+        assert "missing model field 'layer_dims'" in err
 
     def test_model_unparseable_header_value(self, toy_mu, tmp_path, capsys):
         model = tmp_path / "m.model"
@@ -710,7 +741,7 @@ class TestTrainEval:
         out = tmp_path / "m.model"
         args = ["train-meta", "--mu", str(toy_mu), "--out", str(out)]
         assert cli.run(args + TRAIN_FLAGS) == 0
-        assert out.read_bytes().startswith(b"metaseg-model v1")
+        assert out.read_bytes().startswith(b"metaseg-model v2\n")
         assert "trained logistic on 24 rows" in capsys.readouterr().out
 
     def test_train_rerun_is_byte_identical(self, toy_mu, tmp_path):
@@ -969,6 +1000,19 @@ class TestFilterProxy:
             "e": ("0.2", "low"),
         }
         assert "3 low / 1 high / 1 rest" in capsys.readouterr().out
+
+    def test_mask_without_counted_pixels_is_named(self, tmp_path, capsys):
+        masks = tmp_path / "masks"
+        masks.mkdir()
+        raster.save_mask(raster.LabelMask(np.zeros((2, 3), dtype=np.uint8)),
+                         masks / "a.pgm")
+        ignored = np.full((2, 3), raster.IGNORE_LABEL, dtype=np.uint8)
+        raster.save_mask(raster.LabelMask(ignored), masks / "b.pgm")
+        out = tmp_path / "split.csv"
+        assert cli.run(["filter-proxy", "--in", str(masks), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"metaseg: error: {masks / 'b.pgm'}: mask has no non-IGNORE pixels\n")
+        assert not out.exists()
 
     def test_empty_mask_directory(self, tmp_path):
         empty = tmp_path / "none"

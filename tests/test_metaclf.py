@@ -8,8 +8,10 @@ import dataclasses
 import hashlib
 import math
 import re
+import struct
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +59,35 @@ def logistic(weights, bias):
     """The one-layer core with these weights and bias."""
     w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
     return MlpModel(layers=((w, [float(bias)]),))
+
+
+def pinned_models():
+    """Two hand-built models (no training, so no BLAS): a logistic one
+    and an MLP with a threshold."""
+    stats = StandardizationStats(np.array([0.0, 1.0, -2.5]), np.array([1.0, 2.0, 0.5]))
+    rng = np.random.Generator(np.random.PCG64(0))
+    return [
+        MetaModel(logistic(np.arange(3) / 4, 0.5), stats, TrainConfig()),
+        MetaModel(MlpModel.from_dims((3, 4, 1), rng), stats, TrainConfig(),
+                  threshold=0.7),
+    ]
+
+
+def v1_model_bytes(meta, path) -> bytes:
+    """`meta` in model format v1, which restated the kind, the input
+    width and the two activations in header lines, counted the parameters
+    on a `params N` line and stored them as a 1 x 1 x N RAST block.  Built
+    from the v2 file `save_model` writes to `path`."""
+    save_model(meta, path)
+    head, _, payload = path.read_bytes().partition(b"\nparams\n")
+    lines = head.split(b"\n")
+    n = len(payload) // 4
+    v1 = [b"metaseg-model v1", f"kind {meta.kind}".encode(),
+          f"n_features {meta.core.n_features}".encode(), lines[1],
+          b"hidden_activation relu", b"output_activation sigmoid", *lines[2:],
+          f"params {n}".encode()]
+    return (b"\n".join(v1) + b"\nRASTv001" + struct.pack("<III", 1, 1, n)
+            + payload)
 
 
 def fd_gradient(model, x, y, h=1e-5):
@@ -762,54 +793,110 @@ class TestModelFiles:
             load_model(path)
 
     def test_file_bytes_pinned(self, tmp_path):
-        # Hand-built models (no training, so no BLAS) pin the exact bytes
-        # that save_model writes for both kinds.
-        stats = StandardizationStats(np.array([0.0, 1.0, -2.5]),
-                                     np.array([1.0, 2.0, 0.5]))
-        rng = np.random.Generator(np.random.PCG64(0))
-        cases = [
-            (MetaModel(logistic(np.arange(3) / 4, 0.5), stats, TrainConfig()),
-             "ed797aa01b2f0efbedc78089f1e41e3c5bc307bce821374a0b0bc206db7250d7"),
-            (MetaModel(MlpModel.from_dims((3, 4, 1), rng), stats, TrainConfig(),
-                       threshold=0.7),
-             "4a1a6a1ae7b9a1af468896dd07064bdcfa040b447c838d1fe67e0f013817992b"),
+        # Pins the exact bytes that save_model writes for both kinds.
+        digests = [
+            "3899c5a12bbdabeb60ae3e1269fc1c4a255d646784f87172e0a8c4f41c5286bf",
+            "b8018fc7ab55871c0a1e44ade85ff964f4072baf5c39bd8a4161550ef40ca358",
         ]
-        for meta, digest in cases:
+        for meta, digest in zip(pinned_models(), digests):
             path = tmp_path / f"{meta.kind}.bin"
             save_model(meta, path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_v1_file_refused(self, tmp_path):
+        # v1_model_bytes rebuilds the v1 writer's files: these are their digests.
+        digests = [
+            "ed797aa01b2f0efbedc78089f1e41e3c5bc307bce821374a0b0bc206db7250d7",
+            "4a1a6a1ae7b9a1af468896dd07064bdcfa040b447c838d1fe67e0f013817992b",
+        ]
+        for meta, digest in zip(pinned_models(), digests):
+            path = tmp_path / f"{meta.kind}.bin"
+            data = v1_model_bytes(meta, path)
+            assert hashlib.sha256(data).hexdigest() == digest
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: not a model file (expected metaseg-model v2)")):
+                load_model(path)
+
+    def test_parameters_keep_their_float32_bits(self, tmp_path):
+        for meta in pinned_models():
+            path = tmp_path / f"{meta.kind}.bin"
+            save_model(meta, path)
+            back = load_model(path)
+            assert (back.core.to_vector().tobytes()
+                    == meta.core.to_vector().astype(np.float32).astype(np.float64)
+                    .tobytes())
+
+    @pytest.mark.parametrize("change", [-4, 4])
+    def test_payload_of_another_length_refused(self, tmp_path, change):
+        # One float32 value short, or one long.
+        meta = pinned_models()[0]
+        path = tmp_path / "model.bin"
+        save_model(meta, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:change] if change < 0 else data + bytes(change))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: parameter block is {16 + change} bytes, "
+                "layer_dims (3, 1) need 16")):
+            load_model(path)
 
     def test_every_missing_field_is_named(self, tmp_path):
         meta, _ = self.trained("logistic")
         path = tmp_path / "model.bin"
         save_model(meta, path)
         data = path.read_bytes()
-        header = data[: data.index(b"\nparams ")].decode("ascii")
+        header = data[: data.index(b"\nparams\n")].decode("ascii")
         for line in header.splitlines()[1:]:
             key = line.split(" ", 1)[0]
-            if key in ("n_features", "hidden_activation", "output_activation",
-                       "threshold", "feature_names"):
+            if key in ("threshold", "feature_names"):
                 continue
             start = data.index(f"\n{key} ".encode("ascii"))
             path.write_bytes(data[:start] + data[data.index(b"\n", start + 1):])
             with pytest.raises(ValueError, match=f"missing model field '{key}'"):
                 load_model(path)
 
-    @pytest.mark.parametrize("line", [b"hidden_activation tanh",
-                                      b"output_activation softmax", b"n_features 9"])
-    def test_restated_field_must_agree(self, tmp_path, line):
-        # A 3-input ReLU/sigmoid model whose header claims otherwise.
-        meta = MetaModel(MlpModel.from_dims((3, 4, 1)),
-                         StandardizationStats(np.zeros(3), np.ones(3)), TrainConfig())
+    @pytest.mark.parametrize("line", [b"kind mlp", b"n_features 3",
+                                      b"hidden_activation relu",
+                                      b"output_activation sigmoid", b"params 16",
+                                      b""])
+    def test_undefined_field_is_named(self, tmp_path, line):
+        # The v1 lines that restated the parameters among them.
+        meta = pinned_models()[0]
         path = tmp_path / "model.bin"
         save_model(meta, path)
         data = path.read_bytes()
-        key = line.split(b" ")[0]
-        start = data.index(b"\n" + key + b" ") + 1
-        path.write_bytes(data[:start] + line + data[data.index(b"\n", start):])
+        start = data.index(b"\nlayer_dims ") + 1
+        path.write_bytes(data[:start] + line + b"\n" + data[start:])
+        key = line.split(b" ")[0].decode()
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: model field '{key.decode()}' is")):
+                f"{path}: undefined model field {key!r}")):
             load_model(path)
+
+    @pytest.mark.parametrize("key", ["threshold", "layer_dims", "feature_names"])
+    def test_repeated_field_refused(self, tmp_path, key):
+        # A second line would otherwise win: a second threshold line
+        # would change where remove_false_positives labels components.
+        meta, _ = self.trained("logistic")
+        path = tmp_path / "model.bin"
+        save_model(meta, path)
+        data = path.read_bytes()
+        start = data.index(f"\n{key} ".encode()) + 1
+        line = data[start : data.index(b"\n", start) + 1]
+        path.write_bytes(data[:start] + line + line + data[start + len(line):])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: model field {key!r} is repeated")):
+            load_model(path)
+
+    def test_signalling_nan_parameter_refused_without_warning(self, tmp_path):
+        meta = pinned_models()[0]
+        path = tmp_path / "model.bin"
+        save_model(meta, path)
+        path.write_bytes(path.read_bytes()[:-4] + bytes.fromhex("0100807f"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: parameters must be finite")):
+                load_model(path)
 
     def test_non_finite_config_field_refused(self, tmp_path):
         meta, _ = self.trained("logistic")
@@ -871,21 +958,6 @@ class TestKindFromDepth:
         # The file stores float32 parameters.
         np.testing.assert_array_equal(back.core.to_vector(),
                                       core.to_vector().astype(np.float32))
-
-    def test_model_file_with_mismatched_kind_rejected(self, tmp_path):
-        for hidden_dims, kind, other in (((), "logistic", "mlp"),
-                                         ((3,), "mlp", "logistic"),
-                                         ((3,), "mlp", "forest")):
-            meta, _ = train(separable_dataset(), TrainConfig(epochs=1, seed=0),
-                            hidden_dims=hidden_dims)
-            path = tmp_path / f"{kind}.bin"
-            save_model(meta, path)
-            data = path.read_bytes()
-            path.write_bytes(data.replace(f"\nkind {kind}\n".encode(),
-                                          f"\nkind {other}\n".encode(), 1))
-            with pytest.raises(ValueError, match=re.escape(
-                    f"{path}: model field 'kind' is '{other}', expected '{kind}'")):
-                load_model(path)
 
 
 @pytest.fixture(scope="module")
