@@ -55,7 +55,7 @@ import csv
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -187,23 +187,19 @@ def standardize(dataset: MetricsDataset):
 
     Zero-variance columns pass through unchanged: their recorded mean is
     0 and sigma is 1, so applying the statistics elsewhere also leaves
-    such columns alone.  Returns (standardized dataset, statistics).
+    such columns alone.  One row is such a dataset: it gets identity
+    statistics and keeps its bits.  Returns (standardized dataset,
+    statistics).
     """
-    if len(dataset) < 2:
-        raise ValueError("standardization needs at least 2 rows")
+    if len(dataset) == 0:
+        raise ValueError("cannot standardize an empty dataset")
     mean = dataset.rows.mean(axis=0)
     sigma = dataset.rows.std(axis=0)
     flat = sigma == 0.0
     mean = np.where(flat, 0.0, mean)
     sigma = np.where(flat, 1.0, sigma)
     stats = StandardizationStats(mean=mean, sigma=sigma)
-    out = MetricsDataset(
-        rows=stats.apply(dataset.rows),
-        labels=dataset.labels,
-        group_ids=dataset.group_ids,
-        names=dataset.names,
-    )
-    return out, stats
+    return replace(dataset, rows=stats.apply(dataset.rows)), stats
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,18 @@ plus decoupled weight decay (applied to weights only, never biases) and
 is bit-deterministic for a fixed seed: weight init draws and the
 per-epoch index shuffle come from one seeded generator.
 
-Parameters live in a flat vector (per layer: weight matrix row-major,
-then biases), which keeps the optimizer, the gradient check, and the
-model file format aligned on a single layout.  A model file states each
-fact once: a text header of `key value` lines (the layer dims, the
-training configuration, the threshold, the metric names and the
-standardization statistics), then the vector as one raw float32 block
-whose length the layer dims fix.  `check_metrics` refuses a dataset or
-a sample whose metrics differ from the recorded names, naming it.  A
-training step works in place on buffers built once per `train` call:
-per-layer views of the parameter and gradient vectors, the Adam
-moments, and the activations of one batch.
+A model is its layer dims plus one flat parameter vector (per layer:
+weight matrix row-major, then biases), which the optimizer, the gradient
+check and the model file share; its constructor is the one place that
+checks a vector against the dims.  A model file states each fact once:
+a text header of `key value` lines (the layer dims, the training
+configuration, the threshold, the metric names and the standardization
+statistics), then the vector as one raw float32 block whose length the
+layer dims fix.  `check_metrics` refuses a dataset or a sample whose
+metrics differ from the recorded names, naming it.  A training step
+works in place on buffers built once per `train` call: per-layer views
+of the parameter and gradient vectors, the Adam moments, and the
+activations of one batch.
 
 Every BLAS call runs on the thread count that importing the package
 set, one unless the user chose a count (see the package docstring).
@@ -78,7 +79,7 @@ def _vector_size(dims) -> int:
 
 
 def _unpack(dims, vec: np.ndarray):
-    """Split a flat parameter vector into per-layer (W, b) pairs."""
+    """Per-layer (W, b) views of a flat parameter vector of `dims`."""
     layers = []
     k = 0
     for fi, fo in zip(dims[:-1], dims[1:]):
@@ -87,10 +88,6 @@ def _unpack(dims, vec: np.ndarray):
         b = vec[k : k + fo]
         k += fo
         layers.append((w, b))
-    if k != vec.shape[0]:
-        raise ValueError(
-            f"parameter vector has {vec.shape[0]} entries, dims {dims} need {k}"
-        )
     return layers
 
 
@@ -165,64 +162,51 @@ def glorot_init_vector(dims, rng: np.random.Generator) -> np.ndarray:
 class MlpModel:
     """Feed-forward stack: rectifier hidden layers, sigmoid output.
 
-    `layers` holds (weights, biases) per layer with weights shaped
-    (fan_in, fan_out); the last fan_out must be 1.  A stack of one layer
-    is a logistic model; `kind` reads the model kind from the depth.
+    `layer_dims` are the layer widths, input first, output (one unit)
+    last; `params` is the flat float64 parameter vector they fix the
+    length of, kept read-only.  `layers` views it as (weights, biases)
+    per layer, weights shaped (fan_in, fan_out).  A stack of one layer is
+    a logistic model; `kind` reads the model kind from the depth.
     """
 
-    layers: tuple
+    layer_dims: tuple
+    params: np.ndarray
 
     def __post_init__(self) -> None:
-        fixed = []
-        for w_given, b_given in self.layers:
-            w = np.asarray(w_given, dtype=np.float64)
-            b = np.asarray(b_given, dtype=np.float64).reshape(-1)
-            if w.ndim != 2 or b.shape[0] != w.shape[1]:
-                raise ValueError("layer shapes inconsistent")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError("parameters must be finite")
-            fixed.append((_frozen(w, w_given), _frozen(b, b_given)))
-        if not fixed or fixed[-1][0].shape[1] != 1:
-            raise ValueError("network must end in a single output unit")
-        for (w0, _), (w1, _) in zip(fixed, fixed[1:]):
-            if w0.shape[1] != w1.shape[0]:
-                raise ValueError("consecutive layer dims do not chain")
-        object.__setattr__(self, "layers", tuple(fixed))
-        _check_dims(self.layer_dims)
+        dims = _check_dims(self.layer_dims)
+        vec = np.asarray(self.params, dtype=np.float64)
+        if vec.shape != (_vector_size(dims),):
+            raise ValueError(f"layer dims {dims} take a vector of {_vector_size(dims)} "
+                             f"parameters, got an array of shape {vec.shape}")
+        if not np.isfinite(vec).all():
+            raise ValueError(f"parameters must be finite (layer dims {dims})")
+        object.__setattr__(self, "layer_dims", dims)
+        object.__setattr__(self, "params", _frozen(vec, self.params))
+
+    @property
+    def layers(self) -> list:
+        return _unpack(self.layer_dims, self.params)
 
     @property
     def kind(self) -> str:
-        return "logistic" if len(self.layers) == 1 else "mlp"
-
-    @property
-    def layer_dims(self) -> tuple:
-        return (self.layers[0][0].shape[0],) + tuple(w.shape[1] for w, _ in self.layers)
+        return "logistic" if len(self.layer_dims) == 2 else "mlp"
 
     @property
     def n_features(self) -> int:
-        return self.layers[0][0].shape[0]
+        return self.layer_dims[0]
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in self.layers])
+        return self.params.copy()
 
     def with_vector(self, vec: np.ndarray) -> "MlpModel":
-        return _core(self.layer_dims, vec)
+        return MlpModel(self.layer_dims, vec)
 
     @classmethod
     def from_dims(cls, dims, rng: np.random.Generator | None = None) -> "MlpModel":
         """Zero parameters, or Glorot-initialized ones drawn from `rng`."""
         dims = _check_dims(dims)
-        if rng is None:
-            vec = np.zeros(_vector_size(dims))
-        else:
-            vec = glorot_init_vector(dims, rng)
-        return _core(dims, vec)
-
-
-def _core(dims, vec: np.ndarray) -> MlpModel:
-    """The core with these layer dims holding a copy of the flat vector
-    (`MlpModel` copies the layer views it is given)."""
-    return MlpModel(layers=tuple(_unpack(dims, np.asarray(vec, dtype=np.float64))))
+        return cls(dims, np.zeros(_vector_size(dims)) if rng is None
+                   else glorot_init_vector(dims, rng))
 
 
 @dataclass(frozen=True)
@@ -354,10 +338,6 @@ def parameter_breakdown(core: MlpModel) -> list:
     return [fi * fo + fo for fi, fo in zip(dims[:-1], dims[1:])]
 
 
-def _identity_stats(n: int) -> StandardizationStats:
-    return StandardizationStats(mean=np.zeros(n), sigma=np.ones(n))
-
-
 def train(
     dataset: MetricsDataset,
     cfg: TrainConfig,
@@ -382,12 +362,8 @@ def train(
     if len(set(dataset.labels.tolist())) < 2:
         warnings.warn("training labels are single-class; the model will saturate",
                       stacklevel=2)
-    if n >= 2:
-        std, stats = standardize(dataset)
-        x = std.rows
-    else:
-        stats = _identity_stats(dataset.num_metrics)
-        x = dataset.rows
+    std, stats = standardize(dataset)
+    x = std.rows
     y = dataset.labels.astype(np.float64)
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -438,13 +414,8 @@ def train(
             theta -= s2
         trace.append(epoch_sum / n)
 
-    meta = MetaModel(
-        core=_core(dims, theta),
-        stats=stats,
-        config=cfg,
-        threshold=threshold,
-        feature_names=dataset.names,
-    )
+    meta = MetaModel(MlpModel(dims, theta), stats, cfg, threshold=threshold,
+                     feature_names=dataset.names)
     return meta, tuple(trace)
 
 
@@ -509,9 +480,17 @@ def save_model(meta: MetaModel, path) -> None:
     lines.append(f"feature_mean {_float_list(meta.stats.mean)}")
     lines.append(f"feature_sigma {_float_list(meta.stats.sigma)}")
     lines.append("params")
+    # A parameter beyond float32's range would be written as inf, which
+    # load_model refuses: refuse it here, before the file is opened.
+    with np.errstate(over="ignore"):
+        block = core.params.astype("<f4")
+    bad = np.flatnonzero(~np.isfinite(block))
+    if bad.size:
+        raise ValueError(f"{path}: parameter {bad[0]} ({float(core.params[bad[0]])!r}) "
+                         "is not finite in float32")
     with _atomic_file(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-        fh.write(core.to_vector().astype("<f4"))
+        fh.write(block)
 
 
 def load_model(path) -> MetaModel:
@@ -562,13 +541,12 @@ def load_model(path) -> MetaModel:
     # One CSV record; a lone empty name is an empty record.
     names = (value("feature_names", lambda s: tuple(next(csv.reader([s])) or [""]))
              if "feature_names" in values else None)
-    # A float32 signalling NaN warns in the cast; `MlpModel` refuses it.
-    with np.errstate(invalid="ignore"):
-        vec = np.frombuffer(block, dtype="<f4").astype(np.float64)
     try:
+        # A float32 signalling NaN warns in the cast; `MlpModel` refuses it.
+        with np.errstate(invalid="ignore"):
+            core = MlpModel(dims, np.frombuffer(block, dtype="<f4"))
         return MetaModel(
-            core=_core(dims, vec),
-            stats=StandardizationStats(mean=mean, sigma=sigma),
+            core=core, stats=StandardizationStats(mean=mean, sigma=sigma),
             config=TrainConfig(**config), threshold=threshold, feature_names=names,
         )
     except ValueError as exc:

@@ -236,8 +236,8 @@ def test_criterion_04_gradients_match_finite_differences():
         n_feat = int(rng.integers(2, 7))
         batch = int(rng.integers(1, 9))
         if checked % 2 == 0:
-            weights = rng.normal(0, 1, (n_feat, 1))
-            model = metaclf.MlpModel(layers=((weights, [rng.normal()]),))
+            weights = rng.normal(0, 1, n_feat)
+            model = metaclf.MlpModel((n_feat, 1), np.append(weights, rng.normal()))
         else:
             dims = (n_feat, int(rng.integers(3, 8)), int(rng.integers(2, 6)), 1)
             model = metaclf.MlpModel.from_dims(dims, rng)

@@ -407,9 +407,8 @@ class TestEvalReport:
 
 def identity_meta(weights, bias=0.0):
     n = len(weights)
-    w = np.asarray(weights, dtype=np.float64).reshape(n, 1)
     return MetaModel(
-        core=MlpModel(layers=((w, [bias]),)),
+        core=MlpModel((n, 1), np.append(weights, bias)),
         stats=StandardizationStats(np.zeros(n), np.ones(n)),
         config=TrainConfig(),
     )

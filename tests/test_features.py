@@ -11,6 +11,7 @@ reader.
 import csv
 import math
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -556,11 +557,22 @@ class TestStandardize:
         _, stats = standardize(ds)
         np.testing.assert_allclose(stats.apply(np.array([[4.0]])), [[3.0]])
 
-    def test_too_few_rows_rejected(self):
-        names = ["m0"]
-        ds = MetricsDataset(np.array([[1.0]]), [1], ("a",), names)
-        with pytest.raises(ValueError, match="2 rows"):
-            standardize(ds)
+    def test_one_row_gets_identity_statistics(self):
+        # Every column of one row has zero variance, so the row keeps its
+        # bits, its -0.0 included.
+        row = np.array([[1.5, -0.0, -2.25, 0.0]])
+        ds = MetricsDataset(row, [1], ("a",), ["m0", "m1", "m2", "m3"])
+        out, stats = standardize(ds)
+        assert stats.mean.tobytes() == np.zeros(4).tobytes()
+        assert stats.sigma.tobytes() == np.ones(4).tobytes()
+        assert out.rows.tobytes() == row.tobytes()
+
+    def test_zero_rows_rejected(self):
+        ds = MetricsDataset(np.zeros((0, 1)), np.zeros(0, dtype=bool), (), ["m0"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty dataset"):
+                standardize(ds)
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):

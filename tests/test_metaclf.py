@@ -57,8 +57,8 @@ def toy_dataset(rows, labels):
 
 def logistic(weights, bias):
     """The one-layer core with these weights and bias."""
-    w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
-    return MlpModel(layers=((w, [float(bias)]),))
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    return MlpModel((w.shape[0], 1), np.append(w, float(bias)))
 
 
 def pinned_models():
@@ -156,6 +156,38 @@ class TestParameterCounts:
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
             MlpModel.from_dims((4, 6, 2))  # output must be one unit
+
+
+class TestConstructor:
+    """`MlpModel(layer_dims, params)` checks the vector against the dims."""
+
+    @pytest.mark.parametrize("params", [np.zeros(3), np.zeros(5), np.zeros((1, 4)),
+                                        np.zeros((4, 1)), np.float64(0.0)])
+    def test_vector_of_another_shape_refused(self, params):
+        with pytest.raises(ValueError, match=re.escape(
+                "layer dims (3, 1) take a vector of 4 parameters, got an array of "
+                f"shape {np.shape(params)}")):
+            MlpModel((3, 1), params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_refused(self, bad):
+        params = np.zeros(13)
+        params[7] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                "parameters must be finite (layer dims (2, 3, 1))")):
+            MlpModel((2, 3, 1), params)
+
+    def test_invalid_dims_refused(self):
+        with pytest.raises(ValueError, match=re.escape("invalid layer dims (3, 2)")):
+            MlpModel((3, 2), np.zeros(8))
+
+    def test_fields(self):
+        model = MlpModel([np.int64(2), 1], [0.5, -1.0, 0.25])
+        assert [f.name for f in dataclasses.fields(MlpModel)] == ["layer_dims", "params"]
+        assert model.layer_dims == (2, 1) and type(model.layer_dims[0]) is int
+        assert model.params.dtype == np.float64 and model.params.tolist() == [0.5, -1.0, 0.25]
+        (w, b), = model.layers
+        assert w.tolist() == [[0.5], [-1.0]] and b.tolist() == [0.25]
 
 
 class TestPrediction:
@@ -380,6 +412,35 @@ class TestTraining:
             vec = meta.core.to_vector().tobytes()
             assert hashlib.sha256(vec).hexdigest() == params_digest, kind
             assert hashlib.sha256(repr(trace).encode()).hexdigest() == trace_digest, kind
+
+    def test_one_row_bits_pinned(self):
+        # Digests recorded when a one-row dataset skipped standardization
+        # and trained on its raw row with identity statistics; one row
+        # standardizes to those statistics and its own bits, -0.0 included.
+        row = [[1.5, -0.0, -2.25, 0.0]]
+        cfg = TrainConfig(learning_rate=0.01, epochs=3, batch_size=16, seed=3)
+        cases = [
+            ((), 0,
+             "caf619f542deea6f9e2bf4b3a09cefeb394db5a9b3fa74a94f1633996902a49f",
+             "1a991094b06d3c5635e01b70e1d542c49886e2c80d75fe6a2735cad018203054"),
+            ((), 1,
+             "851cd67bfdba725b5f677c454f3a5851979bb5f30fd09aebcdb7ddb1f1ef13d9",
+             "19f152a89340f3e09472b9f3f1334c1d88a7af4de42aa1be75c8cbbf720592d6"),
+            ((4, 3), 0,
+             "d7ff521030521d128d0950254876cb7521e2e5d18a56c357f01d227b98f0c983",
+             "cdc1184108505c69b4f93cdb9193a5097c93a70825c7035b8133ac932b519a58"),
+            ((4, 3), 1,
+             "68d72b3017f6d78f9e6d7b56282ad722b65e0967a4f783a129ac5b2b7cdaf470",
+             "57693e1723948d41c0ae69d80965935cf9f905813d67231358cdafcaca256166"),
+        ]
+        for hidden_dims, label, params_digest, trace_digest in cases:
+            with pytest.warns(UserWarning, match="single-class"):
+                meta, trace = train(toy_dataset(row, [label]), cfg, hidden_dims=hidden_dims)
+            case = (hidden_dims, label)
+            bits = (meta.core.params.tobytes() + meta.stats.mean.tobytes()
+                    + meta.stats.sigma.tobytes())
+            assert hashlib.sha256(bits).hexdigest() == params_digest, case
+            assert hashlib.sha256(repr(trace).encode()).hexdigest() == trace_digest, case
 
     def test_seed_changes_parameters(self):
         ds = separable_dataset()
@@ -803,6 +864,25 @@ class TestModelFiles:
             save_model(meta, path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_parameter_beyond_float32_refused_before_writing(self, tmp_path):
+        stats = StandardizationStats(np.zeros(2), np.ones(2))
+        meta = MetaModel(logistic([0.5, -1e300], 1e300), stats, TrainConfig())
+        path = tmp_path / "model.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: parameter 1 (-1e+300) is not finite in float32")):
+                save_model(meta, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_float32_extremes_round_trip(self, tmp_path):
+        big = float(np.finfo(np.float32).max)
+        stats = StandardizationStats(np.zeros(2), np.ones(2))
+        meta = MetaModel(logistic([big, -big], big), stats, TrainConfig())
+        path = tmp_path / "model.bin"
+        save_model(meta, path)
+        assert load_model(path).core.params.tobytes() == meta.core.params.tobytes()
+
     def test_v1_file_refused(self, tmp_path):
         # v1_model_bytes rebuilds the v1 writer's files: these are their digests.
         digests = [
@@ -927,10 +1007,13 @@ class TestModelFiles:
 
 class TestCallerArraysStayWriteable:
     def test_mlp_model(self):
-        w0, b0, w1, b1 = np.ones((2, 3)), np.zeros(3), np.ones((3, 1)), np.zeros(1)
-        model = MlpModel(layers=((w0, b0), (w1, b1)))
-        w0[0, 0], b1[0] = 7.0, 7.0
-        assert model.layers[0][0][0, 0] == 1.0 and model.layers[1][1][0] == 0.0
+        vec = np.arange(13.0)  # dims (2, 3, 1): 6 + 3 weights and biases, 3 + 1
+        model = MlpModel((2, 3, 1), vec)
+        vec[0], vec[-1] = 70.0, 70.0
+        assert vec.flags.writeable
+        assert model.params.tolist() == list(range(13))
+        assert model.layers[0][0][0, 0] == 0.0 and model.layers[1][1][0] == 12.0
+        assert not model.params.flags.writeable
         assert not any(a.flags.writeable for layer in model.layers for a in layer)
 
 
