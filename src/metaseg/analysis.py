@@ -20,14 +20,16 @@ of table length at most.
 
 Leave-one-out cross-validation holds out one sample (image) at a time,
 trains on the remaining rows with the same seed, and pools the held-out
-predictions.  When the training is large enough to repay starting them,
-the folds run on a pool of worker processes, and each fold's predictions
-are written back by row, so the result does not depend on the worker
-count.  Least-angle regression supplies a feature entry order,
+predictions.  Least-angle regression supplies a feature entry order,
 which the incremental evaluation consumes: train and evaluate on the
 first i ordered metrics, for i = 1..N_m, keeping subset columns in
-their original dataset order so the final entry reproduces the
-full-feature run exactly.
+their original dataset order.  One runner serves both: it trains a
+(metric subset, fold) grid, the leave-one-out run being its one subset
+of every column, so the final incremental entry reproduces the
+full-feature run exactly.  When the training is large enough to repay
+starting them, the folds run on a pool of worker processes, and each
+fold's predictions are written back by row, so the result does not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -366,11 +368,10 @@ def _training_work(rows: int, num_metrics: int, cfg: TrainConfig, hidden_dims) -
 
 
 def _fold(dataset: MetricsDataset, cfg: TrainConfig, hidden_dims, held: list,
-          cols=None) -> np.ndarray:
-    """Predictions for the `held` rows by a model trained on every other
-    row, in ascending order; with `cols`, on those metric columns only."""
-    if cols is not None:
-        dataset = dataset.select_metrics(cols)
+          cols) -> np.ndarray:
+    """Predictions for the `held` rows, in ascending order, by a model
+    trained on every other row and on the metric columns `cols` only."""
+    dataset = dataset.select_metrics(cols)
     train_ix = np.delete(np.arange(len(dataset)), held)
     fold = train(dataset.subset(train_ix), cfg, hidden_dims=hidden_dims)[0]
     return fold.predict_raw_batch(dataset.rows[held])
@@ -400,28 +401,31 @@ def _worker_fold(task):
     return scores, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
-def _fold_scores(dataset: MetricsDataset, cfg: TrainConfig, hidden_dims, tasks,
-                 work: float) -> list:
+def _fold_scores(dataset: MetricsDataset, cfg: TrainConfig, hidden_dims, tasks) -> list:
     """`_fold` of each (held rows, cols) task, in task order.
 
     The tasks run in-process unless `worker_count()` allows two workers or
-    more and the estimated training `work` exceeds `_POOL_MIN_WORK`; then
-    they run on a pool of spawned processes (forking a process that holds
-    OpenBLAS threads is unsafe), each of which reads the dataset once from
-    a private temporary file.  The workers inherit the environment, with
-    the ``OPENBLAS_NUM_THREADS=1`` that importing the package sets when no
-    thread variable is set, so their OpenBLAS starts on one thread, and on
-    the user's count when one is set.  Handed over in the spawn payload
-    instead, a dataset larger than a pipe buffer would make each worker's
-    start wait until the one before had imported this package, and a
-    worker that failed on start would leave this process blocked forever
-    in that write.  A fold's bits do not depend on the process that trains
-    it.  Warnings and errors reach the caller as from the in-process run: task
-    by task, each fold's warnings are issued again here, at the place the
-    fold issued them, and the first error is raised after them (its
-    traceback ends here; METASEG_THREADS=1 shows the fold's own).
+    more and their training work, each task costed by `_training_work` on
+    every row of the dataset and its columns, exceeds `_POOL_MIN_WORK`;
+    then they run on a pool of spawned processes (forking a process that
+    holds OpenBLAS threads is unsafe), each of which reads the dataset
+    once from a private temporary file.  The workers inherit the
+    environment, with the ``OPENBLAS_NUM_THREADS=1`` that importing the
+    package sets when no thread variable is set, so their OpenBLAS starts
+    on one thread, and on the user's count when one is set.  Handed over
+    in the spawn payload instead, a dataset larger than a pipe buffer
+    would make each worker's start wait until the one before had imported
+    this package, and a worker that failed on start would leave this
+    process blocked forever in that write.  A fold's bits do not depend on
+    the process that trains it.  Warnings and errors reach the caller as
+    from the in-process run: task by task, each fold's warnings are issued
+    again here, at the place the fold issued them, and the first error is
+    raised after them (its traceback ends here; METASEG_THREADS=1 shows
+    the fold's own).
     """
     workers = min(worker_count(), len(tasks))
+    work = sum(_training_work(len(dataset), len(cols), cfg, hidden_dims)
+               for _, cols in tasks)
     if workers < 2 or work <= _POOL_MIN_WORK:
         return [_fold(dataset, cfg, hidden_dims, *task) for task in tasks]
     import multiprocessing
@@ -450,25 +454,26 @@ def _fold_scores(dataset: MetricsDataset, cfg: TrainConfig, hidden_dims, tasks,
     return out
 
 
-def _held_rows(dataset: MetricsDataset) -> dict:
-    """The rows of each group, groups in order of first appearance: the
-    held-out rows of the leave-one-group-out folds."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
+def _subset_scores(dataset: MetricsDataset, cfg: TrainConfig, hidden_dims,
+                   subsets) -> np.ndarray:
+    """Pooled leave-one-group-out predictions on each metric subset of
+    `subsets`, one row per subset aligned with the dataset's rows.
+
+    The folds hold out the rows of one group each, groups in order of
+    first appearance; the (subset, fold) grid is one task list for
+    `_fold_scores`, and each fold's predictions are written back by row.
+    """
     held = {}
     for i, group in enumerate(dataset.group_ids):
         held.setdefault(group, []).append(i)
     if len(held) < 2:
         raise ValueError("leave-one-out needs at least 2 groups")
-    return held
-
-
-def _pooled(n: int, held: dict, scores) -> np.ndarray:
-    """The held-out `scores` of each fold written to its rows of `n`."""
-    out = np.full(n, np.nan)
-    for rows, s in zip(held.values(), scores):
-        out[rows] = s
-    return out
+    tasks = [(rows, cols) for cols in subsets for rows in held.values()]
+    pooled = np.full((len(subsets), len(dataset)), np.nan)
+    for i, ((rows, _), scores) in enumerate(
+            zip(tasks, _fold_scores(dataset, cfg, hidden_dims, tasks))):
+        pooled[i // len(held), rows] = scores
+    return pooled
 
 
 def loo_scores(
@@ -481,12 +486,8 @@ def loo_scores(
     same configuration and seed.  Large runs train their folds in worker
     processes (see `_fold_scores`), so a script that calls this must
     guard its top-level code with ``if __name__ == "__main__":``."""
-    held = _held_rows(dataset)
-    work = len(held) * _training_work(len(dataset), dataset.num_metrics, cfg,
-                                      hidden_dims)
-    tasks = [(rows,) for rows in held.values()]
-    return _pooled(len(dataset), held,
-                   _fold_scores(dataset, cfg, hidden_dims, tasks, work))
+    return _subset_scores(dataset, cfg, hidden_dims,
+                          [tuple(range(dataset.num_metrics))])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -595,28 +596,17 @@ def incremental_evaluation(
     For i = 1..N_m, the first i ordered metrics are selected (kept in
     their original column order), the model is reinitialized and
     leave-one-group-out evaluated, and pooled AUROC/AUPRC appended.  The
-    final step selects every column, reproducing the full-feature run
-    bit-for-bit.  The (subset, fold) grid is one task list for
-    `_fold_scores`, so the guard `loo_scores` asks of scripts holds here
-    too.
+    final step selects every column, the one subset of `loo_scores`, so
+    it reproduces the full-feature run bit-for-bit.  Both run their
+    (subset, fold) grid through `_subset_scores`, so the guard
+    `loo_scores` asks of scripts holds here too.
     """
     ordering = lars_order(dataset)
-    held = _held_rows(dataset)
-    subsets = [tuple(sorted(ordering.ordered_metric_indices[:i]))
+    subsets = [sorted(ordering.ordered_metric_indices[:i])
                for i in range(1, dataset.num_metrics + 1)]
-    work = len(held) * sum(
-        _training_work(len(dataset), len(cols), cfg, hidden_dims) for cols in subsets)
-    tasks = [(rows, cols) for cols in subsets for rows in held.values()]
-    scores = _fold_scores(dataset, cfg, hidden_dims, tasks, work)
-    aurocs = []
-    auprcs = []
-    for k in range(len(subsets)):
-        fold_scores = scores[k * len(held) : (k + 1) * len(held)]
-        report = evaluate_scores(_pooled(len(dataset), held, fold_scores),
-                                 dataset.labels)
-        aurocs.append(report.auroc)
-        auprcs.append(report.auprc)
-    return aurocs, auprcs
+    reports = [evaluate_scores(scores, dataset.labels)
+               for scores in _subset_scores(dataset, cfg, hidden_dims, subsets)]
+    return [r.auroc for r in reports], [r.auprc for r in reports]
 
 
 # ---------------------------------------------------------------------------

@@ -186,12 +186,9 @@ def _cmd_score(o: dict) -> None:
         smap = scoring.anomaly_score_file(path)
         raster.save_score_map(smap, out_dir / f"{path.stem}.score.rast")
 
-    def values(path: Path) -> int:
-        # From the file's length, 4 bytes a value: a parsed header would
-        # refuse a bad map as it is drawn, ahead of the maps before it.
-        return (path.stat().st_size - raster._HEADER_LEN) // 4
-
-    for _ in raster.thread_map(work, paths, values):
+    for _ in raster.thread_map(
+        work, paths, values=lambda path: math.prod(raster._probability_dims(path))
+    ):
         pass
     print(f"wrote {len(paths)} score maps to {out_dir}")
 

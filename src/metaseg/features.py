@@ -236,22 +236,6 @@ def _streamed_fields(blocks, dims: tuple, threshold: float) -> tuple:
     return fields, hot_pixels, np.concatenate(hot_probs, axis=1, out=probs)
 
 
-def _sample_fields(sample, num_classes: int | None, threshold: float) -> tuple:
-    """`_streamed_fields` of the map of `sample` at `threshold`: its H x W
-    fields, hot pixels and their class probabilities, from one walk of
-    `sample.probability_blocks()`.  A map with other than `num_classes`
-    classes (any, when it is None) is refused before its first block is
-    read."""
-    blocks = sample.probability_blocks()
-    dims = next(blocks)
-    if num_classes is not None and dims[2] != num_classes:
-        raise ValueError(
-            f"sample {sample.id!r} has C={dims[2]}, "
-            f"the first sample has C={num_classes}"
-        )
-    return _streamed_fields(blocks, dims, threshold)
-
-
 def _grouped_moments(values: np.ndarray, sizes: np.ndarray, columns=None):
     """Mean and population variance of every segment of `values` (F x N),
     whose columns hold the segments back to back, `sizes[k]` columns
@@ -370,11 +354,12 @@ def _component_rows(
     return out
 
 
-def _labeled_rows(sample, num_classes: int | None, threshold: float) -> tuple:
+def _labeled_rows(sample, threshold: float) -> tuple:
     """The label image of `sample` thresholded at `threshold` (with the
     false-positive flags of its mask), its `_streamed_fields` fields and
     the metric rows of its components, from one walk of its map."""
-    fields, hot_pixels, probs = _sample_fields(sample, num_classes, threshold)
+    blocks = sample.probability_blocks()
+    fields, hot_pixels, probs = _streamed_fields(blocks, next(blocks), threshold)
     image = label_image(fields["ent"] >= threshold, ood=sample.mask.is_ood())
     return image, fields, _component_rows(image, fields, hot_pixels, probs)
 
@@ -415,7 +400,10 @@ def build_metrics_dataset(samples, cfg: ThresholdConfig) -> MetricsDataset:
         yield from samples
 
     def sample_rows(sample):
-        image, _, rows = _labeled_rows(sample, num_classes, cfg.t)
+        if sample.dims[2] != num_classes:
+            raise ValueError(f"sample {sample.id!r} has C={sample.dims[2]}, "
+                             f"the first sample has C={num_classes}")
+        image, _, rows = _labeled_rows(sample, cfg.t)
         if not image.count:
             return None
         return rows, image.is_false_positive, (sample.id,) * image.count

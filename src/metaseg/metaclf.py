@@ -440,7 +440,7 @@ def remove_false_positives(sample, model: MetaModel, decision_threshold: float =
         raise ValueError("model records no score threshold to label components at")
     c = sample.dims[2]
     model.check_metrics(metric_names(c), of=f"sample {sample.id!r} (C={c})")
-    image, fields, rows = _labeled_rows(sample, None, model.threshold)
+    image, fields, rows = _labeled_rows(sample, model.threshold)
     flag = model.predict_raw_batch(rows) >= decision_threshold
     scores = fields["ent"]
     # Label -1 (no component) reads the appended False.

@@ -187,8 +187,6 @@ def _layout(spec: SceneSpec, index: int):
     occupied = np.zeros((h, w), dtype=bool)
 
     def place(s: int):
-        if s > h or s > w:
-            raise ValueError(f"blob of size {s} larger than the {h}x{w} image")
         for _ in range(_PLACE_ATTEMPTS):
             r0 = int(rng.integers(0, h - s + 1))
             c0 = int(rng.integers(0, w - s + 1))

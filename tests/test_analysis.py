@@ -581,13 +581,15 @@ class TestLeaveOneOut:
         assert not np.allclose(loo, in_sample)
 
     def test_single_group_rejected(self):
-        ds = toy_dataset(
-            np.random.default_rng(0).normal(0, 1, (4, 2)),
-            [1, 0, 1, 0],
-            ("a", "a", "a", "a"),
-        )
-        with pytest.raises(ValueError, match="2 groups"):
-            loo_scores(ds, TrainConfig(epochs=1), hidden_dims=())
+        # An empty dataset has no group.
+        for n in (4, 0):
+            ds = toy_dataset(
+                np.random.default_rng(0).normal(0, 1, (n, 2)),
+                [1, 0, 1, 0][:n],
+                ("a",) * n,
+            )
+            with pytest.raises(ValueError, match="2 groups"):
+                loo_scores(ds, TrainConfig(epochs=1), hidden_dims=())
 
     def test_end_to_end_on_scenes(self):
         spec = SceneSpec(

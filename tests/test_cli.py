@@ -709,29 +709,37 @@ class TestSampleThreads:
     @pytest.mark.parametrize("command", ["score", "segments", "metrics"])
     def test_first_failing_map_is_reported(self, command, scene_dir, tmp_path,
                                            monkeypatch, capsys):
-        # Three maps: the second has a NaN in its last block, the third no
-        # mask, which `segments` and `metrics` find on drawing it, while the
-        # second may still be in work.
+        # Three maps: the second has a NaN in its last block, or one class,
+        # which its header shows when it is drawn (and `score` sizes it);
+        # the third has no mask, which `segments` and `metrics` find on
+        # drawing it, while the second may still be in work.
         monkeypatch.setattr(raster, "_BLOCK_VALUES", 64)
-        d = tmp_path / "scenes"
-        d.mkdir()
-        for i, name in enumerate("abc"):
-            for ext in (".rast", ".pgm"):
-                shutil.copy(scene_dir / f"scene_{i:04d}{ext}", d / f"{name}{ext}")
-        with open(d / "b.rast", "r+b") as fh:
-            fh.seek(-4, os.SEEK_END)
-            fh.write(struct.pack("<f", float("nan")))
-        (d / "c.pgm").unlink()
-        h, w, c = raster.load_probability_map(d / "a.rast").values.shape
-        out = tmp_path / "out" / "result"
-        for threads in ("1", "2", "4"):
-            monkeypatch.setenv("METASEG_THREADS", threads)
-            assert cli.run([command, "--in", str(d), "--out", str(out)]) == 2
-            err = capsys.readouterr().err
-            assert err == (f"metaseg: error: {d / 'b.rast'}: non-finite value at "
-                           f"({h - 1}, {w - 1}, {c - 1})\n")
-            if command != "score":
-                assert not out.exists()
+        for fault in ("nan_value", "one_class"):
+            d = tmp_path / fault
+            d.mkdir()
+            for i, name in enumerate("abc"):
+                for ext in (".rast", ".pgm"):
+                    shutil.copy(scene_dir / f"scene_{i:04d}{ext}", d / f"{name}{ext}")
+            h, w, c = raster.load_probability_map(d / "a.rast").values.shape
+            if fault == "nan_value":
+                with open(d / "b.rast", "r+b") as fh:
+                    fh.seek(-4, os.SEEK_END)
+                    fh.write(struct.pack("<f", float("nan")))
+                refusal = f"non-finite value at ({h - 1}, {w - 1}, {c - 1})"
+            else:
+                magic = (d / "b.rast").read_bytes()[:8]
+                (d / "b.rast").write_bytes(magic + struct.pack("<III", h, w, 1)
+                                           + np.ones(h * w, "<f4").tobytes())
+                refusal = f"invalid probability map shape ({h}, {w}, 1)"
+            (d / "c.pgm").unlink()
+            out = tmp_path / "out" / "result"
+            for threads in ("1", "2", "4"):
+                monkeypatch.setenv("METASEG_THREADS", threads)
+                assert cli.run([command, "--in", str(d), "--out", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert err == f"metaseg: error: {d / 'b.rast'}: {refusal}\n"
+                if command != "score":
+                    assert not out.exists()
 
 
 class TestTrainEval:

@@ -213,7 +213,7 @@ class TestMatchesReferenceRow:
         sample = iid_sample(30, 40, 4, 0.4, seed=239)
         score = anomaly_score_map(sample.pmap)
         fields = reference_fields(sample.pmap, score, 0.7)
-        image, got_fields, rows = _labeled_rows(sample, None, 0.7)
+        image, got_fields, rows = _labeled_rows(sample, 0.7)
         assert got_fields["ent"].tobytes() == score.scores.tobytes()
         assert np.array_equal(image.labels, label_image(score.scores >= 0.7).labels)
         assert rows.shape == (image.count, len(metric_names(4))) and image.count > 7

@@ -352,10 +352,10 @@ class TestLabelImage:
             LabelImage(labels, labels >= 0)
 
     def test_id_past_the_pixel_count_rejected(self):
-        # 2^32 would wrap to id 0 in int32.
-        labels = np.array([[0, 2**32]])
-        with pytest.raises(ValueError, match="0..K-1"):
-            LabelImage(labels, labels >= 0)
+        # 2^32 would wrap to id 0 in int32; ids {0, 2} leave id 1 empty.
+        for labels in (np.array([[0, 2**32]]), np.array([[0, -1, 2]])):
+            with pytest.raises(ValueError, match="0..K-1, each nonempty"):
+                LabelImage(labels, labels >= 0)
 
     def test_boundary_shape_must_match_labels(self):
         labels = np.zeros((4, 4), dtype=np.int32)
